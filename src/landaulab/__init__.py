@@ -8,10 +8,11 @@ mechanics with a polynomial Poisson-bracket engine; deterministic Gaussian
 quadrature acts as the brute-force oracle tying the routes together.
 """
 
-from .params import (DEFAULT_MAX_DEGREE, DegreeOverflowError, GaugeChoice,
-                     OriginMismatchError, PhysicalParams, Poly2,
-                     PolyParseError, derived_params, format_poly, gauge_delta,
-                     parse_poly, vector_potential, vector_potential_polys)
+from .params import (CANONICAL_PARTNER, DEFAULT_MAX_DEGREE,
+                     DegreeOverflowError, GaugeChoice, OriginMismatchError,
+                     PhysicalParams, Poly2, PolyParseError, SparsePoly,
+                     canonical_extra, format_poly, gauge_delta, parse_poly,
+                     vector_potential, vector_potential_polys)
 from .classical import (NoetherCharges, PhaseSpacePoint, PolyObservable,
                         TrajectoryParams, analytic_trajectory,
                         canonical_momenta, integrate, magnetic_centre,
@@ -22,7 +23,7 @@ from .fockspace import (FockBasis, FockOperator, TruncationError,
                         interior_project, ladder_ops, poly_operator,
                         t1_fock_overlap, angular_element)
 from .waves import (DiffOpSpec, HermiteGaussian1D, SpecialFactor, WaveForm,
-                    fock_state, flat_connection_rep, gauge_phase, hermite,
+                    fock_state, gauge_phase, hermite,
                     laguerre, multiplication_op, phase_shifted, plane_wave,
                     position_op, t1_basis_function, t1_state, t1rep_apply)
 from .quadrature import (Grid2, QuadResult, SupportOverflowError,

@@ -15,8 +15,9 @@ from . import classical as cl
 from . import fockspace as fk
 from . import quadrature as quad
 from . import waves as wv
-from .params import (GaugeChoice, OriginMismatchError, PhysicalParams, Poly2,
-                     format_poly, gauge_delta)
+from .params import (CANONICAL_PARTNER, GaugeChoice, OriginMismatchError,
+                     PhysicalParams, Poly2, canonical_extra, format_poly,
+                     gauge_delta)
 from .report import VerificationReport
 
 __all__ = [
@@ -64,17 +65,6 @@ def default_gauges(seed: int, x0=(0.0, 0.0)) -> list[GaugeChoice]:
 # ---------------------------------------------------------------------------
 # Operator algebra on the truncated Fock space
 # ---------------------------------------------------------------------------
-
-
-def _raw_comm_dev(a: fk.FockOperator, b: fk.FockOperator,
-                  expected: np.ndarray, margin: int) -> float:
-    """Commutator deviation on the interior at the requested margin, without
-    the excursion precondition: an inadequate margin shows up as a large
-    deviation rather than an exception."""
-    comm = a.matrix @ b.matrix - b.matrix @ a.matrix - expected
-    idx = a.basis.interior_indices(margin)
-    sub = comm[np.ix_(idx, idx)]
-    return float(np.max(np.abs(sub))) if sub.size else 0.0
 
 
 def run_verify_algebra(p: PhysicalParams, nmax: int = 16, margin: int = 3,
@@ -152,8 +142,13 @@ def run_verify_algebra(p: PhysicalParams, nmax: int = 16, margin: int = 3,
          -0.5j * s * hb * w * (u1 @ P1.matrix + P1.matrix @ u1
                                + u2 @ P2.matrix + P2.matrix @ u2)),
     ]
+    # no excursion precondition here: an inadequate margin shows up as a
+    # large deviation rather than an exception
     for cid, a, bb, expected in comms:
-        rep.add(cid, _raw_comm_dev(a, bb, expected, margin), tol)
+        comm = fk.FockOperator(
+            b, a.matrix @ bb.matrix - bb.matrix @ a.matrix - expected)
+        rep.add(cid, fk.interior_deviation(comm, margin), tol)
+        del comm  # keep one commutator matrix alive at a time
 
     rel = (T1.matrix @ T1.matrix + T2.matrix @ T2.matrix
            - 2.0 * p.m * H.matrix - 2.0 * qb * M3.matrix)
@@ -298,9 +293,9 @@ def run_gauge_scan(p: PhysicalParams, gauges=None, nmax: int = 16,
     pairs = _neighbour_pairs(states)
 
     invariant: dict = {name: {} for name in _SCAN_OPS}
-    canonical: dict = {name: {} for name in ("pi1", "pi2", "L3c")}
-    dec_dev = {name: 0.0 for name in ("pi1", "pi2", "L3c")}
-    route_dev = {name: 0.0 for name in ("pi1", "pi2", "L3c")}
+    canonical: dict = {name: {} for name in CANONICAL_PARTNER}
+    dec_dev = {name: 0.0 for name in CANONICAL_PARTNER}
+    route_dev = {name: 0.0 for name in CANONICAL_PARTNER}
 
     u1, u2 = Poly2.variable(1), Poly2.variable(2)
     basis = fk.FockBasis(nmax)
@@ -311,25 +306,11 @@ def run_gauge_scan(p: PhysicalParams, gauges=None, nmax: int = 16,
         for (l, n) in states:
             eng.load((l, n), wv.fock_state(g, p, n + l, n))
         ops = {name: wv.position_op(name, g, p) for name in _SCAN_OPS}
-        cano = {"pi1": wv.position_op("pi1", g, p),
-                "pi2": wv.position_op("pi2", g, p),
-                "L3c": wv.position_op("L3c", g, p)}
-        qb = p.qB
-        extra = {
-            "pi1": wv.multiplication_op(
-                Poly2.monomial(0, 1, -0.5 * (g.alpha - 1.0) * qb)
-                + p.q * g.phi.diff(1)),
-            "pi2": wv.multiplication_op(
-                Poly2.monomial(1, 0, -0.5 * (g.alpha + 1.0) * qb)
-                + p.q * g.phi.diff(2)),
-            "L3c": wv.multiplication_op(
-                Poly2.monomial(2, 0, -0.5 * g.alpha * qb)
-                + Poly2.monomial(0, 2, 0.5 * g.alpha * qb)
-                + u1 * (p.q * g.phi.diff(2)) - u2 * (p.q * g.phi.diff(1))),
-        }
-        partner = {"pi1": "T1", "pi2": "T2", "L3c": "M3"}
+        cano = {name: wv.position_op(name, g, p) for name in CANONICAL_PARTNER}
+        extra = {name: wv.multiplication_op(canonical_extra(name, g, p))
+                 for name in CANONICAL_PARTNER}
         variant_matrices = {name: fk.gauge_variant_matrix(name, g, p, basis)
-                            for name in ("pi1", "pi2", "L3c")}
+                            for name in CANONICAL_PARTNER}
 
         sample_set = set(states[:6])
         for pi, (bra, ket) in enumerate(pairs):
@@ -341,10 +322,11 @@ def run_gauge_scan(p: PhysicalParams, gauges=None, nmax: int = 16,
             # always keeping the sample block used by the shift comparison
             if pi % 2 and not (bra in sample_set and ket in sample_set):
                 continue
-            for name in ("pi1", "pi2", "L3c"):
+            for name in CANONICAL_PARTNER:
                 val = eng.element(bra, cano[name], ket)
                 canonical[name][(bra, ket, gi)] = val
-                pred = here[partner[name]] + eng.element(bra, extra[name], ket)
+                pred = here[CANONICAL_PARTNER[name]] \
+                    + eng.element(bra, extra[name], ket)
                 dec_dev[name] = max(dec_dev[name], abs(val - pred))
                 alg = variant_matrices[name].element(
                     (bra[1] + bra[0], bra[1]), (ket[1] + ket[0], ket[1]))
@@ -356,7 +338,7 @@ def run_gauge_scan(p: PhysicalParams, gauges=None, nmax: int = 16,
             arr = np.asarray(vals)
             spread = max(spread, float(np.max(np.abs(arr - arr.mean()))))
         rep.add(f"invariance:{name}", spread, tol_inv)
-    for name in ("pi1", "pi2", "L3c"):
+    for name in CANONICAL_PARTNER:
         rep.add(f"decomposition:{name}", dec_dev[name], tol_dec)
         rep.add(f"matrix-route:{name}", route_dev[name], tol_dec)
 
@@ -380,7 +362,7 @@ def run_gauge_scan(p: PhysicalParams, gauges=None, nmax: int = 16,
             "L3c": wv.multiplication_op(
                 u1 * (p.q * delta.diff(2)) - u2 * (p.q * delta.diff(1))),
         }
-        for name in ("pi1", "pi2", "L3c"):
+        for name in CANONICAL_PARTNER:
             for (bra, ket) in [(a, b) for a in sample for b in sample]:
                 if (bra, ket, gi) not in canonical[name] \
                         or (bra, ket, ref) not in canonical[name]:
@@ -407,8 +389,7 @@ def run_reproduce_tables(p: PhysicalParams, nmax: int = 16,
                          grid_k: int = 80, scheme: str = "gauss_hermite",
                          gauge: GaugeChoice | None = None,
                          tol_alg: float = ALGEBRA_TOL,
-                         tol_quad: float = QUAD_TOL, idx_top: int = 6,
-                         with_quadrature: bool = True):
+                         tol_quad: float = QUAD_TOL, idx_top: int = 6):
     """Reproduce the angular-basis matrix-element table through three routes
     and the translation-eigenbasis table through two; returns the report and
     the CSV rows (basis, operator, indices, closed form, computed, error)."""
@@ -444,21 +425,20 @@ def run_reproduce_tables(p: PhysicalParams, nmax: int = 16,
         for ((l1, n1), (l2, n2)) in pairs if n1 == n2)
     rep.add("angular:p-same-level-zero", same_level, tol_alg)
 
-    if with_quadrature:
-        grid = _default_grid(p, g, grid_k, scheme)
-        eng = _ElementEngine(grid, g.x0)
-        for (l, n) in states:
-            eng.load((l, n), wv.fock_state(g, p, n + l, n))
-        ops = {name: wv.position_op(name, g, p) for name in _TABLE_OPS}
-        for name in _TABLE_OPS:
-            dev = 0.0
-            for ((l1, n1), (l2, n2)) in pairs:
-                closed = fk.angular_element(name, l1, n1, l2, n2, p).value
-                val = eng.element((l1, n1), ops[name], (l2, n2))
-                dev = max(dev, abs(closed - val))
-                rows.append(("angular", name, (l1, n1, l2, n2),
-                             closed, val, abs(closed - val)))
-            rep.add(f"angular:{name}:closed-vs-quadrature", dev, tol_quad)
+    grid = _default_grid(p, g, grid_k, scheme)
+    eng = _ElementEngine(grid, g.x0)
+    for (l, n) in states:
+        eng.load((l, n), wv.fock_state(g, p, n + l, n))
+    ops = {name: wv.position_op(name, g, p) for name in _TABLE_OPS}
+    for name in _TABLE_OPS:
+        dev = 0.0
+        for ((l1, n1), (l2, n2)) in pairs:
+            closed = fk.angular_element(name, l1, n1, l2, n2, p).value
+            val = eng.element((l1, n1), ops[name], (l2, n2))
+            dev = max(dev, abs(closed - val))
+            rows.append(("angular", name, (l1, n1, l2, n2),
+                         closed, val, abs(closed - val)))
+        rep.add(f"angular:{name}:closed-vs-quadrature", dev, tol_quad)
 
     # translation-eigenbasis table: intra-level rows act as differential
     # operators on the basis-change profiles
@@ -494,10 +474,9 @@ def run_reproduce_tables(p: PhysicalParams, nmax: int = 16,
                              float(abs(lhs[4] - rhs[4]))))
         rep.add(f"t1:{name}:kernel-vs-ladder", dev / scale, tol_quad)
 
-    if with_quadrature:
-        dev_levels = _t1_level_rows(p, g, grid_k, scheme, rows, idx_top)
-        for name, dev in dev_levels.items():
-            rep.add(f"t1:{name}:kernel-vs-quadrature", dev, tol_quad)
+    dev_levels = _t1_level_rows(p, g, grid_k, scheme, rows, idx_top)
+    for name, dev in dev_levels.items():
+        rep.add(f"t1:{name}:kernel-vs-quadrature", dev, tol_quad)
     return rep, rows
 
 

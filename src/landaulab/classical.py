@@ -1,6 +1,8 @@
 """Classical planar dynamics of a charge in a uniform magnetic field:
 analytic circular orbits, numerical integrators, conserved charges, and an
-exact Poisson-bracket calculus on polynomial phase-space observables.
+exact Poisson-bracket calculus on polynomial phase-space observables, which
+are the four-variable member of the shared polynomial ring of
+:mod:`landaulab.params`.
 
 The phase space is parametrised by the gauge-invariant pair (x, p) with the
 magnetic bracket {p1, p2} = qB; canonical-coordinate statements are recovered
@@ -13,7 +15,9 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .params import GaugeChoice, PhysicalParams, Poly2, vector_potential
+from .params import (DegreeOverflowError, GaugeChoice, PhysicalParams,
+                     Poly2, SparsePoly, vector_potential,
+                     vector_potential_polys)
 
 __all__ = [
     "PhaseSpacePoint",
@@ -195,110 +199,25 @@ def canonical_momenta(g: GaugeChoice, p: PhysicalParams,
 # Polynomial phase-space observables and the magnetic Poisson bracket
 # ---------------------------------------------------------------------------
 
-# exponent tuples index (u1, u2, p1, p2)
-_U1, _U2, _P1, _P2 = 0, 1, 2, 3
+# ring axes of the phase-space coordinates (u1, u2, p1, p2)
+_U1, _U2, _P1, _P2 = 1, 2, 3, 4
 
 
-class PolyObservable:
-    """Polynomial in the four phase-space coordinates (u1, u2, p1, p2) with
-    exact dict-backed coefficients; positions are relative to the chosen
-    origin x0."""
+class PolyObservable(SparsePoly):
+    """Polynomial in the four phase-space coordinates (u1, u2, p1, p2);
+    positions are relative to the chosen origin x0."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        clean = {}
-        for key, c in (terms or {}).items():
-            if len(key) != 4 or any(e < 0 for e in key):
-                raise ValueError(f"bad exponent tuple {key}")
-            if c != 0:
-                clean[tuple(int(e) for e in key)] = c
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PolyObservable is immutable")
-
-    @classmethod
-    def zero(cls):
-        return cls({})
-
-    @classmethod
-    def const(cls, c):
-        return cls({(0, 0, 0, 0): c})
+    __slots__ = ()
+    nvars = 4
 
     @classmethod
     def coordinate(cls, name: str):
-        idx = {"u1": _U1, "u2": _U2, "p1": _P1, "p2": _P2}[name]
-        key = [0, 0, 0, 0]
-        key[idx] = 1
-        return cls({tuple(key): 1.0})
+        axis = {"u1": _U1, "u2": _U2, "p1": _P1, "p2": _P2}[name]
+        return cls({tuple(int(a == axis) for a in range(1, cls.nvars + 1)): 1.0})
 
     @classmethod
     def from_position_poly(cls, poly: Poly2):
         return cls({(i, j, 0, 0): c for (i, j), c in poly.terms.items()})
-
-    def __add__(self, other):
-        other = other if isinstance(other, PolyObservable) else PolyObservable.const(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, 0) + c
-        return PolyObservable(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return PolyObservable({k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        other = other if isinstance(other, PolyObservable) else PolyObservable.const(other)
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, PolyObservable):
-            out: dict = {}
-            for k1, c1 in self.terms.items():
-                for k2, c2 in other.terms.items():
-                    k = tuple(a + b for a, b in zip(k1, k2))
-                    out[k] = out.get(k, 0) + c1 * c2
-            return PolyObservable(out)
-        return PolyObservable({k: c * other for k, c in self.terms.items()})
-
-    __rmul__ = __mul__
-
-    def diff(self, idx: int):
-        out = {}
-        for key, c in self.terms.items():
-            if key[idx] > 0:
-                nk = list(key)
-                nk[idx] -= 1
-                out[tuple(nk)] = out.get(tuple(nk), 0) + c * key[idx]
-        return PolyObservable(out)
-
-    @property
-    def degree(self) -> int:
-        return max((sum(k) for k in self.terms), default=-1)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other):
-        return isinstance(other, PolyObservable) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def evaluate(self, x0: tuple[float, float], s: PhaseSpacePoint) -> float:
-        u = (s.x[0] - x0[0], s.x[1] - x0[1], s.p[0], s.p[1])
-        acc = 0.0
-        for key in sorted(self.terms):
-            v = self.terms[key]
-            for base, e in zip(u, key):
-                v *= base ** e
-            acc += v
-        return acc
-
-    def max_abs_coeff(self) -> float:
-        return max((abs(c) for c in self.terms.values()), default=0.0)
 
     def __repr__(self):
         return f"PolyObservable({len(self.terms)} terms, degree {self.degree})"
@@ -314,8 +233,6 @@ def poisson_bracket(f: PolyObservable, g: PolyObservable, p: PhysicalParams,
     computed exactly over coefficients.  Raises DegreeOverflowError when the
     result would exceed ``max_degree``.
     """
-    from .params import DegreeOverflowError
-
     fu1, fu2 = f.diff(_U1), f.diff(_U2)
     fp1, fp2 = f.diff(_P1), f.diff(_P2)
     gu1, gu2 = g.diff(_U1), g.diff(_U2)
@@ -367,8 +284,6 @@ def centre_observable(i: int, p: PhysicalParams,
 def canonical_momentum_observable(i: int, g: GaugeChoice,
                                   p: PhysicalParams) -> PolyObservable:
     """pi_i = p_i + q A_i(u) with the gauge's polynomial vector potential."""
-    from .params import vector_potential_polys
-
     a1, a2 = vector_potential_polys(g, p.B)
     a = a1 if i == 1 else a2
     return (PolyObservable.coordinate(f"p{i}")

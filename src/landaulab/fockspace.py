@@ -17,7 +17,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .params import GaugeChoice, PhysicalParams, Poly2
+from .params import (CANONICAL_PARTNER, GaugeChoice, PhysicalParams, Poly2,
+                     canonical_extra)
+from .waves import hermite
 
 __all__ = [
     "FockBasis",
@@ -55,10 +57,6 @@ class FockBasis:
     def __post_init__(self):
         if self.nmax < 1:
             raise ValueError("nmax must be at least 1")
-
-    @property
-    def size_per_sector(self) -> int:
-        return self.nmax + 1
 
     @property
     def dim(self) -> int:
@@ -345,7 +343,7 @@ def change_of_basis(nplus: int, t1: float, p: PhysicalParams) -> complex:
         raise ValueError("nplus must be nonnegative")
     sig2 = p.hbar * p.m * p.omega_c
     y = t1 / math.sqrt(sig2)
-    h = _hermite_scalar(nplus, y)
+    h = hermite(nplus, y)
     norm = 1.0 / math.sqrt(2.0 ** nplus * math.factorial(nplus))
     return (1j ** nplus) * norm * (math.pi * sig2) ** -0.25 \
         * math.exp(-0.5 * y * y) * h
@@ -367,13 +365,6 @@ def t1_fock_overlap(nplus: int, nminus: int, t1: float,
     return (1j * p.sign) ** nminus * change_of_basis(nplus, t1, p)
 
 
-def _hermite_scalar(n: int, y: float) -> float:
-    hm, h = 0.0, 1.0
-    for k in range(n):
-        hm, h = h, 2.0 * y * h - 2.0 * k * hm
-    return h
-
-
 # ---------------------------------------------------------------------------
 # Gauge-variant operators from gauge-invariant building blocks
 # ---------------------------------------------------------------------------
@@ -381,37 +372,8 @@ def _hermite_scalar(n: int, y: float) -> float:
 
 def gauge_variant_matrix(which: str, g: GaugeChoice, p: PhysicalParams,
                          b: FockBasis) -> FockOperator:
-    """Matrix of a gauge-variant canonical operator, assembled from the
-    gauge-invariant observables plus polynomial position terms:
-
-    - ``pi1 = T1 - (alpha-1)/2 qB (x2 - x0_2) + d1(q phi)(x)``
-    - ``pi2 = T2 - (alpha+1)/2 qB (x1 - x0_1) + d2(q phi)(x)``
-    - ``L3c = M3 - alpha qB/2 [(x1-x0_1)^2 - (x2-x0_2)^2]
-              + [(x1-x0_1) d2(q phi) - (x2-x0_2) d1(q phi)](x)``
-    """
-    qb = p.qB
-    u1 = Poly2.variable(1)
-    u2 = Poly2.variable(2)
-    if which == "pi1":
-        t1 = build_observable("T1", p, g.x0, b)
-        extra = Poly2.monomial(0, 1, -0.5 * (g.alpha - 1.0) * qb) \
-            + p.q * g.phi.diff(1)
-        po = poly_operator(extra, p, g.x0, b)
-        return FockOperator(b, t1.matrix + po.matrix,
-                            max(t1.excursion, po.excursion))
-    if which == "pi2":
-        t2 = build_observable("T2", p, g.x0, b)
-        extra = Poly2.monomial(1, 0, -0.5 * (g.alpha + 1.0) * qb) \
-            + p.q * g.phi.diff(2)
-        po = poly_operator(extra, p, g.x0, b)
-        return FockOperator(b, t2.matrix + po.matrix,
-                            max(t2.excursion, po.excursion))
-    if which == "L3c":
-        m3 = build_observable("M3", p, g.x0, b)
-        extra = Poly2.monomial(2, 0, -0.5 * g.alpha * qb) \
-            + Poly2.monomial(0, 2, 0.5 * g.alpha * qb) \
-            + u1 * (p.q * g.phi.diff(2)) - u2 * (p.q * g.phi.diff(1))
-        po = poly_operator(extra, p, g.x0, b)
-        return FockOperator(b, m3.matrix + po.matrix,
-                            max(m3.excursion, po.excursion))
-    raise ValueError(f"unknown gauge-variant operator {which!r}")
+    """Matrix of a gauge-variant canonical operator (pi1, pi2 or L3c): the
+    gauge-invariant partner observable plus the matrix of its polynomial
+    position term :func:`~landaulab.params.canonical_extra`."""
+    extra = poly_operator(canonical_extra(which, g, p), p, g.x0, b)
+    return build_observable(CANONICAL_PARTNER[which], p, g.x0, b) + extra

@@ -1,15 +1,20 @@
-"""Physical constants, the general planar gauge family, and exact bivariate
-polynomial algebra.
+"""Physical constants, the general planar gauge family, and one exact
+sparse polynomial ring in n variables.
 
-All gauge data are expressed in coordinates shifted to a common origin,
-``u_k = x_k - x0_k``.  Gauge functions are restricted to bivariate
-polynomials so that gradients, gauge phases and curl identities are exact
-at the coefficient level.
+The ring (:class:`SparsePoly`) is shared by every polynomial in the
+library: :class:`Poly2` fixes two variables for gauge functions,
+wave-function factors and operator coefficients, and the classical
+phase-space observables fix four.  All gauge data are expressed in
+coordinates shifted to a common origin, ``u_k = x_k - x0_k``.  Gauge
+functions are restricted to polynomials in these coordinates so that
+gradients, gauge phases and curl identities are exact at the coefficient
+level.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass, field
 
@@ -18,15 +23,17 @@ __all__ = [
     "PolyParseError",
     "DegreeOverflowError",
     "OriginMismatchError",
+    "SparsePoly",
     "Poly2",
     "parse_poly",
     "format_poly",
     "PhysicalParams",
-    "derived_params",
     "GaugeChoice",
     "vector_potential",
     "vector_potential_polys",
     "gauge_delta",
+    "CANONICAL_PARTNER",
+    "canonical_extra",
 ]
 
 DEFAULT_MAX_DEGREE = 6
@@ -48,39 +55,141 @@ class OriginMismatchError(ValueError):
     """Raised when two gauge choices with different origins are combined."""
 
 
-class Poly2:
-    """Bivariate polynomial ``sum c_ij * u1^i * u2^j`` with exact dict-backed
-    coefficient arithmetic.
+class SparsePoly:
+    """Sparse polynomial ``sum c_k * v1^k1 * ... * vn^kn`` in a fixed number
+    of variables, with exact dict-backed coefficient arithmetic.
 
-    Zero coefficients are never stored.  Instances are treated as immutable;
-    every operation returns a new polynomial.  Coefficients are usually real
-    (gauge functions are real by construction) but complex values are
-    accepted, which the wave-function factor algebra relies on.
+    Subclasses fix the arity through ``nvars``; keys of ``terms`` are
+    exponent tuples of that length.  Zero coefficients are never stored.
+    Instances are treated as immutable; every operation returns a new
+    polynomial of the same class, and polynomials of different classes do
+    not combine.
     """
 
     __slots__ = ("terms",)
+    nvars = 0
 
     def __init__(self, terms=None):
+        n = self.nvars
         clean = {}
-        for (i, j), c in (terms or {}).items():
-            if i < 0 or j < 0:
-                raise ValueError(f"negative exponent in {(i, j)}")
+        for key, c in (terms or {}).items():
+            if len(key) != n or min(key) < 0:
+                raise ValueError(f"bad exponent tuple {key} for {n} variables")
             if c != 0:
-                clean[(int(i), int(j))] = c
+                clean[tuple(map(int, key))] = c
         object.__setattr__(self, "terms", clean)
 
+    @classmethod
+    def _from_terms(cls, terms) -> "SparsePoly":
+        """Unchecked constructor for ring results, whose keys are already
+        valid: only zero coefficients are dropped."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "terms", {k: c for k, c in terms.items() if c != 0})
+        return out
+
     def __setattr__(self, name, value):
-        raise AttributeError("Poly2 is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls) -> "Poly2":
-        return cls({})
+    def zero(cls):
+        return cls._from_terms({})
 
     @classmethod
-    def const(cls, c) -> "Poly2":
-        return cls({(0, 0): c})
+    def const(cls, c):
+        return cls._from_terms({(0,) * cls.nvars: c})
+
+    # -- ring operations ---------------------------------------------------
+
+    def _coerce(self, other):
+        if isinstance(other, SparsePoly):
+            if type(other) is not type(self):
+                raise TypeError(f"cannot combine {type(self).__name__} "
+                                f"with {type(other).__name__}")
+            return other
+        return self.const(other)
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            out[k] = out.get(k, 0) + c
+        return self._from_terms(out)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self + (-self._coerce(other))
+
+    def __rsub__(self, other):
+        return self._coerce(other) + (-self)
+
+    def __neg__(self):
+        return self._from_terms({k: -c for k, c in self.terms.items()})
+
+    def __mul__(self, other):
+        if isinstance(other, SparsePoly):
+            other = self._coerce(other)
+            out: dict = {}
+            for k1, c1 in self.terms.items():
+                for k2, c2 in other.terms.items():
+                    k = tuple(map(operator.add, k1, k2))
+                    out[k] = out.get(k, 0) + c1 * c2
+            return self._from_terms(out)
+        return self._from_terms({k: c * other for k, c in self.terms.items()})
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n: int):
+        if n < 0:
+            raise ValueError("negative power")
+        out = self.const(1.0)
+        for _ in range(n):
+            out = out * self
+        return out
+
+    def diff(self, axis: int):
+        """Exact partial derivative with respect to variable ``axis``
+        (1-based)."""
+        if not 1 <= axis <= self.nvars:
+            raise ValueError(f"axis must be between 1 and {self.nvars}")
+        i = axis - 1
+        out = {}
+        for key, c in self.terms.items():
+            e = key[i]
+            if e:
+                out[key[:i] + (e - 1,) + key[i + 1:]] = c * e
+        return self._from_terms(out)
+
+    # -- queries -----------------------------------------------------------
+
+    @property
+    def degree(self) -> int:
+        """Total degree; -1 for the zero polynomial."""
+        return max(map(sum, self.terms), default=-1)
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self.terms == other.terms
+
+    def __hash__(self):
+        return hash(frozenset(self.terms.items()))
+
+
+class Poly2(SparsePoly):
+    """Bivariate polynomial ``sum c_ij * u1^i * u2^j`` in the shifted
+    coordinates.
+
+    Coefficients are usually real (gauge functions are real by construction)
+    but complex values are accepted, which the wave-function factor algebra
+    relies on.
+    """
+
+    __slots__ = ()
+    nvars = 2
 
     @classmethod
     def variable(cls, axis: int) -> "Poly2":
@@ -92,72 +201,6 @@ class Poly2:
     @classmethod
     def monomial(cls, i: int, j: int, c=1.0) -> "Poly2":
         return cls({(i, j): c})
-
-    # -- ring operations ---------------------------------------------------
-
-    def __add__(self, other) -> "Poly2":
-        other = _as_poly(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, 0) + c
-        return Poly2(out)
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "Poly2":
-        return self + (-_as_poly(other))
-
-    def __rsub__(self, other) -> "Poly2":
-        return _as_poly(other) + (-self)
-
-    def __neg__(self) -> "Poly2":
-        return Poly2({k: -c for k, c in self.terms.items()})
-
-    def __mul__(self, other) -> "Poly2":
-        if isinstance(other, Poly2):
-            out: dict = {}
-            for (i1, j1), c1 in self.terms.items():
-                for (i2, j2), c2 in other.terms.items():
-                    k = (i1 + i2, j1 + j2)
-                    out[k] = out.get(k, 0) + c1 * c2
-            return Poly2(out)
-        return Poly2({k: c * other for k, c in self.terms.items()})
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "Poly2":
-        if n < 0:
-            raise ValueError("negative power")
-        out = Poly2.const(1.0)
-        for _ in range(n):
-            out = out * self
-        return out
-
-    def diff(self, axis: int) -> "Poly2":
-        """Exact partial derivative with respect to u1 (axis=1) or u2 (axis=2)."""
-        out = {}
-        for (i, j), c in self.terms.items():
-            if axis == 1 and i > 0:
-                out[(i - 1, j)] = c * i
-            elif axis == 2 and j > 0:
-                out[(i, j - 1)] = c * j
-        return Poly2(out)
-
-    # -- queries -----------------------------------------------------------
-
-    @property
-    def degree(self) -> int:
-        """Total degree; -1 for the zero polynomial."""
-        return max((i + j for i, j in self.terms), default=-1)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Poly2) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
 
     def __call__(self, u1, u2):
         """Evaluate at shifted coordinates; accepts scalars or numpy arrays."""
@@ -178,12 +221,6 @@ class Poly2:
 
     def __repr__(self):
         return f"Poly2({format_poly(self)!r})"
-
-
-def _as_poly(v) -> Poly2:
-    if isinstance(v, Poly2):
-        return v
-    return Poly2.const(v)
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +244,10 @@ def _tokenize(text: str):
         if m is None:
             raise PolyParseError("unexpected character", pos)
         if m.lastgroup == "num":
-            out.append(("num", float(m.group("num")), pos))
+            val = float(m.group("num"))
+            if not math.isfinite(val):
+                raise PolyParseError("number out of floating-point range", pos)
+            out.append(("num", val, pos))
         elif m.lastgroup == "var":
             out.append(("var", m.group("var"), pos))
         else:
@@ -224,8 +264,9 @@ def parse_poly(text: str, max_degree: int = DEFAULT_MAX_DEGREE) -> Poly2:
     ``factor := ('u1'|'u2') ('^' nonneg-int)?``.  Whitespace is ignored and
     a leading sign on the first term is accepted.
 
-    Raises :class:`PolyParseError` with the character position on bad input
-    and :class:`DegreeOverflowError` when the total degree exceeds
+    Raises :class:`PolyParseError` with the character position on bad input,
+    including numbers and coefficient sums outside the finite floating-point
+    range, and :class:`DegreeOverflowError` when the total degree exceeds
     ``max_degree``.
     """
     tokens = _tokenize(text)
@@ -261,6 +302,7 @@ def parse_poly(text: str, max_degree: int = DEFAULT_MAX_DEGREE) -> Poly2:
     while True:
         if k >= len(tokens):
             raise PolyParseError("expected term", tokens[-1][2] + 1 if tokens else 0)
+        start = tokens[k][2]
         coeff = sign
         i = j = 0
         if tokens[k][0] == "num":
@@ -276,7 +318,11 @@ def parse_poly(text: str, max_degree: int = DEFAULT_MAX_DEGREE) -> Poly2:
         if i + j > max_degree:
             raise DegreeOverflowError(
                 f"term of degree {i + j} exceeds maximum degree {max_degree}")
-        terms[(i, j)] = terms.get((i, j), 0.0) + coeff
+        total = terms.get((i, j), 0.0) + coeff
+        if not math.isfinite(total):
+            raise PolyParseError("coefficient sum out of floating-point range",
+                                 start)
+        terms[(i, j)] = total
         if k == len(tokens):
             break
         kind, val, pos = tokens[k]
@@ -288,13 +334,18 @@ def parse_poly(text: str, max_degree: int = DEFAULT_MAX_DEGREE) -> Poly2:
 
 
 def format_poly(poly: Poly2) -> str:
-    """Canonical text form; ``parse_poly(format_poly(p)) == p`` exactly."""
+    """Canonical text form; ``parse_poly(format_poly(p)) == p`` exactly for
+    real coefficients.  Complex coefficients print in full as
+    ``(re+imj)``, which the parser does not read back."""
     if poly.is_zero():
         return "0"
     parts = []
     for (i, j) in sorted(poly.terms, key=lambda k: (k[0] + k[1], k[0], k[1])):
         c = poly.terms[(i, j)]
-        mag = repr(abs(c)) if not isinstance(c, complex) else repr(abs(c))
+        if isinstance(c, complex):
+            mag, negative = f"({c.real!r}{c.imag:+}j)", False
+        else:
+            mag, negative = repr(abs(c)), not c >= 0
         factors = [mag]
         if i:
             factors.append("u1" if i == 1 else f"u1^{i}")
@@ -302,9 +353,9 @@ def format_poly(poly: Poly2) -> str:
             factors.append("u2" if j == 1 else f"u2^{j}")
         body = "*".join(factors)
         if not parts:
-            parts.append(body if c >= 0 else f"-{body}")
+            parts.append(f"-{body}" if negative else body)
         else:
-            parts.append(f"+ {body}" if c >= 0 else f"- {body}")
+            parts.append(f"- {body}" if negative else f"+ {body}")
     return " ".join(parts)
 
 
@@ -351,11 +402,6 @@ class PhysicalParams:
     @property
     def qB(self) -> float:
         return self.q * self.B
-
-
-def derived_params(p: PhysicalParams) -> tuple[float, int, float]:
-    """(cyclotron frequency, sign of qB, magnetic length)."""
-    return p.omega_c, p.sign, p.magnetic_length
 
 
 # ---------------------------------------------------------------------------
@@ -423,3 +469,30 @@ def gauge_delta(g_from: GaugeChoice, g_to: GaugeChoice, p: PhysicalParams) -> Po
             f"gauge origins differ: {g_from.x0} vs {g_to.x0}")
     return (Poly2.monomial(1, 1, -0.5 * (g_to.alpha - g_from.alpha) * p.B)
             + g_to.phi - g_from.phi)
+
+
+# canonical operator -> the gauge-invariant observable it is built on
+CANONICAL_PARTNER = {"pi1": "T1", "pi2": "T2", "L3c": "M3"}
+
+
+def canonical_extra(which: str, g: GaugeChoice, p: PhysicalParams) -> Poly2:
+    """Position polynomial that turns the gauge-invariant partner
+    (:data:`CANONICAL_PARTNER`) into a gauge-variant canonical operator:
+
+    - ``pi1 = T1 - (alpha-1)/2 qB u2 + d1(q phi)``
+    - ``pi2 = T2 - (alpha+1)/2 qB u1 + d2(q phi)``
+    - ``L3c = M3 - alpha qB/2 (u1^2 - u2^2) + u1 d2(q phi) - u2 d1(q phi)``
+    """
+    qb = p.qB
+    if which == "pi1":
+        return Poly2.monomial(0, 1, -0.5 * (g.alpha - 1.0) * qb) \
+            + p.q * g.phi.diff(1)
+    if which == "pi2":
+        return Poly2.monomial(1, 0, -0.5 * (g.alpha + 1.0) * qb) \
+            + p.q * g.phi.diff(2)
+    if which == "L3c":
+        u1, u2 = Poly2.variable(1), Poly2.variable(2)
+        return Poly2.monomial(2, 0, -0.5 * g.alpha * qb) \
+            + Poly2.monomial(0, 2, 0.5 * g.alpha * qb) \
+            + u1 * (p.q * g.phi.diff(2)) - u2 * (p.q * g.phi.diff(1))
+    raise ValueError(f"unknown gauge-variant operator {which!r}")

@@ -38,7 +38,6 @@ __all__ = [
     "multiplication_op",
     "position_op",
     "connection_momentum_op",
-    "flat_connection_rep",
     "phase_shifted",
     "HermiteGaussian1D",
     "t1_basis_function",
@@ -189,9 +188,6 @@ class WaveForm:
                        + A * (R12 + R1 * R2) * S + A * R1 * S2
                        + A2 * S1 + A * R2 * S1 + A * S12)
         return WaveJet(f, f1, f2, f11, f12, f22)
-
-    def scaled(self, c: complex) -> "WaveForm":
-        return replace(self, coeff=self.coeff * c)
 
     def with_extra_phase(self, extra: Poly2) -> "WaveForm":
         """Multiply by exp(i * extra(u))."""
@@ -423,18 +419,6 @@ def connection_momentum_op(v: tuple[Poly2, Poly2], direction: int,
     if direction == 1:
         return DiffOpSpec(c=v[0], b1=mih)
     return DiffOpSpec(c=v[1], b2=mih)
-
-
-def flat_connection_rep(v: tuple[Poly2, Poly2], psi: WaveForm, direction: int,
-                        hbar: float) -> Callable:
-    """Evaluator for the connection-dressed momentum applied to psi:
-    returns a callable f(x1, x2) = [-i hbar (d_i + (i/hbar) V_i) psi](x)."""
-    op = connection_momentum_op(v, direction, hbar)
-
-    def apply(x1, x2):
-        return op.apply(psi, x1, x2)
-
-    return apply
 
 
 # ---------------------------------------------------------------------------

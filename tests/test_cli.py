@@ -56,14 +56,25 @@ def test_hbar_rescaling_keeps_pass_profile(tmp_path):
     assert pa == pb
 
 
-def test_reports_byte_identical(tmp_path):
-    a = tmp_path / "a.json"
-    b = tmp_path / "b.json"
-    args = ["basis-change", "--grid", "64", "--seed", "11", "--quiet",
-            "--no-timestamp"]
-    main(args + ["--json-out", str(a)])
-    main(args + ["--json-out", str(b)])
-    assert a.read_bytes() == b.read_bytes()
+@pytest.mark.parametrize("args", [
+    ["verify-algebra", "--nmax", "8", "--x0", "0.3,-0.2"],
+    ["gauge-scan", "--grid", "40", "--scan-levels", "1", "--nmax", "8",
+     "--dump-grid"],
+    ["reproduce-tables", "--grid", "56", "--nmax", "14", "--alpha", "0.37",
+     "--phi", "0.05*u1^2*u2 - 0.1*u1"],
+    ["basis-change", "--grid", "64", "--seed", "11"],
+    ["classical-sim", "--steps", "500", "--charge", "-1", "--hbar", "0.6"],
+    ["heisenberg-demo", "--grid", "48"],
+], ids=lambda args: args[0])
+def test_reports_byte_identical(tmp_path, args):
+    args = args + ["--quiet", "--no-timestamp"]
+    outputs = []
+    for run in ("a", "b"):
+        files = (tmp_path / f"{run}.json", tmp_path / f"{run}.csv")
+        main(args + ["--json-out", str(files[0]), "--csv-out", str(files[1])])
+        outputs.append([f.read_bytes() if f.exists() else None for f in files])
+    assert outputs[0][0] is not None
+    assert outputs[0] == outputs[1]
 
 
 def test_classical_sim_csv_and_summary(tmp_path):

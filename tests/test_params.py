@@ -6,25 +6,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from landaulab import (DegreeOverflowError, GaugeChoice, OriginMismatchError,
-                       PhysicalParams, Poly2, PolyParseError, derived_params,
+                       PhysicalParams, Poly2, PolyObservable, PolyParseError,
                        format_poly, gauge_delta, parse_poly, vector_potential,
                        vector_potential_polys)
+from landaulab.waves import fock_state
 
 
 def test_derived_identity_scale():
-    assert derived_params(PhysicalParams(1, 1, 1)) == (1.0, 1, 1.0)
+    p = PhysicalParams(1, 1, 1)
+    assert (p.omega_c, p.sign, p.magnetic_length) == (1.0, 1, 1.0)
 
 
 def test_derived_formula_arithmetic():
-    w, s, lam = derived_params(PhysicalParams(2, -3, 4))
-    assert w == 6.0
-    assert s == -1
-    assert lam == pytest.approx(1.0 / math.sqrt(12.0), rel=1e-15)
+    p = PhysicalParams(2, -3, 4)
+    assert p.omega_c == 6.0
+    assert p.sign == -1
+    assert p.magnetic_length == pytest.approx(1.0 / math.sqrt(12.0), rel=1e-15)
 
 
 def test_derived_sign_flip_only_changes_sign():
-    w, s, lam = derived_params(PhysicalParams(1, 1, -1))
-    assert (w, s, lam) == (1.0, -1, 1.0)
+    p = PhysicalParams(1, 1, -1)
+    assert (p.omega_c, p.sign, p.magnetic_length) == (1.0, -1, 1.0)
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -83,6 +85,36 @@ def test_parse_grammar_corners():
         parse_poly("2*3")          # a coefficient cannot follow '*'
 
 
+@pytest.mark.parametrize("text, position", [
+    ("1e400*u1", 0),          # coefficient overflows to inf
+    ("u2 + 1e400", 5),
+    ("u1^1e400", 3),          # exponent overflows
+    ("1e308*u1 + 1e308*u1", 11),   # finite terms, infinite sum
+])
+def test_parse_rejects_non_finite_numbers(text, position):
+    with pytest.raises(PolyParseError) as info:
+        parse_poly(text)
+    assert info.value.position == position
+
+
+@pytest.mark.parametrize("terms, text", [
+    # real coefficients: the report's gauges[].phi format
+    ({(0, 0): -0.25, (1, 0): 2.0, (1, 2): -0.5, (0, 3): 1e-20},
+     "-0.25 + 2.0*u1 + 1e-20*u2^3 - 0.5*u1*u2^2"),
+    # complex coefficients keep their phase
+    ({(0, 0): 0.5, (1, 0): complex(0.0, -2.0), (0, 1): complex(-1.5, 0.25)},
+     "0.5 + (-1.5+0.25j)*u2 + (0.0-2.0j)*u1"),
+])
+def test_format_poly_text(terms, text):
+    assert format_poly(Poly2(terms)) == text
+
+
+def test_wave_function_repr_with_complex_polynomial():
+    psi = fock_state(GaugeChoice(0.0), PhysicalParams(1, 1, 1), 1, 0)
+    assert ("Poly2('(0.0+0.7071067811865476j)*u2 + 0.7071067811865476*u1')"
+            in repr(psi))
+
+
 def test_format_parse_roundtrip_is_identity():
     rng = np.random.default_rng(3)
     for _ in range(40):
@@ -100,29 +132,71 @@ def test_poly_immutable():
         p.terms = {}
 
 
-# -- ring axioms on random polynomials --------------------------------------
+# -- ring axioms on random polynomials of both arities ----------------------
 
 _coeffs = st.integers(min_value=-9, max_value=9)
-_keys = st.tuples(st.integers(0, 3), st.integers(0, 3))
-_polys = st.dictionaries(_keys, _coeffs, max_size=6).map(Poly2)
+
+
+def _polys_of(ring, count):
+    """``count`` random polynomials of one ring (Poly2 or PolyObservable)."""
+    keys = st.tuples(*[st.integers(0, 3)] * ring.nvars)
+    polys = st.dictionaries(keys, _coeffs, max_size=6).map(ring)
+    return st.tuples(*[polys] * count)
+
+
+def _same_ring(count):
+    return st.sampled_from([Poly2, PolyObservable]).flatmap(
+        lambda ring: _polys_of(ring, count))
 
 
 @settings(max_examples=80, deadline=None)
-@given(_polys, _polys, _polys)
-def test_ring_distributivity(f, g, h):
+@given(_same_ring(3))
+def test_ring_distributivity(fgh):
+    f, g, h = fgh
     assert (f + g) * h == f * h + g * h
 
 
 @settings(max_examples=80, deadline=None)
-@given(_polys)
-def test_mixed_partials_commute(f):
-    assert f.diff(1).diff(2) == f.diff(2).diff(1)
+@given(_same_ring(1))
+def test_mixed_partials_commute(fs):
+    (f,) = fs
+    for a in range(1, f.nvars + 1):
+        for b in range(a + 1, f.nvars + 1):
+            assert f.diff(a).diff(b) == f.diff(b).diff(a)
 
 
 @settings(max_examples=50, deadline=None)
-@given(_polys, _polys)
-def test_product_rule(f, g):
-    assert (f * g).diff(1) == f.diff(1) * g + f * g.diff(1)
+@given(_same_ring(2))
+def test_product_rule(fg):
+    f, g = fg
+    for a in range(1, f.nvars + 1):
+        assert (f * g).diff(a) == f.diff(a) * g + f * g.diff(a)
+
+
+def test_mixed_rings_refused():
+    with pytest.raises(TypeError):
+        PolyObservable.const(1.0) + Poly2.variable(1)
+    with pytest.raises(TypeError):
+        Poly2.variable(1) * PolyObservable.coordinate("p1")
+    with pytest.raises(TypeError):
+        Poly2.variable(1) - PolyObservable.zero()
+    assert Poly2.const(1.0) != PolyObservable.const(1.0)
+
+
+@pytest.mark.parametrize("ring, axis", [
+    (Poly2, 0), (Poly2, 3), (PolyObservable, 0), (PolyObservable, 5),
+])
+def test_bad_axis_refused(ring, axis):
+    with pytest.raises(ValueError):
+        ring.const(1.0).diff(axis)
+
+
+@pytest.mark.parametrize("ring, key", [
+    (Poly2, (1, -1)), (Poly2, (1, 0, 0)), (PolyObservable, (1, 0)),
+])
+def test_bad_exponent_tuple_refused(ring, key):
+    with pytest.raises(ValueError):
+        ring({key: 1.0})
 
 
 # -- vector potential and gauge differences ---------------------------------

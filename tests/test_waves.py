@@ -5,11 +5,11 @@ import pytest
 from numpy.polynomial.hermite import hermgauss
 
 from landaulab import GaugeChoice, PhysicalParams, Poly2, gauge_delta, parse_poly
-from landaulab.waves import (DiffOpSpec, HermiteGaussian1D, fock_state,
-                             flat_connection_rep, gauge_phase, hermite,
-                             laguerre, multiplication_op, phase_shifted,
-                             plane_wave, position_op, t1_basis_function,
-                             t1_state, t1rep_apply)
+from landaulab.waves import (DiffOpSpec, HermiteGaussian1D,
+                             connection_momentum_op, fock_state, gauge_phase,
+                             hermite, laguerre, multiplication_op,
+                             phase_shifted, plane_wave, position_op,
+                             t1_basis_function, t1_state, t1rep_apply)
 
 P = PhysicalParams(1, 1, 1)
 SYM = GaugeChoice(0.0)
@@ -309,7 +309,8 @@ def test_plane_wave_momentum_eigenfunction():
     zero = (Poly2.zero(), Poly2.zero())
     pts = np.random.default_rng(1).uniform(-2, 2, size=(30, 2))
     for i in (1, 2):
-        vals = flat_connection_rep(zero, psi, i, P.hbar)(pts[:, 0], pts[:, 1])
+        vals = connection_momentum_op(zero, i, P.hbar).apply(
+            psi, pts[:, 0], pts[:, 1])
         assert np.allclose(vals, k[i - 1] * psi.value(pts[:, 0], pts[:, 1]),
                            rtol=0, atol=1e-14)
 
@@ -322,7 +323,7 @@ def test_pure_gauge_conjugation_identity():
     pts = np.random.default_rng(5).uniform(-2, 2, size=(50, 2))
     x1, x2 = pts[:, 0], pts[:, 1]
     for i in (1, 2):
-        lhs = flat_connection_rep(v, shifted, i, P.hbar)(x1, x2)
+        lhs = connection_momentum_op(v, i, P.hbar).apply(shifted, x1, x2)
         jet = psi.jet(x1, x2)
         plain = -1j * P.hbar * (jet.f1 if i == 1 else jet.f2)
         rhs = np.exp(-1j * lam(x1, x2) / P.hbar) * plain
