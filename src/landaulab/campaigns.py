@@ -187,57 +187,62 @@ def _default_grid(p: PhysicalParams, g: GaugeChoice, k: int,
     raise ValueError(f"unknown scheme {scheme!r}")
 
 
+# Integrand rows filled before one batched reduction: 2**16 complex values
+# (1 MiB) whatever the grid size, so memory does not grow with a campaign.
+_ELEMENT_BLOCK = 1 << 16
+
+
 class _ElementEngine:
-    """Caches wave-function jets and operator coefficient arrays on a grid
-    so that many matrix elements of the same states stay cheap."""
+    """Caches wave-function jets and operator coefficient arrays on the fine
+    grid and evaluates batches of matrix elements through one blocked exact
+    reduction."""
 
     def __init__(self, grid: quad.Grid2, origin):
         self.grid = grid
         x1, x2, _ = grid.points
-        xc1, xc2, _ = grid.coarse.points
         self.xy = (x1, x2)
-        self.xyc = (xc1, xc2)
         self.u = (x1 - origin[0], x2 - origin[1])
-        self.uc = (xc1 - origin[0], xc2 - origin[1])
-        self._fine: dict = {}
-        self._coarse: dict = {}
+        self._jets: dict = {}
         self._ops: dict = {}
 
     def load(self, key, psi: wv.WaveForm):
-        if key not in self._fine:
-            self._fine[key] = psi.jet(*self.xy)
-            self._coarse[key] = psi.jet(*self.xyc)
+        if key not in self._jets:
+            self._jets[key] = psi.jet(*self.xy)
 
     def _coeff_arrays(self, op: wv.DiffOpSpec):
         key = id(op)
         if key not in self._ops:
-            per_grid = []
-            for u in (self.u, self.uc):
-                coeffs = []
-                for slot, poly in enumerate((op.c, op.b1, op.b2,
-                                             op.a11, op.a12, op.a22)):
-                    if not poly.is_zero():
-                        coeffs.append((slot, poly(*u)))
-                per_grid.append(coeffs)
-            self._ops[key] = (op, per_grid)
+            coeffs = [(slot, poly(*self.u))
+                      for slot, poly in enumerate((op.c, op.b1, op.b2,
+                                                   op.a11, op.a12, op.a22))
+                      if not poly.is_zero()]
+            self._ops[key] = (op, coeffs)
         return self._ops[key][1]
 
-    def _apply(self, coeffs, jet: wv.WaveJet):
+    def _apply(self, op: wv.DiffOpSpec | None, jet: wv.WaveJet):
+        if op is None:
+            return jet.f
         out = 0.0
-        for slot, arr in coeffs:
+        for slot, arr in self._coeff_arrays(op):
             out = out + arr * jet[slot]
         return out
 
-    def element(self, bra_key, op: wv.DiffOpSpec, ket_key) -> complex:
-        cf, cc = self._coeff_arrays(op)
-        fine = np.conj(self._fine[bra_key].f) * self._apply(cf, self._fine[ket_key])
-        coarse = np.conj(self._coarse[bra_key].f) * self._apply(cc, self._coarse[ket_key])
-        return quad.integrate_values(fine, coarse, self.grid).value
-
-    def overlap(self, bra_key, ket_key) -> complex:
-        fine = np.conj(self._fine[bra_key].f) * self._fine[ket_key].f
-        coarse = np.conj(self._coarse[bra_key].f) * self._coarse[ket_key].f
-        return quad.integrate_values(fine, coarse, self.grid).value
+    def elements(self, requests) -> list[complex]:
+        """``<bra|op|ket>`` for every ``(bra_key, op, ket_key)`` request, in
+        request order; ``op=None`` gives the overlap ``<bra|ket>``.  Each value
+        equals ``quad.matrix_element(...).value`` (or ``inner_product``) bit
+        for bit; a support failure is raised for the first failing request."""
+        n = len(self.u[0])
+        rows = max(1, _ELEMENT_BLOCK // n)
+        buf = np.empty((min(rows, len(requests)), n), dtype=complex)
+        out: list[complex] = []
+        for start in range(0, len(requests), rows):
+            chunk = requests[start:start + rows]
+            for r, (bra, op, ket) in enumerate(chunk):
+                np.multiply(np.conj(self._jets[bra].f),
+                            self._apply(op, self._jets[ket]), out=buf[r])
+            out += quad.integrate_rows(buf[:len(chunk)], self.grid)
+        return out
 
 
 def _angular_states(n_top: int, l_top: int) -> list[tuple[int, int]]:
@@ -313,20 +318,29 @@ def run_gauge_scan(p: PhysicalParams, gauges=None, nmax: int = 16,
                             for name in CANONICAL_PARTNER}
 
         sample_set = set(states[:6])
-        for pi, (bra, ket) in enumerate(pairs):
+        # canonical-operator checks on a deterministic half of the pairs,
+        # always keeping the sample block used by the shift comparison
+        checked = [not (pi % 2) or (bra in sample_set and ket in sample_set)
+                   for pi, (bra, ket) in enumerate(pairs)]
+        requests = []
+        for (bra, ket), check in zip(pairs, checked):
+            requests += [(bra, ops[name], ket) for name in _SCAN_OPS]
+            if check:
+                for name in CANONICAL_PARTNER:
+                    requests += [(bra, cano[name], ket),
+                                 (bra, extra[name], ket)]
+        values = iter(eng.elements(requests))
+        for (bra, ket), check in zip(pairs, checked):
             here = {}
             for name in _SCAN_OPS:
-                here[name] = eng.element(bra, ops[name], ket)
+                here[name] = next(values)
                 invariant[name].setdefault((bra, ket), []).append(here[name])
-            # canonical-operator checks on a deterministic half of the pairs,
-            # always keeping the sample block used by the shift comparison
-            if pi % 2 and not (bra in sample_set and ket in sample_set):
+            if not check:
                 continue
             for name in CANONICAL_PARTNER:
-                val = eng.element(bra, cano[name], ket)
+                val = next(values)
                 canonical[name][(bra, ket, gi)] = val
-                pred = here[CANONICAL_PARTNER[name]] \
-                    + eng.element(bra, extra[name], ket)
+                pred = here[CANONICAL_PARTNER[name]] + next(values)
                 dec_dev[name] = max(dec_dev[name], abs(val - pred))
                 alg = variant_matrices[name].element(
                     (bra[1] + bra[0], bra[1]), (ket[1] + ket[0], ket[1]))
@@ -345,17 +359,15 @@ def run_gauge_scan(p: PhysicalParams, gauges=None, nmax: int = 16,
     # gauge dependence: elements shift by the gradient of the gauge change
     ref = min(range(len(gauges)),
               key=lambda i: (gauges[i].alpha != 0.0, not gauges[i].phi.is_zero(), i))
-    shift_dev = 0.0
-    shift_mag = 0.0
+    eng = _ElementEngine(_default_grid(p, gauges[ref], grid_k, scheme), x0)
+    sample = states[:6]
+    for (l, n) in sample:
+        eng.load((l, n), wv.fock_state(gauges[ref], p, n + l, n))
+    keys, requests = [], []
     for gi, g in enumerate(gauges):
         if gi == ref:
             continue
         delta = gauge_delta(gauges[ref], g, p)
-        grid = _default_grid(p, gauges[ref], grid_k, scheme)
-        eng = _ElementEngine(grid, x0)
-        sample = states[:6]
-        for (l, n) in sample:
-            eng.load((l, n), wv.fock_state(gauges[ref], p, n + l, n))
         shift_ops = {
             "pi1": wv.multiplication_op(p.q * delta.diff(1)),
             "pi2": wv.multiplication_op(p.q * delta.diff(2)),
@@ -363,15 +375,19 @@ def run_gauge_scan(p: PhysicalParams, gauges=None, nmax: int = 16,
                 u1 * (p.q * delta.diff(2)) - u2 * (p.q * delta.diff(1))),
         }
         for name in CANONICAL_PARTNER:
-            for (bra, ket) in [(a, b) for a in sample for b in sample]:
-                if (bra, ket, gi) not in canonical[name] \
-                        or (bra, ket, ref) not in canonical[name]:
-                    continue
-                actual = canonical[name][(bra, ket, gi)] \
-                    - canonical[name][(bra, ket, ref)]
-                predicted = eng.element(bra, shift_ops[name], ket)
-                shift_dev = max(shift_dev, abs(actual - predicted))
-                shift_mag = max(shift_mag, abs(actual))
+            for bra in sample:
+                for ket in sample:
+                    if (bra, ket, gi) in canonical[name] \
+                            and (bra, ket, ref) in canonical[name]:
+                        keys.append((name, bra, ket, gi))
+                        requests.append((bra, shift_ops[name], ket))
+    shift_dev = 0.0
+    shift_mag = 0.0
+    for (name, bra, ket, gi), predicted in zip(keys, eng.elements(requests)):
+        actual = canonical[name][(bra, ket, gi)] \
+            - canonical[name][(bra, ket, ref)]
+        shift_dev = max(shift_dev, abs(actual - predicted))
+        shift_mag = max(shift_mag, abs(actual))
     rep.add("canonical-shift:predicted", shift_dev, tol_dec)
     # gauge-variant elements must demonstrably move between gauges
     rep.add("canonical-shift:nonzero", max(0.0, 1e-3 - shift_mag), EXACT)
@@ -430,11 +446,13 @@ def run_reproduce_tables(p: PhysicalParams, nmax: int = 16,
     for (l, n) in states:
         eng.load((l, n), wv.fock_state(g, p, n + l, n))
     ops = {name: wv.position_op(name, g, p) for name in _TABLE_OPS}
+    values = iter(eng.elements([(bra, ops[name], ket) for name in _TABLE_OPS
+                                for (bra, ket) in pairs]))
     for name in _TABLE_OPS:
         dev = 0.0
         for ((l1, n1), (l2, n2)) in pairs:
             closed = fk.angular_element(name, l1, n1, l2, n2, p).value
-            val = eng.element((l1, n1), ops[name], (l2, n2))
+            val = next(values)
             dev = max(dev, abs(closed - val))
             rows.append(("angular", name, (l1, n1, l2, n2),
                          closed, val, abs(closed - val)))
@@ -515,30 +533,37 @@ def _t1_level_rows(p, g, grid_k, scheme, rows, idx_top) -> dict:
     level_pairs += [(n, n) for n in (0, 2, 4, 6)]
     level_pairs += [(0, 2), (1, 4)]  # structurally zero velocity rows
     scale = c
-    for t1 in tvals:
-        for npl in nplus_vals:
-            for (n1, n2) in level_pairs:
-                bra = ("t1", t1, n1)
-                ket = ("fock", npl, n2)
-                eng.load(bra, wv.t1_state(g, p, t1, n1))
-                eng.load(ket, wv.fock_state(g, p, npl, n2))
-                ov_key = ("t1", t1, n2)
-                eng.load(ov_key, wv.t1_state(g, p, t1, n2))
-                overlap = eng.overlap(ov_key, ket)
-                for name in ("p1", "p2"):
-                    k = coeff(name, n1, n2)
-                    lhs = eng.element(bra, ops[name], ket)
-                    rhs = k * overlap
-                    dev[name] = max(dev[name], abs(lhs - rhs) / scale)
-                    rows.append(("t1", name, (n1, n2, npl, t1),
-                                 rhs, lhs, abs(lhs - rhs)))
-                if n1 == n2:
-                    k = coeff("L3", n1, n2)
-                    lhs = eng.element(bra, ops["L3"], ket)
-                    rhs = k * overlap
-                    dev["L3"] = max(dev["L3"], abs(lhs - rhs) / (hb * (2 * n1 + 1)))
-                    rows.append(("t1", "L3", (n1, n2, npl, t1),
-                                 rhs, lhs, abs(lhs - rhs)))
+    cases = [(t1, npl, n1, n2) for t1 in tvals for npl in nplus_vals
+             for (n1, n2) in level_pairs]
+    requests = []
+    for (t1, npl, n1, n2) in cases:
+        bra = ("t1", t1, n1)
+        ket = ("fock", npl, n2)
+        eng.load(bra, wv.t1_state(g, p, t1, n1))
+        eng.load(ket, wv.fock_state(g, p, npl, n2))
+        ov_key = ("t1", t1, n2)
+        eng.load(ov_key, wv.t1_state(g, p, t1, n2))
+        requests += [(ov_key, None, ket), (bra, ops["p1"], ket),
+                     (bra, ops["p2"], ket)]
+        if n1 == n2:
+            requests.append((bra, ops["L3"], ket))
+    values = iter(eng.elements(requests))
+    for (t1, npl, n1, n2) in cases:
+        overlap = next(values)
+        for name in ("p1", "p2"):
+            k = coeff(name, n1, n2)
+            lhs = next(values)
+            rhs = k * overlap
+            dev[name] = max(dev[name], abs(lhs - rhs) / scale)
+            rows.append(("t1", name, (n1, n2, npl, t1),
+                         rhs, lhs, abs(lhs - rhs)))
+        if n1 == n2:
+            k = coeff("L3", n1, n2)
+            lhs = next(values)
+            rhs = k * overlap
+            dev["L3"] = max(dev["L3"], abs(lhs - rhs) / (hb * (2 * n1 + 1)))
+            rows.append(("t1", "L3", (n1, n2, npl, t1),
+                         rhs, lhs, abs(lhs - rhs)))
     return dev
 
 

@@ -3,7 +3,8 @@ CSV outputs.
 
 Subcommands: verify-algebra, gauge-scan, reproduce-tables, classical-sim,
 basis-change, heisenberg-demo.  Exit code 0 if and only if every check of
-the campaign passed.
+the campaign passed, 1 if a check failed, and 2 with a one-line message on
+invalid input.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ import numpy as np
 
 from . import campaigns as cp
 from . import classical as cl
+from . import fockspace as fk
+from . import quadrature as quad
 from . import waves as wv
 from .params import GaugeChoice, PhysicalParams, parse_poly
 
@@ -100,14 +103,45 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _physical(args) -> PhysicalParams:
-    return PhysicalParams(m=args.mass, q=args.charge, B=args.bfield,
-                          hbar=args.hbar)
+def _physical(args, parser) -> PhysicalParams:
+    try:
+        return PhysicalParams(m=args.mass, q=args.charge, B=args.bfield,
+                              hbar=args.hbar)
+    except ValueError as exc:
+        parser.error(str(exc))
 
 
-def _gauge(args) -> GaugeChoice:
-    return GaugeChoice(alpha=args.alpha, x0=args.x0,
-                       phi=parse_poly(args.phi))
+def _gauge(args, parser) -> GaugeChoice:
+    try:
+        phi = parse_poly(args.phi)
+    except ValueError as exc:  # PolyParseError or DegreeOverflowError
+        parser.error(f"--phi: {exc}")
+    return GaugeChoice(alpha=args.alpha, x0=args.x0, phi=phi)
+
+
+_USES_NMAX = ("verify-algebra", "gauge-scan", "reproduce-tables")
+_USES_GRID = ("gauge-scan", "reproduce-tables", "basis-change",
+              "heisenberg-demo")
+
+
+def _check_numerics(args, parser):
+    """Reject out-of-range numerics before a campaign starts, with the
+    message of the library check that would otherwise fail mid-campaign."""
+    checks = []
+    if args.command in _USES_NMAX:
+        checks.append(("--nmax", lambda: fk.FockBasis(args.nmax)))
+    if args.command == "verify-algebra":
+        checks.append(("--margin", lambda: fk.FockBasis(
+            args.nmax).interior_indices(args.margin)))
+    if args.command in _USES_GRID:
+        rule = (quad.Grid2.gauss_hermite if args.scheme == "gh"
+                else quad.Grid2.simpson)
+        checks.append(("--grid", lambda: rule(args.grid)))
+    for flag, check in checks:
+        try:
+            check()
+        except ValueError as exc:
+            parser.error(f"{flag}: {exc}")
 
 
 def _scheme(args) -> str:
@@ -134,9 +168,11 @@ def _dump_grid_rows(psi: wv.WaveForm, extent: float, n: int = 41):
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    p = _physical(args)
-    g = _gauge(args)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    _check_numerics(args, parser)
+    p = _physical(args, parser)
+    g = _gauge(args, parser)
     scheme = _scheme(args)
     rows = None
     csv_header = None

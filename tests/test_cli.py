@@ -160,6 +160,27 @@ def test_gauge_flags_accepted(tmp_path):
     assert code == 0
 
 
-def test_bad_phi_rejected():
-    with pytest.raises(Exception):
+def test_bad_phi_rejected(capsys):
+    with pytest.raises(SystemExit) as exc:
         main(["verify-algebra", "--phi", "u1^9", "--quiet", "--no-timestamp"])
+    assert exc.value.code == 2
+    assert "--phi: term of degree 9" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args, message", [
+    (["verify-algebra", "--nmax", "0"], "--nmax: nmax must be at least 1"),
+    (["gauge-scan", "--scheme", "simpson", "--grid", "41"],
+     "--grid: Simpson rule needs an even interval count"),
+    (["verify-algebra", "--margin", "20"],
+     "--margin: margin 20 out of range for nmax 16"),
+    (["verify-algebra", "--phi", "u1^^2"],
+     "--phi: expected nonnegative integer exponent (at position 3)"),
+    (["classical-sim", "--mass", "0"], "mass must be positive"),
+], ids=["nmax", "simpson-grid", "margin", "phi-syntax", "mass"])
+def test_bad_input_exits_2(capsys, args, message):
+    with pytest.raises(SystemExit) as exc:
+        main(args + ["--quiet", "--no-timestamp"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines()[-1].startswith(f"landaulab: error: {message}")

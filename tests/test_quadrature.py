@@ -1,12 +1,18 @@
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from landaulab import GaugeChoice, PhysicalParams, parse_poly
+from landaulab.campaigns import _SCAN_OPS, _default_grid, _ElementEngine
 from landaulab.fockspace import change_of_basis, t1_fock_overlap
-from landaulab.quadrature import (Grid2, SupportOverflowError, inner_product,
-                                  line_integral, matrix_element)
+from landaulab.params import CANONICAL_PARTNER
+from landaulab.quadrature import (Grid2, SupportOverflowError, _fsum_rows,
+                                  inner_product, line_integral,
+                                  matrix_element)
 from landaulab.waves import fock_state, plane_wave, position_op, t1_state
 
 P = PhysicalParams(1, 1, 1)
@@ -203,3 +209,96 @@ def test_grid_validation():
         Grid2.simpson(5, extent=1.0)
     with pytest.raises(ValueError):
         line_integral(lambda t: t, scheme="romberg")
+
+
+def _fsum_or_error(row):
+    try:
+        return math.fsum(row.tolist())
+    except (OverflowError, ValueError) as exc:
+        return exc
+
+
+@st.composite
+def _float_rows(draw):
+    """A few rows of one length from 0 to 5000, with exponents drawn from
+    a window of the double range, up to all of it (subnormals included),
+    optionally made to cancel exactly or salted with inf, nan and huge
+    values."""
+    n = draw(st.integers(0, 5000))
+    nrows = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    lo = draw(st.integers(-1080, 1024))
+    hi = draw(st.integers(lo, 1024))
+    rows = np.ldexp(rng.uniform(-1.0, 1.0, (nrows, n)),
+                    rng.integers(lo, hi + 1, (nrows, n)))
+    kind = draw(st.sampled_from(["plain", "cancel", "special"]))
+    if kind == "cancel" and n >= 2:
+        half = n // 2
+        rows[:, half:2 * half] = -rows[:, rng.permutation(half)]
+    elif kind == "special" and n:
+        specials = [math.inf, -math.inf, math.nan, 2.0 ** 1000, -1e308]
+        for _ in range(draw(st.integers(1, 3))):
+            rows[rng.integers(nrows), rng.integers(n)] = \
+                specials[rng.integers(len(specials))]
+    return rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(_float_rows())
+@example(np.array([[2.0 ** 53, 1.0, 2.0 ** -60]]))
+@example(np.array([[2.0 ** 53, 1.0, -5e-324]]))
+@example(np.array([[2.0 ** 53, 1.0, 2.0 ** -60], [-0.0, -0.0, 0.0]]))
+@example(np.array([[1e308, 1e308, -1e308], [math.inf, -math.inf, 1.0]]))
+@example(np.zeros((2, 0)))
+def test_fsum_rows_equals_fsum_bit_for_bit(rows):
+    expected = [_fsum_or_error(row) for row in rows]
+    errors = [e for e in expected if isinstance(e, Exception)]
+    if errors:
+        with pytest.raises(type(errors[0])) as exc:
+            _fsum_rows(rows)
+        assert str(exc.value) == str(errors[0])
+        return
+    got = _fsum_rows(rows)
+    assert [struct.pack("<d", v) for v in got] \
+        == [struct.pack("<d", v) for v in expected]
+
+
+@pytest.mark.parametrize("scheme, k", [("gauss_hermite", 40), ("simpson", 64)])
+def test_engine_elements_equal_matrix_element(scheme, k):
+    g = GaugeChoice(-0.6, (0.1, 0.4),
+                    parse_poly("0.08*u2^2 - 0.04*u1^3 + 0.03*u1*u2^2"))
+    grid = _default_grid(P, g, k, scheme)
+    labels = [(0, 0), (1, 0), (-1, 1), (2, 1)]
+    psi = {lab: fock_state(g, P, lab[1] + lab[0], lab[1]) for lab in labels}
+    eng = _ElementEngine(grid, g.x0)
+    for lab in labels:
+        eng.load(lab, psi[lab])
+    ops = [position_op(name, g, P)
+           for name in _SCAN_OPS + tuple(CANONICAL_PARTNER)] + [None]
+    requests = [(a, op, b) for op in ops for a in labels for b in labels]
+    for (a, op, b), val in zip(requests, eng.elements(requests),
+                               strict=True):
+        ref = (inner_product(psi[a], psi[b], grid) if op is None
+               else matrix_element(psi[a], op, psi[b], grid)).value
+        assert struct.pack("<dd", val.real, val.imag) \
+            == struct.pack("<dd", ref.real, ref.imag)
+
+
+def test_engine_support_failure_matches_per_element_path():
+    # on 20 nodes per axis the vacuum element passes and the next one, with
+    # a slower-decaying ket, is the first to fail
+    grid = _grid(SYM, k=20)
+    labels = [(0, 0), (1, 0), (2, 1)]
+    psi = {lab: fock_state(SYM, P, *lab) for lab in labels}
+    op = position_op("H", SYM, P)
+    requests = [(a, op, b) for a in labels for b in labels]
+    matrix_element(psi[(0, 0)], op, psi[(0, 0)], grid)
+    with pytest.raises(SupportOverflowError) as per_element:
+        for a, _, b in requests:
+            matrix_element(psi[a], op, psi[b], grid)
+    eng = _ElementEngine(grid, SYM.x0)
+    for lab in labels:
+        eng.load(lab, psi[lab])
+    with pytest.raises(SupportOverflowError) as batched:
+        eng.elements(requests)
+    assert str(batched.value) == str(per_element.value)

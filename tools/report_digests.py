@@ -1,0 +1,71 @@
+"""Print the sha256 of the ``--no-timestamp`` JSON report and CSV output of
+every landaulab campaign, so that two checkouts can be compared byte for
+byte by diffing this script's output.
+
+Usage, from the root of a checkout::
+
+    PYTHONPATH=src python tools/report_digests.py > digests.txt
+
+Three runs: every campaign at small settings; every campaign with a
+non-default parameter set (negative charge, non-unit hbar, off-origin x0,
+sheared gauge with a cubic gauge function); and gauge-scan with the Simpson
+rule and ``--dump-grid``.  Each output line is ``<run> <campaign> <file>
+<exit code> <sha256>``; a file a campaign does not write reads ``-``.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import sys
+import tempfile
+from pathlib import Path
+
+from landaulab.cli import main
+
+SMALL = {
+    "verify-algebra": ["--nmax", "8"],
+    "gauge-scan": ["--grid", "40", "--scan-levels", "2", "--nmax", "8",
+                   "--dump-grid"],
+    "reproduce-tables": ["--grid", "56", "--nmax", "14"],
+    "basis-change": ["--grid", "64", "--dump-grid"],
+    "classical-sim": ["--steps", "2000"],
+    "heisenberg-demo": ["--grid", "48"],
+}
+
+VARIANT = ["--charge", "-1", "--hbar", "0.6", "--x0", "0.3,-0.2",
+           "--alpha", "0.37",
+           "--phi", "0.05*u1^2*u2 - 0.1*u1 + 0.02*u2^3"]
+
+RUNS = [
+    ("small", [[name, *args] for name, args in SMALL.items()]),
+    ("variant", [[name, *args, *VARIANT] for name, args in SMALL.items()]),
+    ("simpson", [["gauge-scan", "--scheme", "simpson", "--grid", "80",
+                  "--scan-levels", "2", "--nmax", "8", "--dump-grid"]]),
+]
+
+
+def _digest(path: Path) -> str:
+    if not path.exists():
+        return "-"
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def main_digests() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        for run, calls in RUNS:
+            for argv in calls:
+                out_json = Path(tmp, f"{run}-{argv[0]}.json")
+                out_csv = Path(tmp, f"{run}-{argv[0]}.csv")
+                with contextlib.redirect_stdout(io.StringIO()):
+                    code = main(argv + ["--quiet", "--no-timestamp",
+                                        "--json-out", str(out_json),
+                                        "--csv-out", str(out_csv)])
+                for kind, path in (("json", out_json), ("csv", out_csv)):
+                    print(run, argv[0], kind, code, _digest(path))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main_digests())
