@@ -15,6 +15,8 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
+import numpy as np
+
 from .params import (DegreeOverflowError, GaugeChoice, PhysicalParams,
                      Poly2, SparsePoly, vector_potential,
                      vector_potential_polys)
@@ -62,8 +64,8 @@ class TrajectoryParams:
     t0: float = 0.0
 
     def __post_init__(self):
-        if self.E < 0:
-            raise ValueError("energy must be nonnegative")
+        if not 0.0 <= self.E < math.inf:
+            raise ValueError("energy must be finite and nonnegative")
 
 
 class NoetherCharges(NamedTuple):
@@ -91,9 +93,34 @@ def analytic_trajectory(p: PhysicalParams, tp: TrajectoryParams,
     return PhaseSpacePoint(x, mom)
 
 
-def _rotation_step(p: PhysicalParams, state: PhaseSpacePoint,
-                   dt: float) -> PhaseSpacePoint:
-    """One step of the rotation-split integrator for a uniform field.
+def integrate(p: PhysicalParams, s0: PhaseSpacePoint, dt: float, n: int,
+              method: str = "boris") -> np.ndarray:
+    """Integrate the Lorentz-force flow for n steps of size dt.
+
+    ``method="boris"`` uses the rotation-split step (exactly momentum-norm
+    preserving); ``method="rk4"`` the classical Runge-Kutta step.  Returns
+    the n+1 states including the initial one as an ``(n+1, 4)`` float64
+    array with columns x1, x2, p1, p2.
+    """
+    if not 0.0 < dt < math.inf:
+        raise ValueError("dt must be positive and finite")
+    if n < 1:
+        raise ValueError("need at least one step")
+    if method == "boris":
+        rows = _rotation_orbit(p, s0, dt, n)
+    elif method == "rk4":
+        rows = _rk4_orbit(p, s0, dt, n)
+    else:
+        raise ValueError(f"unknown method {method!r}")
+    path = np.array(rows)
+    if not np.isfinite(path).all():
+        raise ValueError("phase-space components must be finite")
+    return path
+
+
+def _rotation_orbit(p: PhysicalParams, s0: PhaseSpacePoint, dt: float,
+                    n: int) -> list[tuple[float, float, float, float]]:
+    """States of the rotation-split integrator for a uniform field.
 
     The momentum is rotated with the half-angle tangent construction, which
     is an exact rotation by (qB/m) dt and conserves |p| to round-off; the
@@ -102,76 +129,74 @@ def _rotation_step(p: PhysicalParams, state: PhaseSpacePoint,
     """
     a = (p.qB / p.m) * dt
     tau = math.tan(0.5 * a)
-    p1, p2 = state.p
     # half-angle rotation: p -> p + f * eps @ (p + tau * eps @ p)
     f = 2.0 * tau / (1.0 + tau * tau)
-    q1 = p1 + tau * p2
-    q2 = p2 - tau * p1
-    p1n = p1 + f * q2
-    p2n = p2 - f * q1
     # drift through the exactly rotating momentum: complex z' = exp(-i a) z
-    if a != 0.0:
-        c = (1.0 - math.cos(a)) / a, math.sin(a) / a
-        dx1 = (dt / p.m) * (c[1] * p1 + c[0] * p2)
-        dx2 = (dt / p.m) * (-c[0] * p1 + c[1] * p2)
-    else:
-        dx1, dx2 = (dt / p.m) * p1, (dt / p.m) * p2
-    x1, x2 = state.x
-    return PhaseSpacePoint((x1 + dx1, x2 + dx2), (p1n, p2n))
-
-
-def _lorentz_rhs(p: PhysicalParams, x1, x2, p1, p2):
-    k = p.qB / p.m
-    return p1 / p.m, p2 / p.m, k * p2, -k * p1
-
-
-def _rk4_step(p: PhysicalParams, state: PhaseSpacePoint,
-              dt: float) -> PhaseSpacePoint:
-    y = (*state.x, *state.p)
-    k1 = _lorentz_rhs(p, *y)
-    k2 = _lorentz_rhs(p, *(y[i] + 0.5 * dt * k1[i] for i in range(4)))
-    k3 = _lorentz_rhs(p, *(y[i] + 0.5 * dt * k2[i] for i in range(4)))
-    k4 = _lorentz_rhs(p, *(y[i] + dt * k3[i] for i in range(4)))
-    out = tuple(y[i] + dt / 6.0 * (k1[i] + 2 * k2[i] + 2 * k3[i] + k4[i])
-                for i in range(4))
-    return PhaseSpacePoint(out[:2], out[2:])
-
-
-def integrate(p: PhysicalParams, s0: PhaseSpacePoint, dt: float, n: int,
-              method: str = "boris") -> list[PhaseSpacePoint]:
-    """Integrate the Lorentz-force flow for n steps of size dt.
-
-    ``method="boris"`` uses the rotation-split step (exactly momentum-norm
-    preserving); ``method="rk4"`` the classical Runge-Kutta step.  Returns
-    the n+1 states including the initial one.
-    """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if n < 1:
-        raise ValueError("need at least one step")
-    if method == "boris":
-        step = _rotation_step
-    elif method == "rk4":
-        step = _rk4_step
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    out = [s0]
-    s = s0
+    rotating = a != 0.0
+    if rotating:
+        c0, c1 = (1.0 - math.cos(a)) / a, math.sin(a) / a
+    h = dt / p.m
+    (x1, x2), (p1, p2) = s0.x, s0.p
+    out = [(x1, x2, p1, p2)]
     for _ in range(n):
-        s = step(p, s, dt)
-        out.append(s)
+        q1 = p1 + tau * p2
+        q2 = p2 - tau * p1
+        if rotating:
+            dx1 = h * (c1 * p1 + c0 * p2)
+            dx2 = h * (-c0 * p1 + c1 * p2)
+        else:
+            dx1, dx2 = h * p1, h * p2
+        x1 += dx1
+        x2 += dx2
+        p1, p2 = p1 + f * q2, p2 - f * q1
+        out.append((x1, x2, p1, p2))
+    return out
+
+
+def _rk4_orbit(p: PhysicalParams, s0: PhaseSpacePoint, dt: float,
+               n: int) -> list[tuple[float, float, float, float]]:
+    """States of the classical Runge-Kutta step for the Lorentz-force flow
+    ``x' = p/m``, ``p' = (qB/m) eps p``; the right-hand side depends on the
+    momentum alone, so the stage positions are never formed."""
+    m = p.m
+    k = p.qB / m
+    nk = -k
+    half, sixth = 0.5 * dt, dt / 6.0
+    (x1, x2), (p1, p2) = s0.x, s0.p
+    out = [(x1, x2, p1, p2)]
+    for _ in range(n):
+        # stage momenta a, b, c and their forces; the sum is
+        # ((k1 + 2 k2) + 2 k3) + k4 as in the textbook step
+        f1, g1 = k * p2, nk * p1
+        a1, a2 = p1 + half * f1, p2 + half * g1
+        f2, g2 = k * a2, nk * a1
+        b1, b2 = p1 + half * f2, p2 + half * g2
+        f3, g3 = k * b2, nk * b1
+        c1, c2 = p1 + dt * f3, p2 + dt * g3
+        x1 += sixth * (p1 / m + 2 * (a1 / m) + 2 * (b1 / m) + c1 / m)
+        x2 += sixth * (p2 / m + 2 * (a2 / m) + 2 * (b2 / m) + c2 / m)
+        p1 += sixth * (f1 + 2 * f2 + 2 * f3 + k * c2)
+        p2 += sixth * (g1 + 2 * g2 + 2 * g3 + nk * c1)
+        out.append((x1, x2, p1, p2))
     return out
 
 
 def noether_charges(p: PhysicalParams, x0: tuple[float, float],
-                    s: PhaseSpacePoint) -> NoetherCharges:
+                    s: PhaseSpacePoint | np.ndarray) -> NoetherCharges:
     """Conserved charges at a phase-space point, relative to the origin x0:
 
     ``E = p^2/(2m)``, ``T_i = p_i - qB eps_ij u_j``,
     ``M3 = eps_ij u_i p_j + qB u^2 / 2`` with u = x - x0.
+
+    ``s`` is a PhaseSpacePoint, giving float charges, or an array whose last
+    axis holds x1, x2, p1, p2 (such as a path from :func:`integrate`),
+    giving one array per charge with the same bits as the pointwise call.
     """
-    u1, u2 = s.x[0] - x0[0], s.x[1] - x0[1]
-    p1, p2 = s.p
+    if isinstance(s, PhaseSpacePoint):
+        (x1, x2), (p1, p2) = s.x, s.p
+    else:
+        x1, x2, p1, p2 = np.moveaxis(np.asarray(s, dtype=float), -1, 0)
+    u1, u2 = x1 - x0[0], x2 - x0[1]
     qb = p.qB
     e = (p1 * p1 + p2 * p2) / (2.0 * p.m)
     t1 = p1 - qb * u2

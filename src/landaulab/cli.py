@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 
 import numpy as np
@@ -124,6 +125,11 @@ _USES_GRID = ("gauge-scan", "reproduce-tables", "basis-change",
               "heisenberg-demo")
 
 
+def _require(ok: bool, message: str):
+    if not ok:
+        raise ValueError(message)
+
+
 def _check_numerics(args, parser):
     """Reject out-of-range numerics before a campaign starts, with the
     message of the library check that would otherwise fail mid-campaign."""
@@ -137,6 +143,16 @@ def _check_numerics(args, parser):
         rule = (quad.Grid2.gauss_hermite if args.scheme == "gh"
                 else quad.Grid2.simpson)
         checks.append(("--grid", lambda: rule(args.grid)))
+    if args.command == "classical-sim":
+        checks += [
+            ("--steps", lambda: _require(args.steps is None or args.steps >= 1,
+                                         "need at least one step")),
+            ("--dt", lambda: _require(args.dt is None
+                                      or 0.0 < args.dt < math.inf,
+                                      "dt must be positive and finite")),
+            ("--energy", lambda: args.energy is None
+             or cl.TrajectoryParams(E=args.energy)),
+        ]
     for flag, check in checks:
         try:
             check()
@@ -216,7 +232,7 @@ def main(argv=None) -> int:
             p, tp, dt=args.dt, steps=args.steps, method=args.method,
             x0=args.x0, seed=args.seed, drift_tol=tol)
         csv_header = ["t", "x1", "x2", "p1", "p2", "E", "T1", "T2", "M3"]
-        rows = [tuple(repr(float(v)) for v in r) for r in sim_rows]
+        rows = sim_rows.tolist()  # csv writes each float as its repr
     elif args.command == "basis-change":
         tol = args.tol if args.tol is not None else cp.QUAD_TOL
         report = cp.run_basis_change(p, gauge=g, grid_k=args.grid,

@@ -156,12 +156,13 @@ def sector_numbers(b: FockBasis):
 
 
 def build_observable(name: str, p: PhysicalParams, x0: tuple[float, float],
-                     b: FockBasis) -> FockOperator:
+                     b: FockBasis, ladders=None) -> FockOperator:
     """Exact matrix of a physical observable on the truncated basis.
 
     Diagonal observables (H, M3) are written down entrywise; the rest are
-    assembled from the helicity ladders.  Every returned matrix is exactly
-    Hermitian.
+    assembled from the helicity ladders, which a caller building several
+    observables may pass in as ``ladder_ops(b)`` to build them once.  Every
+    returned matrix is exactly Hermitian.
     """
     hw = p.hbar * p.omega_c
     s = p.sign
@@ -174,7 +175,9 @@ def build_observable(name: str, p: PhysicalParams, x0: tuple[float, float],
     if name == "M3":
         return FockOperator(b, np.diag(s * p.hbar * (nplus - nminus)).astype(complex), 0)
 
-    ap, apd, am, amd = ladder_ops(b)
+    if ladders is None:
+        ladders = ladder_ops(b)
+    ap, apd, am, amd = ladders
     if name == "T1":
         return FockOperator(b, 1j * c * (apd.matrix - ap.matrix), 1)
     if name == "T2":
@@ -194,10 +197,10 @@ def build_observable(name: str, p: PhysicalParams, x0: tuple[float, float],
         m = (1j * s * lam / math.sqrt(2.0)) * (ap.matrix - am.matrix)
         return FockOperator(b, x0[1] * np.eye(b.dim) + m + m.conj().T, 1)
     if name == "xc1":
-        t2 = build_observable("T2", p, x0, b)
+        t2 = build_observable("T2", p, x0, b, ladders)
         return FockOperator(b, x0[0] * np.eye(b.dim) + t2.matrix / p.qB, 1)
     if name == "xc2":
-        t1 = build_observable("T1", p, x0, b)
+        t1 = build_observable("T1", p, x0, b, ladders)
         return FockOperator(b, x0[1] * np.eye(b.dim) - t1.matrix / p.qB, 1)
     raise ValueError(f"unknown observable {name!r}")
 

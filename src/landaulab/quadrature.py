@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -44,14 +44,22 @@ class QuadResult(NamedTuple):
     error_estimate: float
 
 
+@lru_cache(maxsize=None)
+def _hermite_rule(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss-Hermite nodes and their weights against dt, computed
+    once per node count."""
+    t, w = hermgauss(k)
+    # weights against dt, compensating the exp(-t^2) weight in log space
+    wt = np.exp(np.log(w) + t * t)
+    t.flags.writeable = wt.flags.writeable = False
+    return t, wt
+
+
 def _axis_gauss_hermite(k: int, centre: float, scale: float):
     if k < 3:
         raise ValueError("need at least 3 nodes per axis")
-    t, w = hermgauss(k)
-    x = centre + scale * t
-    # weights against dx, compensating the exp(-t^2) weight in log space
-    wx = np.exp(np.log(w) + t * t) * scale
-    return x, wx
+    t, wt = _hermite_rule(k)
+    return centre + scale * t, wt * scale
 
 
 def _axis_simpson(n: int, centre: float, extent: float):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from landaulab import (GaugeChoice, PhysicalParams, Poly2, gauge_delta,
                        parse_poly)
@@ -68,7 +70,7 @@ def test_boris_closes_after_one_period():
     period = 2 * math.pi / P.omega_c
     path = integrate(P, s0, period / 1000, 1000, method="boris")
     end = path[-1]
-    gap = math.hypot(end.x[0] - s0.x[0], end.x[1] - s0.x[1])
+    gap = math.hypot(end[0] - s0.x[0], end[1] - s0.x[1])
     assert gap < 1e-6 * P.magnetic_length
 
 
@@ -76,15 +78,15 @@ def test_boris_preserves_momentum_norm():
     s0 = PhaseSpacePoint((0.0, 0.0), (0.7, -0.3))
     n0 = math.hypot(*s0.p)
     for s in integrate(P, s0, 0.05, 4000, method="boris"):
-        assert abs(math.hypot(*s.p) - n0) < 1e-13
+        assert abs(math.hypot(*s[2:]) - n0) < 1e-13
 
 
 def test_zero_momentum_is_fixed_point():
     s0 = PhaseSpacePoint((1.0, 2.0), (0.0, 0.0))
     for method in ("boris", "rk4"):
         for s in integrate(P, s0, 0.1, 50, method=method):
-            assert s.x == (1.0, 2.0)
-            assert s.p == (0.0, 0.0)
+            assert tuple(s[:2]) == (1.0, 2.0)
+            assert tuple(s[2:]) == (0.0, 0.0)
 
 
 def test_rk4_energy_drift_small():
@@ -92,7 +94,7 @@ def test_rk4_energy_drift_small():
     s0 = analytic_trajectory(P, tp, 0.0)
     period = 2 * math.pi / P.omega_c
     path = integrate(P, s0, period / 1000, 10000, method="rk4")
-    e = [0.5 * (s.p[0] ** 2 + s.p[1] ** 2) for s in path]
+    e = [0.5 * (s[2] ** 2 + s[3] ** 2) for s in path]
     assert max(abs(v - e[0]) for v in e) / e[0] < 1e-8
 
 
@@ -102,8 +104,8 @@ def test_boris_tracks_analytic_solution():
     dt = 2 * math.pi / P.omega_c / 1000
     path = integrate(P, s0, dt, 500, method="boris")
     ref = analytic_trajectory(P, tp, 500 * dt)
-    assert np.allclose(path[-1].x, ref.x, atol=1e-10)
-    assert np.allclose(path[-1].p, ref.p, atol=1e-10)
+    assert np.allclose(path[-1, :2], ref.x, atol=1e-10)
+    assert np.allclose(path[-1, 2:], ref.p, atol=1e-10)
 
 
 def test_integrate_validates_input():
@@ -114,6 +116,104 @@ def test_integrate_validates_input():
         integrate(P, s0, 0.1, 0)
     with pytest.raises(ValueError):
         integrate(P, s0, 0.1, 5, method="verlet")
+
+
+# reference steppers: the integrator's arithmetic written one step at a time,
+# with a PhaseSpacePoint per state; integrate() must reproduce them bit for
+# bit
+
+
+def _ref_rotation_step(p, state, dt):
+    a = (p.qB / p.m) * dt
+    tau = math.tan(0.5 * a)
+    p1, p2 = state.p
+    f = 2.0 * tau / (1.0 + tau * tau)
+    q1 = p1 + tau * p2
+    q2 = p2 - tau * p1
+    p1n = p1 + f * q2
+    p2n = p2 - f * q1
+    if a != 0.0:
+        c = (1.0 - math.cos(a)) / a, math.sin(a) / a
+        dx1 = (dt / p.m) * (c[1] * p1 + c[0] * p2)
+        dx2 = (dt / p.m) * (-c[0] * p1 + c[1] * p2)
+    else:
+        dx1, dx2 = (dt / p.m) * p1, (dt / p.m) * p2
+    x1, x2 = state.x
+    return PhaseSpacePoint((x1 + dx1, x2 + dx2), (p1n, p2n))
+
+
+def _ref_lorentz_rhs(p, x1, x2, p1, p2):
+    k = p.qB / p.m
+    return p1 / p.m, p2 / p.m, k * p2, -k * p1
+
+
+def _ref_rk4_step(p, state, dt):
+    y = (*state.x, *state.p)
+    k1 = _ref_lorentz_rhs(p, *y)
+    k2 = _ref_lorentz_rhs(p, *(y[i] + 0.5 * dt * k1[i] for i in range(4)))
+    k3 = _ref_lorentz_rhs(p, *(y[i] + 0.5 * dt * k2[i] for i in range(4)))
+    k4 = _ref_lorentz_rhs(p, *(y[i] + dt * k3[i] for i in range(4)))
+    out = tuple(y[i] + dt / 6.0 * (k1[i] + 2 * k2[i] + 2 * k3[i] + k4[i])
+                for i in range(4))
+    return PhaseSpacePoint(out[:2], out[2:])
+
+
+_REF_STEP = {"boris": _ref_rotation_step, "rk4": _ref_rk4_step}
+_finite = st.floats(-3.0, 3.0, allow_nan=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(method=st.sampled_from(sorted(_REF_STEP)),
+       m=st.floats(0.3, 3.0), q=st.sampled_from([-1.7, -1.0, 0.6, 1.0]),
+       bfield=st.floats(0.2, 2.5), hbar=st.floats(0.4, 2.0),
+       dt=st.floats(1e-6, 2.0), n=st.integers(1, 60),
+       state=st.tuples(_finite, _finite, _finite, _finite))
+def test_integrate_matches_reference_stepper_bitwise(method, m, q, bfield,
+                                                     hbar, dt, n, state):
+    p = PhysicalParams(m, q, bfield, hbar=hbar)
+    s = PhaseSpacePoint(state[:2], state[2:])
+    ref = [[*s.x, *s.p]]
+    for _ in range(n):
+        s = _REF_STEP[method](p, s, dt)
+        ref.append([*s.x, *s.p])
+    path = integrate(p, PhaseSpacePoint(state[:2], state[2:]), dt, n, method)
+    assert path.shape == (n + 1, 4) and path.dtype == np.float64
+    assert path.tolist() == ref
+    # signed zeros included
+    assert np.signbit(path).tolist() == np.signbit(np.array(ref)).tolist()
+
+
+def test_integrate_zero_rotation_angle_branch():
+    # qB dt / m underflows to zero: the drift is a straight line
+    p = PhysicalParams(1e10, 1e-160, 1e-160)
+    assert p.qB != 0.0 and (p.qB / p.m) * 0.1 == 0.0
+    s0 = PhaseSpacePoint((0.5, -0.25), (0.3, -0.7))
+    for method in ("boris", "rk4"):
+        s, ref = s0, [[*s0.x, *s0.p]]
+        for _ in range(5):
+            s = _REF_STEP[method](p, s, 0.1)
+            ref.append([*s.x, *s.p])
+        assert integrate(p, s0, 0.1, 5, method).tolist() == ref
+
+
+@pytest.mark.parametrize("method", ["boris", "rk4"])
+def test_integrate_overflow_raises_finiteness_error(method):
+    # a weak field: the orbit radius exceeds the float range, so the
+    # position overflows to inf on the first step
+    p = PhysicalParams(1.0, 1e-150, 1e-150)
+    s0 = PhaseSpacePoint((1e307, 0.0), (1e307, 1e307))
+    message = "phase-space components must be finite"
+    with pytest.raises(ValueError, match=message):
+        _REF_STEP[method](p, s0, 100.0)
+    with pytest.raises(ValueError, match=message):
+        integrate(p, s0, 100.0, 20, method=method)
+
+
+def test_integrate_rejects_non_finite_step():
+    s0 = PhaseSpacePoint((0, 0), (1, 0))
+    for dt in (math.nan, math.inf, 0.0):
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            integrate(P, s0, dt, 5)
 
 
 # -- conserved charges --------------------------------------------------------
@@ -138,6 +238,18 @@ def test_charges_constant_along_analytic_orbit():
     for t in np.linspace(0.0, 4 * 2 * math.pi / p.omega_c, 20):
         c = noether_charges(p, x0, analytic_trajectory(p, tp, t))
         assert np.allclose(c, ref, rtol=0, atol=1e-12)
+
+
+def test_charges_on_a_path_equal_pointwise_charges_bitwise():
+    p = PhysicalParams(1.7, -0.6, 2.1, hbar=0.5)
+    x0 = (0.25, -1.0)
+    s0 = analytic_trajectory(p, TrajectoryParams(E=1.2, xc=(-0.4, 0.9)), 0.0)
+    path = integrate(p, s0, 0.01, 300, method="rk4")
+    charges = noether_charges(p, x0, path)
+    assert all(c.shape == (301,) for c in charges)
+    pointwise = [noether_charges(p, x0, PhaseSpacePoint(s[:2], s[2:]))
+                 for s in path.tolist()]
+    assert np.column_stack(charges).tolist() == [list(c) for c in pointwise]
 
 
 def test_magnetic_centre_examples():
@@ -173,7 +285,7 @@ def test_charges_conserved_along_boris_path():
     dt = 2 * math.pi / P.omega_c / 1000
     ref = noether_charges(P, (0, 0), s0)
     for s in integrate(P, s0, dt, 10000, method="boris")[::100]:
-        c = noether_charges(P, (0, 0), s)
+        c = noether_charges(P, (0, 0), PhaseSpacePoint(s[:2], s[2:]))
         assert np.allclose(c, ref, rtol=0, atol=1e-12)
 
 

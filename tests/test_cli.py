@@ -176,7 +176,14 @@ def test_bad_phi_rejected(capsys):
     (["verify-algebra", "--phi", "u1^^2"],
      "--phi: expected nonnegative integer exponent (at position 3)"),
     (["classical-sim", "--mass", "0"], "mass must be positive"),
-], ids=["nmax", "simpson-grid", "margin", "phi-syntax", "mass"])
+    (["classical-sim", "--steps", "0"], "--steps: need at least one step"),
+    (["classical-sim", "--dt", "-0.1"],
+     "--dt: dt must be positive and finite"),
+    (["classical-sim", "--dt", "nan"], "--dt: dt must be positive and finite"),
+    (["classical-sim", "--energy", "-1"],
+     "--energy: energy must be finite and nonnegative"),
+], ids=["nmax", "simpson-grid", "margin", "phi-syntax", "mass", "steps",
+        "dt-negative", "dt-nan", "energy"])
 def test_bad_input_exits_2(capsys, args, message):
     with pytest.raises(SystemExit) as exc:
         main(args + ["--quiet", "--no-timestamp"])

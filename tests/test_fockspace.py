@@ -72,6 +72,39 @@ def test_every_observable_exactly_hermitian():
         assert op.is_hermitian_exact(), name
 
 
+def test_shared_ladders_give_identical_observables():
+    b = _basis()
+    p = PhysicalParams(1.3, -0.8, 1.1, hbar=0.7)
+    ladders = ladder_ops(b)
+    for name in OBSERVABLE_NAMES:
+        shared = build_observable(name, p, (0.3, -0.2), b, ladders)
+        own = build_observable(name, p, (0.3, -0.2), b)
+        assert np.array_equal(shared.matrix, own.matrix), name
+        assert shared.excursion == own.excursion
+
+
+@pytest.mark.parametrize("nmax", [6, 16])
+@pytest.mark.parametrize("p, x0", [
+    (PhysicalParams(1, 1, 1), (0.0, 0.0)),
+    (PhysicalParams(1.3, -0.8, 1.1, hbar=0.7), (0.3, -0.2)),
+    (PhysicalParams(0.6, 1.9, 0.7, hbar=1.6), (-0.9, 0.4)),
+])
+def test_diagonal_products_are_exact_broadcasts(nmax, p, x0):
+    # the commutator suite multiplies by H and M3 as broadcasts of their
+    # diagonals; every entry has one nonzero term, so the broadcast rounds
+    # exactly as the dense product does
+    b = FockBasis(nmax)
+    ops = {name: build_observable(name, p, x0, b) for name in OBSERVABLE_NAMES}
+    for dname in ("H", "M3"):
+        dense = ops[dname].matrix
+        d = np.diag(dense)
+        assert np.array_equal(dense, np.diag(d))
+        for name, op in ops.items():
+            a = op.matrix
+            assert np.array_equal(a * d[None, :], a @ dense), (name, dname)
+            assert np.array_equal(d[:, None] * a, dense @ a), (dname, name)
+
+
 def test_unknown_observable_rejected():
     with pytest.raises(ValueError):
         build_observable("Q", P, X0, _basis())

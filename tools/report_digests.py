@@ -6,11 +6,14 @@ Usage, from the root of a checkout::
 
     PYTHONPATH=src python tools/report_digests.py > digests.txt
 
-Three runs: every campaign at small settings; every campaign with a
+Four runs: every campaign at small settings; every campaign with a
 non-default parameter set (negative charge, non-unit hbar, off-origin x0,
-sheared gauge with a cubic gauge function); and gauge-scan with the Simpson
-rule and ``--dump-grid``.  Each output line is ``<run> <campaign> <file>
-<exit code> <sha256>``; a file a campaign does not write reads ``-``.
+sheared gauge with a cubic gauge function); gauge-scan with the Simpson
+rule and ``--dump-grid``; and the dynamics campaigns at their own settings
+(verify-algebra at the default ``--nmax 16`` with the variant parameters,
+an rk4 orbit, and the zero-momentum orbit).  Each output line is ``<run>
+<campaign> <file> <exit code> <sha256>``; a file a campaign does not write
+reads ``-``.
 """
 
 from __future__ import annotations
@@ -43,6 +46,9 @@ RUNS = [
     ("variant", [[name, *args, *VARIANT] for name, args in SMALL.items()]),
     ("simpson", [["gauge-scan", "--scheme", "simpson", "--grid", "80",
                   "--scan-levels", "2", "--nmax", "8", "--dump-grid"]]),
+    ("dynamics", [["verify-algebra", *VARIANT],
+                  ["classical-sim", "--method", "rk4", "--steps", "2000"],
+                  ["classical-sim", "--energy", "0", "--centre", "0.3,0.4"]]),
 ]
 
 
@@ -55,9 +61,10 @@ def _digest(path: Path) -> str:
 def main_digests() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         for run, calls in RUNS:
-            for argv in calls:
-                out_json = Path(tmp, f"{run}-{argv[0]}.json")
-                out_csv = Path(tmp, f"{run}-{argv[0]}.csv")
+            for k, argv in enumerate(calls):
+                stem = f"{run}-{k}-{argv[0]}"
+                out_json = Path(tmp, f"{stem}.json")
+                out_csv = Path(tmp, f"{stem}.csv")
                 with contextlib.redirect_stdout(io.StringIO()):
                     code = main(argv + ["--quiet", "--no-timestamp",
                                         "--json-out", str(out_json),
