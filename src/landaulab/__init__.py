@@ -26,7 +26,7 @@ from .waves import (DiffOpSpec, HermiteGaussian1D, SpecialFactor, WaveForm,
                     fock_state, gauge_phase, hermite,
                     laguerre, multiplication_op, phase_shifted, plane_wave,
                     position_op, t1_basis_function, t1_state, t1rep_apply)
-from .quadrature import (Grid2, QuadResult, SupportOverflowError,
+from .quadrature import (Grid2, SupportOverflowError,
                          inner_product, line_integral, matrix_element)
 from .report import CheckRecord, VerificationReport
 

@@ -117,7 +117,10 @@ def _gauge(args, parser) -> GaugeChoice:
         phi = parse_poly(args.phi)
     except ValueError as exc:  # PolyParseError or DegreeOverflowError
         parser.error(f"--phi: {exc}")
-    return GaugeChoice(alpha=args.alpha, x0=args.x0, phi=phi)
+    try:
+        return GaugeChoice(alpha=args.alpha, x0=args.x0, phi=phi)
+    except ValueError as exc:
+        parser.error(str(exc))
 
 
 _USES_NMAX = ("verify-algebra", "gauge-scan", "reproduce-tables")
@@ -139,6 +142,19 @@ def _check_numerics(args, parser):
     if args.command == "verify-algebra":
         checks.append(("--margin", lambda: fk.FockBasis(
             args.nmax).interior_indices(args.margin)))
+    # labels reach n+ = twice the largest index; the scan's cubic gauge
+    # needs nmax >= 3
+    if args.command == "reproduce-tables":
+        top = 2 * cp.TABLE_INDEX_TOP
+        checks.append(("--nmax", lambda: _require(
+            args.nmax >= top, f"reproduce-tables needs nmax >= {top}")))
+    if args.command == "gauge-scan":
+        lv, top = args.scan_levels, max(2 * args.scan_levels, 3)
+        checks += [("--scan-levels", lambda: _require(
+                        lv >= 0, "levels must be nonnegative")),
+                   ("--nmax", lambda: _require(args.nmax >= top, (
+                       f"--scan-levels {lv} needs nmax >= {top}")))]
+    checks.append(("--seed", lambda: np.random.default_rng(args.seed)))
     if args.command in _USES_GRID:
         rule = (quad.Grid2.gauss_hermite if args.scheme == "gh"
                 else quad.Grid2.simpson)
@@ -158,10 +174,6 @@ def _check_numerics(args, parser):
             check()
         except ValueError as exc:
             parser.error(f"{flag}: {exc}")
-
-
-def _scheme(args) -> str:
-    return "gauss_hermite" if args.scheme == "gh" else "simpson"
 
 
 def _write_csv(path: str, header: list[str], rows):
@@ -189,7 +201,7 @@ def main(argv=None) -> int:
     _check_numerics(args, parser)
     p = _physical(args, parser)
     g = _gauge(args, parser)
-    scheme = _scheme(args)
+    scheme = "gauss_hermite" if args.scheme == "gh" else "simpson"
     rows = None
     csv_header = None
 

@@ -375,14 +375,14 @@ class PhysicalParams:
     hbar: float = 1.0
 
     def __post_init__(self):
-        if not self.m > 0:
-            raise ValueError("mass must be positive")
-        if self.q == 0:
-            raise ValueError("charge must be nonzero")
-        if self.B == 0:
-            raise ValueError("magnetic field must be nonzero")
-        if not self.hbar > 0:
-            raise ValueError("hbar must be positive")
+        if not 0 < self.m < math.inf:
+            raise ValueError("mass must be positive and finite")
+        if self.q == 0 or not math.isfinite(self.q):
+            raise ValueError("charge must be nonzero and finite")
+        if self.B == 0 or not math.isfinite(self.B):
+            raise ValueError("magnetic field must be nonzero and finite")
+        if not 0 < self.hbar < math.inf:
+            raise ValueError("hbar must be positive and finite")
 
     @property
     def omega_c(self) -> float:
@@ -427,6 +427,8 @@ class GaugeChoice:
         if len(self.x0) != 2:
             raise ValueError("x0 must be a pair")
         object.__setattr__(self, "x0", (float(self.x0[0]), float(self.x0[1])))
+        if not all(map(math.isfinite, (self.alpha, *self.x0))):
+            raise ValueError("alpha and x0 must be finite")
 
     def phibar(self, B: float) -> Poly2:
         """Total gauge function: -(alpha*B/2) u1 u2 + phi."""

@@ -5,9 +5,9 @@ the verification suites.
 Every reduction is correctly rounded: the real and imaginary parts of a
 weighted sum equal ``math.fsum`` of the products bit for bit, whatever the
 batch or block they are reduced in, so identical inputs produce
-bit-identical results.  Every integral of a single integrand carries an
-error estimate from a half-resolution companion rule, and integrands are
-required to decay below 1e-12 of their peak on the outermost ring of nodes.
+bit-identical results.  Integrands are required to decay below 1e-12 of
+their peak on the outermost nodes: the outer ring of a 2-D grid, the two
+endpoints of a 1-D rule.
 """
 
 from __future__ import annotations
@@ -15,18 +15,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
 __all__ = [
     "SupportOverflowError",
-    "QuadResult",
     "Grid2",
     "inner_product",
     "matrix_element",
-    "integrate_values",
     "integrate_rows",
     "line_integral",
     "SUPPORT_RATIO",
@@ -37,11 +35,6 @@ SUPPORT_RATIO = 1e-12
 
 class SupportOverflowError(ValueError):
     """Raised when an integrand has not decayed at the grid boundary."""
-
-
-class QuadResult(NamedTuple):
-    value: complex
-    error_estimate: float
 
 
 @lru_cache(maxsize=None)
@@ -77,30 +70,22 @@ def _axis_simpson(n: int, centre: float, extent: float):
 class Grid2:
     """Tensor-product quadrature grid with positive weights."""
 
-    scheme: str
     x1: np.ndarray
     w1: np.ndarray
     x2: np.ndarray
     w2: np.ndarray
-    spec: tuple = ()
 
     @classmethod
     def gauss_hermite(cls, k: int, centre=(0.0, 0.0), scale=(1.0, 1.0)) -> "Grid2":
-        if np.isscalar(scale):
-            scale = (float(scale), float(scale))
-        x1, w1 = _axis_gauss_hermite(k, centre[0], scale[0])
-        x2, w2 = _axis_gauss_hermite(k, centre[1], scale[1])
-        return cls("gauss_hermite", x1, w1, x2, w2,
-                   (k, tuple(centre), tuple(scale)))
+        s1, s2 = (scale, scale) if np.isscalar(scale) else scale
+        return cls(*_axis_gauss_hermite(k, centre[0], s1),
+                   *_axis_gauss_hermite(k, centre[1], s2))
 
     @classmethod
     def simpson(cls, n: int, centre=(0.0, 0.0), extent=(1.0, 1.0)) -> "Grid2":
-        if np.isscalar(extent):
-            extent = (float(extent), float(extent))
-        x1, w1 = _axis_simpson(n, centre[0], extent[0])
-        x2, w2 = _axis_simpson(n, centre[1], extent[1])
-        return cls("uniform_simpson", x1, w1, x2, w2,
-                   (n, tuple(centre), tuple(extent)))
+        e1, e2 = (extent, extent) if np.isscalar(extent) else extent
+        return cls(*_axis_simpson(n, centre[0], e1),
+                   *_axis_simpson(n, centre[1], e2))
 
     @cached_property
     def points(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -116,16 +101,6 @@ class Grid2:
         mask[0, :] = mask[-1, :] = True
         mask[:, 0] = mask[:, -1] = True
         return mask.ravel()
-
-    @cached_property
-    def coarse(self) -> "Grid2":
-        """Half-resolution companion used for error estimates."""
-        if self.scheme == "gauss_hermite":
-            k, centre, scale = self.spec
-            return Grid2.gauss_hermite(max(3, k // 2), centre, scale)
-        n, centre, extent = self.spec
-        half = max(2, (n // 2) + (n // 2) % 2)
-        return Grid2.simpson(half, centre, extent)
 
 
 # Rows reduced together by ``_fsum_rows``: about 512 KiB of float64 work
@@ -188,11 +163,12 @@ def _weighted_sums(values: np.ndarray, weights: np.ndarray) -> list[complex]:
     return [complex(a, b) for a, b in zip(sums[:len(prod)], sums[len(prod):])]
 
 
-def _support_check(values: np.ndarray, grid: Grid2):
-    """Boundary-decay check of every row of integrand values, in row order."""
+def _support_check(values: np.ndarray, boundary_mask: np.ndarray):
+    """Boundary-decay check of every row of integrand values, in row order;
+    ``boundary_mask`` marks the outermost nodes of the rule."""
     mags = np.abs(values)
     peak = mags.max(axis=1)
-    boundary = mags[:, grid.boundary_mask].max(axis=1)
+    boundary = mags[:, boundary_mask].max(axis=1)
     failing = np.flatnonzero((peak != 0.0) & (boundary > SUPPORT_RATIO * peak))
     if failing.size:
         r = failing[0]
@@ -201,63 +177,32 @@ def _support_check(values: np.ndarray, grid: Grid2):
             f"{SUPPORT_RATIO:.0e} of peak {peak[r]:.3e}; enlarge the grid")
 
 
-def integrate_values(fine: np.ndarray, coarse: np.ndarray,
-                     grid: Grid2) -> QuadResult:
-    """Integrate precomputed integrand values on a grid and its coarse
-    companion; performs the boundary-decay check on the fine values."""
-    val, = integrate_rows(fine[None, :], grid)
-    val_c, = _weighted_sums(coarse[None, :], grid.coarse.points[2])
-    return QuadResult(val, abs(val - val_c))
-
-
 def integrate_rows(values: np.ndarray, grid: Grid2) -> list[complex]:
-    """Integrals of many integrands on the fine grid alone, one per row of
-    ``values``; each equals ``integrate_values(row, ..., grid).value`` bit for
-    bit.  The boundary-decay check runs on every row, in row order."""
-    _support_check(values, grid)
+    """Integrals of many integrands, one per row of ``values``.  The
+    boundary-decay check runs on every row, in row order."""
+    _support_check(values, grid.boundary_mask)
     return _weighted_sums(values, grid.points[2])
 
 
-def inner_product(psi1, psi2, grid: Grid2) -> QuadResult:
+def inner_product(psi1, psi2, grid: Grid2) -> complex:
     """<psi1|psi2> over the plane."""
     x1, x2, _ = grid.points
-    xc1, xc2, _ = grid.coarse.points
-    fine = np.conj(psi1.value(x1, x2)) * psi2.value(x1, x2)
-    coarse = np.conj(psi1.value(xc1, xc2)) * psi2.value(xc1, xc2)
-    return integrate_values(fine, coarse, grid)
+    row = np.conj(psi1.value(x1, x2)) * psi2.value(x1, x2)
+    return integrate_rows(row[None, :], grid)[0]
 
 
-def matrix_element(psi1, op, psi2, grid: Grid2) -> QuadResult:
+def matrix_element(psi1, op, psi2, grid: Grid2) -> complex:
     """<psi1|op|psi2> with the operator applied through the analytic
     derivatives of psi2."""
     x1, x2, _ = grid.points
-    xc1, xc2, _ = grid.coarse.points
-    fine = np.conj(psi1.value(x1, x2)) * op.apply(psi2, x1, x2)
-    coarse = np.conj(psi1.value(xc1, xc2)) * op.apply(psi2, xc1, xc2)
-    return integrate_values(fine, coarse, grid)
+    row = np.conj(psi1.value(x1, x2)) * op.apply(psi2, x1, x2)
+    return integrate_rows(row[None, :], grid)[0]
 
 
-def line_integral(f: Callable, scheme: str = "gauss_hermite", k: int = 80,
-                  centre: float = 0.0, scale: float = 1.0,
-                  extent: float | None = None) -> QuadResult:
-    """1-D integral of a Gaussian-dominated function over the real line
-    (Gauss-Hermite) or a symmetric interval (Simpson)."""
-    if scheme == "gauss_hermite":
-        x, w = _axis_gauss_hermite(k, centre, scale)
-        xc, wc = _axis_gauss_hermite(max(3, k // 2), centre, scale)
-    elif scheme in ("simpson", "uniform_simpson"):
-        ext = extent if extent is not None else 10.0 * scale
-        x, w = _axis_simpson(k, centre, ext)
-        half = max(2, (k // 2) + (k // 2) % 2)
-        xc, wc = _axis_simpson(half, centre, ext)
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}")
-    fine = np.asarray(f(x), dtype=complex)
-    mags = np.abs(fine)
-    peak = float(mags.max()) if mags.size else 0.0
-    if peak > 0.0 and max(abs(fine[0]), abs(fine[-1])) > SUPPORT_RATIO * peak:
-        raise SupportOverflowError("integrand has not decayed at the endpoints")
-    coarse = np.asarray(f(xc), dtype=complex)
-    val, = _weighted_sums(fine[None, :], w)
-    val_c, = _weighted_sums(coarse[None, :], wc)
-    return QuadResult(val, abs(val - val_c))
+def line_integral(f: Callable, k: int = 80, scale: float = 1.0) -> complex:
+    """Integral over the real line of a Gaussian-dominated function by the
+    k-node Gauss-Hermite rule about 0; ``f`` is called once, on the nodes."""
+    x, w = _axis_gauss_hermite(k, 0.0, scale)
+    row = np.asarray(f(x), dtype=complex)[None, :]
+    _support_check(row, np.isin(np.arange(k), (0, k - 1)))
+    return _weighted_sums(row, w)[0]

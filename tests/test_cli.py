@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 
 import pytest
 
@@ -182,8 +183,24 @@ def test_bad_phi_rejected(capsys):
     (["classical-sim", "--dt", "nan"], "--dt: dt must be positive and finite"),
     (["classical-sim", "--energy", "-1"],
      "--energy: energy must be finite and nonnegative"),
+    (["heisenberg-demo", "--bfield", "nan"],
+     "magnetic field must be nonzero and finite"),
+    (["heisenberg-demo", "--hbar", "inf"], "hbar must be positive and finite"),
+    (["basis-change", "--alpha", "nan"], "alpha and x0 must be finite"),
+    (["basis-change", "--x0", "nan,0"], "alpha and x0 must be finite"),
+    (["reproduce-tables", "--nmax", "11"],
+     "--nmax: reproduce-tables needs nmax >= 12"),
+    (["gauge-scan", "--scan-levels", "2", "--nmax", "3"],
+     "--nmax: --scan-levels 2 needs nmax >= 4"),
+    (["gauge-scan", "--scan-levels", "1", "--nmax", "2"],
+     "--nmax: --scan-levels 1 needs nmax >= 3"),
+    (["gauge-scan", "--scan-levels", "-1"],
+     "--scan-levels: levels must be nonnegative"),
+    (["classical-sim", "--seed", "-1"], "--seed: expected non-negative integer"),
 ], ids=["nmax", "simpson-grid", "margin", "phi-syntax", "mass", "steps",
-        "dt-negative", "dt-nan", "energy"])
+        "dt-negative", "dt-nan", "energy", "bfield-nan", "hbar-inf",
+        "alpha-nan", "x0-nan", "tables-nmax", "scan-nmax", "scan-nmax-cubic",
+        "scan-levels", "seed"])
 def test_bad_input_exits_2(capsys, args, message):
     with pytest.raises(SystemExit) as exc:
         main(args + ["--quiet", "--no-timestamp"])
@@ -191,3 +208,17 @@ def test_bad_input_exits_2(capsys, args, message):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.splitlines()[-1].startswith(f"landaulab: error: {message}")
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_nan_deviation_fails(tmp_path):
+    # a finite field so large that every matrix element overflows to nan:
+    # the checks must fail with a nan deviation, not pass at zero
+    out = tmp_path / "r.json"
+    code = main(["heisenberg-demo", "--bfield", "1e300", "--quiet",
+                 "--no-timestamp", "--json-out", str(out)])
+    assert code == 1
+    checks = json.loads(out.read_text())["checks"]
+    assert checks and all(math.isnan(c["deviation"]) and not c["pass"]
+                          for c in checks)

@@ -38,6 +38,26 @@ def test_degenerate_params_rejected(kwargs):
         PhysicalParams(**kwargs)
 
 
+_NON_FINITE = (math.nan, math.inf, -math.inf)
+
+
+@pytest.mark.parametrize("name, message", [
+    ("m", "mass"), ("q", "charge"), ("B", "magnetic field"), ("hbar", "hbar"),
+])
+@pytest.mark.parametrize("bad", _NON_FINITE)
+def test_non_finite_params_rejected(name, message, bad):
+    kwargs = {"m": 1.0, "q": 1.0, "B": 1.0, "hbar": 1.0, name: bad}
+    with pytest.raises(ValueError, match=f"^{message} must be .* finite$"):
+        PhysicalParams(**kwargs)
+
+
+@pytest.mark.parametrize("bad", _NON_FINITE)
+def test_non_finite_gauge_rejected(bad):
+    for alpha, x0 in ((bad, (0.0, 0.0)), (0.0, (bad, 0.0)), (0.0, (0.0, bad))):
+        with pytest.raises(ValueError, match="^alpha and x0 must be finite$"):
+            GaugeChoice(alpha, x0)
+
+
 # -- polynomial parsing -----------------------------------------------------
 
 

@@ -11,7 +11,9 @@ non-default parameter set (negative charge, non-unit hbar, off-origin x0,
 sheared gauge with a cubic gauge function); gauge-scan with the Simpson
 rule and ``--dump-grid``; and the dynamics campaigns at their own settings
 (verify-algebra at the default ``--nmax 16`` with the variant parameters,
-an rk4 orbit, and the zero-momentum orbit).  Each output line is ``<run>
+an rk4 orbit, the zero-momentum orbit, heisenberg-demo at the default
+``--grid 80`` and basis-change at ``--grid 56``, whose line integrals then
+run on 56 and 60 nodes, both with the variant parameters).  Each output line is ``<run>
 <campaign> <file> <exit code> <sha256>``; a file a campaign does not write
 reads ``-``.
 """
@@ -48,7 +50,9 @@ RUNS = [
                   "--scan-levels", "2", "--nmax", "8", "--dump-grid"]]),
     ("dynamics", [["verify-algebra", *VARIANT],
                   ["classical-sim", "--method", "rk4", "--steps", "2000"],
-                  ["classical-sim", "--energy", "0", "--centre", "0.3,0.4"]]),
+                  ["classical-sim", "--energy", "0", "--centre", "0.3,0.4"],
+                  ["heisenberg-demo", *VARIANT],
+                  ["basis-change", "--grid", "56", *VARIANT]]),
 ]
 
 
