@@ -22,7 +22,8 @@ from .fockspace import (FockBasis, FockOperator, TruncationError,
                         gauge_variant_matrix, interior_deviation,
                         interior_project, ladder_ops, poly_operator,
                         t1_fock_overlap, angular_element)
-from .waves import (DiffOpSpec, HermiteGaussian1D, SpecialFactor, WaveForm,
+from .waves import (MAX_QUANTUM_NUMBER, DiffOpSpec, HermiteGaussian1D,
+                    QuantumNumberError, SpecialFactor, WaveForm,
                     fock_state, gauge_phase, hermite,
                     laguerre, multiplication_op, phase_shifted, plane_wave,
                     position_op, t1_basis_function, t1_state, t1rep_apply)

@@ -231,9 +231,11 @@ class _ElementEngine:
         self._jets: dict = {}
         self._ops: dict = {}
 
-    def load(self, key, psi: wv.WaveForm):
+    def load(self, key, make, *args):
+        """Cache the jet of the wave function ``make(*args)`` under ``key``;
+        the function is only built when no jet is cached for the key."""
         if key not in self._jets:
-            self._jets[key] = psi.jet(*self.xy)
+            self._jets[key] = make(*args).jet(*self.xy)
 
     def _coeff_arrays(self, op: wv.DiffOpSpec):
         key = id(op)
@@ -338,7 +340,7 @@ def run_gauge_scan(p: PhysicalParams, gauges=None, nmax: int = 16,
         grid = _default_grid(p, g, grid_k, scheme)
         eng = _ElementEngine(grid, g.x0)
         for (l, n) in states:
-            eng.load((l, n), wv.fock_state(g, p, n + l, n))
+            eng.load((l, n), wv.fock_state, g, p, n + l, n)
         ops = {name: wv.position_op(name, g, p) for name in _SCAN_OPS}
         cano = {name: wv.position_op(name, g, p) for name in CANONICAL_PARTNER}
         extra = {name: wv.multiplication_op(canonical_extra(name, g, p))
@@ -391,7 +393,7 @@ def run_gauge_scan(p: PhysicalParams, gauges=None, nmax: int = 16,
     eng = _ElementEngine(_default_grid(p, gauges[ref], grid_k, scheme), x0)
     sample = states[:6]
     for (l, n) in sample:
-        eng.load((l, n), wv.fock_state(gauges[ref], p, n + l, n))
+        eng.load((l, n), wv.fock_state, gauges[ref], p, n + l, n)
     keys, requests = [], []
     for gi, g in enumerate(gauges):
         if gi == ref:
@@ -455,10 +457,14 @@ def run_reproduce_tables(p: PhysicalParams, nmax: int = 16,
     # route 1 vs route 2 over every in-range label pair
     half = nmax // 2
     wide = _angular_states(half, half)
+    ell, lvl = (np.array(c)[:, None] for c in zip(*wide))
+    flat = np.array([basis.index(n + l, n) for (l, n) in wide])
     for name in _TABLE_OPS:
-        dev = np.max([abs(fk.angular_element(name, l1, n1, l2, n2, p).value
-                          - mats[name].element((n1 + l1, n1), (n2 + l2, n2)))
-                      for (l1, n1) in wide for (l2, n2) in wide])
+        diff = (fk.angular_element(name, ell, lvl, ell.T, lvl.T, p).value
+                - mats[name].matrix[flat[:, None], flat[None, :]])
+        # Python's abs, with which numpy's vectorised complex modulus can
+        # differ in the last bit, over the nonzero differences; keeps a NaN
+        dev = np.max([abs(z) for z in diff[diff != 0].tolist()], initial=0.0)
         rep.add(f"angular:{name}:closed-vs-matrix", dev, tol_alg)
 
     same_level = np.max([
@@ -470,14 +476,16 @@ def run_reproduce_tables(p: PhysicalParams, nmax: int = 16,
     grid = _default_grid(p, g, grid_k, scheme)
     eng = _ElementEngine(grid, g.x0)
     for (l, n) in states:
-        eng.load((l, n), wv.fock_state(g, p, n + l, n))
+        eng.load((l, n), wv.fock_state, g, p, n + l, n)
     ops = {name: wv.position_op(name, g, p) for name in _TABLE_OPS}
     values = iter(eng.elements([(bra, ops[name], ket) for name in _TABLE_OPS
                                 for (bra, ket) in pairs]))
+    l1s, n1s, l2s, n2s = (np.array(c) for c in zip(*(
+        (l1, n1, l2, n2) for ((l1, n1), (l2, n2)) in pairs)))
     for name in _TABLE_OPS:
         dev = 0.0
-        for ((l1, n1), (l2, n2)) in pairs:
-            closed = fk.angular_element(name, l1, n1, l2, n2, p).value
+        table = fk.angular_element(name, l1s, n1s, l2s, n2s, p).value.tolist()
+        for ((l1, n1), (l2, n2)), closed in zip(pairs, table):
             val = next(values)
             dev = np.maximum(dev, abs(closed - val))
             rows.append(("angular", name, (l1, n1, l2, n2),
@@ -565,10 +573,10 @@ def _t1_level_rows(p, g, grid_k, scheme, rows, idx_top) -> dict:
     for (t1, npl, n1, n2) in cases:
         bra = ("t1", t1, n1)
         ket = ("fock", npl, n2)
-        eng.load(bra, wv.t1_state(g, p, t1, n1))
-        eng.load(ket, wv.fock_state(g, p, npl, n2))
+        eng.load(bra, wv.t1_state, g, p, t1, n1)
+        eng.load(ket, wv.fock_state, g, p, npl, n2)
         ov_key = ("t1", t1, n2)
-        eng.load(ov_key, wv.t1_state(g, p, t1, n2))
+        eng.load(ov_key, wv.t1_state, g, p, t1, n2)
         requests += [(ov_key, None, ket), (bra, ops["p1"], ket),
                      (bra, ops["p2"], ket)]
         if n1 == n2:
@@ -632,14 +640,18 @@ def run_basis_change(p: PhysicalParams, gauge: GaugeChoice | None = None,
                 dev = np.maximum(dev, abs(ov - fk.t1_fock_overlap(npl, nm, t1, p)))
     rep.add("level-phase", dev, tol_quad)
 
+    # the coefficients on the line-integral nodes, once per n+.  Each is a
+    # real number times a power of i, so a product of two has one nonzero
+    # term per part and numpy's vectorised complex multiply (which fuses
+    # multiply-adds) rounds it as the scalar product does
+    nodes = quad.line_nodes(grid_k, sig).tolist()
+    coeffs = [np.array([fk.change_of_basis(npl, tt, p) for tt in nodes])
+              for npl in range(11)]
     dev = 0.0
     for npl in range(11):
         for mpl in range(npl + 1):
-            def f(t, a=npl, b=mpl):
-                return np.array([fk.change_of_basis(a, tt, p)
-                                 * np.conj(fk.change_of_basis(b, tt, p))
-                                 for tt in t])
-            val = quad.line_integral(f, k=grid_k, scale=sig)
+            row = coeffs[npl] * np.conj(coeffs[mpl])
+            val = quad.line_integral(lambda t: row, k=grid_k, scale=sig)
             dev = np.maximum(dev, abs(val - (1.0 if npl == mpl else 0.0)))
     rep.add("orthonormality", dev, tol_quad)
 
@@ -647,16 +659,24 @@ def run_basis_change(p: PhysicalParams, gauge: GaugeChoice | None = None,
     lam = p.magnetic_length
     pts = g.x0 + lam * rng.uniform(-2.5, 2.5, size=(20, 2))
     amp = math.sqrt(p.m * p.omega_c / (2.0 * math.pi * p.hbar))
+    k = max(60, grid_k)
+    nodes = quad.line_nodes(k, sig).tolist()
+    cases = ((0, 0), (1, 0), (2, 1), (1, 2), (3, 2))
+    # one translation state per level and node, valued at every point at
+    # once: a (node, point) table with the bits of the pointwise values
+    states = {nm: np.array([wv.t1_state(g, p, tt, nm).value(*pts.T)
+                            for tt in nodes])
+              for nm in {nm for _, nm in cases}}
     dev = 0.0
-    for (npl, nm) in ((0, 0), (1, 0), (2, 1), (1, 2), (3, 2)):
+    for (npl, nm) in cases:
+        # a real number times a power of i, like the coefficients above
+        weight = np.conj([fk.t1_fock_overlap(npl, nm, tt, p) for tt in nodes])
+        rows = states[nm] * weight[:, None]
+        # the target stays pointwise: fock_state values on an array can
+        # differ from them in the last bit
         target = wv.fock_state(g, p, npl, nm)
-        for (x1, x2) in pts:
-            def f(t):
-                return np.array([
-                    wv.t1_state(g, p, float(tt), nm).value(x1, x2)
-                    * np.conj(fk.t1_fock_overlap(npl, nm, float(tt), p))
-                    for tt in t])
-            rec = quad.line_integral(f, k=max(60, grid_k), scale=sig)
+        for j, (x1, x2) in enumerate(pts):
+            rec = quad.line_integral(lambda t: rows[:, j], k=k, scale=sig)
             dev = np.maximum(dev, abs(rec - target.value(x1, x2)) / amp)
     rep.add("reconstruction", dev, tol_rec)
     return rep

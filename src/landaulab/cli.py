@@ -150,8 +150,12 @@ def _check_numerics(args, parser):
             args.nmax >= top, f"reproduce-tables needs nmax >= {top}")))
     if args.command == "gauge-scan":
         lv, top = args.scan_levels, max(2 * args.scan_levels, 3)
+        lv_max = wv.MAX_QUANTUM_NUMBER // 2
         checks += [("--scan-levels", lambda: _require(
                         lv >= 0, "levels must be nonnegative")),
+                   ("--scan-levels", lambda: _require(lv <= lv_max, (
+                       f"levels above {lv_max} reach quantum numbers beyond "
+                       f"{wv.MAX_QUANTUM_NUMBER}"))),
                    ("--nmax", lambda: _require(args.nmax >= top, (
                        f"--scan-levels {lv} needs nmax >= {top}")))]
     checks.append(("--seed", lambda: np.random.default_rng(args.seed)))

@@ -19,7 +19,7 @@ import numpy as np
 
 from .params import (CANONICAL_PARTNER, GaugeChoice, PhysicalParams, Poly2,
                      canonical_extra)
-from .waves import hermite
+from .waves import check_quantum_number, hermite
 
 __all__ = [
     "FockBasis",
@@ -273,61 +273,71 @@ class AngularElement(NamedTuple):
     beyond_table: bool
 
 
-def angular_element(name: str, l1: int, n1: int, l2: int, n2: int,
+def angular_element(name: str, l1, n1, l2, n2,
                    p: PhysicalParams) -> AngularElement:
     """Closed-form matrix element between angular-basis states (l1, n1) and
     (l2, n2), labelled by total angular momentum s*hbar*l and level n.
+
+    The labels may be integer arrays, which broadcast against each other;
+    the value and the flag are then arrays of the broadcast shape.  Scalar
+    labels give a scalar value and flag.  Each entry is the same arithmetic,
+    in the same order, as for its scalar labels, so it has the same bits.
 
     The orbital angular momentum between different levels is not part of the
     tabulated set; its value is computed from the ladder action and flagged
     ``beyond_table``.
     """
-    if l1 < -n1 or l2 < -n2 or n1 < 0 or n2 < 0:
+    l1, n1, l2, n2 = (np.asarray(a) for a in (l1, n1, l2, n2))
+    if np.any((l1 < -n1) | (l2 < -n2) | (n1 < 0) | (n2 < 0)):
         raise ValueError("labels must satisfy n >= 0 and l >= -n")
     s = p.sign
     hb = p.hbar
     c = math.sqrt(hb * p.m * p.omega_c / 2.0)
 
     def d(a, bb):
-        return 1.0 if a == bb else 0.0
+        return np.where(a == bb, 1.0, 0.0)
 
-    # guarded square roots: each factor is only evaluated when its Kronecker
+    # guarded square roots: each factor is only evaluated where its Kronecker
     # condition holds, keeping out-of-band labels well defined
     def up(cond, arg):
-        return math.sqrt(arg) if cond else 0.0
+        return np.sqrt(np.where(cond, arg, 0))
 
+    beyond = False
     if name == "H":
-        return AngularElement(hb * p.omega_c * (n1 + 0.5) * d(l1, l2) * d(n1, n2), False)
-    if name == "T1":
+        v = hb * p.omega_c * (n1 + 0.5) * d(l1, l2) * d(n1, n2)
+    elif name == "T1":
         v = 1j * c * (up(l1 == l2 + 1, n1 + l1)
                       - up(l2 == l1 + 1, n1 + l2)) * d(n1, n2)
-        return AngularElement(v, False)
-    if name == "T2":
+    elif name == "T2":
         v = s * c * (up(l1 == l2 + 1, n1 + l1)
                      + up(l2 == l1 + 1, n1 + l2)) * d(n1, n2)
-        return AngularElement(v, False)
-    if name == "M3":
-        return AngularElement(s * hb * l1 * d(l1, l2) * d(n1, n2), False)
-    if name == "p1":
-        v = 1j * c * (up(l2 == l1 + 1 and n1 == n2 + 1, n1)
-                      - up(l1 == l2 + 1 and n2 == n1 + 1, n2))
-        return AngularElement(v, False)
-    if name == "p2":
-        v = -s * c * (up(l2 == l1 + 1 and n1 == n2 + 1, n1)
-                      + up(l1 == l2 + 1 and n2 == n1 + 1, n2))
-        return AngularElement(v, False)
-    if name == "L3":
-        if n1 == n2:
-            return AngularElement(-s * hb * (2 * n1 + 1) * d(l1, l2), False)
-        # ladder action of -s*hbar*(2 a-^dag a- + 1 + a+^dag a-^dag + a+ a-)
-        v = 0.0
-        if l1 == l2:
-            if n1 == n2 + 1:
-                v = -s * hb * math.sqrt((n2 + l2 + 1) * (n2 + 1))
-            elif n2 == n1 + 1:
-                v = -s * hb * math.sqrt((n2 + l2) * n2)
-        return AngularElement(complex(v), True)
-    raise ValueError(f"unknown observable {name!r}")
+    elif name == "M3":
+        v = s * hb * l1 * d(l1, l2) * d(n1, n2)
+    elif name == "p1":
+        v = 1j * c * (up((l2 == l1 + 1) & (n1 == n2 + 1), n1)
+                      - up((l1 == l2 + 1) & (n2 == n1 + 1), n2))
+    elif name == "p2":
+        v = -s * c * (up((l2 == l1 + 1) & (n1 == n2 + 1), n1)
+                      + up((l1 == l2 + 1) & (n2 == n1 + 1), n2))
+    elif name == "L3":
+        # between levels: ladder action of
+        # -s*hbar*(2 a-^dag a- + 1 + a+^dag a-^dag + a+ a-)
+        ladder = np.where(
+            l1 == l2,
+            np.where(n1 == n2 + 1, -s * hb * np.sqrt((n2 + l2 + 1) * (n2 + 1)),
+                     np.where(n2 == n1 + 1, -s * hb * np.sqrt((n2 + l2) * n2),
+                              0.0)),
+            0.0)
+        beyond = n1 != n2
+        v = np.where(beyond, ladder, -s * hb * (2 * n1 + 1) * d(l1, l2))
+    else:
+        raise ValueError(f"unknown observable {name!r}")
+    shape = np.broadcast_shapes(l1.shape, n1.shape, l2.shape, n2.shape)
+    v = np.broadcast_to(v, shape)
+    beyond = np.broadcast_to(beyond, shape)
+    if not shape:
+        return AngularElement(v.item(), bool(beyond))
+    return AngularElement(v, beyond)
 
 
 def change_of_basis(nplus: int, t1: float, p: PhysicalParams) -> complex:
@@ -344,6 +354,7 @@ def change_of_basis(nplus: int, t1: float, p: PhysicalParams) -> complex:
     """
     if nplus < 0:
         raise ValueError("nplus must be nonnegative")
+    check_quantum_number(nplus, "nplus")
     sig2 = p.hbar * p.m * p.omega_c
     y = t1 / math.sqrt(sig2)
     h = hermite(nplus, y)
@@ -365,6 +376,7 @@ def t1_fock_overlap(nplus: int, nminus: int, t1: float,
     """
     if nminus < 0:
         raise ValueError("nminus must be nonnegative")
+    check_quantum_number(nminus, "nminus")
     return (1j * p.sign) ** nminus * change_of_basis(nplus, t1, p)
 
 

@@ -27,6 +27,7 @@ __all__ = [
     "matrix_element",
     "integrate_rows",
     "line_integral",
+    "line_nodes",
     "SUPPORT_RATIO",
 ]
 
@@ -199,9 +200,15 @@ def matrix_element(psi1, op, psi2, grid: Grid2) -> complex:
     return integrate_rows(row[None, :], grid)[0]
 
 
+def line_nodes(k: int = 80, scale: float = 1.0) -> np.ndarray:
+    """The nodes on which ``line_integral(f, k, scale)`` calls ``f``."""
+    return _axis_gauss_hermite(k, 0.0, scale)[0]
+
+
 def line_integral(f: Callable, k: int = 80, scale: float = 1.0) -> complex:
     """Integral over the real line of a Gaussian-dominated function by the
-    k-node Gauss-Hermite rule about 0; ``f`` is called once, on the nodes."""
+    k-node Gauss-Hermite rule about 0; ``f`` is called once, on the nodes
+    :func:`line_nodes` returns."""
     x, w = _axis_gauss_hermite(k, 0.0, scale)
     row = np.asarray(f(x), dtype=complex)[None, :]
     _support_check(row, np.isin(np.arange(k), (0, k - 1)))

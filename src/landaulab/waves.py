@@ -25,6 +25,9 @@ import numpy as np
 from .params import GaugeChoice, PhysicalParams, Poly2, vector_potential_polys
 
 __all__ = [
+    "MAX_QUANTUM_NUMBER",
+    "QuantumNumberError",
+    "check_quantum_number",
     "hermite",
     "laguerre",
     "SpecialFactor",
@@ -43,6 +46,26 @@ __all__ = [
     "t1_basis_function",
     "t1rep_apply",
 ]
+
+
+# Largest quantum number the closed forms accept.  Against 50-digit mpmath
+# the angular states fock_state(n+, n-) stay within 1e-10 of their peak
+# magnitude up to |l| = 40 (3.4e-11; 1.5e-10 at |l| = 45, 4.9e-8 at 60): the
+# binomial expansion of the angular polynomial cancels off the axes.  The
+# translation states and basis-change coefficients hold 1e-14 there.
+MAX_QUANTUM_NUMBER = 40
+
+
+class QuantumNumberError(ValueError):
+    """Raised for a quantum number above :data:`MAX_QUANTUM_NUMBER`, beyond
+    which the closed forms are not validated."""
+
+
+def check_quantum_number(n: int, what: str):
+    """Refuse a quantum number above :data:`MAX_QUANTUM_NUMBER`."""
+    if n > MAX_QUANTUM_NUMBER:
+        raise QuantumNumberError(
+            f"{what} {n} exceeds the validated maximum {MAX_QUANTUM_NUMBER}")
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +232,7 @@ def t1_state(g: GaugeChoice, p: PhysicalParams, t1: float, n: int) -> WaveForm:
     """
     if n < 0:
         raise ValueError("level must be nonnegative")
+    check_quantum_number(n, "level")
     hb, mw = p.hbar, p.m * p.omega_c
     d = t1 / p.qB                      # x0_2 - centre ordinate
     c2 = 0.5 * mw / hb
@@ -233,6 +257,7 @@ def fock_state(g: GaugeChoice, p: PhysicalParams, nplus: int,
     """
     if nplus < 0 or nminus < 0:
         raise ValueError("occupation numbers must be nonnegative")
+    check_quantum_number(max(nplus, nminus), "occupation number")
     hb, mw, s = p.hbar, p.m * p.omega_c, p.sign
     n = min(nplus, nminus)
     ell = nplus - nminus
@@ -459,6 +484,7 @@ class HermiteGaussian1D:
 def t1_basis_function(nplus: int, p: PhysicalParams) -> HermiteGaussian1D:
     """chi_{n+}(t): the translation-eigenvalue profile <T1, E_n|n+, n-=n>
     shared by all levels up to the constant level phase."""
+    check_quantum_number(nplus, "nplus")
     sig = math.sqrt(p.hbar * p.m * p.omega_c)
     coeff = (-1j) ** nplus / math.sqrt(2.0 ** nplus * math.factorial(nplus)) \
         * (math.pi * sig * sig) ** -0.25

@@ -196,11 +196,13 @@ def test_bad_phi_rejected(capsys):
      "--nmax: --scan-levels 1 needs nmax >= 3"),
     (["gauge-scan", "--scan-levels", "-1"],
      "--scan-levels: levels must be nonnegative"),
+    (["gauge-scan", "--scan-levels", "21", "--nmax", "42"],
+     "--scan-levels: levels above 20 reach quantum numbers beyond 40"),
     (["classical-sim", "--seed", "-1"], "--seed: expected non-negative integer"),
 ], ids=["nmax", "simpson-grid", "margin", "phi-syntax", "mass", "steps",
         "dt-negative", "dt-nan", "energy", "bfield-nan", "hbar-inf",
         "alpha-nan", "x0-nan", "tables-nmax", "scan-nmax", "scan-nmax-cubic",
-        "scan-levels", "seed"])
+        "scan-levels", "scan-levels-high", "seed"])
 def test_bad_input_exits_2(capsys, args, message):
     with pytest.raises(SystemExit) as exc:
         main(args + ["--quiet", "--no-timestamp"])

@@ -1,7 +1,10 @@
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.polynomial.hermite import hermgauss
 
 from landaulab import GaugeChoice, PhysicalParams, Poly2, parse_poly
@@ -256,6 +259,91 @@ def test_angular_elements_match_matrices():
                         assert abs(closed - entry) < 1e-13, (name, l1, n1, l2, n2)
 
 
+def _angular_element_scalar(name, l1, n1, l2, n2, p):
+    """The scalar closed form the array form replaced, kept as the bit-level
+    reference: one label set at a time, in Python floats."""
+    if l1 < -n1 or l2 < -n2 or n1 < 0 or n2 < 0:
+        raise ValueError("labels must satisfy n >= 0 and l >= -n")
+    s = p.sign
+    hb = p.hbar
+    c = math.sqrt(hb * p.m * p.omega_c / 2.0)
+
+    def d(a, bb):
+        return 1.0 if a == bb else 0.0
+
+    def up(cond, arg):
+        return math.sqrt(arg) if cond else 0.0
+
+    if name == "H":
+        return hb * p.omega_c * (n1 + 0.5) * d(l1, l2) * d(n1, n2), False
+    if name == "T1":
+        return 1j * c * (up(l1 == l2 + 1, n1 + l1)
+                         - up(l2 == l1 + 1, n1 + l2)) * d(n1, n2), False
+    if name == "T2":
+        return s * c * (up(l1 == l2 + 1, n1 + l1)
+                        + up(l2 == l1 + 1, n1 + l2)) * d(n1, n2), False
+    if name == "M3":
+        return s * hb * l1 * d(l1, l2) * d(n1, n2), False
+    if name == "p1":
+        return 1j * c * (up(l2 == l1 + 1 and n1 == n2 + 1, n1)
+                         - up(l1 == l2 + 1 and n2 == n1 + 1, n2)), False
+    if name == "p2":
+        return -s * c * (up(l2 == l1 + 1 and n1 == n2 + 1, n1)
+                         + up(l1 == l2 + 1 and n2 == n1 + 1, n2)), False
+    assert name == "L3"
+    if n1 == n2:
+        return -s * hb * (2 * n1 + 1) * d(l1, l2), False
+    v = 0.0
+    if l1 == l2:
+        if n1 == n2 + 1:
+            v = -s * hb * math.sqrt((n2 + l2 + 1) * (n2 + 1))
+        elif n2 == n1 + 1:
+            v = -s * hb * math.sqrt((n2 + l2) * n2)
+    return complex(v), True
+
+
+def _bits(z):
+    z = complex(z)
+    return struct.pack("<dd", z.real, z.imag)
+
+
+_LABEL = st.integers(0, 12).flatmap(
+    lambda n: st.tuples(st.integers(-n, 12), st.just(n)))
+_FINITE = {"allow_nan": False, "allow_infinity": False}
+
+
+@settings(max_examples=100, deadline=None)
+@given(name=st.sampled_from(("H", "T1", "T2", "M3", "p1", "p2", "L3")),
+       top=st.tuples(st.integers(0, 5), st.integers(0, 5)),
+       extra=st.lists(_LABEL, max_size=6),
+       m=st.floats(0.2, 5.0, **_FINITE), q=st.floats(0.2, 3.0, **_FINITE),
+       b=st.floats(0.2, 3.0, **_FINITE), hbar=st.floats(0.1, 4.0, **_FINITE),
+       flip=st.booleans())
+def test_array_angular_element_matches_scalar_code_bitwise(
+        name, top, extra, m, q, b, hbar, flip):
+    # every pair of a dense label block plus scattered labels, read in one
+    # array call, against the old scalar code
+    p = PhysicalParams(m, -q if flip else q, b, hbar=hbar)
+    labels = [(l, n) for n in range(top[0] + 1)
+              for l in range(-n, top[1] + 1)] + extra
+    l1, n1 = (np.array(c)[:, None] for c in zip(*labels))
+    el = angular_element(name, l1, n1, l1.T, n1.T, p)
+    assert el.value.shape == el.beyond_table.shape == (len(labels),) * 2
+    for i, (lb, nb) in enumerate(labels):
+        for j, (lk, nk) in enumerate(labels):
+            value, beyond = _angular_element_scalar(name, lb, nb, lk, nk, p)
+            assert _bits(el.value[i, j]) == _bits(value)
+            assert el.beyond_table[i, j] == beyond
+    # scalar labels in, Python scalars out, with the same bits
+    for (lb, nb), (lk, nk) in zip(labels, labels[::-1]):
+        value, beyond = _angular_element_scalar(name, lb, nb, lk, nk, p)
+        one = angular_element(name, lb, nb, lk, nk, p)
+        assert type(one.value) in (float, complex)
+        assert type(one.beyond_table) is bool
+        assert _bits(one.value) == _bits(value)
+        assert one.beyond_table == beyond
+
+
 def test_orbital_between_levels_flagged():
     el = angular_element("L3", 2, 1, 2, 2, P)
     assert el.beyond_table
@@ -267,6 +355,8 @@ def test_orbital_between_levels_flagged():
 def test_label_validation():
     with pytest.raises(ValueError):
         angular_element("M3", -2, 1, 0, 0, P)
+    with pytest.raises(ValueError):
+        angular_element("M3", np.array([0, -2]), np.array([0, 1]), 0, 0, P)
 
 
 def test_selection_rules_in_matrices():

@@ -7,7 +7,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from landaulab import GaugeChoice, PhysicalParams, parse_poly
-from landaulab.campaigns import _SCAN_OPS, _default_grid, _ElementEngine
+from landaulab import waves as wv
+from landaulab.campaigns import (_SCAN_OPS, TABLE_INDEX_TOP, _default_grid,
+                                 _ElementEngine, _t1_level_rows)
 from landaulab.fockspace import change_of_basis, t1_fock_overlap
 from landaulab.params import CANONICAL_PARTNER
 from landaulab.quadrature import (Grid2, SupportOverflowError, _fsum_rows,
@@ -312,7 +314,7 @@ def test_engine_elements_equal_matrix_element(scheme, k):
     psi = {lab: fock_state(g, P, lab[1] + lab[0], lab[1]) for lab in labels}
     eng = _ElementEngine(grid, g.x0)
     for lab in labels:
-        eng.load(lab, psi[lab])
+        eng.load(lab, psi.get, lab)
     ops = [position_op(name, g, P)
            for name in _SCAN_OPS + tuple(CANONICAL_PARTNER)] + [None]
     requests = [(a, op, b) for op in ops for a in labels for b in labels]
@@ -322,6 +324,22 @@ def test_engine_elements_equal_matrix_element(scheme, k):
                else matrix_element(psi[a], op, psi[b], grid))
         assert struct.pack("<dd", val.real, val.imag) \
             == struct.pack("<dd", ref.real, ref.imag)
+
+
+def test_level_rows_build_each_state_once(monkeypatch):
+    # the engine caches jets by key, so a state shared by several rows is
+    # built once: 14 translation and 14 angular states at the table sizes
+    builds = {"t1_state": [], "fock_state": []}
+    for name, calls in builds.items():
+        def counted(*args, fn=getattr(wv, name), calls=calls):
+            calls.append(args[2:])
+            return fn(*args)
+        monkeypatch.setattr(wv, name, counted)
+    rows = []
+    _t1_level_rows(P, SYM, 56, "gauss_hermite", rows, TABLE_INDEX_TOP)
+    assert rows
+    for calls in builds.values():
+        assert len(calls) == len(set(calls)) == 14
 
 
 def test_engine_support_failure_matches_per_element_path():
@@ -338,7 +356,7 @@ def test_engine_support_failure_matches_per_element_path():
             matrix_element(psi[a], op, psi[b], grid)
     eng = _ElementEngine(grid, SYM.x0)
     for lab in labels:
-        eng.load(lab, psi[lab])
+        eng.load(lab, psi.get, lab)
     with pytest.raises(SupportOverflowError) as batched:
         eng.elements(requests)
     assert str(batched.value) == str(per_element.value)

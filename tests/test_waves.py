@@ -5,11 +5,13 @@ import pytest
 from numpy.polynomial.hermite import hermgauss
 
 from landaulab import GaugeChoice, PhysicalParams, Poly2, gauge_delta, parse_poly
-from landaulab.waves import (DiffOpSpec, HermiteGaussian1D,
-                             connection_momentum_op, fock_state, gauge_phase,
-                             hermite, laguerre, multiplication_op,
-                             phase_shifted, plane_wave, position_op,
-                             t1_basis_function, t1_state, t1rep_apply)
+from landaulab.fockspace import change_of_basis, t1_fock_overlap
+from landaulab.waves import (MAX_QUANTUM_NUMBER, DiffOpSpec, HermiteGaussian1D,
+                             QuantumNumberError, connection_momentum_op,
+                             fock_state, gauge_phase, hermite, laguerre,
+                             multiplication_op, phase_shifted, plane_wave,
+                             position_op, t1_basis_function, t1_state,
+                             t1rep_apply)
 
 P = PhysicalParams(1, 1, 1)
 SYM = GaugeChoice(0.0)
@@ -372,3 +374,75 @@ def test_hermite_gaussian_derivatives():
     y = t / f.scale
     rhs = (y * y - 2 * f.k - 1) * f.value(t) / f.scale ** 2
     assert np.max(np.abs(f.d2(t) - rhs)) < 1e-12 * np.max(np.abs(rhs))
+
+
+# -- validated range of quantum numbers ---------------------------------------
+
+
+def test_closed_forms_hold_1e_10_at_the_quantum_number_bound():
+    # oracle: the same closed forms in 40-digit mpmath arithmetic, unit
+    # parameters, symmetric gauge; the error is taken relative to the
+    # largest magnitude sampled, so zeros of the function do not count
+    mp = pytest.importorskip("mpmath")
+    top = MAX_QUANTUM_NUMBER
+    rng = np.random.default_rng(5)
+
+    def sup_rel(got, want):
+        want = np.array([complex(w) for w in want])
+        return np.max(np.abs(np.asarray(got) - want)) / np.max(np.abs(want))
+
+    with mp.workdps(40):
+        for npl, nm in ((top, 0), (0, top), (top, top), (top, top // 2)):
+            n, ell = min(npl, nm), abs(npl - nm)
+            sgn = 1 if npl >= nm else -1
+            r = (math.sqrt(2 * (2 * n + ell + 1)) + 3) \
+                * np.sqrt(rng.uniform(0, 1, 60))
+            th = rng.uniform(0, 2 * math.pi, 60)
+            u1, u2 = r * np.cos(th), r * np.sin(th)
+            want = [mp.sqrt(mp.factorial(n) / mp.factorial(n + ell))
+                    * (-1) ** n / mp.sqrt(2 * mp.pi)
+                    * ((a + 1j * sgn * b) / mp.sqrt(2)) ** ell
+                    * mp.exp(-(a * a + b * b) / 4)
+                    * mp.laguerre(n, ell, (a * a + b * b) / 2)
+                    for a, b in zip(map(mp.mpf, u1), map(mp.mpf, u2))]
+            got = fock_state(SYM, P, npl, nm).value(u1, u2)
+            assert sup_rel(got, want) < 1e-10, (npl, nm)
+
+        half = math.sqrt(2 * top + 1) + 3
+        t = rng.uniform(-half, half, 60)
+        coeff = [mp.mpc(0, 1) ** top / mp.sqrt(2 ** top * mp.factorial(top))
+                 * mp.pi ** -0.25 * mp.exp(-tt * tt / 2) * mp.hermite(top, tt)
+                 for tt in map(mp.mpf, t)]
+        assert sup_rel([change_of_basis(top, tt, P) for tt in t], coeff) \
+            < 1e-10
+        assert sup_rel(t1_basis_function(top, P).value(t),
+                       [(-1) ** top * c for c in coeff]) < 1e-10
+        t1, u1 = 0.7, rng.uniform(-3, 3, 60)
+        want = [mp.exp(-(b + t1) ** 2 / 2) * mp.expj(a * b / 2 + t1 * a)
+                * mp.hermite(top, b + t1) / mp.sqrt(2 ** top * mp.factorial(top))
+                / mp.sqrt(2 * mp.pi) * mp.pi ** -0.25
+                for a, b in zip(map(mp.mpf, u1), map(mp.mpf, t - t1))]
+        assert sup_rel(t1_state(SYM, P, t1, top).value(u1, t - t1), want) \
+            < 1e-10
+
+
+def test_quantum_numbers_beyond_the_bound_refused():
+    top = MAX_QUANTUM_NUMBER + 1
+    assert issubclass(QuantumNumberError, ValueError)
+    calls = [lambda: fock_state(SYM, P, top, 0),
+             lambda: fock_state(GEN, P, 3, top),
+             lambda: t1_state(SYM, P, 0.3, top),
+             lambda: t1_basis_function(top, P),
+             lambda: change_of_basis(top, 0.3, P),
+             lambda: t1_fock_overlap(top, 0, 0.3, P),
+             lambda: t1_fock_overlap(0, top, 0.3, P),
+             # these used to overflow in the normalisation, or to return
+             # values 1e8 off without an error
+             lambda: change_of_basis(171, 0.0, P),
+             lambda: fock_state(SYM, P, 171, 0)]
+    for call in calls:
+        with pytest.raises(QuantumNumberError, match="validated maximum 40"):
+            call()
+    # the bound itself is accepted
+    fock_state(SYM, P, MAX_QUANTUM_NUMBER, MAX_QUANTUM_NUMBER)
+    t1_state(SYM, P, 0.3, MAX_QUANTUM_NUMBER)

@@ -6,16 +6,18 @@ Usage, from the root of a checkout::
 
     PYTHONPATH=src python tools/report_digests.py > digests.txt
 
-Four runs: every campaign at small settings; every campaign with a
+Five runs: every campaign at small settings; every campaign with a
 non-default parameter set (negative charge, non-unit hbar, off-origin x0,
 sheared gauge with a cubic gauge function); gauge-scan with the Simpson
-rule and ``--dump-grid``; and the dynamics campaigns at their own settings
+rule and ``--dump-grid``; the dynamics campaigns at their own settings
 (verify-algebra at the default ``--nmax 16`` with the variant parameters,
 an rk4 orbit, the zero-momentum orbit, heisenberg-demo at the default
 ``--grid 80`` and basis-change at ``--grid 56``, whose line integrals then
-run on 56 and 60 nodes, both with the variant parameters).  Each output line is ``<run>
-<campaign> <file> <exit code> <sha256>``; a file a campaign does not write
-reads ``-``.
+run on 56 and 60 nodes, both with the variant parameters); and
+reproduce-tables at ``--nmax 16``, whose closed-vs-matrix check then spans
+all 117 angular states, with the variant parameters and non-unit mass and
+field.  Each output line is ``<run> <campaign> <file> <exit code>
+<sha256>``; a file a campaign does not write reads ``-``.
 """
 
 from __future__ import annotations
@@ -53,6 +55,8 @@ RUNS = [
                   ["classical-sim", "--energy", "0", "--centre", "0.3,0.4"],
                   ["heisenberg-demo", *VARIANT],
                   ["basis-change", "--grid", "56", *VARIANT]]),
+    ("tables", [["reproduce-tables", "--nmax", "16", "--grid", "56", *VARIANT,
+                 "--mass", "1.3", "--bfield", "0.7"]]),
 ]
 
 
