@@ -303,6 +303,30 @@ def _neighbour_pairs(states, extra_offsets=((0, 2), (2, 0), (1, -2), (2, 2))):
 _SCAN_OPS = ("H", "T1", "T2", "M3", "p1", "p2", "L3")
 
 
+def _canonical_route(p: PhysicalParams, gauges, basis: fk.FockBasis,
+                     pairs) -> list[dict]:
+    """Matrix elements <bra|op|ket> of the canonical operators (pi1, pi2,
+    L3c) on ``basis`` at every angular-label pair, one list per operator and
+    gauge; each has the bits of ``fk.gauge_variant_matrix(...).element``.
+
+    Only the entries read are kept: of the partner matrices, which do not
+    depend on the gauge, and of each position monomial, built once for all
+    gauges."""
+    at = ([basis.index(bra[1] + bra[0], bra[1]) for bra, _ in pairs],
+          [basis.index(ket[1] + ket[0], ket[1]) for _, ket in pairs])
+    partners = {name: fk.build_observable(CANONICAL_PARTNER[name], p,
+                                          gauges[0].x0, basis).matrix[at]
+                for name in CANONICAL_PARTNER}
+    keys = {key for g in gauges for name in CANONICAL_PARTNER
+            for key in canonical_extra(name, g, p).terms}
+    monomials = {key: mono[at]
+                 for key, mono in fk.position_monomials(p, basis, keys)}
+    return [{name: fk.canonical_entries(name, g, p, partners[name],
+                                        monomials).tolist()
+             for name in CANONICAL_PARTNER}
+            for g in gauges]
+
+
 def run_gauge_scan(p: PhysicalParams, gauges=None, nmax: int = 16,
                    grid_k: int = 80, scheme: str = "gauss_hermite",
                    seed: int = 7, tol_inv: float = QUAD_TOL,
@@ -334,7 +358,15 @@ def run_gauge_scan(p: PhysicalParams, gauges=None, nmax: int = 16,
     route_dev = {name: 0.0 for name in CANONICAL_PARTNER}
 
     u1, u2 = Poly2.variable(1), Poly2.variable(2)
-    basis = fk.FockBasis(nmax)
+
+    sample_set = set(states[:6])
+    # canonical-operator checks on a deterministic half of the pairs,
+    # always keeping the sample block used by the shift comparison
+    checked = [not (pi % 2) or (bra in sample_set and ket in sample_set)
+               for pi, (bra, ket) in enumerate(pairs)]
+    route = _canonical_route(p, gauges, fk.FockBasis(nmax),
+                             [pair for pair, check in zip(pairs, checked)
+                              if check])
 
     for gi, g in enumerate(gauges):
         grid = _default_grid(p, g, grid_k, scheme)
@@ -345,14 +377,8 @@ def run_gauge_scan(p: PhysicalParams, gauges=None, nmax: int = 16,
         cano = {name: wv.position_op(name, g, p) for name in CANONICAL_PARTNER}
         extra = {name: wv.multiplication_op(canonical_extra(name, g, p))
                  for name in CANONICAL_PARTNER}
-        variant_matrices = {name: fk.gauge_variant_matrix(name, g, p, basis)
-                            for name in CANONICAL_PARTNER}
-
-        sample_set = set(states[:6])
-        # canonical-operator checks on a deterministic half of the pairs,
-        # always keeping the sample block used by the shift comparison
-        checked = [not (pi % 2) or (bra in sample_set and ket in sample_set)
-                   for pi, (bra, ket) in enumerate(pairs)]
+        route_values = {name: iter(route[gi][name])
+                        for name in CANONICAL_PARTNER}
         requests = []
         for (bra, ket), check in zip(pairs, checked):
             requests += [(bra, ops[name], ket) for name in _SCAN_OPS]
@@ -373,9 +399,8 @@ def run_gauge_scan(p: PhysicalParams, gauges=None, nmax: int = 16,
                 canonical[name][(bra, ket, gi)] = val
                 pred = here[CANONICAL_PARTNER[name]] + next(values)
                 dec_dev[name] = np.maximum(dec_dev[name], abs(val - pred))
-                alg = variant_matrices[name].element(
-                    (bra[1] + bra[0], bra[1]), (ket[1] + ket[0], ket[1]))
-                route_dev[name] = np.maximum(route_dev[name], abs(val - alg))
+                route_dev[name] = np.maximum(route_dev[name],
+                                             abs(val - next(route_values[name])))
 
     for name in _SCAN_OPS:
         spread = 0.0
@@ -569,21 +594,27 @@ def _t1_level_rows(p, g, grid_k, scheme, rows, idx_top) -> dict:
     scale = c
     cases = [(t1, npl, n1, n2) for t1 in tvals for npl in nplus_vals
              for (n1, n2) in level_pairs]
-    requests = []
+    # level pairs sharing n2 share the overlap <t1, n2|n+, n2>: it is
+    # requested once and read by position
+    requests, overlap_at, at = [], {}, []
     for (t1, npl, n1, n2) in cases:
         bra = ("t1", t1, n1)
         ket = ("fock", npl, n2)
         eng.load(bra, wv.t1_state, g, p, t1, n1)
         eng.load(ket, wv.fock_state, g, p, npl, n2)
-        ov_key = ("t1", t1, n2)
-        eng.load(ov_key, wv.t1_state, g, p, t1, n2)
-        requests += [(ov_key, None, ket), (bra, ops["p1"], ket),
-                     (bra, ops["p2"], ket)]
+        overlap = (("t1", t1, n2), None, ket)
+        if overlap not in overlap_at:
+            eng.load(overlap[0], wv.t1_state, g, p, t1, n2)
+            overlap_at[overlap] = len(requests)
+            requests.append(overlap)
+        at.append((overlap_at[overlap], len(requests)))
+        requests += [(bra, ops["p1"], ket), (bra, ops["p2"], ket)]
         if n1 == n2:
             requests.append((bra, ops["L3"], ket))
-    values = iter(eng.elements(requests))
-    for (t1, npl, n1, n2) in cases:
-        overlap = next(values)
+    results = eng.elements(requests)
+    for (t1, npl, n1, n2), (ov, first) in zip(cases, at):
+        overlap = results[ov]
+        values = iter(results[first:first + 3])  # p1, p2, L3 within a level
         for name in ("p1", "p2"):
             k = coeff(name, n1, n2)
             lhs = next(values)

@@ -27,6 +27,7 @@ __all__ = [
     "TruncationError",
     "ladder_ops",
     "build_observable",
+    "position_monomials",
     "poly_operator",
     "interior_project",
     "interior_deviation",
@@ -35,6 +36,7 @@ __all__ = [
     "angular_element",
     "change_of_basis",
     "t1_fock_overlap",
+    "canonical_entries",
     "gauge_variant_matrix",
     "OBSERVABLE_NAMES",
 ]
@@ -205,32 +207,53 @@ def build_observable(name: str, p: PhysicalParams, x0: tuple[float, float],
     raise ValueError(f"unknown observable {name!r}")
 
 
-def poly_operator(f: Poly2, p: PhysicalParams, x0: tuple[float, float],
-                  b: FockBasis) -> FockOperator:
-    """Matrix of f(x1 - x0_1, x2 - x0_2) on the truncated basis, assembled
-    from position-operator powers in a fixed left-to-right monomial order.
+def position_monomials(p: PhysicalParams, b: FockBasis, keys):
+    """Matrices of the position monomials (x1 - x0_1)^i (x2 - x0_2)^j, one
+    per distinct ``(i, j)`` in ``keys``, yielded as ``((i, j), matrix)`` in
+    sorted key order.
 
-    The excursion equals the total degree of f, so the degree must not
-    exceed the truncation.
+    Each is the full BLAS product ``pow1[i] @ pow2[j]`` of the power chains
+    ``eye @ u @ u ...`` of the two position operators, so a monomial has the
+    same bits whichever polynomial needs it.  The chains are built at once,
+    each monomial only when it is requested, so a caller keeping a few
+    entries of each never holds all of them.
     """
-    deg = max(f.degree, 0)
+    keys = sorted(set(keys))
+    deg = max((i + j for i, j in keys), default=0)
     if deg > b.nmax:
         raise TruncationError(
             f"polynomial degree {deg} exceeds truncation nmax={b.nmax}")
     u1 = build_observable("x1", p, (0.0, 0.0), b).matrix
     u2 = build_observable("x2", p, (0.0, 0.0), b).matrix
-    imax = max((i for i, _ in f.terms), default=0)
-    jmax = max((j for _, j in f.terms), default=0)
     pow1 = [np.eye(b.dim, dtype=complex)]
-    for _ in range(imax):
+    for _ in range(max((i for i, _ in keys), default=0)):
         pow1.append(pow1[-1] @ u1)
     pow2 = [np.eye(b.dim, dtype=complex)]
-    for _ in range(jmax):
+    for _ in range(max((j for _, j in keys), default=0)):
         pow2.append(pow2[-1] @ u2)
-    m = np.zeros((b.dim, b.dim), dtype=complex)
-    for (i, j) in sorted(f.terms):
-        m += f.terms[(i, j)] * (pow1[i] @ pow2[j])
-    return FockOperator(b, m, deg)
+    return (((i, j), pow1[i] @ pow2[j]) for (i, j) in keys)
+
+
+def _poly_sum(f: Poly2, monomials, shape) -> np.ndarray:
+    """Sum of ``f.terms[k] * monomials[k]`` from zeros, in sorted term order,
+    over whatever entries the monomial arrays hold."""
+    m = np.zeros(shape, dtype=complex)
+    for key in sorted(f.terms):
+        m += f.terms[key] * monomials[key]
+    return m
+
+
+def poly_operator(f: Poly2, p: PhysicalParams, x0: tuple[float, float],
+                  b: FockBasis) -> FockOperator:
+    """Matrix of f(x1 - x0_1, x2 - x0_2) on the truncated basis, assembled
+    from :func:`position_monomials` in a fixed monomial order.
+
+    The excursion equals the total degree of f, so the degree must not
+    exceed the truncation.
+    """
+    monomials = dict(position_monomials(p, b, f.terms))
+    return FockOperator(b, _poly_sum(f, monomials, (b.dim, b.dim)),
+                        max(f.degree, 0))
 
 
 def interior_project(op: FockOperator, margin: int) -> np.ndarray:
@@ -385,10 +408,26 @@ def t1_fock_overlap(nplus: int, nminus: int, t1: float,
 # ---------------------------------------------------------------------------
 
 
+def canonical_entries(which: str, g: GaugeChoice, p: PhysicalParams,
+                      partner: np.ndarray, monomials) -> np.ndarray:
+    """Entries of a gauge-variant canonical operator (pi1, pi2 or L3c):
+    ``partner`` holds entries of its gauge-invariant partner observable and
+    ``monomials`` maps every monomial of its polynomial position term
+    :func:`~landaulab.params.canonical_extra` to the same entries of the
+    monomial's matrix.  The polynomial term is summed as in
+    :func:`poly_operator`, then added to the partner, so every entry has the
+    bits of the full matrix's."""
+    return partner + _poly_sum(canonical_extra(which, g, p), monomials,
+                               partner.shape)
+
+
 def gauge_variant_matrix(which: str, g: GaugeChoice, p: PhysicalParams,
                          b: FockBasis) -> FockOperator:
     """Matrix of a gauge-variant canonical operator (pi1, pi2 or L3c): the
-    gauge-invariant partner observable plus the matrix of its polynomial
-    position term :func:`~landaulab.params.canonical_extra`."""
-    extra = poly_operator(canonical_extra(which, g, p), p, g.x0, b)
-    return build_observable(CANONICAL_PARTNER[which], p, g.x0, b) + extra
+    :func:`canonical_entries` of every entry."""
+    extra = canonical_extra(which, g, p)
+    partner = build_observable(CANONICAL_PARTNER[which], p, g.x0, b)
+    monomials = dict(position_monomials(p, b, extra.terms))
+    return FockOperator(
+        b, canonical_entries(which, g, p, partner.matrix, monomials),
+        max(partner.excursion, extra.degree))

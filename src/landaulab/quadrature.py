@@ -13,6 +13,7 @@ endpoints of a 1-D rule.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable
@@ -104,17 +105,43 @@ class Grid2:
         return mask.ravel()
 
 
-# Rows reduced together by ``_fsum_rows``: about 512 KiB of float64 work
-# buffer, so one level of the extraction stays in cache.
+# Values reduced together: about 512 KiB of float64 work buffer, so one
+# level of the extraction stays in cache.
 _BLOCK_VALUES = 1 << 16
 # Largest magnitude extracted; beyond it 2**(e + M) could overflow, and such
 # rows (and rows holding inf or nan) are left to math.fsum.
 _EXTRACT_LIMIT = 2.0 ** 900
 
+_scratch = threading.local()
+
+
+def _buffer(name: str, shape: tuple[int, int], dtype=float) -> np.ndarray:
+    """Work array of ``shape``, one per name and thread, reused across calls
+    while it holds at most ``_BLOCK_VALUES`` values: freed and re-allocated
+    temporaries this size would fault in fresh pages on every call.  Every
+    caller writes the array before reading it, so no value outlives a call.
+    A larger one, needed only for a single row longer than the block, is
+    allocated afresh."""
+    size = shape[0] * shape[1]
+    if size > _BLOCK_VALUES:
+        return np.empty(shape, dtype)
+    buf = getattr(_scratch, name, None)
+    if buf is None:
+        buf = np.empty(_BLOCK_VALUES, dtype)
+        setattr(_scratch, name, buf)
+    return buf[:size].reshape(shape)
+
+
+def _row_blocks(x: np.ndarray):
+    """Consecutive row slices of a 2-D array, each of at most
+    ``_BLOCK_VALUES`` values (at least one row)."""
+    block = max(1, _BLOCK_VALUES // max(x.shape[1], 1))
+    return (x[start:start + block] for start in range(0, len(x), block))
+
 
 def _fsum_rows(x: np.ndarray) -> list[float]:
     """``math.fsum`` of every row of a 2-D float64 array, bit for bit; the
-    array is overwritten.
+    array itself is left unchanged.
 
     Error-free extraction (Rump, Ogita & Oishi, "Accurate floating-point
     summation part I", SIAM J. Sci. Comput. 31, 2008): with ``max|x| < 2**e``
@@ -130,11 +157,12 @@ def _fsum_rows(x: np.ndarray) -> list[float]:
     if n == 0:
         return [0.0] * rows
     shift = (n + 2).bit_length()
-    block = max(1, _BLOCK_VALUES // n)
     out: list[float] = []
-    for start in range(0, rows, block):
-        work = x[start:start + block]
-        tmp = np.abs(work)
+    for src in _row_blocks(x):
+        work = _buffer("work", src.shape)
+        tmp = _buffer("tmp", src.shape)
+        np.copyto(work, src)
+        np.abs(work, out=tmp)
         peak = tmp.max(axis=1)
         exact = peak <= _EXTRACT_LIMIT   # False for inf and nan rows
         fallback = {r: math.fsum(work[r].tolist())
@@ -158,24 +186,31 @@ def _fsum_rows(x: np.ndarray) -> list[float]:
 
 
 def _weighted_sums(values: np.ndarray, weights: np.ndarray) -> list[complex]:
-    """Correctly rounded ``sum(values[r] * weights)`` for every row r."""
-    prod = values * weights
-    sums = _fsum_rows(np.concatenate((prod.real, prod.imag)))
-    return [complex(a, b) for a, b in zip(sums[:len(prod)], sums[len(prod):])]
+    """Correctly rounded ``sum(values[r] * weights)`` for every row r;
+    ``values`` is left unchanged."""
+    out: list[complex] = []
+    for src in _row_blocks(values):
+        # one complex-by-real multiply, as ``values * weights`` rounds it:
+        # real and imaginary products taken apart differ from it in the
+        # sign of zeros and where a part is infinite
+        prod = np.multiply(src, weights, out=_buffer("prod", src.shape, complex))
+        out += map(complex, _fsum_rows(prod.real), _fsum_rows(prod.imag))
+    return out
 
 
 def _support_check(values: np.ndarray, boundary_mask: np.ndarray):
     """Boundary-decay check of every row of integrand values, in row order;
     ``boundary_mask`` marks the outermost nodes of the rule."""
-    mags = np.abs(values)
-    peak = mags.max(axis=1)
-    boundary = mags[:, boundary_mask].max(axis=1)
-    failing = np.flatnonzero((peak != 0.0) & (boundary > SUPPORT_RATIO * peak))
-    if failing.size:
-        r = failing[0]
-        raise SupportOverflowError(
-            f"integrand boundary magnitude {boundary[r]:.3e} exceeds "
-            f"{SUPPORT_RATIO:.0e} of peak {peak[r]:.3e}; enlarge the grid")
+    for src in _row_blocks(values):
+        mags = np.abs(src, out=_buffer("mags", src.shape))
+        peak = mags.max(axis=1)
+        boundary = mags[:, boundary_mask].max(axis=1)
+        failing = np.flatnonzero((peak != 0.0) & (boundary > SUPPORT_RATIO * peak))
+        if failing.size:
+            r = failing[0]
+            raise SupportOverflowError(
+                f"integrand boundary magnitude {boundary[r]:.3e} exceeds "
+                f"{SUPPORT_RATIO:.0e} of peak {peak[r]:.3e}; enlarge the grid")
 
 
 def integrate_rows(values: np.ndarray, grid: Grid2) -> list[complex]:

@@ -8,12 +8,16 @@ from hypothesis import strategies as st
 from numpy.polynomial.hermite import hermgauss
 
 from landaulab import GaugeChoice, PhysicalParams, Poly2, parse_poly
+from landaulab.campaigns import (_angular_states, _canonical_route,
+                                 _neighbour_pairs)
 from landaulab.fockspace import (FockBasis, FockOperator, TruncationError,
                                  build_observable, change_of_basis,
                                  commutator_check, gauge_variant_matrix,
                                  interior_deviation, interior_project,
-                                 ladder_ops, poly_operator, t1_fock_overlap,
+                                 ladder_ops, poly_operator,
+                                 position_monomials, t1_fock_overlap,
                                  angular_element, OBSERVABLE_NAMES)
+from landaulab.params import CANONICAL_PARTNER, canonical_extra
 
 P = PhysicalParams(1, 1, 1)
 X0 = (0.0, 0.0)
@@ -443,3 +447,86 @@ def test_gauge_variant_matches_direct_construction():
             + p.q * poly_operator(apoly, p, g.x0, b).matrix
         dev = interior_deviation(FockOperator(b, dec.matrix - direct, 2), 3)
         assert dev < 1e-13, which
+
+
+def test_position_monomials_sorted_distinct_and_bounded():
+    b = FockBasis(5)
+    keys = [(0, 2), (1, 0), (0, 2), (0, 0)]
+    got = list(position_monomials(P, b, keys))
+    assert [k for k, _ in got] == [(0, 0), (0, 2), (1, 0)]
+    u1 = build_observable("x1", P, (0.0, 0.0), b).matrix
+    u2 = build_observable("x2", P, (0.0, 0.0), b).matrix
+    eye = np.eye(b.dim, dtype=complex)
+    mono = dict(got)
+    assert mono[(0, 2)].tobytes() == (eye @ ((eye @ u2) @ u2)).tobytes()
+    assert mono[(1, 0)].tobytes() == ((eye @ u1) @ eye).tobytes()
+    with pytest.raises(TruncationError):
+        position_monomials(P, b, [(3, 3)])
+
+
+_COEFF = st.floats(-0.1, 0.1, allow_nan=False)
+
+
+@st.composite
+def _scan_setups(draw):
+    """Physical parameters of either orientation with non-unit hbar, two
+    gauges with random shear and cubic gauge functions at a shared off-origin
+    x0, and a truncation up to the scan's."""
+    sign = draw(st.sampled_from([1.0, -1.0]))
+    p = PhysicalParams(draw(st.floats(0.5, 2.0)), sign * draw(st.floats(0.5, 2.0)),
+                       draw(st.floats(0.5, 2.0)), hbar=draw(st.floats(0.6, 1.8)))
+    x0 = (draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0)))
+    gauges = []
+    for _ in range(2):
+        terms = {(i, j): draw(_COEFF) for i in range(4) for j in range(4)
+                 if 0 < i + j <= 3 and draw(st.booleans())}
+        gauges.append(GaugeChoice(draw(st.floats(-1.0, 2.0)), x0,
+                                  Poly2(terms)))
+    return p, gauges, draw(st.sampled_from([8, 16]))
+
+
+def _reference_poly_sum(p, b):
+    """Reference sum of f(u1, u2) over whole matrices: power chains from the
+    identity, then each term's product added from zeros in sorted order."""
+    u1 = build_observable("x1", p, (0.0, 0.0), b).matrix
+    u2 = build_observable("x2", p, (0.0, 0.0), b).matrix
+    pow1, pow2 = [np.eye(b.dim, dtype=complex)], [np.eye(b.dim, dtype=complex)]
+    for _ in range(3):
+        pow1.append(pow1[-1] @ u1)
+        pow2.append(pow2[-1] @ u2)
+
+    def poly_sum(f):
+        m = np.zeros((b.dim, b.dim), dtype=complex)
+        for (i, j) in sorted(f.terms):
+            m += f.terms[(i, j)] * (pow1[i] @ pow2[j])
+        return m
+    return poly_sum
+
+
+@settings(max_examples=15, deadline=None)
+@given(_scan_setups())
+def test_scan_route_entries_equal_full_matrix_entries(setup):
+    # the full matrices keep the bits of the partner plus the reference sum;
+    # the scan keeps only the entries it reads, of monomials built once for
+    # all gauges, and each must carry the same bits
+    p, gauges, nmax = setup
+    b = FockBasis(nmax)
+    pairs = _neighbour_pairs(_angular_states(2, 2))
+    route = _canonical_route(p, gauges, b, pairs)
+    reference_sum = _reference_poly_sum(p, b)
+    for g, entries in zip(gauges, route, strict=True):
+        for name in CANONICAL_PARTNER:
+            full = gauge_variant_matrix(name, g, p, b)
+            extra = canonical_extra(name, g, p)
+            reference = reference_sum(extra)
+            assert poly_operator(extra, p, g.x0, b).matrix.tobytes() \
+                == reference.tobytes()
+            assert full.matrix.tobytes() == (build_observable(
+                CANONICAL_PARTNER[name], p, g.x0, b).matrix
+                + reference).tobytes()
+            expected = [full.element((bra[1] + bra[0], bra[1]),
+                                     (ket[1] + ket[0], ket[1]))
+                        for bra, ket in pairs]
+            assert [struct.pack("<dd", z.real, z.imag)
+                    for z in entries[name]] \
+                == [struct.pack("<dd", z.real, z.imag) for z in expected]

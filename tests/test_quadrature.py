@@ -1,5 +1,6 @@
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,9 +13,11 @@ from landaulab.campaigns import (_SCAN_OPS, TABLE_INDEX_TOP, _default_grid,
                                  _ElementEngine, _t1_level_rows)
 from landaulab.fockspace import change_of_basis, t1_fock_overlap
 from landaulab.params import CANONICAL_PARTNER
-from landaulab.quadrature import (Grid2, SupportOverflowError, _fsum_rows,
+from landaulab.quadrature import (Grid2, SupportOverflowError,
+                                  _axis_gauss_hermite, _fsum_rows,
                                   _weighted_sums, inner_product,
-                                  line_integral, matrix_element)
+                                  integrate_rows, line_integral,
+                                  matrix_element)
 from landaulab.waves import fock_state, plane_wave, position_op, t1_state
 
 P = PhysicalParams(1, 1, 1)
@@ -342,6 +345,22 @@ def test_level_rows_build_each_state_once(monkeypatch):
         assert len(calls) == len(set(calls)) == 14
 
 
+def test_level_rows_request_each_overlap_once(monkeypatch):
+    # level pairs sharing n2 share their overlap row: 28 distinct overlaps
+    # and 120 operator rows, where one overlap per case would make 172
+    requests = []
+    elements = _ElementEngine.elements
+
+    def recorded(self, reqs):
+        requests.extend(reqs)
+        return elements(self, reqs)
+    monkeypatch.setattr(_ElementEngine, "elements", recorded)
+    _t1_level_rows(P, SYM, 56, "gauss_hermite", [], TABLE_INDEX_TOP)
+    overlaps = [(bra, ket) for bra, op, ket in requests if op is None]
+    assert len(requests) == 148
+    assert len(overlaps) == len(set(overlaps)) == 28
+
+
 def test_engine_support_failure_matches_per_element_path():
     # on 20 nodes per axis the vacuum element passes and the next one, with
     # a slower-decaying ket, is the first to fail
@@ -360,3 +379,93 @@ def test_engine_support_failure_matches_per_element_path():
     with pytest.raises(SupportOverflowError) as batched:
         eng.elements(requests)
     assert str(batched.value) == str(per_element.value)
+
+
+def _bits(values) -> list[bytes]:
+    return [struct.pack("<dd", v.real, v.imag) for v in values]
+
+
+def _fsum_products(values, weights) -> list[complex]:
+    prod = values * weights
+    return [complex(math.fsum(r.real.tolist()), math.fsum(r.imag.tolist()))
+            for r in prod]
+
+
+def _decaying_rows(rng, rows, *axes):
+    """Complex rows on the nodes of a rule with outermost nodes ``axes``,
+    under an envelope falling to exp(-40) at the outermost nodes, with exact
+    zeros of both signs: the boundary check passes on any node count and
+    signed zeros are read."""
+    r2 = sum((x / np.abs(x).max()) ** 2 for x in axes)
+    vals = np.exp(-40.0 * r2) * (rng.normal(size=(rows, r2.size))
+                                 + 1j * rng.normal(size=(rows, r2.size)))
+    vals[:, ::7] = -0.0
+    vals[:, 3::11] = 0.0
+    return vals
+
+
+def test_reductions_reuse_no_state_across_shapes():
+    # interleaved row lengths (small after large) through every entry point
+    # give the bits of math.fsum over the products and leave the argument
+    # as it was: the reused work buffers carry nothing from call to call
+    rng = np.random.default_rng(5)
+    for k, rows in ((80, 3), (3, 1), (56, 20), (4, 700), (80, 11), (9, 2),
+                    (300, 1), (40, 1)):
+        grid = Grid2.gauss_hermite(k, scale=math.sqrt(2.0))
+        x1, x2, w = grid.points
+        vals = _decaying_rows(rng, rows, x1, x2)
+        kept = vals.copy()
+        expected = _fsum_products(vals, w)
+        assert _bits(integrate_rows(vals, grid)) == _bits(expected)
+        assert _bits(_weighted_sums(vals, w)) == _bits(expected)
+        assert vals.tobytes() == kept.tobytes()
+
+        t, wt = _axis_gauss_hermite(k, 0.0, 1.3)
+        line = _decaying_rows(rng, 1, t)[0]
+        kept = line.copy()
+        assert _bits([line_integral(lambda _: line, k=k, scale=1.3)]) \
+            == _bits(_fsum_products(line[None, :], wt))
+        assert line.tobytes() == kept.tobytes()
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_weighted_sums_rows_longer_than_a_block():
+    # a single row longer than the reused buffers is reduced in a fresh one;
+    # an infinite imaginary part makes the real part of its complex product
+    # NaN, which real and imaginary products taken apart would not
+    rng = np.random.default_rng(6)
+    vals = rng.normal(size=(2, 70_001)) + 1j * rng.normal(size=(2, 70_001))
+    vals[1, 3] = complex(1.0, math.inf)
+    w = rng.uniform(0.0, 1.0, 70_001)
+    kept = vals.copy()
+    assert _bits(_weighted_sums(vals, w)) == _bits(_fsum_products(vals, w))
+    assert _bits(_weighted_sums(vals[:, :5], w[:5])) \
+        == _bits(_fsum_products(vals[:, :5], w[:5]))
+    assert vals.tobytes() == kept.tobytes()
+
+
+def test_support_check_reaches_every_block():
+    # 6400 nodes make blocks of ten rows; only a row of the second block
+    # has not decayed at the boundary
+    grid = Grid2.gauss_hermite(80, scale=math.sqrt(2.0))
+    x1, x2, _ = grid.points
+    vals = _decaying_rows(np.random.default_rng(8), 15, x1, x2)
+    vals[12] = 1.0
+    with pytest.raises(SupportOverflowError):
+        integrate_rows(vals, grid)
+
+
+def test_warm_reduction_allocates_no_block_sized_temporaries():
+    # a 20 x 3136 block is about 1 MiB of complex values; once the work
+    # buffers exist, reducing it allocates only per-row bookkeeping
+    grid = Grid2.gauss_hermite(56, scale=math.sqrt(2.0))
+    x1, x2, _ = grid.points
+    vals = _decaying_rows(np.random.default_rng(7), 20, x1, x2)
+    integrate_rows(vals, grid)
+    tracemalloc.start()
+    try:
+        integrate_rows(vals, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 256 * 1024

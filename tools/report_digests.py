@@ -6,7 +6,7 @@ Usage, from the root of a checkout::
 
     PYTHONPATH=src python tools/report_digests.py > digests.txt
 
-Five runs: every campaign at small settings; every campaign with a
+Six runs: every campaign at small settings; every campaign with a
 non-default parameter set (negative charge, non-unit hbar, off-origin x0,
 sheared gauge with a cubic gauge function); gauge-scan with the Simpson
 rule and ``--dump-grid``; the dynamics campaigns at their own settings
@@ -16,7 +16,10 @@ an rk4 orbit, the zero-momentum orbit, heisenberg-demo at the default
 run on 56 and 60 nodes, both with the variant parameters); and
 reproduce-tables at ``--nmax 16``, whose closed-vs-matrix check then spans
 all 117 angular states, with the variant parameters and non-unit mass and
-field.  Each output line is ``<run> <campaign> <file> <exit code>
+field; and gauge-scan at ``--nmax 16`` over the seeded default gauges with
+negative charge, non-unit hbar, mass and field and off-origin x0, whose
+matrix-route deviations are rounding-level, so the last bits of the
+canonical-operator matrix entries show in the report.  Each output line is ``<run> <campaign> <file> <exit code>
 <sha256>``; a file a campaign does not write reads ``-``.
 """
 
@@ -57,6 +60,9 @@ RUNS = [
                   ["basis-change", "--grid", "56", *VARIANT]]),
     ("tables", [["reproduce-tables", "--nmax", "16", "--grid", "56", *VARIANT,
                  "--mass", "1.3", "--bfield", "0.7"]]),
+    ("scan", [["gauge-scan", "--scan-levels", "2", "--grid", "40", "--nmax",
+               "16", "--seed", "90917", "--charge", "-1", "--hbar", "0.6",
+               "--mass", "1.3", "--bfield", "0.7", "--x0", "0.3,-0.2"]]),
 ]
 
 
