@@ -18,7 +18,7 @@ from .classical import (NoetherCharges, PhaseSpacePoint, PolyObservable,
                         canonical_momenta, integrate, magnetic_centre,
                         noether_charges, poisson_bracket)
 from .fockspace import (FockBasis, FockOperator, TruncationError,
-                        build_observable, change_of_basis, commutator_check,
+                        build_observable, change_of_basis,
                         gauge_variant_matrix, interior_deviation,
                         interior_project, ladder_ops, poly_operator,
                         t1_fock_overlap, angular_element)

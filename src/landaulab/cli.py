@@ -4,7 +4,7 @@ CSV outputs.
 Subcommands: verify-algebra, gauge-scan, reproduce-tables, classical-sim,
 basis-change, heisenberg-demo.  Exit code 0 if and only if every check of
 the campaign passed, 1 if a check failed, and 2 with a one-line message on
-invalid input.
+invalid input, a quadrature grid too small for the integrands included.
 """
 
 from __future__ import annotations
@@ -199,37 +199,27 @@ def _dump_grid_rows(psi: wv.WaveForm, extent: float, n: int = 41):
     return rows
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    _check_numerics(args, parser)
-    p = _physical(args, parser)
-    g = _gauge(args, parser)
-    scheme = "gauss_hermite" if args.scheme == "gh" else "simpson"
-    rows = None
-    csv_header = None
-
+def _campaign(args, p, g, scheme: str, tol: dict):
+    """Run the campaign ``args`` names; returns its report and the header
+    and rows of its CSV output, both None when it writes none."""
+    csv_header = rows = None
     if args.command == "verify-algebra":
-        tol = args.tol if args.tol is not None else cp.ALGEBRA_TOL
         report = cp.run_verify_algebra(p, nmax=args.nmax, margin=args.margin,
-                                       tol=tol, x0=args.x0)
+                                       x0=args.x0, **tol)
     elif args.command == "gauge-scan":
-        tol = args.tol if args.tol is not None else cp.QUAD_TOL
         gauges = cp.default_gauges(args.seed, x0=args.x0)
         report = cp.run_gauge_scan(p, gauges, nmax=args.nmax,
                                    grid_k=args.grid, scheme=scheme,
-                                   seed=args.seed, tol_inv=tol, tol_dec=tol,
-                                   n_top=args.scan_levels,
-                                   l_top=args.scan_levels)
+                                   seed=args.seed, n_top=args.scan_levels,
+                                   l_top=args.scan_levels, **tol)
         if args.dump_grid:
             csv_header = ["x1", "x2", "re", "im"]
             rows = _dump_grid_rows(wv.fock_state(g, p, 1, 0),
                                    4.0 * p.magnetic_length)
     elif args.command == "reproduce-tables":
-        tol = args.tol if args.tol is not None else cp.QUAD_TOL
         report, table_rows = cp.run_reproduce_tables(
             p, nmax=args.nmax, grid_k=args.grid, scheme=scheme, gauge=g,
-            tol_quad=tol)
+            **tol)
         csv_header = ["basis", "operator", "indices", "closed_form_re",
                       "closed_form_im", "computed_re", "computed_im",
                       "abs_error"]
@@ -238,7 +228,6 @@ def main(argv=None) -> int:
                  repr(complex(val).real), repr(complex(val).imag), repr(err))
                 for basis, op, idx, closed, val, err in table_rows]
     elif args.command == "classical-sim":
-        tol = args.tol if args.tol is not None else cp.DRIFT_TOL
         tp = None
         if args.energy is not None or args.centre is not None:
             tp = cl.TrajectoryParams(
@@ -246,24 +235,37 @@ def main(argv=None) -> int:
                 xc=args.centre if args.centre is not None else (0.0, 0.0))
         report, sim_rows = cp.run_classical_sim(
             p, tp, dt=args.dt, steps=args.steps, method=args.method,
-            x0=args.x0, seed=args.seed, drift_tol=tol)
+            x0=args.x0, seed=args.seed, **tol)
         csv_header = ["t", "x1", "x2", "p1", "p2", "E", "T1", "T2", "M3"]
         rows = sim_rows.tolist()  # csv writes each float as its repr
     elif args.command == "basis-change":
-        tol = args.tol if args.tol is not None else cp.QUAD_TOL
         report = cp.run_basis_change(p, gauge=g, grid_k=args.grid,
-                                     scheme=scheme, seed=args.seed,
-                                     tol_quad=tol)
+                                     scheme=scheme, seed=args.seed, **tol)
         if args.dump_grid:
             csv_header = ["x1", "x2", "re", "im"]
             rows = _dump_grid_rows(wv.fock_state(g, p, 2, 1),
                                    4.0 * p.magnetic_length)
     elif args.command == "heisenberg-demo":
-        tol = args.tol if args.tol is not None else 1e-10
         report = cp.run_heisenberg_demo(p, grid_k=args.grid, scheme=scheme,
-                                        tol=tol)
+                                        **tol)
     else:  # pragma: no cover - argparse enforces the choices
         raise SystemExit(2)
+    return report, csv_header, rows
+
+
+def main(argv=None) -> int:
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    _check_numerics(args, parser)
+    p = _physical(args, parser)
+    g = _gauge(args, parser)
+    scheme = "gauss_hermite" if args.scheme == "gh" else "simpson"
+    # --tol overrides the campaign's primary tolerance, its only one
+    tol = {} if args.tol is None else {"tol": args.tol}
+    try:
+        report, csv_header, rows = _campaign(args, p, g, scheme, tol)
+    except quad.SupportOverflowError as exc:
+        parser.error(f"--grid: {exc}")
 
     if not args.no_timestamp:
         report.stamp()

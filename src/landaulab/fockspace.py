@@ -1,5 +1,5 @@
 """Truncated two-sector helicity Fock space: exact observable matrices,
-interior-subspace commutator checks, closed-form matrix elements in the
+interior-subspace projections, closed-form matrix elements in the
 angular-momentum eigenbasis, and the basis-change coefficients.
 
 States |n+, n-> carry an intra-level quantum number n+ (guiding-centre
@@ -31,7 +31,6 @@ __all__ = [
     "poly_operator",
     "interior_project",
     "interior_deviation",
-    "commutator_check",
     "AngularElement",
     "angular_element",
     "change_of_basis",
@@ -267,23 +266,6 @@ def interior_deviation(op: FockOperator, margin: int) -> float:
     """Largest magnitude of the interior-projected matrix."""
     sub = interior_project(op, margin)
     return float(np.max(np.abs(sub))) if sub.size else 0.0
-
-
-def commutator_check(a: FockOperator, b: FockOperator, expected: FockOperator,
-                     margin: int) -> float:
-    """Max deviation of [a, b] - expected on the interior subspace.
-
-    Requires ``margin >= a.excursion + b.excursion`` so that the truncated
-    products are exact on the retained rows and columns.
-    """
-    if margin < a.excursion + b.excursion:
-        raise TruncationError(
-            f"margin {margin} too small for excursions "
-            f"{a.excursion}+{b.excursion}")
-    comm = a @ b - b @ a
-    diff = FockOperator(comm.basis, comm.matrix - expected.matrix,
-                        comm.excursion)
-    return interior_deviation(diff, margin)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,8 @@ import json
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
+import numpy as np
+
 __all__ = ["CheckRecord", "VerificationReport"]
 
 
@@ -37,8 +39,13 @@ class VerificationReport:
     checks: list = field(default_factory=list)
     timestamp: str | None = None
 
-    def add(self, check_id: str, deviation: float, tolerance: float) -> CheckRecord:
-        rec = CheckRecord(check_id, float(deviation), float(tolerance))
+    def add(self, check_id: str, deviation, tolerance: float) -> CheckRecord:
+        """Record a check whose deviation is the largest of ``deviation``, a
+        number or an array-like of them: a NaN anywhere is kept, no values
+        at all read 0.0, and a single number passes through unchanged."""
+        devs = np.asarray(deviation, dtype=float)
+        worst = float(devs.max()) if devs.size else 0.0
+        rec = CheckRecord(check_id, worst, float(tolerance))
         self.checks.append(rec)
         return rec
 

@@ -40,15 +40,18 @@ def algebra_report():
 @pytest.fixture(scope="module")
 def tables_report():
     t0 = time.perf_counter()
-    rep, rows = cp.run_reproduce_tables(P, nmax=16, grid_k=80,
-                                        tol_alg=1e-12, tol_quad=1e-8)
+    rep, rows = cp.run_reproduce_tables(P, nmax=16, grid_k=80, tol=1e-8)
     return rep, rows, time.perf_counter() - t0
 
 
 @pytest.fixture(scope="module")
 def gauge_scan_report():
     return cp.run_gauge_scan(P, gauges=cp.default_gauges(7), nmax=16,
-                             grid_k=80, seed=7, tol_inv=1e-8, tol_dec=1e-8)
+                             grid_k=80, seed=7, tol=1e-8)
+
+
+def _tolerances(checks) -> set:
+    return {c.tolerance for c in checks}
 
 
 def test_criterion_1_algebra_suite(algebra_report):
@@ -56,6 +59,7 @@ def test_criterion_1_algebra_suite(algebra_report):
     comms = [c for c in rep.checks if c.id.startswith("comm:")]
     relation = [c for c in rep.checks if c.id == "charge-relation"]
     assert len(comms) >= 12 and len(relation) == 1
+    assert _tolerances(comms + relation) == {1e-12}
     worst = max(c.deviation for c in comms + relation)
     ok = all(c.passed for c in comms + relation) and elapsed < 5.0
     _report_criterion(1, "operator algebra, 1e-12 on the interior", ok,
@@ -82,6 +86,7 @@ def test_criterion_3_angular_table(tables_report):
     quad_checks = [c for c in rep.checks if c.id.startswith("angular:")
                    and c.id.endswith("closed-vs-quadrature")]
     assert len(alg) == 6 and len(quad_checks) == 6
+    assert _tolerances(alg) == {1e-12} and _tolerances(quad_checks) == {1e-8}
     ok = (all(c.passed for c in alg + quad_checks) and elapsed < 60.0)
     worst_a = max(c.deviation for c in alg)
     worst_q = max(c.deviation for c in quad_checks)
@@ -94,6 +99,7 @@ def test_criterion_4_t1_table(tables_report):
     rep, _, _ = tables_report
     t1_checks = [c for c in rep.checks if c.id.startswith("t1:")]
     assert len(t1_checks) == 6
+    assert _tolerances(t1_checks) == {1e-8}
     ok = all(c.passed for c in t1_checks)
     worst = max(c.deviation for c in t1_checks)
     _report_criterion(4, "translation-eigenbasis table kernels to 1e-8", ok,
@@ -101,8 +107,11 @@ def test_criterion_4_t1_table(tables_report):
 
 
 def test_criterion_5_basis_change():
-    rep = cp.run_basis_change(P, grid_k=80, tol_quad=1e-8, tol_rec=1e-7)
+    rep = cp.run_basis_change(P, grid_k=80, tol=1e-8)
     by_id = {c.id: c for c in rep.checks}
+    quad_ids = ("closed-vs-quadrature", "orthonormality", "level-phase")
+    assert _tolerances(by_id[i] for i in quad_ids) == {1e-8}
+    assert by_id["reconstruction"].tolerance == 1e-7
     ok = (by_id["closed-vs-quadrature"].passed
           and by_id["orthonormality"].passed
           and by_id["reconstruction"].passed
@@ -120,6 +129,7 @@ def test_criterion_6_gauge_invariance(gauge_scan_report):
            or c.id == "canonical-shift:predicted"]
     moved = [c for c in rep.checks if c.id == "canonical-shift:nonzero"]
     assert len(inv) == 7 and len(moved) == 1
+    assert _tolerances(inv + dec) == {1e-8} and _tolerances(moved) == {0.0}
     ok = all(c.passed for c in inv + dec + moved)
     _report_criterion(
         6, "gauge invariance across 7 gauges with variant decompositions",
@@ -130,6 +140,7 @@ def test_criterion_6_gauge_invariance(gauge_scan_report):
 def test_criterion_7_flat_connection_demo():
     rep = cp.run_heisenberg_demo(P, grid_k=80, tol=1e-10)
     assert len(rep.checks) == 3
+    assert _tolerances(rep.checks) == {1e-10}
     ok = rep.passed
     _report_criterion(
         7, "flat-connection representations agree to 1e-10", ok,
@@ -137,10 +148,11 @@ def test_criterion_7_flat_connection_demo():
 
 
 def test_criterion_8_classical_suite():
-    rep, _ = cp.run_classical_sim(P, drift_tol=1e-8)
+    rep, _ = cp.run_classical_sim(P, tol=1e-8)
     by_id = {c.id: c for c in rep.checks}
     drifts = [by_id[f"drift:{q}"] for q in ("E", "T1", "T2", "M3")]
     ode = by_id["ode-residual"]
+    assert _tolerances(drifts) == {1e-8} and ode.tolerance == 1e-10
     # coefficient-level Poisson identities
     t1 = translation_observable(1, P)
     t2 = translation_observable(2, P)

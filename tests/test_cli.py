@@ -1,7 +1,9 @@
 import csv
 import json
 import math
+import struct
 
+import numpy as np
 import pytest
 
 from landaulab.cli import main
@@ -19,11 +21,15 @@ def test_verify_algebra_passes_and_writes_report(tmp_path, capsys):
     assert data["pass"] is True
     assert data["params"] == {"m": 1.0, "q": 1.0, "B": 1.0, "hbar": 1.0,
                               "omega_c": 1.0, "s": 1}
-    assert data["settings"]["nmax"] == 16
-    assert data["settings"]["margin"] == 3
+    assert data["settings"] == {"nmax": 16, "margin": 3, "grid": None,
+                                "scheme": None, "seed": None}
     assert all(set(c) == {"id", "deviation", "tolerance", "pass"}
                for c in data["checks"])
     assert "timestamp" not in data
+
+
+def _bits(x: float) -> bytes:
+    return struct.pack("<d", x)
 
 
 def test_report_roundtrip(tmp_path):
@@ -33,6 +39,32 @@ def test_report_roundtrip(tmp_path):
     rep = VerificationReport.from_json(out.read_text())
     assert rep.to_json() == out.read_text()
     assert rep.passed
+
+    # add reduces a collection of deviations to its largest
+    rep = VerificationReport("demo", {}, [], {})
+    # a single number passes through bit for bit, through JSON as well
+    singles = [0.1 + 0.2, 5e-324, 1.7976931348623157e308, -0.0, math.inf]
+    for k, x in enumerate(singles):
+        assert _bits(rep.add(f"single:{k}", x, 1.0).deviation) == _bits(x)
+    rep.add("list", [0.5, 3.0, 2.0], 1.0)
+    rep.add("array", np.array([[1e-9, 4e-9], [2e-9, 3e-9]]), 1e-8)
+    rep.add("nan-list", [1.0, math.nan, 2.0], 1e3)
+    rep.add("nan-array", np.array([0.0, np.nan]), 1e3)
+    rep.add("empty-list", [], 0.0)
+    rep.add("empty-array", np.empty((0, 3)), 0.0)
+    back = VerificationReport.from_json(rep.to_json())
+    assert back.to_json() == rep.to_json()
+    for k, x in enumerate(singles):
+        assert _bits(back.checks[k].deviation) == _bits(x)
+    by_id = {c.id: c for c in back.checks}
+    assert by_id["list"].deviation == 3.0 and not by_id["list"].passed
+    assert by_id["array"].deviation == 4e-9 and by_id["array"].passed
+    for cid in ("nan-list", "nan-array"):
+        assert math.isnan(by_id[cid].deviation) and not by_id[cid].passed
+    for cid in ("empty-list", "empty-array"):
+        assert _bits(by_id[cid].deviation) == _bits(0.0)
+        assert by_id[cid].passed
+    assert not back.passed
 
 
 def test_truncation_edge_flagged_as_failure(tmp_path):
@@ -78,6 +110,38 @@ def test_reports_byte_identical(tmp_path, args):
     assert outputs[0] == outputs[1]
 
 
+def _fixed_tolerance(check_id: str):
+    """The tolerance a check keeps whatever ``--tol`` says; None for a check
+    on its campaign's primary tolerance."""
+    if check_id.startswith(("hermitian:", "spectrum:")) \
+            or check_id == "canonical-shift:nonzero":
+        return 0.0
+    if check_id.endswith(("closed-vs-matrix", "p-same-level-zero")):
+        return 1e-12
+    return {"reconstruction": 1e-7, "relation-residual": 1e-10,
+            "ode-residual": 1e-10, "closure:one-period": 1e-6}.get(check_id)
+
+
+@pytest.mark.parametrize("args", [
+    ["verify-algebra", "--nmax", "8"],
+    ["gauge-scan", "--grid", "40", "--scan-levels", "1", "--nmax", "8"],
+    ["reproduce-tables", "--grid", "56", "--nmax", "12"],
+    ["basis-change", "--grid", "56"],
+    ["classical-sim", "--steps", "200"],
+    ["heisenberg-demo", "--grid", "48"],
+], ids=lambda args: args[0])
+def test_tol_overrides_the_primary_tolerance_only(tmp_path, args):
+    out = tmp_path / "r.json"
+    main(args + ["--tol", "1e-3", "--quiet", "--no-timestamp",
+                 "--json-out", str(out)])
+    checks = json.loads(out.read_text())["checks"]
+    primary = [c for c in checks if _fixed_tolerance(c["id"]) is None]
+    assert primary
+    for c in checks:
+        fixed = _fixed_tolerance(c["id"])
+        assert c["tolerance"] == (1e-3 if fixed is None else fixed), c["id"]
+
+
 def test_classical_sim_csv_and_summary(tmp_path):
     out = tmp_path / "traj.csv"
     rep = tmp_path / "rep.json"
@@ -105,6 +169,16 @@ def test_classical_zero_energy_all_drifts_zero(tmp_path):
     for c in data["checks"]:
         if c["id"].startswith("drift:"):
             assert c["deviation"] == 0.0
+
+
+def test_zero_residual_reads_zero_when_force_scale_underflows(tmp_path):
+    # m = 1e300 makes omega_c**2 underflow, so the ODE-residual force scale
+    # is 0; the static zero-energy orbit must still read 0.0, not 0/0
+    rep = tmp_path / "rep.json"
+    main(["classical-sim", "--mass", "1e300", "--energy", "0", "--steps",
+          "20", "--quiet", "--no-timestamp", "--json-out", str(rep)])
+    checks = {c["id"]: c for c in json.loads(rep.read_text())["checks"]}
+    assert checks["ode-residual"]["deviation"] == 0.0
 
 
 def test_reproduce_tables_csv(tmp_path):
@@ -199,10 +273,19 @@ def test_bad_phi_rejected(capsys):
     (["gauge-scan", "--scan-levels", "21", "--nmax", "42"],
      "--scan-levels: levels above 20 reach quantum numbers beyond 40"),
     (["classical-sim", "--seed", "-1"], "--seed: expected non-negative integer"),
+    # grids too small for the integrands fail their support check mid-run
+    (["gauge-scan", "--grid", "10", "--scan-levels", "1", "--nmax", "4"],
+     "--grid: integrand boundary magnitude"),
+    (["basis-change", "--grid", "10"], "--grid: integrand boundary magnitude"),
+    (["heisenberg-demo", "--grid", "10"],
+     "--grid: integrand boundary magnitude"),
+    (["reproduce-tables", "--grid", "10", "--nmax", "12"],
+     "--grid: integrand boundary magnitude"),
 ], ids=["nmax", "simpson-grid", "margin", "phi-syntax", "mass", "steps",
         "dt-negative", "dt-nan", "energy", "bfield-nan", "hbar-inf",
         "alpha-nan", "x0-nan", "tables-nmax", "scan-nmax", "scan-nmax-cubic",
-        "scan-levels", "scan-levels-high", "seed"])
+        "scan-levels", "scan-levels-high", "seed", "scan-grid", "basis-grid",
+        "demo-grid", "tables-grid"])
 def test_bad_input_exits_2(capsys, args, message):
     with pytest.raises(SystemExit) as exc:
         main(args + ["--quiet", "--no-timestamp"])

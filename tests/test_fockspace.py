@@ -9,10 +9,10 @@ from numpy.polynomial.hermite import hermgauss
 
 from landaulab import GaugeChoice, PhysicalParams, Poly2, parse_poly
 from landaulab.campaigns import (_angular_states, _canonical_route,
-                                 _neighbour_pairs)
+                                 _neighbour_pairs, run_verify_algebra)
 from landaulab.fockspace import (FockBasis, FockOperator, TruncationError,
                                  build_observable, change_of_basis,
-                                 commutator_check, gauge_variant_matrix,
+                                 gauge_variant_matrix,
                                  interior_deviation, interior_project,
                                  ladder_ops, poly_operator,
                                  position_monomials, t1_fock_overlap,
@@ -148,28 +148,15 @@ def test_translation_consistent_with_velocity_and_position():
 
 
 def test_commutator_checks():
-    b = FockBasis(12)
+    # [T1,T2] = -i hbar s m omega_c, [xc_i,p_j] = 0 and [T1,M3] = -i hbar T2
+    # on the interior, at reversed orientation and off-origin x0
     p = PhysicalParams(1.5, -2.0, 0.75, hbar=2.0)
-    eye = np.eye(b.dim, dtype=complex)
-    ops = {n: build_observable(n, p, (0.2, -0.4), b)
-           for n in OBSERVABLE_NAMES}
-    expect = FockOperator(b, -1j * p.hbar * p.sign * p.m * p.omega_c * eye, 0)
-    assert commutator_check(ops["T1"], ops["T2"], expect, 3) < 1e-12
-    zero = FockOperator(b, 0 * eye, 0)
-    for xc in ("xc1", "xc2"):
-        for mom in ("p1", "p2"):
-            assert commutator_check(ops[xc], ops[mom], zero, 3) < 1e-12
-    exp_t1 = FockOperator(b, -1j * p.hbar * ops["T2"].matrix, 1)
-    assert commutator_check(ops["T1"], ops["M3"], exp_t1, 3) < 1e-12
-
-
-def test_commutator_margin_precondition():
-    b = _basis()
-    t1 = build_observable("T1", P, X0, b)
-    t2 = build_observable("T2", P, X0, b)
-    expect = FockOperator(b, -1j * np.eye(b.dim), 0)
-    with pytest.raises(TruncationError):
-        commutator_check(t1, t2, expect, 1)
+    rep = run_verify_algebra(p, nmax=12, margin=3, x0=(0.2, -0.4))
+    by_id = {c.id: c for c in rep.checks}
+    for cid in ("comm:[T1,T2]", "comm:[xc1,p1]", "comm:[xc1,p2]",
+                "comm:[xc2,p1]", "comm:[xc2,p2]", "comm:[T1,M3]"):
+        assert by_id[cid].tolerance == 1e-12
+        assert by_id[cid].passed, by_id[cid]
 
 
 def test_quantum_charge_relation_margin_two():
