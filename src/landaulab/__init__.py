@@ -19,8 +19,7 @@ from .classical import (NoetherCharges, PhaseSpacePoint, PolyObservable,
                         noether_charges, poisson_bracket)
 from .fockspace import (FockBasis, FockOperator, TruncationError,
                         build_observable, change_of_basis,
-                        gauge_variant_matrix, interior_deviation,
-                        interior_project, ladder_ops, poly_operator,
+                        gauge_variant_matrix, ladder_ops, poly_operator,
                         t1_fock_overlap, angular_element)
 from .waves import (MAX_QUANTUM_NUMBER, DiffOpSpec, HermiteGaussian1D,
                     QuantumNumberError, SpecialFactor, WaveForm,

@@ -117,26 +117,28 @@ def run_verify_algebra(p: PhysicalParams, nmax: int = 16, margin: int = 3,
     XC1, XC2 = ops["xc1"], ops["xc2"]
     X1, X2 = ops["x1"], ops["x2"]
 
-    # a product with a diagonal factor is a broadcast: every entry has one
-    # nonzero term, so it rounds exactly as the dense product does
-    diagonals = {id(H): np.diag(H.matrix), id(M3): np.diag(M3.matrix)}
-
-    def product(x, y):
-        if id(y) in diagonals:
-            return x.matrix * diagonals[id(y)][None, :]
-        if id(x) in diagonals:
-            return diagonals[id(x)][:, None] * y.matrix
-        return x.matrix @ y.matrix
-
     # expected commutators are built one at a time on the interior block
-    # alone: the subtraction is elementwise, so this equals the interior of
-    # the full difference
+    # alone, and so is each product: the subtraction is elementwise, so
+    # part(AB) - part(BA) equals the interior of the full difference
     idx = b.interior_indices(margin)
     inner = np.ix_(idx, idx)
     eye_in = np.eye(len(idx), dtype=complex)
 
     def part(m):
         return m[inner]
+
+    # a product with a diagonal factor is a broadcast: every entry has one
+    # nonzero term, so it rounds exactly as the dense product does, and its
+    # interior needs only the interior of the other factor
+    diagonals = {id(H): np.diag(H.matrix)[idx],
+                 id(M3): np.diag(M3.matrix)[idx]}
+
+    def product_part(x, y):
+        if id(y) in diagonals:
+            return part(x.matrix) * diagonals[id(y)][None, :]
+        if id(x) in diagonals:
+            return diagonals[id(x)][:, None] * part(y.matrix)
+        return part(x.matrix @ y.matrix)
 
     comms = [
         ("comm:[x1,p1]", X1, P1, lambda: 1j * hb * eye_in),
@@ -182,7 +184,7 @@ def run_verify_algebra(p: PhysicalParams, nmax: int = 16, margin: int = 3,
     # no excursion precondition here: an inadequate margin shows up as a
     # large deviation rather than an exception
     for cid, a, bb, expected in comms:
-        rep.add(cid, np.abs(part(product(a, bb) - product(bb, a))
+        rep.add(cid, np.abs(product_part(a, bb) - product_part(bb, a)
                             - expected()), tol)
 
     rel = (T1.matrix @ T1.matrix + T2.matrix @ T2.matrix
@@ -812,16 +814,28 @@ def run_heisenberg_demo(p: PhysicalParams, grid_k: int = 80,
             ("p2", p2, (2, 1), (0, 1)),
         ]
 
-    base = {(name, bra, ket): quad.matrix_element(states[bra], op,
-                                                  states[ket], grid)
-            for name, op, bra, ket in op_set((zero, zero))}
+    nodes = grid.points[:2]
 
+    def elements(states, ops):
+        """``quad.matrix_element`` of every (bra, op, ket), bit for bit, with
+        each distinct bra value and ket jet evaluated once; the rows are
+        reduced together, each exactly and support-checked in order."""
+        bras = {bra: np.conj(states[bra].value(*nodes))
+                for bra in dict.fromkeys(bra for _, _, bra, _ in ops)}
+        jets = {ket: states[ket].jet(*nodes)
+                for ket in dict.fromkeys(ket for _, _, _, ket in ops)}
+        rows = np.empty((len(ops), nodes[0].size), dtype=complex)
+        for row, (_, op, bra, ket) in zip(rows, ops):
+            applied = op.apply_jet(jets[ket], states[ket].shifted(*nodes))
+            np.multiply(bras[bra], applied, out=row)
+        return quad.integrate_rows(rows, grid)
+
+    base = elements(states, op_set((zero, zero)))
     for i, lam in enumerate(lams):
         v = (lam.diff(1), lam.diff(2))
         dressed = {k: wv.phase_shifted(psi, lam, hb)
                    for k, psi in states.items()}
-        rep.add(f"flat-connection:lambda{i}", [
-            abs(quad.matrix_element(dressed[bra], op, dressed[ket], grid)
-                - base[(name, bra, ket)])
-            for name, op, bra, ket in op_set(v)], tol)
+        rep.add(f"flat-connection:lambda{i}",
+                [abs(z - z0) for z, z0 in zip(elements(dressed, op_set(v)),
+                                              base)], tol)
     return rep

@@ -10,7 +10,6 @@ invalid input, a quadrature grid too small for the integrands included.
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import sys
 
@@ -180,23 +179,64 @@ def _check_numerics(args, parser):
             parser.error(f"{flag}: {exc}")
 
 
+# what makes csv.writer quote a field under its default dialect: the
+# delimiter, the quote character or a line-end character
+_QUOTED_CHARS = frozenset(',"\r\n')
+
+
+def _check_field(field, ncols: int):
+    if type(field) is float:
+        return
+    if type(field) is not str:
+        raise TypeError(f"CSV field {field!r} is neither a float nor a str")
+    if not _QUOTED_CHARS.isdisjoint(field) or (ncols == 1 and not field):
+        raise ValueError(f"CSV field {field!r} would need quoting")
+
+
 def _write_csv(path: str, header: list[str], rows):
+    """Write ``header`` and ``rows`` as the bytes ``csv.writer`` writes with
+    its default dialect, formatting the whole table in one pass.
+
+    ``rows`` is a 2-D float64 array or an iterable of rows of Python floats,
+    each written as its repr, and strings.  A field ``csv.writer`` would
+    quote raises ValueError, as does a row whose length differs from the
+    header's."""
+    ncols = len(header)
+    for name in header:
+        _check_field(name, ncols)
+    if isinstance(rows, np.ndarray):
+        if rows.dtype != np.float64 or rows.ndim != 2 \
+                or rows.shape[1] != ncols:
+            raise ValueError(f"expected a float64 array of {ncols} columns, "
+                             f"got {rows.dtype} of shape {rows.shape}")
+        nrows, fields = len(rows), rows.ravel().tolist()
+    else:
+        nrows, fields = 0, []
+        for row in rows:
+            if len(row) != ncols:
+                raise ValueError(f"row of {len(row)} fields under a header "
+                                 f"of {ncols}")
+            nrows += 1
+            fields += row
+        for field in fields:
+            _check_field(field, ncols)
+    line = ",".join(["%s"] * ncols) + "\r\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(",".join(header) + "\r\n")
+        fh.write(line * nrows % tuple(fields))
 
 
 def _dump_grid_rows(psi: wv.WaveForm, extent: float, n: int = 41):
     xs = np.linspace(psi.origin[0] - extent, psi.origin[0] + extent, n)
     ys = np.linspace(psi.origin[1] - extent, psi.origin[1] + extent, n)
-    rows = []
-    for x in xs:
+    rows = np.empty((n, n, 4))
+    rows[:, :, 0] = xs[:, None]
+    rows[:, :, 1] = ys[None, :]
+    for k, x in enumerate(xs):
         vals = psi.value(x, ys)
-        rows.extend((repr(float(x)), repr(float(y)),
-                     repr(float(v.real)), repr(float(v.imag)))
-                    for y, v in zip(ys, vals))
-    return rows
+        rows[k, :, 2] = vals.real
+        rows[k, :, 3] = vals.imag
+    return rows.reshape(n * n, 4)
 
 
 def _campaign(args, p, g, scheme: str, tol: dict):
@@ -224,8 +264,8 @@ def _campaign(args, p, g, scheme: str, tol: dict):
                       "closed_form_im", "computed_re", "computed_im",
                       "abs_error"]
         rows = [(basis, op, "/".join(str(i) for i in idx),
-                 repr(complex(closed).real), repr(complex(closed).imag),
-                 repr(complex(val).real), repr(complex(val).imag), repr(err))
+                 complex(closed).real, complex(closed).imag,
+                 complex(val).real, complex(val).imag, err)
                 for basis, op, idx, closed, val, err in table_rows]
     elif args.command == "classical-sim":
         tp = None
@@ -237,7 +277,7 @@ def _campaign(args, p, g, scheme: str, tol: dict):
             p, tp, dt=args.dt, steps=args.steps, method=args.method,
             x0=args.x0, seed=args.seed, **tol)
         csv_header = ["t", "x1", "x2", "p1", "p2", "E", "T1", "T2", "M3"]
-        rows = sim_rows.tolist()  # csv writes each float as its repr
+        rows = sim_rows
     elif args.command == "basis-change":
         report = cp.run_basis_change(p, gauge=g, grid_k=args.grid,
                                      scheme=scheme, seed=args.seed, **tol)

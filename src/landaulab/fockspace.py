@@ -29,8 +29,6 @@ __all__ = [
     "build_observable",
     "position_monomials",
     "poly_operator",
-    "interior_project",
-    "interior_deviation",
     "AngularElement",
     "angular_element",
     "change_of_basis",
@@ -253,19 +251,6 @@ def poly_operator(f: Poly2, p: PhysicalParams, x0: tuple[float, float],
     monomials = dict(position_monomials(p, b, f.terms))
     return FockOperator(b, _poly_sum(f, monomials, (b.dim, b.dim)),
                         max(f.degree, 0))
-
-
-def interior_project(op: FockOperator, margin: int) -> np.ndarray:
-    """Submatrix over the states at least ``margin`` below the cutoff in
-    both sectors (rows and columns)."""
-    idx = op.basis.interior_indices(margin)
-    return op.matrix[np.ix_(idx, idx)]
-
-
-def interior_deviation(op: FockOperator, margin: int) -> float:
-    """Largest magnitude of the interior-projected matrix."""
-    sub = interior_project(op, margin)
-    return float(np.max(np.abs(sub))) if sub.size else 0.0
 
 
 # ---------------------------------------------------------------------------

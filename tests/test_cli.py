@@ -1,12 +1,15 @@
 import csv
 import json
 import math
+import string
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from landaulab.cli import main
+from landaulab.cli import _write_csv, main
 from landaulab.report import VerificationReport
 
 
@@ -157,6 +160,90 @@ def test_classical_sim_csv_and_summary(tmp_path):
     drift = {c["id"]: c["deviation"] for c in data["checks"]}
     assert drift["drift:E"] < 1e-8
     assert drift["drift:T1"] < 1e-8
+
+
+# floats whose repr changes form: zeros, subnormals, the switch to
+# exponent notation below 1e-4 and at 1e16, the largest finite values
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -2.225073858507201e-308, 1e-05,
+                9.999999999999999e-05, 0.0001, math.nextafter(1e16, 0.0), 1e16,
+                math.nextafter(1e16, math.inf), 1.7976931348623157e308,
+                -1.7976931348623157e308]
+_FLOATS = st.one_of(
+    st.sampled_from(_EDGE_FLOATS),
+    st.integers(0, 2 ** 64 - 1).map(
+        lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0]
+    ).filter(math.isfinite))
+_IDENTS = st.text(string.ascii_letters + string.digits + "_*/-.+ ",
+                  min_size=1, max_size=10)
+
+
+@st.composite
+def _tables(draw):
+    """A header and rows of float columns mixed with identifier columns."""
+    kinds = draw(st.lists(st.sampled_from([_FLOATS, _IDENTS]), min_size=1,
+                          max_size=6))
+    header = draw(st.lists(_IDENTS, min_size=len(kinds),
+                           max_size=len(kinds)))
+    nrows = draw(st.integers(0, 12))
+    return header, [tuple(draw(kind) for kind in kinds)
+                    for _ in range(nrows)]
+
+
+_WRITER_SETTINGS = settings(
+    max_examples=150, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@_WRITER_SETTINGS
+@given(_tables())
+def test_csv_writer_matches_csv_module(tmp_path, table):
+    header, rows = table
+    ref, out = tmp_path / "ref.csv", tmp_path / "out.csv"
+    with open(ref, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    _write_csv(str(out), header, rows)
+    assert out.read_bytes() == ref.read_bytes()
+    if all(type(f) is float for row in rows for f in row):
+        table = np.array(rows, dtype=float).reshape(len(rows), len(header))
+        _write_csv(str(out), header, table)
+        assert out.read_bytes() == ref.read_bytes()
+
+
+@_WRITER_SETTINGS
+@given(_tables(), st.sampled_from(',"\r\n'), st.data())
+def test_csv_writer_refuses_fields_csv_would_quote(tmp_path, table, char,
+                                                   data):
+    header, rows = table
+    cells = [(None, j) for j in range(len(header))]
+    cells += [(i, j) for i in range(len(rows)) for j in range(len(header))]
+    i, j = data.draw(st.sampled_from(cells))
+    text = data.draw(_IDENTS)
+    k = data.draw(st.integers(0, len(text)))
+    bad = text[:k] + char + text[k:]
+    if i is None:
+        header[j] = bad
+    else:
+        rows[i] = rows[i][:j] + (bad,) + rows[i][j + 1:]
+    with pytest.raises(ValueError, match="would need quoting"):
+        _write_csv(str(tmp_path / "out.csv"), header, rows)
+
+
+def test_csv_writer_refuses_other_fields(tmp_path):
+    out = str(tmp_path / "out.csv")
+    # csv.writer quotes the lone empty field of a one-column row
+    with pytest.raises(ValueError, match="would need quoting"):
+        _write_csv(out, ["a"], [("",)])
+    # only Python floats and strings are accepted: None, for one, would
+    # read "None" here and "" through csv.writer
+    for field in (np.float64(2.0), None, 2, True):
+        with pytest.raises(TypeError, match="neither a float nor a str"):
+            _write_csv(out, ["a", "b"], [(1.0, field)])
+    with pytest.raises(ValueError, match="row of 1 fields"):
+        _write_csv(out, ["a", "b"], [(1.0, 2.0), (3.0,)])
+    with pytest.raises(ValueError, match="float64 array of 2 columns"):
+        _write_csv(out, ["a", "b"], np.zeros((3, 3)))
 
 
 def test_classical_zero_energy_all_drifts_zero(tmp_path):

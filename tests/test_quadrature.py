@@ -7,10 +7,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from landaulab import GaugeChoice, PhysicalParams, parse_poly
+from landaulab import GaugeChoice, PhysicalParams, Poly2, parse_poly
+from landaulab import quadrature as quad
 from landaulab import waves as wv
 from landaulab.campaigns import (_SCAN_OPS, TABLE_INDEX_TOP, _default_grid,
-                                 _ElementEngine, _t1_level_rows)
+                                 _ElementEngine, _t1_level_rows,
+                                 run_heisenberg_demo)
 from landaulab.fockspace import change_of_basis, t1_fock_overlap
 from landaulab.params import CANONICAL_PARTNER
 from landaulab.quadrature import (Grid2, SupportOverflowError,
@@ -359,6 +361,78 @@ def test_level_rows_request_each_overlap_once(monkeypatch):
     overlaps = [(bra, ket) for bra, op, ket in requests if op is None]
     assert len(requests) == 148
     assert len(overlaps) == len(set(overlaps)) == 28
+
+
+_DEMO_STATES = ((0, 0), (1, 0), (0, 1), (2, 1))
+_DEMO_LAMBDAS = (parse_poly("0.5*u1*u2"), parse_poly("0.3*u1^2 - 0.7*u2"),
+                 parse_poly("0.1*u1^3 + 0.4*u2^2 - 0.2*u1"))
+
+
+def _demo_reference(p, grid):
+    """heisenberg-demo's 5 elements in the plain representation and in each
+    of the three dressed ones, one ``matrix_element`` call each."""
+    hb = p.hbar
+    zero = Poly2.zero()
+    plain = {k: fock_state(SYM, p, *k) for k in _DEMO_STATES}
+    out = []
+    for lam in (None, *_DEMO_LAMBDAS):
+        v = (zero, zero) if lam is None else (lam.diff(1), lam.diff(2))
+        psi = plain if lam is None else {
+            k: wv.phase_shifted(s, lam, hb) for k, s in plain.items()}
+        p1 = wv.connection_momentum_op(v, 1, hb)
+        p2 = wv.connection_momentum_op(v, 2, hb)
+        x1 = wv.multiplication_op(Poly2.variable(1))
+        ops = [(p1, (0, 0), (1, 0)), (p2, (0, 0), (0, 1)),
+               (p1.compose(p1) + p2.compose(p2), (1, 0), (1, 0)),
+               (x1.compose(p1), (1, 0), (2, 1)), (p2, (2, 1), (0, 1))]
+        out.append([matrix_element(psi[bra], op, psi[ket], grid)
+                    for op, bra, ket in ops])
+    return out
+
+
+@pytest.mark.parametrize("p,scheme,k", [
+    (P, "gauss_hermite", 80),
+    (PhysicalParams(1.3, -1.0, 0.7, hbar=0.6), "gauss_hermite", 64),
+    (PhysicalParams(0.7, 1.1, 1.3, hbar=1.6), "simpson", 120),
+])
+def test_heisenberg_demo_evaluates_each_state_once(monkeypatch, p, scheme, k):
+    # 12 distinct bras and 12 distinct kets over the plain and the three
+    # dressed state sets; each of the 20 elements keeps the bits of its own
+    # matrix_element call, and each report deviation those of the reference
+    counts = {"value": 0, "jet": 0}
+    for name in counts:
+        def counted(self, *args, fn=getattr(wv.WaveForm, name), name=name):
+            counts[name] += 1
+            return fn(self, *args)
+        monkeypatch.setattr(wv.WaveForm, name, counted)
+    elements = []
+
+    def recorded(values, grid):
+        elements.append(integrate_rows(values, grid))
+        return elements[-1]
+    monkeypatch.setattr(quad, "integrate_rows", recorded)
+    rep = run_heisenberg_demo(p, grid_k=k, scheme=scheme)
+    monkeypatch.undo()
+    assert counts == {"value": 12, "jet": 12}
+
+    ref = _demo_reference(p, _default_grid(p, SYM, k, scheme))
+    assert len(elements) == len(ref)
+    for got, want in zip(elements, ref):
+        assert [struct.pack("<dd", z.real, z.imag) for z in got] \
+            == [struct.pack("<dd", z.real, z.imag) for z in want]
+    devs = [max(abs(z - z0) for z, z0 in zip(row, ref[0])) for row in ref[1:]]
+    assert [c.deviation for c in rep.checks] == devs
+
+
+@pytest.mark.parametrize("k", [22, 24])
+def test_heisenberg_demo_support_failure_matches_per_element_path(k):
+    # on 22 and 24 nodes per axis the third and the fourth plain element are
+    # the first to fail the boundary-decay check
+    with pytest.raises(SupportOverflowError) as per_element:
+        _demo_reference(P, _default_grid(P, SYM, k, "gauss_hermite"))
+    with pytest.raises(SupportOverflowError) as batched:
+        run_heisenberg_demo(P, grid_k=k)
+    assert str(batched.value) == str(per_element.value)
 
 
 def test_engine_support_failure_matches_per_element_path():

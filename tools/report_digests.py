@@ -6,7 +6,7 @@ Usage, from the root of a checkout::
 
     PYTHONPATH=src python tools/report_digests.py > digests.txt
 
-Six runs: every campaign at small settings; every campaign with a
+Seven runs: every campaign at small settings; every campaign with a
 non-default parameter set (negative charge, non-unit hbar, off-origin x0,
 sheared gauge with a cubic gauge function); gauge-scan with the Simpson
 rule and ``--dump-grid``; the dynamics campaigns at their own settings
@@ -19,8 +19,12 @@ all 117 angular states, with the variant parameters and non-unit mass and
 field; and gauge-scan at ``--nmax 16`` over the seeded default gauges with
 negative charge, non-unit hbar, mass and field and off-origin x0, whose
 matrix-route deviations are rounding-level, so the last bits of the
-canonical-operator matrix entries show in the report.  Each output line is ``<run> <campaign> <file> <exit code>
-<sha256>``; a file a campaign does not write reads ``-``.
+canonical-operator matrix entries show in the report; and the benchmark's
+shapes with the variant parameters: a default-length (10,000-step) boris
+orbit with non-unit mass and field, an off-origin centre and its 10,001-row
+CSV, and heisenberg-demo with the Simpson rule on 120 intervals.  Each
+output line is ``<run> <campaign> <file> <exit code> <sha256>``; a file a
+campaign does not write reads ``-``.
 """
 
 from __future__ import annotations
@@ -63,6 +67,10 @@ RUNS = [
     ("scan", [["gauge-scan", "--scan-levels", "2", "--grid", "40", "--nmax",
                "16", "--seed", "90917", "--charge", "-1", "--hbar", "0.6",
                "--mass", "1.3", "--bfield", "0.7", "--x0", "0.3,-0.2"]]),
+    ("full", [["classical-sim", *VARIANT, "--mass", "1.3", "--bfield", "0.7",
+               "--energy", "1.1", "--centre", "0.5,-0.1"],
+              ["heisenberg-demo", "--scheme", "simpson", "--grid", "120",
+               *VARIANT]]),
 ]
 
 
