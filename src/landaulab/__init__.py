@@ -13,7 +13,8 @@ from .params import (CANONICAL_PARTNER, DEFAULT_MAX_DEGREE,
                      PhysicalParams, Poly2, PolyParseError, SparsePoly,
                      canonical_extra, format_poly, gauge_delta, parse_poly,
                      vector_potential, vector_potential_polys)
-from .classical import (NoetherCharges, PhaseSpacePoint, PolyObservable,
+from .classical import (NoetherCharges, NonFiniteOrbitError,
+                        PhaseSpacePoint, PolyObservable,
                         TrajectoryParams, analytic_trajectory,
                         canonical_momenta, integrate, magnetic_centre,
                         noether_charges, poisson_bracket)

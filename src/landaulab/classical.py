@@ -22,6 +22,7 @@ from .params import (DegreeOverflowError, GaugeChoice, PhysicalParams,
                      vector_potential_polys)
 
 __all__ = [
+    "NonFiniteOrbitError",
     "PhaseSpacePoint",
     "TrajectoryParams",
     "NoetherCharges",
@@ -38,6 +39,10 @@ __all__ = [
     "centre_observable",
     "canonical_momentum_observable",
 ]
+
+
+class NonFiniteOrbitError(ValueError):
+    """Raised when an integrated orbit leaves the finite double range."""
 
 
 @dataclass(frozen=True)
@@ -114,7 +119,7 @@ def integrate(p: PhysicalParams, s0: PhaseSpacePoint, dt: float, n: int,
         raise ValueError(f"unknown method {method!r}")
     path = np.array(rows)
     if not np.isfinite(path).all():
-        raise ValueError("phase-space components must be finite")
+        raise NonFiniteOrbitError("phase-space components must be finite")
     return path
 
 

@@ -158,6 +158,9 @@ def _check_numerics(args, parser):
                    ("--nmax", lambda: _require(args.nmax >= top, (
                        f"--scan-levels {lv} needs nmax >= {top}")))]
     checks.append(("--seed", lambda: np.random.default_rng(args.seed)))
+    checks.append(("--tol", lambda: _require(
+        args.tol is None or 0.0 <= args.tol < math.inf,
+        "tolerance must be finite and nonnegative")))
     if args.command in _USES_GRID:
         rule = (quad.Grid2.gauss_hermite if args.scheme == "gh"
                 else quad.Grid2.simpson)
@@ -306,6 +309,8 @@ def main(argv=None) -> int:
         report, csv_header, rows = _campaign(args, p, g, scheme, tol)
     except quad.SupportOverflowError as exc:
         parser.error(f"--grid: {exc}")
+    except cl.NonFiniteOrbitError as exc:
+        parser.error(f"--dt: {exc}")
 
     if not args.no_timestamp:
         report.stamp()

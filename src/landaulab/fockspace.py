@@ -70,14 +70,26 @@ class FockBasis:
         k = self.nmax + 1
         return [(i // k, i % k) for i in range(k * k)]
 
-    def interior_indices(self, margin: int) -> np.ndarray:
-        """Flat indices of states with n+- <= nmax - margin."""
+    def _cut(self, margin: int) -> int:
         if margin < 0 or margin > self.nmax:
             raise TruncationError(f"margin {margin} out of range for nmax {self.nmax}")
-        cut = self.nmax - margin
+        return self.nmax - margin
+
+    def interior_indices(self, margin: int) -> np.ndarray:
+        """Flat indices of states with n+- <= nmax - margin."""
+        cut = self._cut(margin)
         k = self.nmax + 1
         idx = [i * k + j for i in range(cut + 1) for j in range(cut + 1)]
         return np.asarray(idx, dtype=int)
+
+    def interior_block(self, m: np.ndarray, margin: int) -> np.ndarray:
+        """``m[np.ix_(idx, idx)]`` for ``idx = interior_indices(margin)``,
+        as a slice: the interior states lead both sectors, so with one axis
+        per quantum number of the row and column state the block is the
+        leading corner.  At margin 0 the result may be a view of ``m``."""
+        c = self._cut(margin) + 1
+        k = self.nmax + 1
+        return m.reshape((k,) * 4)[:c, :c, :c, :c].reshape(c * c, c * c)
 
 
 @dataclass(frozen=True)

@@ -144,42 +144,69 @@ def _fsum_rows(x: np.ndarray) -> list[float]:
     array itself is left unchanged.
 
     Error-free extraction (Rump, Ogita & Oishi, "Accurate floating-point
-    summation part I", SIAM J. Sci. Comput. 31, 2008): with ``max|x| < 2**e``
-    on a row of N values, ``sigma = 2**(e + M)`` and
-    ``M = (N + 2).bit_length()``, ``q = (sigma + x) - sigma`` and ``x - q``
-    are exact, and the q lie on a grid fine enough that their plain sum in
-    any order is exact too.  Each level strips about 53 - M leading bits off
-    every remainder; once all remainders are zero the exact row sum is the
-    sum of the level sums, which ``math.fsum`` rounds once, exactly as it
-    rounds the row itself.
+    summation part I", SIAM J. Sci. Comput. 31, 2008), with one extraction
+    constant for a whole block of rows.  Let the rows hold N values each,
+    ``M = (N + 2).bit_length()``, and every value of the block lie below
+    ``2**e`` in magnitude.  With ``sigma = 2**(e + M)``,
+    ``q = (sigma + x) - sigma`` and ``x - q`` are exact, and the q lie on a
+    grid fine enough that their plain sum in any order is exact too.  The
+    remainders ``x - q`` are at most ``ulp(sigma) / 2 = 2**(e + M - 53)``,
+    so the next level takes ``e - (52 - M)`` as its bound without looking
+    at them again.
+
+    The number of levels is fixed up front.  Every value of the block is a
+    multiple of ``2**g``, where ``g`` is the exponent of the last bit of
+    the smallest nonzero magnitude (at least -1074), and so is every q and
+    every remainder.  After ``L = ceil((e - g) / (52 - M))`` levels each
+    remainder is below ``2**g`` and hence exactly zero, which one final test
+    confirms.  The exact row sum is then the sum of the level sums, which
+    ``math.fsum`` rounds once, exactly as it rounds the row itself.  Rows
+    above ``_EXTRACT_LIMIT``, inf or nan go to ``math.fsum`` directly.
     """
     rows, n = x.shape
     if n == 0:
         return [0.0] * rows
     shift = (n + 2).bit_length()
+    step = 52 - shift
     out: list[float] = []
     for src in _row_blocks(x):
-        work = _buffer("work", src.shape)
         tmp = _buffer("tmp", src.shape)
-        np.copyto(work, src)
-        np.abs(work, out=tmp)
+        work = _buffer("work", src.shape)
+        np.abs(src, out=tmp)
         peak = tmp.max(axis=1)
         exact = peak <= _EXTRACT_LIMIT   # False for inf and nan rows
-        fallback = {r: math.fsum(work[r].tolist())
-                    for r in np.flatnonzero(~exact).tolist()}
-        work[~exact] = 0.0
-        peak[~exact] = 0.0
+        fallback = {}
+        cur = src
+        if not exact.all():
+            fallback = {r: math.fsum(src[r].tolist())
+                        for r in np.flatnonzero(~exact).tolist()}
+            cur = work
+            np.copyto(cur, src)
+            cur[~exact] = 0.0
+            tmp[~exact] = 0.0
+            peak[~exact] = 0.0
         levels = []
-        while peak.any():
-            _, e = np.frexp(peak)
-            sigma = np.ldexp(1.0, e + shift)[:, None]
-            np.add(work, sigma, out=tmp)
-            tmp -= sigma
-            levels.append(tmp.sum(axis=1).tolist())
-            work -= tmp
-            np.abs(work, out=tmp)
-            peak = tmp.max(axis=1)
-        parts = zip(*levels) if levels else [()] * len(work)
+        top = float(peak.max())
+        if top:
+            # smallest nonzero magnitude: as integers the bit patterns of
+            # non-negative doubles keep their order, and 0 - 1 wraps to the
+            # largest; tmp is overwritten by the first level anyway
+            pattern = tmp.view(np.uint64)
+            np.subtract(pattern, 1, out=pattern)
+            low = (pattern.min() + np.uint64(1)).view(np.float64)
+            e = math.frexp(top)[1]
+            g = max(math.frexp(float(low))[1] - 53, -1074)
+            for _ in range(-(-(e - g) // step)):
+                sigma = math.ldexp(1.0, e + shift)
+                np.add(cur, sigma, out=tmp)
+                tmp -= sigma
+                levels.append(tmp.sum(axis=1).tolist())
+                np.subtract(cur, tmp, out=work)
+                cur = work
+                e -= step
+            if cur.any():
+                raise AssertionError("extraction left a nonzero remainder")
+        parts = zip(*levels) if levels else [()] * len(src)
         out += [fallback[r] if r in fallback else math.fsum(level_sums)
                 for r, level_sums in enumerate(parts)]
     return out

@@ -145,6 +145,17 @@ def test_tol_overrides_the_primary_tolerance_only(tmp_path, args):
         assert c["tolerance"] == (1e-3 if fixed is None else fixed), c["id"]
 
 
+def test_zero_tol_runs_the_campaign(tmp_path):
+    # unlike a negative or NaN tolerance, zero is valid: every primary check
+    # is held to it and a nonzero deviation fails
+    out = tmp_path / "r.json"
+    code = main(["heisenberg-demo", "--grid", "48", "--tol", "0", "--quiet",
+                 "--no-timestamp", "--json-out", str(out)])
+    checks = json.loads(out.read_text())["checks"]
+    assert checks and all(c["tolerance"] == 0.0 for c in checks)
+    assert code == (0 if all(c["deviation"] == 0.0 for c in checks) else 1)
+
+
 def test_classical_sim_csv_and_summary(tmp_path):
     out = tmp_path / "traj.csv"
     rep = tmp_path / "rep.json"
@@ -368,11 +379,21 @@ def test_bad_phi_rejected(capsys):
      "--grid: integrand boundary magnitude"),
     (["reproduce-tables", "--grid", "10", "--nmax", "12"],
      "--grid: integrand boundary magnitude"),
+    # the rk4 comparison orbit overflows mid-run
+    (["classical-sim", "--dt", "1e300", "--steps", "3"],
+     "--dt: phase-space components must be finite"),
+    (["heisenberg-demo", "--tol", "nan"],
+     "--tol: tolerance must be finite and nonnegative"),
+    (["verify-algebra", "--tol", "-1"],
+     "--tol: tolerance must be finite and nonnegative"),
+    (["classical-sim", "--tol", "inf"],
+     "--tol: tolerance must be finite and nonnegative"),
 ], ids=["nmax", "simpson-grid", "margin", "phi-syntax", "mass", "steps",
         "dt-negative", "dt-nan", "energy", "bfield-nan", "hbar-inf",
         "alpha-nan", "x0-nan", "tables-nmax", "scan-nmax", "scan-nmax-cubic",
         "scan-levels", "scan-levels-high", "seed", "scan-grid", "basis-grid",
-        "demo-grid", "tables-grid"])
+        "demo-grid", "tables-grid", "dt-orbit-overflow", "tol-nan",
+        "tol-negative", "tol-inf"])
 def test_bad_input_exits_2(capsys, args, message):
     with pytest.raises(SystemExit) as exc:
         main(args + ["--quiet", "--no-timestamp"])

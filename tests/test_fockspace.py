@@ -244,6 +244,23 @@ def test_interior_project_shape():
         b.interior_indices(7)
 
 
+@pytest.mark.parametrize("nmax", [8, 16])
+def test_interior_block_equals_index_gather(nmax):
+    b = FockBasis(nmax)
+    rng = np.random.default_rng(nmax)
+    m = rng.normal(size=(b.dim, b.dim)) + 1j * rng.normal(size=(b.dim, b.dim))
+    for margin in range(nmax + 1):
+        idx = b.interior_indices(margin)
+        for src in (m, m.T):
+            block = b.interior_block(src, margin)
+            gathered = src[np.ix_(idx, idx)]
+            assert block.shape == gathered.shape
+            assert block.tobytes() == gathered.tobytes()
+    for margin in (-1, nmax + 1):
+        with pytest.raises(TruncationError):
+            b.interior_block(m, margin)
+
+
 # -- polynomial position operators -------------------------------------------
 
 

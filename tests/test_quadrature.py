@@ -310,6 +310,122 @@ def test_fsum_rows_equals_fsum_bit_for_bit(rows):
         == [struct.pack("<d", v) for v in expected]
 
 
+def _real_bits(values) -> list[bytes]:
+    return [struct.pack("<d", v) for v in values]
+
+
+@st.composite
+def _windowed_block(draw):
+    """Rows that fit in one block of the reducer, each with its own window
+    of exponents, from subnormals to just below the extraction limit: the
+    windows may overlap, nest or lie far apart, and a row may cancel."""
+    nrows = draw(st.integers(1, 6))
+    n = draw(st.integers(1, quad._BLOCK_VALUES // nrows))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    rows = np.empty((nrows, n))
+    for r in range(nrows):
+        lo = draw(st.integers(-1080, 895))
+        hi = draw(st.integers(lo, min(lo + 120, 895)))
+        rows[r] = np.ldexp(rng.uniform(-1.0, 1.0, n),
+                           rng.integers(lo, hi + 1, n))
+        if draw(st.booleans()) and n >= 2:
+            half = n // 2
+            rows[r, half:2 * half] = -rows[r, rng.permutation(half)]
+    return rows
+
+
+@settings(max_examples=100, deadline=None)
+@given(_windowed_block())
+@example(np.array([[2.0 ** 899, -(2.0 ** 880), 3.0],
+                   [5e-324, -(2.0 ** -1060), 2.0 ** -1070]]))
+@example(np.array([[1.0, 2.0 ** -52, -(2.0 ** -104)],
+                   [0.0, -0.0, 0.0],
+                   [-(2.0 ** 700), 2.0 ** 650, 2.0 ** 600]]))
+def test_fsum_rows_one_block_of_disjoint_windows(rows):
+    # one extraction constant serves every row of the block, however far
+    # apart the rows' magnitudes lie
+    assert rows.size <= quad._BLOCK_VALUES
+    assert _real_bits(_fsum_rows(rows)) \
+        == _real_bits(math.fsum(row.tolist()) for row in rows)
+
+
+@pytest.mark.parametrize("k", range(2, 17))
+@pytest.mark.parametrize("offset", [-3, -2])
+def test_fsum_rows_at_the_lengths_where_the_level_width_changes(k, offset):
+    # n = 2**k - 3 is the longest row for its level width, n = 2**k - 2 the
+    # shortest for the next; rows of the largest double below 2**e hold
+    # each level's partial sums at their exactness bound
+    n = 2 ** k + offset
+    rng = np.random.default_rng(k)
+    below_one = math.nextafter(1.0, 0.0)
+    signs = np.where(np.arange(n) % 2, -1.0, 1.0)
+    rows = np.stack([
+        np.full(n, below_one),
+        np.full(n, -below_one) * (1.0 - np.ldexp(rng.uniform(0, 1, n), -40)),
+        signs * np.ldexp(rng.uniform(0.5, 1.0, n), rng.integers(-300, 1, n)),
+        np.where(np.arange(n) % 3, below_one, np.ldexp(signs, -1000)),
+    ])
+    assert _real_bits(_fsum_rows(rows)) \
+        == _real_bits(math.fsum(row.tolist()) for row in rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 3000),
+       st.integers(-1050, 800), st.integers(-1050, 800))
+@example(7, 3136, 790, -1040)
+@example(8, 5, -1040, 0)
+def test_weighted_sums_real_and_imaginary_parts_in_different_windows(
+        seed, n, re_exp, im_exp):
+    rng = np.random.default_rng(seed)
+    rows = max(1, min(6, quad._BLOCK_VALUES // n))
+    vals = (np.ldexp(rng.normal(size=(rows, n)),
+                     re_exp + rng.integers(0, 40, (rows, n)))
+            + 1j * np.ldexp(rng.normal(size=(rows, n)),
+                            im_exp + rng.integers(0, 40, (rows, n))))
+    w = rng.uniform(0.0, 1.0, n)
+    assert _bits(_weighted_sums(vals, w)) == _bits(_fsum_products(vals, w))
+
+
+class _FsumLengths:
+    """Stands in for the ``math`` module and records the length of every
+    ``fsum`` argument."""
+
+    def __init__(self):
+        self.lengths = []
+
+    def fsum(self, values):
+        values = list(values)
+        self.lengths.append(len(values))
+        return math.fsum(values)
+
+    def __getattr__(self, name):
+        return getattr(math, name)
+
+
+def test_level_count_is_fixed_by_the_block_range(monkeypatch):
+    # the 20 x 3136 decaying block: the real and the imaginary products
+    # both have their largest magnitude below 2**0 and their last bit at
+    # 2**-172, and 3138 values per row give M = 12, so 40 bits a level:
+    # ceil(172 / 40) = 5 levels, the sum of each row then taken over 5
+    # level sums
+    grid = Grid2.gauss_hermite(56, scale=math.sqrt(2.0))
+    x1, x2, w = grid.points
+    vals = _decaying_rows(np.random.default_rng(7), 20, x1, x2)
+    prod = vals * w
+    for part in (prod.real, prod.imag):
+        mags = np.abs(part)
+        top = math.frexp(mags.max())[1]
+        last = math.frexp(mags[mags > 0].min())[1] - 53
+        step = 52 - (3136 + 2).bit_length()
+        assert (top, last, step) in ((0, -172, 40), (-1, -172, 40))
+        assert -(-(top - last) // step) == 5
+    recorder = _FsumLengths()
+    monkeypatch.setattr(quad, "math", recorder)
+    result = integrate_rows(vals, grid)
+    assert recorder.lengths == [5] * 40
+    assert _bits(result) == _bits(_fsum_products(vals, w))
+
+
 @pytest.mark.parametrize("scheme, k", [("gauss_hermite", 40), ("simpson", 64)])
 def test_engine_elements_equal_matrix_element(scheme, k):
     g = GaugeChoice(-0.6, (0.1, 0.4),

@@ -6,7 +6,7 @@ Usage, from the root of a checkout::
 
     PYTHONPATH=src python tools/report_digests.py > digests.txt
 
-Seven runs: every campaign at small settings; every campaign with a
+Eight runs: every campaign at small settings; every campaign with a
 non-default parameter set (negative charge, non-unit hbar, off-origin x0,
 sheared gauge with a cubic gauge function); gauge-scan with the Simpson
 rule and ``--dump-grid``; the dynamics campaigns at their own settings
@@ -22,7 +22,9 @@ matrix-route deviations are rounding-level, so the last bits of the
 canonical-operator matrix entries show in the report; and the benchmark's
 shapes with the variant parameters: a default-length (10,000-step) boris
 orbit with non-unit mass and field, an off-origin centre and its 10,001-row
-CSV, and heisenberg-demo with the Simpson rule on 120 intervals.  Each
+CSV, and heisenberg-demo with the Simpson rule on 120 intervals; and every
+campaign at its defaults, which are the acceptance settings (the
+acceptance gauge-scan alone takes most of the script's run time).  Each
 output line is ``<run> <campaign> <file> <exit code> <sha256>``; a file a
 campaign does not write reads ``-``.
 """
@@ -71,6 +73,7 @@ RUNS = [
                "--energy", "1.1", "--centre", "0.5,-0.1"],
               ["heisenberg-demo", "--scheme", "simpson", "--grid", "120",
                *VARIANT]]),
+    ("acceptance", [[name] for name in SMALL]),
 ]
 
 
