@@ -87,117 +87,86 @@ def run_verify_algebra(p: PhysicalParams, nmax: int = 16, margin: int = 3,
                        tol: float = ALGEBRA_TOL,
                        x0=(0.0, 0.0)) -> VerificationReport:
     """Full commutator suite and the quantum charge relation on the interior
-    of a truncated two-sector basis."""
+    of a truncated two-sector basis: a deviation is the largest modulus of
+    an entry whose ket and target both lie inside the margin."""
     rep = _report("verify-algebra", p, [], nmax=nmax, margin=margin)
     b = fk.FockBasis(nmax)
-    ladders = fk.ladder_ops(b)
-    ops = {name: fk.build_observable(name, p, x0, b, ladders)
+    ops = {name: fk.build_observable(name, p, x0, b)
            for name in fk.OBSERVABLE_NAMES}
-    del ladders
-    eye = np.eye(b.dim, dtype=complex)
     hb, s, w, qb = p.hbar, p.sign, p.omega_c, p.qB
 
     for name, op in ops.items():
-        rep.add(f"hermitian:{name}", np.abs(op.matrix - op.matrix.conj().T),
-                EXACT)
+        rep.add(f"hermitian:{name}", (op - op.dagger()).magnitudes(), EXACT)
 
-    nplus, nminus = fk.sector_numbers(b)
-    rep.add("spectrum:landau-levels", np.abs(np.diag(ops["H"].matrix).real
-                                             - hb * w * (nminus + 0.5)), EXACT)
-    hdiag = np.diag(ops["H"].matrix).real.reshape(nmax + 1, nmax + 1)
+    _, nminus = fk.sector_numbers(b)
+    hdiag = ops["H"].shifts[(0, 0)][0]
+    rep.add("spectrum:landau-levels", np.abs(hdiag - hb * w * (nminus + 0.5)),
+            EXACT)
     rep.add("spectrum:degeneracy", np.abs(hdiag - hdiag[0][None, :]), EXACT)
 
-    u1 = ops["x1"].matrix - x0[0] * eye
-    u2 = ops["x2"].matrix - x0[1] * eye
-    del eye
-    U1 = fk.FockOperator(b, u1, 1)
-    U2 = fk.FockOperator(b, u2, 1)
+    one = fk.identity(b)
+    zero = fk.FockOperator(b, {})
+    U1 = fk.build_observable("x1", p, (0.0, 0.0), b)
+    U2 = fk.build_observable("x2", p, (0.0, 0.0), b)
     H, T1, T2, M3 = ops["H"], ops["T1"], ops["T2"], ops["M3"]
     P1, P2, L3 = ops["p1"], ops["p2"], ops["L3"]
     XC1, XC2 = ops["xc1"], ops["xc2"]
     X1, X2 = ops["x1"], ops["x2"]
 
-    # expected commutators are built one at a time on the interior block
-    # alone, and so is each product: the subtraction is elementwise, so
-    # part(AB) - part(BA) equals the interior of the full difference
-    idx = b.interior_indices(margin)
-    eye_in = np.eye(len(idx), dtype=complex)
-
-    def part(m):
-        return b.interior_block(m, margin)
-
-    # a product with a diagonal factor is a broadcast: every entry has one
-    # nonzero term, so it rounds exactly as the dense product does, and its
-    # interior needs only the interior of the other factor
-    diagonals = {id(H): np.diag(H.matrix)[idx],
-                 id(M3): np.diag(M3.matrix)[idx]}
-
-    def product_part(x, y):
-        if id(y) in diagonals:
-            return part(x.matrix) * diagonals[id(y)][None, :]
-        if id(x) in diagonals:
-            return diagonals[id(x)][:, None] * part(y.matrix)
-        return part(x.matrix @ y.matrix)
-
     comms = [
-        ("comm:[x1,p1]", X1, P1, lambda: 1j * hb * eye_in),
-        ("comm:[x1,p2]", X1, P2, lambda: 0.0),
-        ("comm:[x2,p1]", X2, P1, lambda: 0.0),
-        ("comm:[x2,p2]", X2, P2, lambda: 1j * hb * eye_in),
-        ("comm:[p1,p2]", P1, P2, lambda: 1j * hb * qb * eye_in),
-        ("comm:[T1,T2]", T1, T2, lambda: -1j * hb * s * p.m * w * eye_in),
-        ("comm:[T1,H]", T1, H, lambda: 0.0),
-        ("comm:[T2,H]", T2, H, lambda: 0.0),
-        ("comm:[M3,H]", M3, H, lambda: 0.0),
-        ("comm:[T1,M3]", T1, M3, lambda: -1j * hb * part(T2.matrix)),
-        ("comm:[T2,M3]", T2, M3, lambda: 1j * hb * part(T1.matrix)),
-        ("comm:[xc1,xc2]", XC1, XC2, lambda: (-1j * hb / qb) * eye_in),
-        ("comm:[xc1,H]", XC1, H, lambda: 0.0),
-        ("comm:[xc2,H]", XC2, H, lambda: 0.0),
-        ("comm:[xc1,p1]", XC1, P1, lambda: 0.0),
-        ("comm:[xc1,p2]", XC1, P2, lambda: 0.0),
-        ("comm:[xc2,p1]", XC2, P1, lambda: 0.0),
-        ("comm:[xc2,p2]", XC2, P2, lambda: 0.0),
-        ("comm:[p1,H]", P1, H, lambda: 1j * s * hb * w * part(P2.matrix)),
-        ("comm:[p2,H]", P2, H, lambda: -1j * s * hb * w * part(P1.matrix)),
-        ("comm:[L3,M3]", L3, M3, lambda: 0.0),
-        ("comm:[T1,L3]", T1, L3, lambda: -1j * hb * part(P2.matrix)),
-        ("comm:[T2,L3]", T2, L3, lambda: 1j * hb * part(P1.matrix)),
-        ("comm:[p1,L3]", P1, L3, lambda: 1j * hb * part(T2.matrix)
-         - 2j * hb * part(P2.matrix)),
-        ("comm:[p2,L3]", P2, L3, lambda: -1j * hb * part(T1.matrix)
-         + 2j * hb * part(P1.matrix)),
-        ("comm:[x1,T1]", X1, T1, lambda: 1j * hb * eye_in),
-        ("comm:[x1,T2]", X1, T2, lambda: 0.0),
-        ("comm:[x2,T2]", X2, T2, lambda: 1j * hb * eye_in),
-        ("comm:[p1,T1]", P1, T1, lambda: 0.0),
-        ("comm:[p2,T2]", P2, T2, lambda: 0.0),
-        ("comm:[u1,M3]", U1, M3, lambda: -1j * hb * part(u2)),
-        ("comm:[u2,M3]", U2, M3, lambda: 1j * hb * part(u1)),
-        ("comm:[p1,M3]", P1, M3, lambda: -1j * hb * part(P2.matrix)),
-        ("comm:[p2,M3]", P2, M3, lambda: 1j * hb * part(P1.matrix)),
-        ("comm:[L3,H]", L3, H,
-         lambda: -0.5j * s * hb * w * part(u1 @ P1.matrix + P1.matrix @ u1
-                                           + u2 @ P2.matrix + P2.matrix @ u2)),
+        ("comm:[x1,p1]", X1, P1, 1j * hb * one),
+        ("comm:[x1,p2]", X1, P2, zero),
+        ("comm:[x2,p1]", X2, P1, zero),
+        ("comm:[x2,p2]", X2, P2, 1j * hb * one),
+        ("comm:[p1,p2]", P1, P2, 1j * hb * qb * one),
+        ("comm:[T1,T2]", T1, T2, -1j * hb * s * p.m * w * one),
+        ("comm:[T1,H]", T1, H, zero),
+        ("comm:[T2,H]", T2, H, zero),
+        ("comm:[M3,H]", M3, H, zero),
+        ("comm:[T1,M3]", T1, M3, -1j * hb * T2),
+        ("comm:[T2,M3]", T2, M3, 1j * hb * T1),
+        ("comm:[xc1,xc2]", XC1, XC2, (-1j * hb / qb) * one),
+        ("comm:[xc1,H]", XC1, H, zero),
+        ("comm:[xc2,H]", XC2, H, zero),
+        ("comm:[xc1,p1]", XC1, P1, zero),
+        ("comm:[xc1,p2]", XC1, P2, zero),
+        ("comm:[xc2,p1]", XC2, P1, zero),
+        ("comm:[xc2,p2]", XC2, P2, zero),
+        ("comm:[p1,H]", P1, H, 1j * s * hb * w * P2),
+        ("comm:[p2,H]", P2, H, -1j * s * hb * w * P1),
+        ("comm:[L3,M3]", L3, M3, zero),
+        ("comm:[T1,L3]", T1, L3, -1j * hb * P2),
+        ("comm:[T2,L3]", T2, L3, 1j * hb * P1),
+        ("comm:[p1,L3]", P1, L3, 1j * hb * T2 - 2j * hb * P2),
+        ("comm:[p2,L3]", P2, L3, -1j * hb * T1 + 2j * hb * P1),
+        ("comm:[x1,T1]", X1, T1, 1j * hb * one),
+        ("comm:[x1,T2]", X1, T2, zero),
+        ("comm:[x2,T2]", X2, T2, 1j * hb * one),
+        ("comm:[p1,T1]", P1, T1, zero),
+        ("comm:[p2,T2]", P2, T2, zero),
+        ("comm:[u1,M3]", U1, M3, -1j * hb * U2),
+        ("comm:[u2,M3]", U2, M3, 1j * hb * U1),
+        ("comm:[p1,M3]", P1, M3, -1j * hb * P2),
+        ("comm:[p2,M3]", P2, M3, 1j * hb * P1),
+        ("comm:[L3,H]", L3, H, -0.5j * s * hb * w * (U1 @ P1 + P1 @ U1
+                                                      + U2 @ P2 + P2 @ U2)),
     ]
     # no excursion precondition here: an inadequate margin shows up as a
     # large deviation rather than an exception
     for cid, a, bb, expected in comms:
-        rep.add(cid, np.abs(product_part(a, bb) - product_part(bb, a)
-                            - expected()), tol)
+        rep.add(cid, (a @ bb - bb @ a - expected).magnitudes(margin), tol)
 
-    rel = (T1.matrix @ T1.matrix + T2.matrix @ T2.matrix
-           - 2.0 * p.m * H.matrix - 2.0 * qb * M3.matrix)
-    rep.add("charge-relation", np.abs(b.interior_block(rel, max(margin, 2))),
-            tol)
+    rel = T1 @ T1 + T2 @ T2 - 2.0 * p.m * H - 2.0 * qb * M3
+    rep.add("charge-relation", rel.magnitudes(max(margin, 2)), tol)
 
     # selection rules: velocity moves exactly one level, translations one
     # intra-level step at fixed level
-    dn = np.subtract.outer(nminus, nminus)
-    dnp = np.subtract.outer(nplus, nplus)
-    rep.add("selection:p-levels", np.abs(P1.matrix[np.abs(dn) != 1]), tol)
-    t_mask = (np.abs(dnp) != 1) | (dn != 0)
-    rep.add("selection:T-intra-level", np.abs(T1.matrix[t_mask]), tol)
+    def off(op, allowed):
+        return fk.FockOperator(b, {d: c for d, c in op.shifts.items()
+                                   if not allowed(d)}).magnitudes()
+    rep.add("selection:p-levels", off(P1, lambda d: abs(d[1]) == 1), tol)
+    rep.add("selection:T-intra-level",
+            off(T1, lambda d: abs(d[0]) == 1 and d[1] == 0), tol)
     return rep
 
 
@@ -307,31 +276,12 @@ def _neighbour_pairs(states, extra_offsets=((0, 2), (2, 0), (1, -2), (2, 2))):
     return pairs
 
 
+def _label_arrays(pairs):
+    """Arrays ``l1, n1, l2, n2`` of angular-label pairs."""
+    return [np.array(c) for c in zip(*(bra + ket for bra, ket in pairs))]
+
+
 _SCAN_OPS = ("H", "T1", "T2", "M3", "p1", "p2", "L3")
-
-
-def _canonical_route(p: PhysicalParams, gauges, basis: fk.FockBasis,
-                     pairs) -> list[dict]:
-    """Matrix elements <bra|op|ket> of the canonical operators (pi1, pi2,
-    L3c) on ``basis`` at every angular-label pair, one list per operator and
-    gauge; each has the bits of ``fk.gauge_variant_matrix(...).element``.
-
-    Only the entries read are kept: of the partner matrices, which do not
-    depend on the gauge, and of each position monomial, built once for all
-    gauges."""
-    at = ([basis.index(bra[1] + bra[0], bra[1]) for bra, _ in pairs],
-          [basis.index(ket[1] + ket[0], ket[1]) for _, ket in pairs])
-    partners = {name: fk.build_observable(CANONICAL_PARTNER[name], p,
-                                          gauges[0].x0, basis).matrix[at]
-                for name in CANONICAL_PARTNER}
-    keys = {key for g in gauges for name in CANONICAL_PARTNER
-            for key in canonical_extra(name, g, p).terms}
-    monomials = {key: mono[at]
-                 for key, mono in fk.position_monomials(p, basis, keys)}
-    return [{name: fk.canonical_entries(name, g, p, partners[name],
-                                        monomials).tolist()
-             for name in CANONICAL_PARTNER}
-            for g in gauges]
 
 
 def run_gauge_scan(p: PhysicalParams, gauges=None, nmax: int = 16,
@@ -367,9 +317,10 @@ def run_gauge_scan(p: PhysicalParams, gauges=None, nmax: int = 16,
     # always keeping the sample block used by the shift comparison
     checked = [not (pi % 2) or (bra in sample_set and ket in sample_set)
                for pi, (bra, ket) in enumerate(pairs)]
-    route = _canonical_route(p, gauges, fk.FockBasis(nmax),
-                             [pair for pair, check in zip(pairs, checked)
-                              if check])
+    # the Fock route reads the canonical operators at the checked pairs
+    basis = fk.FockBasis(nmax)
+    l1, n1, l2, n2 = _label_arrays([pair for pair, check in zip(pairs, checked)
+                                    if check])
 
     for gi, g in enumerate(gauges):
         grid = _default_grid(p, g, grid_k, scheme)
@@ -380,7 +331,9 @@ def run_gauge_scan(p: PhysicalParams, gauges=None, nmax: int = 16,
         cano = {name: wv.position_op(name, g, p) for name in CANONICAL_PARTNER}
         extra = {name: wv.multiplication_op(canonical_extra(name, g, p))
                  for name in CANONICAL_PARTNER}
-        route_values = {name: iter(route[gi][name])
+        route_values = {name: iter(fk.gauge_variant_matrix(
+                            name, g, p, basis).entries(
+                                (n1 + l1, n1), (n2 + l2, n2)).tolist())
                         for name in CANONICAL_PARTNER}
         requests = []
         for (bra, ket), check in zip(pairs, checked):
@@ -481,19 +434,19 @@ def run_reproduce_tables(p: PhysicalParams, nmax: int = 16,
     half = nmax // 2
     wide = _angular_states(half, half)
     ell, lvl = (np.array(c)[:, None] for c in zip(*wide))
-    flat = np.array([basis.index(n + l, n) for (l, n) in wide])
     for name in _TABLE_OPS:
         diff = (fk.angular_element(name, ell, lvl, ell.T, lvl.T, p).value
-                - mats[name].matrix[flat[:, None], flat[None, :]])
+                - mats[name].entries((lvl + ell, lvl), (lvl.T + ell.T, lvl.T)))
         # Python's abs, with which numpy's vectorised complex modulus can
         # differ in the last bit, over the nonzero differences
         rep.add(f"angular:{name}:closed-vs-matrix",
                 [abs(z) for z in diff[diff != 0].tolist()], ALGEBRA_TOL)
 
+    l1s, n1s, l2s, n2s = _label_arrays(pairs)
+    same = n1s == n2s
     rep.add("angular:p-same-level-zero", [
-        abs(mats[name].element((n1 + l1, n1), (n2 + l2, n2)))
-        for name in ("p1", "p2")
-        for ((l1, n1), (l2, n2)) in pairs if n1 == n2], ALGEBRA_TOL)
+        abs(z) for name in ("p1", "p2") for z in mats[name].entries(
+            (n1s + l1s, n1s), (n2s + l2s, n2s))[same].tolist()], ALGEBRA_TOL)
 
     grid = _default_grid(p, g, grid_k, scheme)
     eng = _ElementEngine(grid, g.x0)
@@ -502,8 +455,6 @@ def run_reproduce_tables(p: PhysicalParams, nmax: int = 16,
     ops = {name: wv.position_op(name, g, p) for name in _TABLE_OPS}
     values = iter(eng.elements([(bra, ops[name], ket) for name in _TABLE_OPS
                                 for (bra, ket) in pairs]))
-    l1s, n1s, l2s, n2s = (np.array(c) for c in zip(*(
-        (l1, n1, l2, n2) for ((l1, n1), (l2, n2)) in pairs)))
     for name in _TABLE_OPS:
         table = fk.angular_element(name, l1s, n1s, l2s, n2s, p).value.tolist()
         block = [("angular", name, (l1, n1, l2, n2), closed, val,

@@ -1,30 +1,32 @@
-"""Truncated two-sector helicity Fock space: exact observable matrices,
-interior-subspace projections, closed-form matrix elements in the
-angular-momentum eigenbasis, and the basis-change coefficients.
+"""Truncated two-sector helicity Fock space: observables as maps from a
+ladder shift to coefficients over the ket states, their truncated products,
+closed-form matrix elements in the angular-momentum eigenbasis, and the
+basis-change coefficients.
 
 States |n+, n-> carry an intra-level quantum number n+ (guiding-centre
 sector) and the level number n- (energy sector).  Truncation corrupts only
-rows and columns near the cutoff, so every identity is checked on an
-interior subspace whose margin covers the ladder excursions of the
-operators involved.
+entries near the cutoff, so every identity is checked on an interior
+subspace whose margin covers the ladder excursions of the operators
+involved.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
 from .params import (CANONICAL_PARTNER, GaugeChoice, PhysicalParams, Poly2,
                      canonical_extra)
-from .waves import check_quantum_number, hermite
+from .waves import MAX_QUANTUM_NUMBER, check_quantum_number, hermite
 
 __all__ = [
     "FockBasis",
     "FockOperator",
     "TruncationError",
+    "identity",
     "ladder_ops",
     "build_observable",
     "position_monomials",
@@ -33,7 +35,6 @@ __all__ = [
     "angular_element",
     "change_of_basis",
     "t1_fock_overlap",
-    "canonical_entries",
     "gauge_variant_matrix",
     "OBSERVABLE_NAMES",
 ]
@@ -43,19 +44,22 @@ OBSERVABLE_NAMES = ("H", "T1", "T2", "M3", "p1", "p2", "L3",
 
 
 class TruncationError(ValueError):
-    """Raised when a requested margin or degree is incompatible with the
-    basis truncation."""
+    """Raised for a truncation, margin or degree out of range."""
 
 
 @dataclass(frozen=True)
 class FockBasis:
-    """Tensor-product basis |n+, n-> with 0 <= n+- <= nmax per sector."""
+    """Tensor-product basis |n+, n-> with 0 <= n+- <= nmax per sector, and
+    nmax at most :data:`~landaulab.waves.MAX_QUANTUM_NUMBER`."""
 
     nmax: int
 
     def __post_init__(self):
         if self.nmax < 1:
             raise ValueError("nmax must be at least 1")
+        if self.nmax > MAX_QUANTUM_NUMBER:
+            raise TruncationError(f"nmax {self.nmax} exceeds the validated "
+                                  f"maximum {MAX_QUANTUM_NUMBER}")
 
     @property
     def dim(self) -> int:
@@ -77,192 +81,248 @@ class FockBasis:
 
     def interior_indices(self, margin: int) -> np.ndarray:
         """Flat indices of states with n+- <= nmax - margin."""
-        cut = self._cut(margin)
-        k = self.nmax + 1
-        idx = [i * k + j for i in range(cut + 1) for j in range(cut + 1)]
-        return np.asarray(idx, dtype=int)
-
-    def interior_block(self, m: np.ndarray, margin: int) -> np.ndarray:
-        """``m[np.ix_(idx, idx)]`` for ``idx = interior_indices(margin)``,
-        as a slice: the interior states lead both sectors, so with one axis
-        per quantum number of the row and column state the block is the
-        leading corner.  At margin 0 the result may be a view of ``m``."""
-        c = self._cut(margin) + 1
-        k = self.nmax + 1
-        return m.reshape((k,) * 4)[:c, :c, :c, :c].reshape(c * c, c * c)
+        n = np.arange(self._cut(margin) + 1)
+        return (n[:, None] * (self.nmax + 1) + n[None, :]).ravel()
 
 
-@dataclass(frozen=True)
+def _windows(d, k: int):
+    """Indices into a coefficient array over 0..k-1 per sector of the kets n
+    whose target n + d also lies in 0..k-1, and of those targets."""
+    lo = [max(0, -di) for di in d]
+    hi = [max(a, k - max(0, di)) for a, di in zip(lo, d)]
+    return ((slice(None), *map(slice, lo, hi)), (slice(None), *(
+        slice(a + di, z + di) for a, z, di in zip(lo, hi, d))))
+
+
+def _cmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Complex product ``(ar br - ai bi, ar bi + ai br)`` of real pairs, each
+    operation rounded on its own, so no fused multiply-add can enter."""
+    p, q = a * b, a * b[::-1]
+    np.subtract(p[0], p[1], out=p[0])
+    np.add(q[0], q[1], out=p[1])
+    return p
+
+
+@dataclass(frozen=True, eq=False)
 class FockOperator:
-    """Dense complex matrix on a FockBasis with ladder-excursion metadata
-    (the largest step the operator takes in either sector)."""
+    """Operator stored by shift: ``shifts`` maps (dn+, dn-) to a float64 array
+    of shape ``(2, nmax+1, nmax+1)`` whose ``[:, n+, n-]`` holds the real and
+    imaginary part of ``<n+ + dn+, n- + dn-| O |n+, n->``, zero where the
+    target leaves the basis.  ``excursion`` is metadata: the largest ladder
+    step the operator takes."""
 
     basis: FockBasis
-    matrix: np.ndarray
+    shifts: dict
     excursion: int = 0
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.shape != (self.basis.dim, self.basis.dim):
-            raise ValueError("matrix shape does not match basis dimension")
+        shape = (2, self.basis.nmax + 1, self.basis.nmax + 1)
+        if any(np.shape(c) != shape for c in self.shifts.values()):
+            raise ValueError("coefficient arrays do not match the basis")
         if self.excursion < 0:
             raise ValueError("excursion must be nonnegative")
-        object.__setattr__(self, "matrix", m)
+
+    def _combine(self, other: "FockOperator", op) -> "FockOperator":
+        # a shift missing from one operand reads zero there
+        self._check(other)
+        zero = np.zeros((2, self.basis.nmax + 1, self.basis.nmax + 1))
+        return FockOperator(self.basis, {
+            d: op(self.shifts.get(d, zero), other.shifts.get(d, zero))
+            for d in sorted(self.shifts.keys() | other.shifts.keys())},
+            max(self.excursion, other.excursion))
 
     def __add__(self, other: "FockOperator") -> "FockOperator":
-        self._check(other)
-        return FockOperator(self.basis, self.matrix + other.matrix,
-                            max(self.excursion, other.excursion))
+        return self._combine(other, np.add)
 
     def __sub__(self, other: "FockOperator") -> "FockOperator":
-        self._check(other)
-        return FockOperator(self.basis, self.matrix - other.matrix,
-                            max(self.excursion, other.excursion))
+        return self._combine(other, np.subtract)
 
     def __mul__(self, scalar) -> "FockOperator":
-        return FockOperator(self.basis, self.matrix * scalar, self.excursion)
+        z = complex(scalar)
+        pair = np.array([[[z.real]], [[z.imag]]])
+        return FockOperator(self.basis, {d: _cmul(pair, c) for d, c in
+                                         self.shifts.items()}, self.excursion)
 
     __rmul__ = __mul__
 
     def __matmul__(self, other: "FockOperator") -> "FockOperator":
+        """Truncated product ``self other``.  For a shift dA of ``self`` and
+        dB of ``other`` the term at ket n is other's coefficient at n times
+        self's at n + dB, and it lands on shift dA + dB.  The terms of one
+        shift are added in increasing (dA, dB) order, from zero.  A term whose
+        intermediate state n + dB leaves the basis is left out, as from the
+        truncated matrix product."""
         self._check(other)
-        return FockOperator(self.basis, self.matrix @ other.matrix,
-                            self.excursion + other.excursion)
+        out: dict = {}
+        for da, a in sorted(self.shifts.items()):
+            for db, b in sorted(other.shifts.items()):
+                kets, mids = _windows(db, self.basis.nmax + 1)
+                d = (da[0] + db[0], da[1] + db[1])
+                if d not in out:
+                    out[d] = np.zeros_like(a)
+                out[d][kets] += _cmul(b[kets], a[mids])
+        return FockOperator(self.basis, out, self.excursion + other.excursion)
 
     def dagger(self) -> "FockOperator":
-        return FockOperator(self.basis, self.matrix.conj().T, self.excursion)
+        # <n|O^dag|n - d> is the conjugate of <n - d|O|n>
+        out = {}
+        for (d0, d1), c in self.shifts.items():
+            kets, sources = _windows((-d0, -d1), self.basis.nmax + 1)
+            out[(-d0, -d1)] = np.zeros_like(c)
+            out[(-d0, -d1)][kets] = c[sources] * [[[1.0]], [[-1.0]]]
+        return FockOperator(self.basis, out, self.excursion)
 
     def is_hermitian_exact(self) -> bool:
-        return np.array_equal(self.matrix, self.matrix.conj().T)
+        return not np.any((self - self.dagger()).magnitudes())
+
+    def magnitudes(self, margin: int = 0) -> np.ndarray:
+        """Moduli (``hypot`` of the real pair) of the stored entries whose ket
+        and target both have n+- <= nmax - margin; all others are zero."""
+        k = self.basis._cut(margin) + 1
+        parts = [np.hypot(*c[_windows(d, k)[0]]).ravel()
+                 for d, c in sorted(self.shifts.items())]
+        return np.concatenate(parts) if parts else np.zeros(0)
+
+    def entries(self, bra, ket) -> np.ndarray:
+        """``<bra|O|ket>`` for labels ``bra = (n+, n-)`` and ``ket``: integers
+        or integer arrays that broadcast against each other."""
+        labels = np.broadcast_arrays(*(np.asarray(a) for a in (*bra, *ket)))
+        if any(np.any((a < 0) | (a > self.basis.nmax)) for a in labels):
+            raise IndexError("state outside truncation")
+        bp, bm, kp, km = labels
+        out = np.zeros(bp.shape, dtype=complex)
+        for (d0, d1), c in self.shifts.items():
+            hit = (bp - kp == d0) & (bm - km == d1)
+            out.real[hit] = c[0][kp[hit], km[hit]]
+            out.imag[hit] = c[1][kp[hit], km[hit]]
+        return out
 
     def element(self, bra: tuple[int, int], ket: tuple[int, int]) -> complex:
-        return complex(self.matrix[self.basis.index(*bra), self.basis.index(*ket)])
+        return complex(self.entries(bra, ket))
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """Dense matrix in :meth:`FockBasis.index` order, for tests."""
+        nplus, nminus = np.array(self.basis.labels()).T[:, :, None]
+        return self.entries((nplus, nminus), (nplus.T, nminus.T))
 
     def _check(self, other: "FockOperator"):
         if other.basis.nmax != self.basis.nmax:
             raise ValueError("operators live on different bases")
 
 
-def _single_ladder(n: int) -> np.ndarray:
-    a = np.zeros((n + 1, n + 1))
-    for k in range(1, n + 1):
-        a[k - 1, k] = math.sqrt(k)
-    return a
+def sector_numbers(b: FockBasis):
+    """Grids ``(n+, n-)`` over the ket states, as a coefficient array's."""
+    n = np.arange(b.nmax + 1, dtype=float)
+    return tuple(np.meshgrid(n, n, indexing="ij"))
+
+
+def _real_operator(b: FockBasis, d, values, excursion=0) -> FockOperator:
+    """Operator with the single shift ``d`` and real coefficients."""
+    return FockOperator(b, {d: np.stack((values, np.zeros_like(values)))},
+                        excursion)
+
+
+def identity(b: FockBasis) -> FockOperator:
+    """The shift (0, 0) with every coefficient one."""
+    return _real_operator(b, (0, 0), np.ones((b.nmax + 1, b.nmax + 1)))
 
 
 def ladder_ops(b: FockBasis):
-    """(a+, a+^dag, a-, a-^dag) as FockOperators with unit excursion."""
-    a = _single_ladder(b.nmax)
-    eye = np.eye(b.nmax + 1)
-    ap = FockOperator(b, np.kron(a, eye), 1)
-    am = FockOperator(b, np.kron(eye, a), 1)
-    return ap, ap.dagger(), am, am.dagger()
-
-
-def sector_numbers(b: FockBasis):
-    k = b.nmax + 1
-    nplus = np.repeat(np.arange(k), k).astype(float)
-    nminus = np.tile(np.arange(k), k).astype(float)
-    return nplus, nminus
+    """(a+, a+^dag, a-, a-^dag): a lowers its sector with coefficient
+    sqrt(n), a^dag raises it with sqrt(n + 1), zero at n = nmax."""
+    ops = []
+    for n, (u0, u1) in zip(sector_numbers(b), ((1, 0), (0, 1))):
+        ops += [_real_operator(b, (-u0, -u1), np.sqrt(n), 1),
+                _real_operator(b, (u0, u1),
+                               np.where(n < b.nmax, np.sqrt(n + 1.0), 0.0), 1)]
+    return tuple(ops)
 
 
 def build_observable(name: str, p: PhysicalParams, x0: tuple[float, float],
-                     b: FockBasis, ladders=None) -> FockOperator:
-    """Exact matrix of a physical observable on the truncated basis.
+                     b: FockBasis) -> FockOperator:
+    """Exact shift map of a physical observable on the truncated basis.
 
     Diagonal observables (H, M3) are written down entrywise; the rest are
-    assembled from the helicity ladders, which a caller building several
-    observables may pass in as ``ladder_ops(b)`` to build them once.  Every
-    returned matrix is exactly Hermitian.
+    assembled from the helicity ladders.  Every returned operator is exactly
+    Hermitian.
     """
-    hw = p.hbar * p.omega_c
     s = p.sign
     c = math.sqrt(p.hbar * p.m * p.omega_c / 2.0)
     lam = p.magnetic_length
     nplus, nminus = sector_numbers(b)
 
-    if name == "H":
-        return FockOperator(b, np.diag(hw * (nminus + 0.5)).astype(complex), 0)
-    if name == "M3":
-        return FockOperator(b, np.diag(s * p.hbar * (nplus - nminus)).astype(complex), 0)
+    def centred(x, u):
+        # x times the identity plus u; no (0, 0) shift of zeros at x = 0
+        return x * identity(b) + u if x else u
 
-    if ladders is None:
-        ladders = ladder_ops(b)
-    ap, apd, am, amd = ladders
+    if name == "H":
+        return _real_operator(b, (0, 0), p.hbar * p.omega_c * (nminus + 0.5))
+    if name == "M3":
+        return _real_operator(b, (0, 0), s * p.hbar * (nplus - nminus))
+
+    ap, apd, am, amd = ladder_ops(b)
     if name == "T1":
-        return FockOperator(b, 1j * c * (apd.matrix - ap.matrix), 1)
+        return 1j * c * (apd - ap)
     if name == "T2":
-        return FockOperator(b, (s * c) * (apd.matrix + ap.matrix), 1)
+        return (s * c) * (apd + ap)
     if name == "p1":
-        return FockOperator(b, 1j * c * (amd.matrix - am.matrix), 1)
+        return 1j * c * (amd - am)
     if name == "p2":
-        return FockOperator(b, (-s * c) * (amd.matrix + am.matrix), 1)
+        return (-s * c) * (amd + am)
     if name == "L3":
-        x = apd.matrix @ amd.matrix
-        m = -s * p.hbar * (np.diag(2.0 * nminus + 1.0) + x + x.conj().T)
-        return FockOperator(b, m, 1)
+        x = apd @ amd
+        number = _real_operator(b, (0, 0), 2.0 * nminus + 1.0)
+        return replace(-s * p.hbar * (number + x + x.dagger()), excursion=1)
     if name == "x1":
-        m = (lam / math.sqrt(2.0)) * (ap.matrix + am.matrix)
-        return FockOperator(b, x0[0] * np.eye(b.dim) + m + m.conj().T, 1)
+        m = (lam / math.sqrt(2.0)) * (ap + am)
+        return centred(x0[0], m + m.dagger())
     if name == "x2":
-        m = (1j * s * lam / math.sqrt(2.0)) * (ap.matrix - am.matrix)
-        return FockOperator(b, x0[1] * np.eye(b.dim) + m + m.conj().T, 1)
+        m = (1j * s * lam / math.sqrt(2.0)) * (ap - am)
+        return centred(x0[1], m + m.dagger())
+    # dividing by qB multiplies by its reciprocal, as numpy's complex division
     if name == "xc1":
-        t2 = build_observable("T2", p, x0, b, ladders)
-        return FockOperator(b, x0[0] * np.eye(b.dim) + t2.matrix / p.qB, 1)
+        return centred(x0[0], build_observable("T2", p, x0, b) * (1.0 / p.qB))
     if name == "xc2":
-        t1 = build_observable("T1", p, x0, b, ladders)
-        return FockOperator(b, x0[1] * np.eye(b.dim) - t1.matrix / p.qB, 1)
+        return centred(x0[1], build_observable("T1", p, x0, b) * (-1.0 / p.qB))
     raise ValueError(f"unknown observable {name!r}")
 
 
-def position_monomials(p: PhysicalParams, b: FockBasis, keys):
-    """Matrices of the position monomials (x1 - x0_1)^i (x2 - x0_2)^j, one
-    per distinct ``(i, j)`` in ``keys``, yielded as ``((i, j), matrix)`` in
-    sorted key order.
-
-    Each is the full BLAS product ``pow1[i] @ pow2[j]`` of the power chains
-    ``eye @ u @ u ...`` of the two position operators, so a monomial has the
-    same bits whichever polynomial needs it.  The chains are built at once,
-    each monomial only when it is requested, so a caller keeping a few
-    entries of each never holds all of them.
+def position_monomials(p: PhysicalParams, b: FockBasis,
+                       keys) -> dict[tuple[int, int], FockOperator]:
+    """The position monomials (x1 - x0_1)^i (x2 - x0_2)^j, one per distinct
+    ``(i, j)`` in ``keys``, in sorted key order: ``pow1[i] @ pow2[j]`` of
+    the power chains ``1, 1 @ u, (1 @ u) @ u, ...``, so a monomial has the
+    same bits whichever polynomial needs it.  A product with the identity
+    copies the other factor exactly (times one, plus zeros).
     """
     keys = sorted(set(keys))
     deg = max((i + j for i, j in keys), default=0)
     if deg > b.nmax:
         raise TruncationError(
             f"polynomial degree {deg} exceeds truncation nmax={b.nmax}")
-    u1 = build_observable("x1", p, (0.0, 0.0), b).matrix
-    u2 = build_observable("x2", p, (0.0, 0.0), b).matrix
-    pow1 = [np.eye(b.dim, dtype=complex)]
-    for _ in range(max((i for i, _ in keys), default=0)):
-        pow1.append(pow1[-1] @ u1)
-    pow2 = [np.eye(b.dim, dtype=complex)]
-    for _ in range(max((j for _, j in keys), default=0)):
-        pow2.append(pow2[-1] @ u2)
-    return (((i, j), pow1[i] @ pow2[j]) for (i, j) in keys)
-
-
-def _poly_sum(f: Poly2, monomials, shape) -> np.ndarray:
-    """Sum of ``f.terms[k] * monomials[k]`` from zeros, in sorted term order,
-    over whatever entries the monomial arrays hold."""
-    m = np.zeros(shape, dtype=complex)
-    for key in sorted(f.terms):
-        m += f.terms[key] * monomials[key]
-    return m
+    chains = []
+    for name, top in (("x1", max((i for i, _ in keys), default=0)),
+                      ("x2", max((j for _, j in keys), default=0))):
+        u = build_observable(name, p, (0.0, 0.0), b)
+        chain = [identity(b)]
+        for _ in range(top):
+            chain.append(chain[-1] @ u)
+        chains.append(chain)
+    return {(i, j): chains[0][i] @ chains[1][j] for (i, j) in keys}
 
 
 def poly_operator(f: Poly2, p: PhysicalParams, x0: tuple[float, float],
                   b: FockBasis) -> FockOperator:
-    """Matrix of f(x1 - x0_1, x2 - x0_2) on the truncated basis, assembled
-    from :func:`position_monomials` in a fixed monomial order.
-
-    The excursion equals the total degree of f, so the degree must not
-    exceed the truncation.
+    """Operator f(x1 - x0_1, x2 - x0_2): the sum of ``f.terms[k] *``
+    :func:`position_monomials` ``[k]`` from zero, in sorted term order.  The
+    excursion is the total degree of f, which must not exceed the truncation.
     """
-    monomials = dict(position_monomials(p, b, f.terms))
-    return FockOperator(b, _poly_sum(f, monomials, (b.dim, b.dim)),
-                        max(f.degree, 0))
+    monomials = position_monomials(p, b, f.terms)
+    op = FockOperator(b, {})
+    for key in sorted(f.terms):
+        op = op + f.terms[key] * monomials[key]
+    return op
 
 
 # ---------------------------------------------------------------------------
@@ -382,31 +442,17 @@ def t1_fock_overlap(nplus: int, nminus: int, t1: float,
     return (1j * p.sign) ** nminus * change_of_basis(nplus, t1, p)
 
 
+
+
 # ---------------------------------------------------------------------------
 # Gauge-variant operators from gauge-invariant building blocks
 # ---------------------------------------------------------------------------
 
 
-def canonical_entries(which: str, g: GaugeChoice, p: PhysicalParams,
-                      partner: np.ndarray, monomials) -> np.ndarray:
-    """Entries of a gauge-variant canonical operator (pi1, pi2 or L3c):
-    ``partner`` holds entries of its gauge-invariant partner observable and
-    ``monomials`` maps every monomial of its polynomial position term
-    :func:`~landaulab.params.canonical_extra` to the same entries of the
-    monomial's matrix.  The polynomial term is summed as in
-    :func:`poly_operator`, then added to the partner, so every entry has the
-    bits of the full matrix's."""
-    return partner + _poly_sum(canonical_extra(which, g, p), monomials,
-                               partner.shape)
-
-
 def gauge_variant_matrix(which: str, g: GaugeChoice, p: PhysicalParams,
                          b: FockBasis) -> FockOperator:
-    """Matrix of a gauge-variant canonical operator (pi1, pi2 or L3c): the
-    :func:`canonical_entries` of every entry."""
-    extra = canonical_extra(which, g, p)
+    """Gauge-variant canonical operator (pi1, pi2 or L3c): its gauge-invariant
+    partner observable plus the :func:`poly_operator` of its polynomial
+    position term :func:`~landaulab.params.canonical_extra`."""
     partner = build_observable(CANONICAL_PARTNER[which], p, g.x0, b)
-    monomials = dict(position_monomials(p, b, extra.terms))
-    return FockOperator(
-        b, canonical_entries(which, g, p, partner.matrix, monomials),
-        max(partner.excursion, extra.degree))
+    return partner + poly_operator(canonical_extra(which, g, p), p, g.x0, b)

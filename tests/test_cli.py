@@ -1,14 +1,19 @@
 import csv
 import json
 import math
+import os
 import string
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import landaulab
 from landaulab.cli import _write_csv, main
 from landaulab.report import VerificationReport
 
@@ -342,6 +347,12 @@ def test_bad_phi_rejected(capsys):
 
 @pytest.mark.parametrize("args, message", [
     (["verify-algebra", "--nmax", "0"], "--nmax: nmax must be at least 1"),
+    (["verify-algebra", "--nmax", "41"],
+     "--nmax: nmax 41 exceeds the validated maximum 40"),
+    (["gauge-scan", "--nmax", "41"],
+     "--nmax: nmax 41 exceeds the validated maximum 40"),
+    (["reproduce-tables", "--nmax", "41"],
+     "--nmax: nmax 41 exceeds the validated maximum 40"),
     (["gauge-scan", "--scheme", "simpson", "--grid", "41"],
      "--grid: Simpson rule needs an even interval count"),
     (["verify-algebra", "--margin", "20"],
@@ -368,7 +379,7 @@ def test_bad_phi_rejected(capsys):
      "--nmax: --scan-levels 1 needs nmax >= 3"),
     (["gauge-scan", "--scan-levels", "-1"],
      "--scan-levels: levels must be nonnegative"),
-    (["gauge-scan", "--scan-levels", "21", "--nmax", "42"],
+    (["gauge-scan", "--scan-levels", "21", "--nmax", "40"],
      "--scan-levels: levels above 20 reach quantum numbers beyond 40"),
     (["classical-sim", "--seed", "-1"], "--seed: expected non-negative integer"),
     # grids too small for the integrands fail their support check mid-run
@@ -388,7 +399,8 @@ def test_bad_phi_rejected(capsys):
      "--tol: tolerance must be finite and nonnegative"),
     (["classical-sim", "--tol", "inf"],
      "--tol: tolerance must be finite and nonnegative"),
-], ids=["nmax", "simpson-grid", "margin", "phi-syntax", "mass", "steps",
+], ids=["nmax", "algebra-nmax-high", "scan-nmax-high", "tables-nmax-high",
+        "simpson-grid", "margin", "phi-syntax", "mass", "steps",
         "dt-negative", "dt-nan", "energy", "bfield-nan", "hbar-inf",
         "alpha-nan", "x0-nan", "tables-nmax", "scan-nmax", "scan-nmax-cubic",
         "scan-levels", "scan-levels-high", "seed", "scan-grid", "basis-grid",
@@ -415,3 +427,61 @@ def test_nan_deviation_fails(tmp_path):
     checks = json.loads(out.read_text())["checks"]
     assert checks and all(math.isnan(c["deviation"]) and not c["pass"]
                           for c in checks)
+
+
+def _openblas_dynamic_arch() -> bool:
+    """Whether numpy's OpenBLAS picks its kernel at run time, so that
+    ``OPENBLAS_CORETYPE`` selects one."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (KeyError, TypeError):
+        return False
+    return "DYNAMIC_ARCH" in str(blas.get("openblas configuration", ""))
+
+
+# the acceptance verify-algebra and small runs of the other two Fock-route
+# campaigns
+_KERNEL_RUNS = [
+    ["verify-algebra"],
+    ["gauge-scan", "--grid", "40", "--scan-levels", "1", "--nmax", "8"],
+    ["reproduce-tables", "--grid", "56", "--nmax", "12"],
+]
+_KERNEL_SCRIPT = """
+import json, sys
+from landaulab.cli import main
+for k, argv in enumerate(json.loads(sys.argv[2])):
+    main(argv + ["--quiet", "--no-timestamp",
+                 "--json-out", f"{sys.argv[1]}/{k}.json"])
+"""
+
+
+@pytest.mark.skipif(not _openblas_dynamic_arch(),
+                    reason="numpy's OpenBLAS has no run-time kernel choice")
+def test_reports_do_not_depend_on_the_blas_kernel(tmp_path):
+    # the Fock route makes no BLAS call, so the reports keep their bytes
+    # under every OpenBLAS kernel; each setting runs in its own process
+    src = str(Path(landaulab.__file__).resolve().parents[1])
+    procs = {}
+    for coretype in (None, "Sandybridge", "Haswell"):
+        env = {key: val for key, val in os.environ.items()
+               if key != "OPENBLAS_CORETYPE"}
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))
+        if coretype:
+            env["OPENBLAS_CORETYPE"] = coretype
+        out = tmp_path / str(coretype)
+        out.mkdir()
+        procs[coretype] = (out, subprocess.Popen(
+            [sys.executable, "-c", _KERNEL_SCRIPT, str(out),
+             json.dumps(_KERNEL_RUNS)], env=env))
+    try:
+        for _, proc in procs.values():
+            assert proc.wait(timeout=120) == 0
+    finally:
+        for _, proc in procs.values():
+            proc.kill()
+    default = procs[None][0]
+    for k, argv in enumerate(_KERNEL_RUNS):
+        want = (default / f"{k}.json").read_bytes()
+        for coretype, (out, _) in procs.items():
+            assert (out / f"{k}.json").read_bytes() == want, (argv, coretype)

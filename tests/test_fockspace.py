@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from numpy.polynomial.hermite import hermgauss
 
 from landaulab import GaugeChoice, PhysicalParams, Poly2, parse_poly
-from landaulab.campaigns import (_angular_states, _canonical_route,
-                                 _neighbour_pairs, run_verify_algebra)
-from landaulab.fockspace import (FockBasis, TruncationError,
+from landaulab.campaigns import (_angular_states, _neighbour_pairs,
+                                 run_verify_algebra)
+from landaulab.fockspace import (FockBasis, FockOperator, TruncationError,
                                  build_observable, change_of_basis,
                                  gauge_variant_matrix,
                                  ladder_ops, poly_operator,
@@ -20,6 +20,27 @@ from landaulab.params import CANONICAL_PARTNER, canonical_extra
 
 P = PhysicalParams(1, 1, 1)
 X0 = (0.0, 0.0)
+EPS = np.finfo(float).eps
+
+
+def _bits_of(m):
+    """Bytes of an array with the sign of zero dropped: ``x + 0.0`` turns
+    -0.0 into 0.0 and keeps every other value.  A shift map stores no
+    structural zeros, so only its nonzero entries carry meaningful bits."""
+    return (np.asarray(m) + 0.0).tobytes()
+
+
+def _random_operator(b, rng, shifts):
+    """Operator with the given shifts and normal random coefficients, zero
+    where the target leaves the basis."""
+    n = np.arange(b.nmax + 1)
+
+    def inside(d):
+        return (n + d >= 0) & (n + d <= b.nmax)
+    return FockOperator(b, {
+        d: np.where(inside(d[0])[:, None] & inside(d[1])[None, :],
+                    rng.normal(size=(2, b.nmax + 1, b.nmax + 1)), 0.0)
+        for d in shifts})
 
 
 def _basis():
@@ -62,6 +83,179 @@ def test_ladder_commutator_on_interior():
     assert dev < 5e-15
 
 
+def test_truncated_product_drops_states_beyond_the_cutoff():
+    # a- a-^dag is n- + 1 below the cutoff and exactly 0 at it, where a-^dag
+    # leaves the basis, as in the truncated matrix product; each entry has
+    # one term, so both routes round it once
+    b = FockBasis(5)
+    _, _, am, amd = ladder_ops(b)
+    nminus = np.array([nm for _, nm in b.labels()], dtype=float)
+    lowered = (am @ amd).matrix
+    assert _bits_of(lowered) == _bits_of(np.matmul(am.matrix, amd.matrix))
+    assert np.all(np.diag(lowered)[nminus == 5] == 0.0)
+    assert np.allclose(lowered, np.diag(np.where(nminus < 5, nminus + 1, 0)),
+                       rtol=EPS, atol=0)
+    assert np.allclose((amd @ am).matrix, np.diag(nminus), rtol=EPS, atol=0)
+
+
+_SHIFT = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
+
+
+@st.composite
+def _operator_pairs(draw):
+    """Two random operators on a basis with nmax 3..8, with up to four
+    random shifts each."""
+    b = FockBasis(draw(st.integers(3, 8)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return tuple(
+        _random_operator(b, rng, draw(st.lists(_SHIFT, min_size=1,
+                                               max_size=4, unique=True)))
+        for _ in range(2))
+
+
+def _reference_product(a, b):
+    """The documented order of the map product, one entry at a time in
+    Python floats: for each pair of shifts in increasing (dA, dB) order and
+    each ket n whose intermediate state n + dB and target n + dA + dB lie in
+    the basis, the term b[dB](n) * a[dA](n + dB) is
+    ``(br ar - bi ai, br ai + bi ar)``, and the terms of one shift and ket
+    are summed in that order, from zero."""
+    k = a.basis.nmax + 1
+    out = {}
+    for da, ca in sorted(a.shifts.items()):
+        for db, cb in sorted(b.shifts.items()):
+            d = (da[0] + db[0], da[1] + db[1])
+            for i in range(k):
+                for j in range(k):
+                    mi, mj = i + db[0], j + db[1]
+                    if not all(0 <= v < k for v in (mi, mj, mi + da[0],
+                                                   mj + da[1])):
+                        continue
+                    br, bi = cb[:, i, j].tolist()
+                    ar, ai = ca[:, mi, mj].tolist()
+                    re, im = out.get((d, i, j), (0.0, 0.0))
+                    out[(d, i, j)] = (re + (br * ar - bi * ai),
+                                      im + (br * ai + bi * ar))
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(_operator_pairs())
+def test_map_product_follows_the_fixed_order_reference(ops):
+    a, b = ops
+    prod = a @ b
+    ref = _reference_product(a, b)
+    k = a.basis.nmax + 1
+    assert {d for d, _, _ in ref} <= set(prod.shifts)
+    for d, c in prod.shifts.items():
+        for i in range(k):
+            for j in range(k):
+                if 0 <= i + d[0] < k and 0 <= j + d[1] < k:
+                    want = ref.get((d, i, j), (0.0, 0.0))
+                    assert _bits_of(c[:, i, j]) == _bits_of(want), (d, i, j)
+                else:
+                    assert not np.any(c[:, i, j]), (d, i, j)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_operator_pairs())
+def test_map_product_matches_dense_truncated_product(ops):
+    # within rounding of the dense product, entry by entry: each side sums
+    # at most 16 complex products, each off by a few ulp of |a||b|; where
+    # no term survives the truncation, both are exactly zero
+    a, b = ops
+    da, db = a.matrix, b.matrix
+    dense = np.matmul(da, db)
+    got = (a @ b).matrix
+    bound = 40 * EPS * np.matmul(np.abs(da), np.abs(db))
+    assert np.all(np.abs(got - dense) <= bound)
+
+
+def _kron_observables(p, x0, b):
+    """The dense construction the shift maps replaced: Kronecker products of
+    one-sector ladder matrices in complex arithmetic.  numpy's complex
+    division by a real scalar multiplies by its reciprocal, which the
+    ``xc`` rows write out."""
+    k = b.nmax + 1
+    a = np.diag(np.sqrt(np.arange(1.0, k)), 1)
+    eye = np.eye(k)
+    ap = np.kron(a, eye).astype(complex)
+    am = np.kron(eye, a).astype(complex)
+    apd, amd = ap.conj().T, am.conj().T
+    s, hb, lam = p.sign, p.hbar, p.magnetic_length
+    c = math.sqrt(hb * p.m * p.omega_c / 2.0)
+    nplus = np.repeat(np.arange(k), k).astype(float)
+    nminus = np.tile(np.arange(k), k).astype(float)
+    one = np.eye(b.dim)
+    t1 = 1j * c * (apd - ap)
+    t2 = (s * c) * (apd + ap)
+    x = np.matmul(apd, amd)
+    m1 = (lam / math.sqrt(2.0)) * (ap + am)
+    m2 = (1j * s * lam / math.sqrt(2.0)) * (ap - am)
+    return {
+        "H": np.diag(hb * p.omega_c * (nminus + 0.5)).astype(complex),
+        "M3": np.diag(s * hb * (nplus - nminus)).astype(complex),
+        "T1": t1, "T2": t2,
+        "p1": 1j * c * (amd - am), "p2": (-s * c) * (amd + am),
+        "L3": -s * hb * (np.diag(2.0 * nminus + 1.0) + x + x.conj().T),
+        "x1": x0[0] * one + m1 + m1.conj().T,
+        "x2": x0[1] * one + m2 + m2.conj().T,
+        "xc1": x0[0] * one + t2 * (1.0 / p.qB),
+        "xc2": x0[1] * one - t1 * (1.0 / p.qB),
+    }
+
+
+@pytest.mark.parametrize("nmax", [3, 8])
+@pytest.mark.parametrize("p, x0", [
+    (PhysicalParams(1, 1, 1), (0.0, 0.0)),
+    (PhysicalParams(1.3, -0.8, 1.1, hbar=0.7), (0.3, -0.2)),
+    (PhysicalParams(0.6, 1.9, 0.7, hbar=1.6), (-0.9, 0.4)),
+])
+def test_observables_match_kron_construction(nmax, p, x0):
+    b = FockBasis(nmax)
+    want = _kron_observables(p, x0, b)
+    for name in OBSERVABLE_NAMES:
+        got = build_observable(name, p, x0, b).matrix
+        assert _bits_of(got) == _bits_of(want[name]), name
+
+
+def _interior_bits(op, cut):
+    """Bits of every stored entry whose ket and target have n+- <= cut."""
+    n = np.arange(op.basis.nmax + 1)
+
+    def inside(d):
+        return (n <= cut) & (n + d >= 0) & (n + d <= cut)
+    return {d: _bits_of(c[:, inside(d[0])][:, :, inside(d[1])])
+            for d, c in op.shifts.items()}
+
+
+def test_interior_entries_do_not_depend_on_truncation():
+    # at margin 2 every intermediate state of a product of two observables
+    # stays in the basis at nmax 16, so its interior entries are the same
+    # terms summed in the same order as at nmax 32
+    p = PhysicalParams(1.3, -0.8, 1.1, hbar=0.7)
+    x0 = (0.3, -0.2)
+    cut = 16 - 2
+    ops = []
+    for nmax in (16, 32):
+        b = FockBasis(nmax)
+        named = {name: build_observable(name, p, x0, b)
+                 for name in OBSERVABLE_NAMES}
+        named["u1"] = build_observable("x1", p, (0.0, 0.0), b)
+        named["u2"] = build_observable("x2", p, (0.0, 0.0), b)
+        ops.append(named)
+    small, large = ops
+    for name in small:
+        assert _interior_bits(small[name], cut) \
+            == _interior_bits(large[name], cut), name
+        for other in small:
+            assert _interior_bits(small[name] @ small[other], cut) \
+                == _interior_bits(large[name] @ large[other], cut), \
+                (name, other)
+    for params, origin in ((P, X0), (p, x0)):
+        assert run_verify_algebra(params, nmax=32, x0=origin).passed
+
+
 def test_excursion_metadata():
     b = _basis()
     ap, apd, am, amd = ladder_ops(b)
@@ -78,17 +272,6 @@ def test_every_observable_exactly_hermitian():
         assert op.is_hermitian_exact(), name
 
 
-def test_shared_ladders_give_identical_observables():
-    b = _basis()
-    p = PhysicalParams(1.3, -0.8, 1.1, hbar=0.7)
-    ladders = ladder_ops(b)
-    for name in OBSERVABLE_NAMES:
-        shared = build_observable(name, p, (0.3, -0.2), b, ladders)
-        own = build_observable(name, p, (0.3, -0.2), b)
-        assert np.array_equal(shared.matrix, own.matrix), name
-        assert shared.excursion == own.excursion
-
-
 @pytest.mark.parametrize("nmax", [6, 16])
 @pytest.mark.parametrize("p, x0", [
     (PhysicalParams(1, 1, 1), (0.0, 0.0)),
@@ -96,19 +279,23 @@ def test_shared_ladders_give_identical_observables():
     (PhysicalParams(0.6, 1.9, 0.7, hbar=1.6), (-0.9, 0.4)),
 ])
 def test_diagonal_products_are_exact_broadcasts(nmax, p, x0):
-    # the commutator suite multiplies by H and M3 as broadcasts of their
-    # diagonals; every entry has one nonzero term, so the broadcast rounds
-    # exactly as the dense product does
+    # H and M3 are the single shift (0, 0): every entry of a product with
+    # them has one term, so the map product is the broadcast of the
+    # diagonal, bit for bit, and so is the dense product
     b = FockBasis(nmax)
     ops = {name: build_observable(name, p, x0, b) for name in OBSERVABLE_NAMES}
     for dname in ("H", "M3"):
-        dense = ops[dname].matrix
+        diag = ops[dname]
+        assert list(diag.shifts) == [(0, 0)]
+        dense = diag.matrix
         d = np.diag(dense)
         assert np.array_equal(dense, np.diag(d))
         for name, op in ops.items():
             a = op.matrix
-            assert np.array_equal(a * d[None, :], a @ dense), (name, dname)
-            assert np.array_equal(d[:, None] * a, dense @ a), (dname, name)
+            assert _bits_of((op @ diag).matrix) == _bits_of(a * d[None, :]) \
+                == _bits_of(np.matmul(a, dense)), (name, dname)
+            assert _bits_of((diag @ op).matrix) == _bits_of(d[:, None] * a) \
+                == _bits_of(np.matmul(dense, a)), (dname, name)
 
 
 def test_unknown_observable_rejected():
@@ -161,7 +348,8 @@ def test_commutator_checks():
 def _commutator_reference(p, nmax, margin, x0):
     """Every comm:* deviation of verify-algebra, each commutator formed from
     the full dense products, subtracted, and then restricted to the
-    interior."""
+    interior, with the scale of its rounding: the largest entry of |A||B|
+    plus the largest expected entry."""
     b = FockBasis(nmax)
     m = {name: build_observable(name, p, x0, b).matrix
          for name in OBSERVABLE_NAMES}
@@ -202,7 +390,9 @@ def _commutator_reference(p, nmax, margin, x0):
     for pair, want in expected.items():
         a, c = pair[1:-1].split(",")
         comm = m[a] @ m[c] - m[c] @ m[a]
-        dev[f"comm:{pair}"] = float(np.max(np.abs(comm[inner] - want)))
+        scale = np.max(np.abs(m[a]) @ np.abs(m[c])) + np.max(np.abs(want))
+        dev[f"comm:{pair}"] = (float(np.max(np.abs(comm[inner] - want))),
+                               float(scale))
     return dev
 
 
@@ -212,16 +402,16 @@ def _commutator_reference(p, nmax, margin, x0):
                                PhysicalParams(0.8, 1.2, 1.5, hbar=1.7)],
                          ids=["qB<0", "qB>0"])
 def test_commutators_on_interior_block_match_full_products(p, margin, nmax):
-    # verify-algebra takes the interior of each product before subtracting
-    # and broadcasts the diagonal H and M3 on the interior block alone; both
-    # are elementwise, so every deviation keeps the bits of the full route
+    # verify-algebra reads each commutator's interior entries from the shift
+    # maps; the full dense products sum the same terms in another order, so
+    # every deviation agrees with the dense route's to within rounding
     x0 = (0.3, -0.2)
     rep = run_verify_algebra(p, nmax=nmax, margin=margin, x0=x0)
     got = {c.id: c.deviation for c in rep.checks if c.id.startswith("comm:")}
     want = _commutator_reference(p, nmax, margin, x0)
     assert got.keys() == want.keys()
-    for cid, dev in want.items():
-        assert struct.pack("<d", got[cid]) == struct.pack("<d", dev), cid
+    for cid, (dev, scale) in want.items():
+        assert abs(got[cid] - dev) <= 40 * EPS * scale, cid
 
 
 def test_quantum_charge_relation_margin_two():
@@ -245,20 +435,27 @@ def test_interior_project_shape():
 
 
 @pytest.mark.parametrize("nmax", [8, 16])
-def test_interior_block_equals_index_gather(nmax):
+def test_magnitudes_equal_interior_gather(nmax):
+    # an interior deviation reads the stored entries whose ket and target
+    # both lie in the interior: the moduli of the dense matrix's index
+    # gather at the stored shifts
     b = FockBasis(nmax)
-    rng = np.random.default_rng(nmax)
-    m = rng.normal(size=(b.dim, b.dim)) + 1j * rng.normal(size=(b.dim, b.dim))
+    op = _random_operator(b, np.random.default_rng(nmax),
+                          [(0, 0), (1, 0), (-1, 2), (2, -2), (3, 3)])
+    labels = np.array(b.labels())
+    m = op.matrix
     for margin in range(nmax + 1):
         idx = b.interior_indices(margin)
-        for src in (m, m.T):
-            block = b.interior_block(src, margin)
-            gathered = src[np.ix_(idx, idx)]
-            assert block.shape == gathered.shape
-            assert block.tobytes() == gathered.tobytes()
+        block = m[np.ix_(idx, idx)]
+        step = labels[idx][:, None, :] - labels[idx][None, :, :]
+        stored = np.zeros(block.shape, dtype=bool)
+        for d in op.shifts:
+            stored |= (step[..., 0] == d[0]) & (step[..., 1] == d[1])
+        want = np.sort(np.hypot(block.real, block.imag)[stored])
+        assert np.sort(op.magnitudes(margin)).tobytes() == want.tobytes()
     for margin in (-1, nmax + 1):
         with pytest.raises(TruncationError):
-            b.interior_block(m, margin)
+            op.magnitudes(margin)
 
 
 # -- polynomial position operators -------------------------------------------
@@ -522,16 +719,25 @@ def test_gauge_variant_matches_direct_construction():
 
 
 def test_position_monomials_sorted_distinct_and_bounded():
+    # one monomial per distinct key, in sorted order, with the same bits
+    # whichever key set asks for it; a product with the identity copies its
+    # other factor exactly, and the rest are within rounding of the dense
+    # power chains
     b = FockBasis(5)
-    keys = [(0, 2), (1, 0), (0, 2), (0, 0)]
-    got = list(position_monomials(P, b, keys))
-    assert [k for k, _ in got] == [(0, 0), (0, 2), (1, 0)]
+    mono = position_monomials(P, b, [(0, 2), (1, 0), (0, 2), (0, 0)])
+    assert list(mono) == [(0, 0), (0, 2), (1, 0)]
+    wider = position_monomials(P, b, [(2, 1), (1, 0), (0, 2), (0, 3)])
+    for key in ((0, 2), (1, 0)):
+        assert _bits_of(mono[key].matrix) == _bits_of(wider[key].matrix)
     u1 = build_observable("x1", P, (0.0, 0.0), b).matrix
     u2 = build_observable("x2", P, (0.0, 0.0), b).matrix
-    eye = np.eye(b.dim, dtype=complex)
-    mono = dict(got)
-    assert mono[(0, 2)].tobytes() == (eye @ ((eye @ u2) @ u2)).tobytes()
-    assert mono[(1, 0)].tobytes() == ((eye @ u1) @ eye).tobytes()
+    assert np.array_equal(mono[(0, 0)].matrix, np.eye(b.dim))
+    assert _bits_of(mono[(1, 0)].matrix) == _bits_of(u1)
+    for key, dense in (((0, 2), np.matmul(u2, u2)),
+                       ((2, 1), np.matmul(np.matmul(u1, u1), u2))):
+        got = (mono if key in mono else wider)[key].matrix
+        bound = 16 * EPS * np.max(np.abs(dense))
+        assert np.max(np.abs(got - dense)) <= bound, key
     with pytest.raises(TruncationError):
         position_monomials(P, b, [(3, 3)])
 
@@ -558,7 +764,7 @@ def _scan_setups(draw):
 
 
 def _reference_poly_sum(p, b):
-    """Reference sum of f(u1, u2) over whole matrices: power chains from the
+    """Dense reference sum of f(u1, u2): BLAS power chains from the
     identity, then each term's product added from zeros in sorted order."""
     u1 = build_observable("x1", p, (0.0, 0.0), b).matrix
     u2 = build_observable("x2", p, (0.0, 0.0), b).matrix
@@ -578,27 +784,30 @@ def _reference_poly_sum(p, b):
 @settings(max_examples=15, deadline=None)
 @given(_scan_setups())
 def test_scan_route_entries_equal_full_matrix_entries(setup):
-    # the full matrices keep the bits of the partner plus the reference sum;
-    # the scan keeps only the entries it reads, of monomials built once for
-    # all gauges, and each must carry the same bits
+    # the scan reads its Fock-route entries at the angular-label pairs from
+    # gauge_variant_matrix in one call: each carries the bits of the
+    # operator's own element, and the operator is the partner plus the
+    # polynomial term, within rounding of the dense power-chain sum
     p, gauges, nmax = setup
     b = FockBasis(nmax)
     pairs = _neighbour_pairs(_angular_states(2, 2))
-    route = _canonical_route(p, gauges, b, pairs)
+    at = [((bra[1] + bra[0], bra[1]), (ket[1] + ket[0], ket[1]))
+          for bra, ket in pairs]
+    bras, kets = (tuple(np.array(c) for c in zip(*side)) for side in zip(*at))
     reference_sum = _reference_poly_sum(p, b)
-    for g, entries in zip(gauges, route, strict=True):
+    for g in gauges:
         for name in CANONICAL_PARTNER:
             full = gauge_variant_matrix(name, g, p, b)
             extra = canonical_extra(name, g, p)
-            reference = reference_sum(extra)
-            assert poly_operator(extra, p, g.x0, b).matrix.tobytes() \
-                == reference.tobytes()
-            assert full.matrix.tobytes() == (build_observable(
-                CANONICAL_PARTNER[name], p, g.x0, b).matrix
-                + reference).tobytes()
-            expected = [full.element((bra[1] + bra[0], bra[1]),
-                                     (ket[1] + ket[0], ket[1]))
-                        for bra, ket in pairs]
-            assert [struct.pack("<dd", z.real, z.imag)
-                    for z in entries[name]] \
-                == [struct.pack("<dd", z.real, z.imag) for z in expected]
+            partner = build_observable(CANONICAL_PARTNER[name], p, g.x0, b)
+            summed = partner + poly_operator(extra, p, g.x0, b)
+            assert full.shifts.keys() == summed.shifts.keys()
+            for d, c in full.shifts.items():
+                assert _bits_of(c) == _bits_of(summed.shifts[d]), d
+            dense = full.matrix
+            assert [_bits(z) for z in full.entries(bras, kets).tolist()] \
+                == [_bits(dense[b.index(*bra), b.index(*ket)])
+                    for bra, ket in at]
+            reference = partner.matrix + reference_sum(extra)
+            bound = 64 * EPS * max(1.0, np.max(np.abs(reference)))
+            assert np.max(np.abs(dense - reference)) <= bound
