@@ -195,9 +195,8 @@ _ELEMENT_BLOCK = 1 << 16
 
 
 class _ElementEngine:
-    """Caches wave-function jets and operator coefficient arrays on the fine
-    grid and evaluates batches of matrix elements through one blocked exact
-    reduction."""
+    """Caches wave-function jets on the fine grid and evaluates batches of
+    matrix elements through one blocked exact reduction."""
 
     def __init__(self, grid: quad.Grid2, origin):
         self.grid = grid
@@ -205,7 +204,6 @@ class _ElementEngine:
         self.xy = (x1, x2)
         self.u = (x1 - origin[0], x2 - origin[1])
         self._jets: dict = {}
-        self._ops: dict = {}
 
     def load(self, key, make, *args):
         """Cache the jet of the wave function ``make(*args)`` under ``key``;
@@ -213,43 +211,35 @@ class _ElementEngine:
         if key not in self._jets:
             self._jets[key] = make(*args).jet(*self.xy)
 
-    def _coeff_arrays(self, op: wv.DiffOpSpec):
-        key = id(op)
-        if key not in self._ops:
-            coeffs = [(slot, poly(*self.u))
-                      for slot, poly in enumerate((op.c, op.b1, op.b2,
-                                                   op.a11, op.a12, op.a22))
-                      if not poly.is_zero()]
-            self._ops[key] = (op, coeffs)
-        return self._ops[key][1]
-
-    def _apply(self, op: wv.DiffOpSpec | None, jet: wv.WaveJet):
-        if op is None:
-            return jet.f
-        out = 0.0
-        for slot, arr in self._coeff_arrays(op):
-            out = out + arr * jet[slot]
-        return out
-
-    def elements(self, requests) -> list[complex]:
-        """``<bra|op|ket>`` for every ``(bra_key, op, ket_key)`` request, in
-        request order; ``op=None`` gives the overlap ``<bra|ket>``.  Each value
-        equals ``quad.matrix_element`` (or ``inner_product``) bit for bit
-        unless the bra's phase polynomial is zero (symmetric gauge, phi = 0):
-        then ``WaveForm.value`` takes the complex ``exp(-Q + i*0)`` and the jet
+    def elements(self, requests: dict) -> dict:
+        """``<bra|op|ket>`` for every key of ``requests``, a mapping from the
+        caller's key to ``(bra_key, op, ket_key)``, integrated once per key;
+        ``op=None`` gives the overlap ``<bra|ket>``.  Each value equals
+        ``quad.matrix_element`` (or ``inner_product``) bit for bit unless
+        the bra's phase polynomial is zero (symmetric gauge, phi = 0): then
+        ``WaveForm.value`` takes the complex ``exp(-Q + i*0)`` and the jet
         the real ``exp(-Q)``, which can differ in the last bit.  A support
-        failure is raised for the first failing request."""
+        failure is raised for the first failing request, in key order."""
+        ops = {id(op): op for _, op, _ in requests.values() if op is not None}
+        # the nonzero coefficient arrays of each operator, by jet slot
+        coeffs = {key: [(slot, poly(*self.u)) for slot, poly in enumerate(
+                      (op.c, op.b1, op.b2, op.a11, op.a12, op.a22))
+                      if not poly.is_zero()]
+                  for key, op in ops.items()}
+        todo = list(requests.values())
         n = len(self.u[0])
         rows = max(1, _ELEMENT_BLOCK // n)
-        buf = np.empty((min(rows, len(requests)), n), dtype=complex)
-        out: list[complex] = []
-        for start in range(0, len(requests), rows):
-            chunk = requests[start:start + rows]
+        buf = np.empty((min(rows, len(todo)), n), dtype=complex)
+        values: list[complex] = []
+        for start in range(0, len(todo), rows):
+            chunk = todo[start:start + rows]
             for r, (bra, op, ket) in enumerate(chunk):
-                np.multiply(np.conj(self._jets[bra].f),
-                            self._apply(op, self._jets[ket]), out=buf[r])
-            out += quad.integrate_rows(buf[:len(chunk)], self.grid)
-        return out
+                jet = self._jets[ket]
+                applied = jet.f if op is None else sum(
+                    arr * jet[slot] for slot, arr in coeffs[id(op)])
+                np.multiply(np.conj(self._jets[bra].f), applied, out=buf[r])
+            values += quad.integrate_rows(buf[:len(chunk)], self.grid)
+        return dict(zip(requests, values))
 
 
 def _angular_states(n_top: int, l_top: int) -> list[tuple[int, int]]:
@@ -291,7 +281,8 @@ def run_gauge_scan(p: PhysicalParams, gauges=None, nmax: int = 16,
     """Recompute physical matrix elements by quadrature in every gauge and
     check that they do not move; check that the canonical (gauge-variant)
     operators decompose exactly as predicted and shift between gauges by
-    the gradient of the gauge-transformation function."""
+    the gradient of the gauge-transformation function.  The gauges share
+    one grid, and each is one batch of element requests."""
     if gauges is None:
         gauges = default_gauges(seed)
     x0 = gauges[0].x0
@@ -304,102 +295,80 @@ def run_gauge_scan(p: PhysicalParams, gauges=None, nmax: int = 16,
 
     states = _angular_states(n_top, l_top)
     pairs = _neighbour_pairs(states)
-
-    invariant: dict = {name: {} for name in _SCAN_OPS}
-    canonical: dict = {name: {} for name in CANONICAL_PARTNER}
-    dec_dev = {name: [] for name in CANONICAL_PARTNER}
-    route_dev = {name: [] for name in CANONICAL_PARTNER}
-
-    u1, u2 = Poly2.variable(1), Poly2.variable(2)
-
-    sample_set = set(states[:6])
+    sample = states[:6]
     # canonical-operator checks on a deterministic half of the pairs,
     # always keeping the sample block used by the shift comparison
-    checked = [not (pi % 2) or (bra in sample_set and ket in sample_set)
-               for pi, (bra, ket) in enumerate(pairs)]
-    # the Fock route reads the canonical operators at the checked pairs
-    basis = fk.FockBasis(nmax)
-    l1, n1, l2, n2 = _label_arrays([pair for pair, check in zip(pairs, checked)
-                                    if check])
+    checked = dict.fromkeys(
+        (bra, ket) for pi, (bra, ket) in enumerate(pairs)
+        if not (pi % 2) or (bra in sample and ket in sample))
 
-    for gi, g in enumerate(gauges):
-        grid = _default_grid(p, g, grid_k, scheme)
-        eng = _ElementEngine(grid, g.x0)
-        for (l, n) in states:
-            eng.load((l, n), wv.fock_state, g, p, n + l, n)
-        ops = {name: wv.position_op(name, g, p) for name in _SCAN_OPS}
-        cano = {name: wv.position_op(name, g, p) for name in CANONICAL_PARTNER}
-        extra = {name: wv.multiplication_op(canonical_extra(name, g, p))
-                 for name in CANONICAL_PARTNER}
-        route_values = {name: iter(fk.gauge_variant_matrix(
-                            name, g, p, basis).entries(
-                                (n1 + l1, n1), (n2 + l2, n2)).tolist())
-                        for name in CANONICAL_PARTNER}
-        requests = []
-        for (bra, ket), check in zip(pairs, checked):
-            requests += [(bra, ops[name], ket) for name in _SCAN_OPS]
-            if check:
-                for name in CANONICAL_PARTNER:
-                    requests += [(bra, cano[name], ket),
-                                 (bra, extra[name], ket)]
-        values = iter(eng.elements(requests))
-        for (bra, ket), check in zip(pairs, checked):
-            here = {}
-            for name in _SCAN_OPS:
-                here[name] = next(values)
-                invariant[name].setdefault((bra, ket), []).append(here[name])
-            if not check:
-                continue
-            for name in CANONICAL_PARTNER:
-                val = next(values)
-                canonical[name][(bra, ket, gi)] = val
-                pred = here[CANONICAL_PARTNER[name]] + next(values)
-                dec_dev[name].append(abs(val - pred))
-                route_dev[name].append(abs(val - next(route_values[name])))
-
-    for name in _SCAN_OPS:
-        spread = [np.abs(arr - arr.mean())
-                  for arr in map(np.asarray, invariant[name].values())]
-        rep.add(f"invariance:{name}", spread, tol)
-    for name in CANONICAL_PARTNER:
-        rep.add(f"decomposition:{name}", dec_dev[name], tol)
-        rep.add(f"matrix-route:{name}", route_dev[name], tol)
-
-    # gauge dependence: elements shift by the gradient of the gauge change
+    # gauge dependence: elements shift by the gradient of the gauge change,
+    # predicted by requests in the reference gauge's batch
     ref = min(range(len(gauges)),
               key=lambda i: (gauges[i].alpha != 0.0, not gauges[i].phi.is_zero(), i))
-    eng = _ElementEngine(_default_grid(p, gauges[ref], grid_k, scheme), x0)
-    sample = states[:6]
-    for (l, n) in sample:
-        eng.load((l, n), wv.fock_state, gauges[ref], p, n + l, n)
-    keys, requests = [], []
+    u1, u2 = Poly2.variable(1), Poly2.variable(2)
+    shifts = {}
     for gi, g in enumerate(gauges):
         if gi == ref:
             continue
-        delta = gauge_delta(gauges[ref], g, p)
-        shift_ops = {
-            "pi1": wv.multiplication_op(p.q * delta.diff(1)),
-            "pi2": wv.multiplication_op(p.q * delta.diff(2)),
-            "L3c": wv.multiplication_op(
-                u1 * (p.q * delta.diff(2)) - u2 * (p.q * delta.diff(1))),
-        }
-        for name in CANONICAL_PARTNER:
-            for bra in sample:
-                for ket in sample:
-                    if (bra, ket, gi) in canonical[name] \
-                            and (bra, ket, ref) in canonical[name]:
-                        keys.append((name, bra, ket, gi))
-                        requests.append((bra, shift_ops[name], ket))
-    shift_dev, shift_mag = [], []
-    for (name, bra, ket, gi), predicted in zip(keys, eng.elements(requests)):
-        actual = canonical[name][(bra, ket, gi)] \
-            - canonical[name][(bra, ket, ref)]
-        shift_dev.append(abs(actual - predicted))
-        shift_mag.append(abs(actual))
-    rep.add("canonical-shift:predicted", shift_dev, tol)
+        d1, d2 = (p.q * gauge_delta(gauges[ref], g, p).diff(k) for k in (1, 2))
+        for name, f in (("pi1", d1), ("pi2", d2), ("L3c", u1 * d2 - u2 * d1)):
+            op = wv.multiplication_op(f)
+            shifts.update({(gi, name, (bra, ket)): (bra, op, ket)
+                           for bra, ket in checked
+                           if bra in sample and ket in sample})
+
+    # the Fock route reads the canonical operators at the checked pairs, each
+    # with fk.gauge_variant_matrix's bits from tables built once for all
+    extras = [{name: canonical_extra(name, g, p) for name in CANONICAL_PARTNER}
+              for g in gauges]
+    basis = fk.FockBasis(nmax)
+    monomials = fk.position_monomials(p, basis, [
+        key for extra in extras for f in extra.values() for key in f.terms])
+    partners = {name: fk.build_observable(partner, p, x0, basis)
+                for name, partner in CANONICAL_PARTNER.items()}
+    l1, n1, l2, n2 = _label_arrays(checked)
+    fock = [{name: (partners[name] + fk.poly_operator(f, monomials, basis))
+             .entries((n1 + l1, n1), (n2 + l2, n2)).tolist()
+             for name, f in extra.items()} for extra in extras]
+    del monomials, partners  # not held through the quadrature
+    grid = _default_grid(p, gauges[0], grid_k, scheme)
+    found: dict = {}  # each request's values, in gauge order
+    for gi, (g, extra) in enumerate(zip(gauges, extras)):
+        eng = _ElementEngine(grid, x0)
+        for (l, n) in states:
+            eng.load((l, n), wv.fock_state, g, p, n + l, n)
+        ops = {name: wv.position_op(name, g, p) for name in _SCAN_OPS}
+        for name, f in extra.items():
+            ops[name] = wv.position_op(name, g, p)
+            ops["extra", name] = wv.multiplication_op(f)
+        requests = {(name, pair): (pair[0], op, pair[1]) for pair in pairs
+                    for name, op in ops.items()
+                    if name in _SCAN_OPS or pair in checked}
+        if gi == ref:
+            requests.update(shifts)
+        for key, value in eng.elements(requests).items():
+            found.setdefault(key, []).append(value)
+
+    for name in _SCAN_OPS:
+        rows = [np.array(found[name, pair]) for pair in pairs]
+        rep.add(f"invariance:{name}", [abs(r - r.mean()) for r in rows], tol)
+    for name, partner in CANONICAL_PARTNER.items():
+        rep.add(f"decomposition:{name}", [
+            abs(v - (w + x)) for pair in checked for v, w, x in zip(
+                found[name, pair], found[partner, pair],
+                found[("extra", name), pair])], tol)
+        rep.add(f"matrix-route:{name}", [
+            abs(found[name, pair][gi] - entry) for gi, f in enumerate(fock)
+            for pair, entry in zip(checked, f[name])], tol)
+
+    moved = {(gi, name, pair): found[name, pair][gi] - found[name, pair][ref]
+             for gi, name, pair in shifts}
+    rep.add("canonical-shift:predicted",
+            [abs(d - found[key][0]) for key, d in moved.items()], tol)
     # gauge-variant elements must demonstrably move between gauges
-    rep.add("canonical-shift:nonzero",
-            [0.0, 1e-3 - np.max(shift_mag, initial=0.0)], EXACT)
+    largest = np.max([abs(d) for d in moved.values()], initial=0.0)
+    rep.add("canonical-shift:nonzero", [0.0, 1e-3 - largest], EXACT)
     return rep
 
 
@@ -453,14 +422,14 @@ def run_reproduce_tables(p: PhysicalParams, nmax: int = 16,
     for (l, n) in states:
         eng.load((l, n), wv.fock_state, g, p, n + l, n)
     ops = {name: wv.position_op(name, g, p) for name in _TABLE_OPS}
-    values = iter(eng.elements([(bra, ops[name], ket) for name in _TABLE_OPS
-                                for (bra, ket) in pairs]))
+    values = eng.elements({(name, pair): (pair[0], ops[name], pair[1])
+                           for name in _TABLE_OPS for pair in pairs})
     for name in _TABLE_OPS:
         table = fk.angular_element(name, l1s, n1s, l2s, n2s, p).value.tolist()
-        block = [("angular", name, (l1, n1, l2, n2), closed, val,
+        got = [values[name, pair] for pair in pairs]
+        block = [("angular", name, (*bra, *ket), closed, val,
                   abs(closed - val))
-                 for ((l1, n1), (l2, n2)), closed, val
-                 in zip(pairs, table, values)]
+                 for (bra, ket), closed, val in zip(pairs, table, got)]
         rows += block
         rep.add(f"angular:{name}:closed-vs-quadrature",
                 [row[-1] for row in block], tol)
@@ -494,18 +463,17 @@ def run_reproduce_tables(p: PhysicalParams, nmax: int = 16,
         scale = np.max([np.max(np.abs(rhs)), 1e-300])
         rep.add(f"t1:{name}:kernel-vs-ladder", np.abs(lhs - rhs) / scale, tol)
 
-    dev_levels = _t1_level_rows(p, g, grid_k, scheme, rows, idx_top)
+    dev_levels = _t1_level_rows(p, g, eng, rows, idx_top)
     for name, dev in dev_levels.items():
         rep.add(f"t1:{name}:kernel-vs-quadrature", dev, tol)
     return rep, rows
 
 
-def _t1_level_rows(p, g, grid_k, scheme, rows, idx_top) -> dict:
+def _t1_level_rows(p, g, eng: _ElementEngine, rows, idx_top) -> dict:
     """Level-changing rows of the translation-eigenbasis table checked by
     quadrature on both sides: the operator element against the tabulated
-    delta-kernel coefficient times the quadrature overlap."""
-    grid = _default_grid(p, g, grid_k, scheme)
-    eng = _ElementEngine(grid, g.x0)
+    delta-kernel coefficient times the quadrature overlap.  Angular states
+    are read from ``eng`` under their ``(l, n)`` keys, or loaded there."""
     sig = math.sqrt(p.hbar * p.m * p.omega_c)
     c = math.sqrt(p.hbar * p.m * p.omega_c / 2.0)
     s, hb = p.sign, p.hbar
@@ -528,32 +496,28 @@ def _t1_level_rows(p, g, grid_k, scheme, rows, idx_top) -> dict:
     level_pairs += [(0, 2), (1, 4)]  # structurally zero velocity rows
     cases = [(t1, npl, n1, n2) for t1 in tvals for npl in nplus_vals
              for (n1, n2) in level_pairs]
-    # level pairs sharing n2 share the overlap <t1, n2|n+, n2>: it is
-    # requested once and read by position
-    requests, overlap_at, at = [], {}, []
-    for (t1, npl, n1, n2) in cases:
+    # level pairs sharing n2 share the overlap <t1, n2|n+, n2>, and its key
+    requests = {}
+    for case in cases:
+        t1, npl, n1, n2 = case
         bra = ("t1", t1, n1)
-        ket = ("fock", npl, n2)
+        ket = (npl - n2, n2)  # the angular label of |n+, n->
         eng.load(bra, wv.t1_state, g, p, t1, n1)
         eng.load(ket, wv.fock_state, g, p, npl, n2)
-        overlap = (("t1", t1, n2), None, ket)
-        if overlap not in overlap_at:
-            eng.load(overlap[0], wv.t1_state, g, p, t1, n2)
-            overlap_at[overlap] = len(requests)
-            requests.append(overlap)
-        at.append((overlap_at[overlap], len(requests)))
-        requests += [(bra, ops["p1"], ket), (bra, ops["p2"], ket)]
-        if n1 == n2:
-            requests.append((bra, ops["L3"], ket))
-    results = eng.elements(requests)
-    for (t1, npl, n1, n2), (ov, first) in zip(cases, at):
-        names = ("p1", "p2", "L3") if n1 == n2 else ("p1", "p2")
-        for name, lhs in zip(names, results[first:first + 3]):
-            rhs = coeff(name, n1, n2) * results[ov]
-            scale = hb * (2 * n1 + 1) if name == "L3" else c
-            dev[name].append(abs(lhs - rhs) / scale)
-            rows.append(("t1", name, (n1, n2, npl, t1),
-                         rhs, lhs, abs(lhs - rhs)))
+        eng.load(("t1", t1, n2), wv.t1_state, g, p, t1, n2)
+        requests["overlap", (t1, npl, n2)] = (("t1", t1, n2), None, ket)
+        for name in ("p1", "p2", "L3") if n1 == n2 else ("p1", "p2"):
+            requests[name, case] = (bra, ops[name], ket)
+    values = eng.elements(requests)
+    for name, case in requests:
+        if name == "overlap":
+            continue
+        t1, npl, n1, n2 = case
+        lhs = values[name, case]
+        rhs = coeff(name, n1, n2) * values["overlap", (t1, npl, n2)]
+        scale = hb * (2 * n1 + 1) if name == "L3" else c
+        dev[name].append(abs(lhs - rhs) / scale)
+        rows.append(("t1", name, (n1, n2, npl, t1), rhs, lhs, abs(lhs - rhs)))
     return dev
 
 

@@ -132,7 +132,7 @@ def _require(ok: bool, message: str):
         raise ValueError(message)
 
 
-def _check_numerics(args, parser):
+def _check_numerics(args, parser, p: PhysicalParams):
     """Reject out-of-range numerics before a campaign starts, with the
     message of the library check that would otherwise fail mid-campaign."""
     checks = []
@@ -174,6 +174,9 @@ def _check_numerics(args, parser):
                                       "dt must be positive and finite")),
             ("--energy", lambda: args.energy is None
              or cl.TrajectoryParams(E=args.energy)),
+            ("--energy", lambda: _require(
+                args.energy is None or 2.0 * p.m * args.energy < math.inf,
+                "the momentum sqrt(2 m E) overflows")),
         ]
     for flag, check in checks:
         try:
@@ -299,8 +302,8 @@ def _campaign(args, p, g, scheme: str, tol: dict):
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    _check_numerics(args, parser)
     p = _physical(args, parser)
+    _check_numerics(args, parser, p)
     g = _gauge(args, parser)
     scheme = "gauss_hermite" if args.scheme == "gh" else "simpson"
     # --tol overrides the campaign's primary tolerance, its only one

@@ -312,13 +312,11 @@ def position_monomials(p: PhysicalParams, b: FockBasis,
     return {(i, j): chains[0][i] @ chains[1][j] for (i, j) in keys}
 
 
-def poly_operator(f: Poly2, p: PhysicalParams, x0: tuple[float, float],
-                  b: FockBasis) -> FockOperator:
-    """Operator f(x1 - x0_1, x2 - x0_2): the sum of ``f.terms[k] *``
-    :func:`position_monomials` ``[k]`` from zero, in sorted term order.  The
-    excursion is the total degree of f, which must not exceed the truncation.
-    """
-    monomials = position_monomials(p, b, f.terms)
+def poly_operator(f: Poly2, monomials: dict, b: FockBasis) -> FockOperator:
+    """Operator f(x1 - x0_1, x2 - x0_2): the sum of ``f.terms[k] *
+    monomials[k]`` from zero, in sorted term order, where ``monomials`` is a
+    :func:`position_monomials` table holding every term of f.  The bits do
+    not depend on which other keys the table holds."""
     op = FockOperator(b, {})
     for key in sorted(f.terms):
         op = op + f.terms[key] * monomials[key]
@@ -455,4 +453,6 @@ def gauge_variant_matrix(which: str, g: GaugeChoice, p: PhysicalParams,
     partner observable plus the :func:`poly_operator` of its polynomial
     position term :func:`~landaulab.params.canonical_extra`."""
     partner = build_observable(CANONICAL_PARTNER[which], p, g.x0, b)
-    return partner + poly_operator(canonical_extra(which, g, p), p, g.x0, b)
+    extra = canonical_extra(which, g, p)
+    monomials = position_monomials(p, b, extra.terms)
+    return partner + poly_operator(extra, monomials, b)

@@ -383,6 +383,13 @@ class PhysicalParams:
             raise ValueError("magnetic field must be nonzero and finite")
         if not 0 < self.hbar < math.inf:
             raise ValueError("hbar must be positive and finite")
+        # the derived scales, each needed by the next
+        if self.qB == 0 or not math.isfinite(self.qB):
+            raise ValueError("qB must be nonzero and finite")
+        if not 0 < self.omega_c < math.inf:
+            raise ValueError("cyclotron frequency must be positive and finite")
+        if not 0 < self.magnetic_length < math.inf:
+            raise ValueError("magnetic length must be positive and finite")
 
     @property
     def omega_c(self) -> float:

@@ -109,7 +109,7 @@ class Grid2:
 # level of the extraction stays in cache.
 _BLOCK_VALUES = 1 << 16
 # Largest magnitude extracted; beyond it 2**(e + M) could overflow, and such
-# rows (and rows holding inf or nan) are left to math.fsum.
+# rows (and rows holding inf or nan) are left to _fallback_sum.
 _EXTRACT_LIMIT = 2.0 ** 900
 
 _scratch = threading.local()
@@ -139,9 +139,27 @@ def _row_blocks(x: np.ndarray):
     return (x[start:start + block] for start in range(0, len(x), block))
 
 
+def _fallback_sum(row: np.ndarray) -> float:
+    """Sum of a row the extraction leaves out: with inf or nan, the IEEE
+    result (nan for +inf with -inf); else the exact sum rounded once, as
+    ``math.fsum`` rounds it where no partial sum overflows, and ±inf only
+    where the rounded sum overflows."""
+    special = row[~np.isfinite(row)]
+    if special.size:
+        with np.errstate(invalid="ignore"):
+            return float(special.sum())
+    # every double is an integer multiple of 2**-1074
+    total = sum(n * (1 << 1074) // d
+                for n, d in map(float.as_integer_ratio, row.tolist()))
+    try:
+        return total / (1 << 1074)  # integer division rounds correctly
+    except OverflowError:
+        return math.inf if total > 0 else -math.inf
+
+
 def _fsum_rows(x: np.ndarray) -> list[float]:
-    """``math.fsum`` of every row of a 2-D float64 array, bit for bit; the
-    array itself is left unchanged.
+    """``math.fsum`` of every row of a 2-D float64 array, bit for bit where
+    ``math.fsum`` returns; the array itself is left unchanged.
 
     Error-free extraction (Rump, Ogita & Oishi, "Accurate floating-point
     summation part I", SIAM J. Sci. Comput. 31, 2008), with one extraction
@@ -161,7 +179,8 @@ def _fsum_rows(x: np.ndarray) -> list[float]:
     remainder is below ``2**g`` and hence exactly zero, which one final test
     confirms.  The exact row sum is then the sum of the level sums, which
     ``math.fsum`` rounds once, exactly as it rounds the row itself.  Rows
-    above ``_EXTRACT_LIMIT``, inf or nan go to ``math.fsum`` directly.
+    above ``_EXTRACT_LIMIT``, inf or nan go to :func:`_fallback_sum`, which
+    never raises.
     """
     rows, n = x.shape
     if n == 0:
@@ -178,7 +197,7 @@ def _fsum_rows(x: np.ndarray) -> list[float]:
         fallback = {}
         cur = src
         if not exact.all():
-            fallback = {r: math.fsum(src[r].tolist())
+            fallback = {r: _fallback_sum(src[r])
                         for r in np.flatnonzero(~exact).tolist()}
             cur = work
             np.copyto(cur, src)

@@ -76,13 +76,19 @@ def check_quantum_number(n: int, what: str):
 def hermite(n: int, x):
     """Physicists' Hermite polynomial H_n by the three-term recurrence;
     vectorised over numpy input."""
+    return _hermite_tail(n, x)[0]
+
+
+def _hermite_tail(n: int, x):
+    """``(H_n, H_{n-1}, H_{n-2})`` from one run of the recurrence, each with
+    the bits of its own :func:`hermite` call; a negative order reads 0*x."""
     if n < 0:
         raise ValueError("order must be nonnegative")
     x = np.asarray(x, dtype=float) if not np.isscalar(x) else x
-    hm, h = 0.0 * x, 1.0 + 0.0 * x
+    hmm, hm, h = 0.0 * x, 0.0 * x, 1.0 + 0.0 * x
     for k in range(n):
-        hm, h = h, 2.0 * x * h - 2.0 * k * hm
-    return h
+        hmm, hm, h = hm, h, 2.0 * x * h - 2.0 * k * hm
+    return h, hm, hmm
 
 
 def laguerre(n: int, m: int, x):
@@ -114,10 +120,10 @@ class SpecialFactor:
     def chain_values(self, gval):
         """(f(g), f'(g), f''(g)) at argument values gval."""
         if self.kind == "hermite":
-            f0 = hermite(self.n, gval)
-            f1 = 2.0 * self.n * hermite(self.n - 1, gval) if self.n >= 1 else 0.0 * gval
-            f2 = (4.0 * self.n * (self.n - 1) * hermite(self.n - 2, gval)
-                  if self.n >= 2 else 0.0 * gval)
+            f0, h1, h2 = _hermite_tail(self.n, gval)
+            f1 = 2.0 * self.n * h1 if self.n >= 1 else 0.0 * gval
+            f2 = (4.0 * self.n * (self.n - 1) * h2 if self.n >= 2
+                  else 0.0 * gval)
             return f0, f1, f2
         if self.kind == "laguerre":
             f0 = laguerre(self.n, self.m, gval)
@@ -466,16 +472,13 @@ class HermiteGaussian1D:
 
     def d1(self, t):
         y = np.asarray(t, dtype=float) / self.scale
-        hk = hermite(self.k, y)
-        hk1 = hermite(self.k - 1, y) if self.k >= 1 else 0.0 * y
+        hk, hk1, _ = _hermite_tail(self.k, y)
         return self.coeff / self.scale * np.exp(-0.5 * y * y) \
             * (2.0 * self.k * hk1 - y * hk)
 
     def d2(self, t):
         y = np.asarray(t, dtype=float) / self.scale
-        hk = hermite(self.k, y)
-        hk1 = hermite(self.k - 1, y) if self.k >= 1 else 0.0 * y
-        hk2 = hermite(self.k - 2, y) if self.k >= 2 else 0.0 * y
+        hk, hk1, hk2 = _hermite_tail(self.k, y)
         val = (4.0 * self.k * (self.k - 1) * hk2
                - 4.0 * self.k * y * hk1 + (y * y - 1.0) * hk)
         return self.coeff / self.scale ** 2 * np.exp(-0.5 * y * y) * val

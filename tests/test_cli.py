@@ -399,13 +399,23 @@ def test_bad_phi_rejected(capsys):
      "--tol: tolerance must be finite and nonnegative"),
     (["classical-sim", "--tol", "inf"],
      "--tol: tolerance must be finite and nonnegative"),
+    # derived scales that underflow or overflow
+    (["verify-algebra", "--charge", "1e-300", "--bfield", "1e-300"],
+     "qB must be nonzero and finite"),
+    (["classical-sim", "--charge", "1e300", "--bfield", "1e10"],
+     "qB must be nonzero and finite"),
+    (["classical-sim", "--mass", "1e-320"],
+     "cyclotron frequency must be positive and finite"),
+    (["classical-sim", "--energy", "1e308"],
+     "--energy: the momentum sqrt(2 m E) overflows"),
 ], ids=["nmax", "algebra-nmax-high", "scan-nmax-high", "tables-nmax-high",
         "simpson-grid", "margin", "phi-syntax", "mass", "steps",
         "dt-negative", "dt-nan", "energy", "bfield-nan", "hbar-inf",
         "alpha-nan", "x0-nan", "tables-nmax", "scan-nmax", "scan-nmax-cubic",
         "scan-levels", "scan-levels-high", "seed", "scan-grid", "basis-grid",
         "demo-grid", "tables-grid", "dt-orbit-overflow", "tol-nan",
-        "tol-negative", "tol-inf"])
+        "tol-negative", "tol-inf", "qb-underflow", "qb-overflow",
+        "omega-overflow", "energy-momentum-overflow"])
 def test_bad_input_exits_2(capsys, args, message):
     with pytest.raises(SystemExit) as exc:
         main(args + ["--quiet", "--no-timestamp"])
@@ -427,6 +437,39 @@ def test_nan_deviation_fails(tmp_path):
     checks = json.loads(out.read_text())["checks"]
     assert checks and all(math.isnan(c["deviation"]) and not c["pass"]
                           for c in checks)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_cancelling_infinities_fail_with_nan(tmp_path):
+    # at hbar = 1e-300 some overlap rows hold both +inf and -inf: their
+    # sums read nan, so the checks fail rather than raise
+    out = tmp_path / "r.json"
+    code = main(["basis-change", "--hbar", "1e-300", "--quiet",
+                 "--no-timestamp", "--json-out", str(out)])
+    assert code == 1
+    checks = {c["id"]: c for c in json.loads(out.read_text())["checks"]}
+    assert math.isnan(checks["closed-vs-quadrature"]["deviation"])
+    assert not checks["closed-vs-quadrature"]["pass"]
+
+
+def test_campaigns_carry_no_state_between_calls(tmp_path):
+    # the scan's once-per-call tables and the reducer's per-thread buffers
+    # leave nothing behind: gauge-scan and reproduce-tables give the same
+    # bytes run twice in one process, in both orders
+    runs = {"gauge-scan": ["--grid", "40", "--scan-levels", "1", "--nmax",
+                           "8"],
+            "reproduce-tables": ["--grid", "56", "--nmax", "12"]}
+    outputs = {name: [] for name in runs}
+    for i, name in enumerate(["gauge-scan", "reproduce-tables",
+                              "reproduce-tables", "gauge-scan"]):
+        files = (tmp_path / f"{i}.json", tmp_path / f"{i}.csv")
+        main([name, *runs[name], "--quiet", "--no-timestamp",
+              "--json-out", str(files[0]), "--csv-out", str(files[1])])
+        outputs[name].append([f.read_bytes() if f.exists() else None
+                              for f in files])
+    for first, second in outputs.values():
+        assert first[0] is not None and first == second
 
 
 def _openblas_dynamic_arch() -> bool:

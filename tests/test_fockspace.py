@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 from numpy.polynomial.hermite import hermgauss
 
 from landaulab import GaugeChoice, PhysicalParams, Poly2, parse_poly
-from landaulab.campaigns import (_angular_states, _neighbour_pairs,
-                                 run_verify_algebra)
+from landaulab.campaigns import (_angular_states, _ElementEngine,
+                                 _neighbour_pairs, default_gauges,
+                                 run_gauge_scan, run_verify_algebra)
 from landaulab.fockspace import (FockBasis, FockOperator, TruncationError,
                                  build_observable, change_of_basis,
                                  gauge_variant_matrix,
@@ -28,6 +29,11 @@ def _bits_of(m):
     -0.0 into 0.0 and keeps every other value.  A shift map stores no
     structural zeros, so only its nonzero entries carry meaningful bits."""
     return (np.asarray(m) + 0.0).tobytes()
+
+
+def _poly_op(f, p, b):
+    """:func:`poly_operator` over the monomial table of f's own terms."""
+    return poly_operator(f, position_monomials(p, b, f.terms), b)
 
 
 def _random_operator(b, rng, shifts):
@@ -262,7 +268,7 @@ def test_excursion_metadata():
     assert ap.excursion == apd.excursion == 1
     assert (ap @ am).excursion == 2
     assert build_observable("H", P, X0, b).excursion == 0
-    assert poly_operator(parse_poly("u1^2*u2"), P, X0, b).excursion == 3
+    assert _poly_op(parse_poly("u1^2*u2"), P, b).excursion == 3
 
 
 def test_every_observable_exactly_hermitian():
@@ -463,12 +469,12 @@ def test_magnitudes_equal_interior_gather(nmax):
 
 def test_poly_operator_constant_is_identity():
     b = _basis()
-    op = poly_operator(Poly2.const(1.0), P, X0, b)
+    op = _poly_op(Poly2.const(1.0), P, b)
     assert np.array_equal(op.matrix, np.eye(b.dim, dtype=complex))
 
 
 def test_poly_operator_linear_vacuum_element():
-    op = poly_operator(parse_poly("u1"), P, X0, _basis())
+    op = _poly_op(parse_poly("u1"), P, _basis())
     assert op.element((0, 0), (0, 0)) == 0
 
 
@@ -482,7 +488,7 @@ def test_poly_operator_vacuum_radius_squared():
     dens_w = w / math.sqrt(math.pi)
     mean_u2 = float(np.sum(dens_w * u * u))     # one axis
     oracle = 2.0 * mean_u2
-    op = poly_operator(parse_poly("u1^2 + u2^2"), P, X0, _basis())
+    op = _poly_op(parse_poly("u1^2 + u2^2"), P, _basis())
     val = op.element((0, 0), (0, 0))
     assert val == pytest.approx(oracle, rel=1e-12)
     assert val == pytest.approx(2.0 * lam * lam, rel=1e-12)
@@ -490,15 +496,15 @@ def test_poly_operator_vacuum_radius_squared():
 
 def test_poly_operator_degree_guard():
     with pytest.raises(TruncationError):
-        poly_operator(parse_poly("u1^4"), P, X0, FockBasis(3))
+        _poly_op(parse_poly("u1^4"), P, FockBasis(3))
 
 
 def test_poly_operator_commutes_positions():
     # u1 u2 vs u2 u1 ordering agrees on the interior
     b = _basis()
-    f12 = poly_operator(Poly2({(1, 1): 1.0}), P, X0, b)
-    x1 = poly_operator(parse_poly("u1"), P, X0, b)
-    x2 = poly_operator(parse_poly("u2"), P, X0, b)
+    f12 = _poly_op(Poly2({(1, 1): 1.0}), P, b)
+    x1 = _poly_op(parse_poly("u1"), P, b)
+    x2 = _poly_op(parse_poly("u2"), P, b)
     alt = x2 @ x1
     idx = b.interior_indices(2)
     dev = np.max(np.abs((f12.matrix - alt.matrix)[np.ix_(idx, idx)]))
@@ -712,7 +718,7 @@ def test_gauge_variant_matches_direct_construction():
     for which, apoly, mom in (("pi1", a1, "p1"), ("pi2", a2, "p2")):
         dec = gauge_variant_matrix(which, g, p, b)
         direct = build_observable(mom, p, g.x0, b).matrix \
-            + p.q * poly_operator(apoly, p, g.x0, b).matrix
+            + p.q * _poly_op(apoly, p, b).matrix
         idx = b.interior_indices(3)
         dev = np.max(np.abs((dec.matrix - direct)[np.ix_(idx, idx)]))
         assert dev < 1e-13, which
@@ -784,11 +790,33 @@ def _reference_poly_sum(p, b):
 @settings(max_examples=15, deadline=None)
 @given(_scan_setups())
 def test_scan_route_entries_equal_full_matrix_entries(setup):
-    # the scan reads its Fock-route entries at the angular-label pairs from
-    # gauge_variant_matrix in one call: each carries the bits of the
-    # operator's own element, and the operator is the partner plus the
-    # polynomial term, within rounding of the dense power-chain sum
+    # gauge_variant_matrix's entries at the angular-label pairs each carry
+    # the bits of the operator's own element, and the operator is the
+    # partner plus the polynomial term, within rounding of the dense
+    # power-chain sum.  The scan builds its Fock route from partners and one
+    # monomial table for all gauges: every entry it reads, for the drawn
+    # gauges and every default gauge, has gauge_variant_matrix's bits
     p, gauges, nmax = setup
+    scan_gauges = gauges + default_gauges(7, gauges[0].x0)
+    read = []
+    entries = FockOperator.entries
+
+    def recorded(op, bra, ket):
+        read.append((bra, ket, entries(op, bra, ket)))
+        return read[-1][2]
+    with pytest.MonkeyPatch.context() as mp:
+        # the quadrature side is left out: only the Fock route is read
+        mp.setattr(_ElementEngine, "load", lambda self, *args: None)
+        mp.setattr(_ElementEngine, "elements",
+                   lambda self, requests: dict.fromkeys(requests, 0j))
+        mp.setattr(FockOperator, "entries", recorded)
+        run_gauge_scan(p, scan_gauges, nmax=nmax, grid_k=8, n_top=2, l_top=2)
+    assert len(read) == len(scan_gauges) * len(CANONICAL_PARTNER)
+    routes = [(g, name) for g in scan_gauges for name in CANONICAL_PARTNER]
+    for (bra, ket, got), (g, name) in zip(read, routes):
+        want = gauge_variant_matrix(name, g, p, FockBasis(nmax))
+        assert got.tobytes() == want.entries(bra, ket).tobytes(), name
+
     b = FockBasis(nmax)
     pairs = _neighbour_pairs(_angular_states(2, 2))
     at = [((bra[1] + bra[0], bra[1]), (ket[1] + ket[0], ket[1]))
@@ -800,7 +828,7 @@ def test_scan_route_entries_equal_full_matrix_entries(setup):
             full = gauge_variant_matrix(name, g, p, b)
             extra = canonical_extra(name, g, p)
             partner = build_observable(CANONICAL_PARTNER[name], p, g.x0, b)
-            summed = partner + poly_operator(extra, p, g.x0, b)
+            summed = partner + _poly_op(extra, p, b)
             assert full.shifts.keys() == summed.shifts.keys()
             for d, c in full.shifts.items():
                 assert _bits_of(c) == _bits_of(summed.shifts[d]), d

@@ -1,6 +1,7 @@
 import math
 import struct
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,9 +11,9 @@ from hypothesis import strategies as st
 from landaulab import GaugeChoice, PhysicalParams, Poly2, parse_poly
 from landaulab import quadrature as quad
 from landaulab import waves as wv
-from landaulab.campaigns import (_SCAN_OPS, TABLE_INDEX_TOP, _default_grid,
-                                 _ElementEngine, _t1_level_rows,
-                                 run_heisenberg_demo)
+from landaulab.campaigns import (_SCAN_OPS, TABLE_INDEX_TOP, _angular_states,
+                                 _default_grid, _ElementEngine,
+                                 _t1_level_rows, run_heisenberg_demo)
 from landaulab.fockspace import change_of_basis, t1_fock_overlap
 from landaulab.params import CANONICAL_PARTNER
 from landaulab.quadrature import (Grid2, SupportOverflowError,
@@ -258,11 +259,25 @@ def test_grid_validation():
         Grid2.simpson(5, extent=1.0)
 
 
-def _fsum_or_error(row):
+def _correctly_rounded_sum(row) -> float:
+    """``math.fsum`` where it returns.  With inf or nan: nan for a nan or
+    for +inf with -inf, else the infinity.  A finite row on which a partial
+    sum of ``math.fsum`` overflows: its exact rational sum rounded once, an
+    infinity only when that overflows."""
+    values = row.tolist()
+    special = [v for v in values if not math.isfinite(v)]
+    if special:
+        if any(map(math.isnan, special)) or len(set(special)) > 1:
+            return math.nan
+        return special[0]
     try:
-        return math.fsum(row.tolist())
-    except (OverflowError, ValueError) as exc:
-        return exc
+        return math.fsum(values)
+    except OverflowError:
+        total = sum(map(Fraction, values))
+    try:
+        return float(total)
+    except OverflowError:
+        return math.inf if total > 0 else -math.inf
 
 
 @st.composite
@@ -296,18 +311,19 @@ def _float_rows(draw):
 @example(np.array([[2.0 ** 53, 1.0, -5e-324]]))
 @example(np.array([[2.0 ** 53, 1.0, 2.0 ** -60], [-0.0, -0.0, 0.0]]))
 @example(np.array([[1e308, 1e308, -1e308], [math.inf, -math.inf, 1.0]]))
+@example(np.array([[1e308, 1e308, 1e308], [-1e308, -1e308, 5e-324],
+                   [2.0 ** 1000, 5e-324, -(2.0 ** 1000)],
+                   [math.inf, 1e308, 1e308], [math.nan, math.inf, 1.0]]))
 @example(np.zeros((2, 0)))
 def test_fsum_rows_equals_fsum_bit_for_bit(rows):
-    expected = [_fsum_or_error(row) for row in rows]
-    errors = [e for e in expected if isinstance(e, Exception)]
-    if errors:
-        with pytest.raises(type(errors[0])) as exc:
-            _fsum_rows(rows)
-        assert str(exc.value) == str(errors[0])
-        return
+    # every row's correctly rounded sum, which is math.fsum's wherever
+    # math.fsum returns one; the rows math.fsum raises on give the IEEE
+    # result or the exact sum instead of an exception
+    expected = [_correctly_rounded_sum(row) for row in rows]
     got = _fsum_rows(rows)
-    assert [struct.pack("<d", v) for v in got] \
-        == [struct.pack("<d", v) for v in expected]
+    assert [math.isnan(v) for v in got] == [math.isnan(v) for v in expected]
+    assert [struct.pack("<d", v) for v in got if not math.isnan(v)] \
+        == [struct.pack("<d", v) for v in expected if not math.isnan(v)]
 
 
 def _real_bits(values) -> list[bytes]:
@@ -438,18 +454,40 @@ def test_engine_elements_equal_matrix_element(scheme, k):
         eng.load(lab, psi.get, lab)
     ops = [position_op(name, g, P)
            for name in _SCAN_OPS + tuple(CANONICAL_PARTNER)] + [None]
-    requests = [(a, op, b) for op in ops for a in labels for b in labels]
-    for (a, op, b), val in zip(requests, eng.elements(requests),
-                               strict=True):
+    requests = {(i, a, b): (a, op, b)
+                for i, op in enumerate(ops) for a in labels for b in labels}
+    # a second key for every request of the first operator: each key is
+    # integrated once, and both keys of a request read the same bits
+    twins = {("twin", a, b): (a, ops[0], b) for a in labels for b in labels}
+    rows = []
+
+    def counted(values, grid):
+        rows.append(len(values))
+        return integrate_rows(values, grid)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(quad, "integrate_rows", counted)
+        values = eng.elements({**requests, **twins})
+    assert list(values) == [*requests, *twins]
+    assert sum(rows) == len(requests) + len(twins)
+    for (i, a, b), (_, op, _) in requests.items():
         ref = (inner_product(psi[a], psi[b], grid) if op is None
                else matrix_element(psi[a], op, psi[b], grid))
-        assert struct.pack("<dd", val.real, val.imag) \
+        assert struct.pack("<dd", values[i, a, b].real, values[i, a, b].imag) \
             == struct.pack("<dd", ref.real, ref.imag)
+    for (_, a, b) in twins:
+        assert struct.pack("<dd", values["twin", a, b].real,
+                           values["twin", a, b].imag) \
+            == struct.pack("<dd", values[0, a, b].real, values[0, a, b].imag)
+
+
+def _table_engine():
+    return _ElementEngine(_default_grid(P, SYM, 56, "gauss_hermite"), SYM.x0)
 
 
 def test_level_rows_build_each_state_once(monkeypatch):
     # the engine caches jets by key, so a state shared by several rows is
-    # built once: 14 translation and 14 angular states at the table sizes
+    # built once: 14 translation and 14 angular states at the table sizes,
+    # and no angular state when the engine holds the angular table's
     builds = {"t1_state": [], "fock_state": []}
     for name, calls in builds.items():
         def counted(*args, fn=getattr(wv, name), calls=calls):
@@ -457,10 +495,17 @@ def test_level_rows_build_each_state_once(monkeypatch):
             return fn(*args)
         monkeypatch.setattr(wv, name, counted)
     rows = []
-    _t1_level_rows(P, SYM, 56, "gauss_hermite", rows, TABLE_INDEX_TOP)
+    _t1_level_rows(P, SYM, _table_engine(), rows, TABLE_INDEX_TOP)
     assert rows
     for calls in builds.values():
         assert len(calls) == len(set(calls)) == 14
+    eng = _table_engine()
+    for (l, n) in _angular_states(TABLE_INDEX_TOP, TABLE_INDEX_TOP):
+        eng.load((l, n), fock_state, SYM, P, n + l, n)
+    builds["fock_state"].clear()
+    again = []
+    _t1_level_rows(P, SYM, eng, again, TABLE_INDEX_TOP)
+    assert builds["fock_state"] == [] and again == rows
 
 
 def test_level_rows_request_each_overlap_once(monkeypatch):
@@ -470,10 +515,10 @@ def test_level_rows_request_each_overlap_once(monkeypatch):
     elements = _ElementEngine.elements
 
     def recorded(self, reqs):
-        requests.extend(reqs)
+        requests.extend(reqs.values())
         return elements(self, reqs)
     monkeypatch.setattr(_ElementEngine, "elements", recorded)
-    _t1_level_rows(P, SYM, 56, "gauss_hermite", [], TABLE_INDEX_TOP)
+    _t1_level_rows(P, SYM, _table_engine(), [], TABLE_INDEX_TOP)
     overlaps = [(bra, ket) for bra, op, ket in requests if op is None]
     assert len(requests) == 148
     assert len(overlaps) == len(set(overlaps)) == 28
@@ -558,10 +603,10 @@ def test_engine_support_failure_matches_per_element_path():
     labels = [(0, 0), (1, 0), (2, 1)]
     psi = {lab: fock_state(SYM, P, *lab) for lab in labels}
     op = position_op("H", SYM, P)
-    requests = [(a, op, b) for a in labels for b in labels]
+    requests = {(a, b): (a, op, b) for a in labels for b in labels}
     matrix_element(psi[(0, 0)], op, psi[(0, 0)], grid)
     with pytest.raises(SupportOverflowError) as per_element:
-        for a, _, b in requests:
+        for a, _, b in requests.values():
             matrix_element(psi[a], op, psi[b], grid)
     eng = _ElementEngine(grid, SYM.x0)
     for lab in labels:

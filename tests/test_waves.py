@@ -7,7 +7,8 @@ from numpy.polynomial.hermite import hermgauss
 from landaulab import GaugeChoice, PhysicalParams, Poly2, gauge_delta, parse_poly
 from landaulab.fockspace import change_of_basis, t1_fock_overlap
 from landaulab.waves import (MAX_QUANTUM_NUMBER, DiffOpSpec, HermiteGaussian1D,
-                             QuantumNumberError, connection_momentum_op,
+                             QuantumNumberError, SpecialFactor,
+                             connection_momentum_op,
                              fock_state, gauge_phase, hermite, laguerre,
                              multiplication_op, phase_shifted, plane_wave,
                              position_op, t1_basis_function, t1_state,
@@ -374,6 +375,32 @@ def test_hermite_gaussian_derivatives():
     y = t / f.scale
     rhs = (y * y - 2 * f.k - 1) * f.value(t) / f.scale ** 2
     assert np.max(np.abs(f.d2(t) - rhs)) < 1e-12 * np.max(np.abs(rhs))
+
+
+def test_one_hermite_pass_keeps_the_bits_of_separate_calls():
+    # the special factor's derivative values and the profile derivatives
+    # take H_n, H_{n-1} and H_{n-2} from one run of the recurrence; each
+    # has the bits of its own hermite call, signed zeros included
+    x = np.concatenate([np.linspace(-9.0, 9.0, 37), [-0.0, 0.0, 1e-300]])
+    arg = Poly2.variable(2)
+    for n in range(MAX_QUANTUM_NUMBER + 1):
+        f0, f1, f2 = SpecialFactor("hermite", n, arg).chain_values(x)
+        want = (hermite(n, x),
+                2.0 * n * hermite(n - 1, x) if n >= 1 else 0.0 * x,
+                4.0 * n * (n - 1) * hermite(n - 2, x) if n >= 2 else 0.0 * x)
+        assert [a.tobytes() for a in (f0, f1, f2)] \
+            == [a.tobytes() for a in want], n
+        prof = HermiteGaussian1D(coeff=0.7 - 0.2j, k=n, scale=1.3)
+        y = x / 1.3
+        hk = hermite(n, y)
+        hk1 = hermite(n - 1, y) if n >= 1 else 0.0 * y
+        hk2 = hermite(n - 2, y) if n >= 2 else 0.0 * y
+        gauss = np.exp(-0.5 * y * y)
+        d1 = prof.coeff / 1.3 * gauss * (2.0 * n * hk1 - y * hk)
+        d2 = prof.coeff / 1.3 ** 2 * gauss * (
+            4.0 * n * (n - 1) * hk2 - 4.0 * n * y * hk1 + (y * y - 1.0) * hk)
+        assert prof.d1(x).tobytes() == d1.tobytes(), n
+        assert prof.d2(x).tobytes() == d2.tobytes(), n
 
 
 # -- validated range of quantum numbers ---------------------------------------
