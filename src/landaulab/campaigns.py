@@ -30,6 +30,7 @@ __all__ = [
     "QUAD_TOL",
     "DRIFT_TOL",
     "default_gauges",
+    "classical_orbit",
     "run_verify_algebra",
     "run_gauge_scan",
     "run_reproduce_tables",
@@ -189,14 +190,10 @@ def _default_grid(p: PhysicalParams, g: GaugeChoice, k: int,
     raise ValueError(f"unknown scheme {scheme!r}")
 
 
-# Integrand rows filled before one batched reduction: 2**16 complex values
-# (1 MiB) whatever the grid size, so memory does not grow with a campaign.
-_ELEMENT_BLOCK = 1 << 16
-
-
 class _ElementEngine:
-    """Caches wave-function jets on the fine grid and evaluates batches of
-    matrix elements through one blocked exact reduction."""
+    """Caches wave-function jets on the fine grid and evaluates each batch
+    of matrix elements as one stream of integrand rows through
+    ``quad.integrate_rows``."""
 
     def __init__(self, grid: quad.Grid2, origin):
         self.grid = grid
@@ -226,25 +223,19 @@ class _ElementEngine:
                       (op.c, op.b1, op.b2, op.a11, op.a12, op.a22))
                       if not poly.is_zero()]
                   for key, op in ops.items()}
-        todo = list(requests.values())
-        n = len(self.u[0])
-        rows = max(1, _ELEMENT_BLOCK // n)
-        buf = np.empty((min(rows, len(todo)), n), dtype=complex)
-        values: list[complex] = []
-        for start in range(0, len(todo), rows):
-            chunk = todo[start:start + rows]
-            for r, (bra, op, ket) in enumerate(chunk):
-                jet = self._jets[ket]
-                applied = jet.f if op is None else sum(
-                    arr * jet[slot] for slot, arr in coeffs[id(op)])
-                np.multiply(np.conj(self._jets[bra].f), applied, out=buf[r])
-            values += quad.integrate_rows(buf[:len(chunk)], self.grid)
+
+        def row(bra, op, ket):
+            jet = self._jets[ket]
+            applied = jet.f if op is None else sum(
+                arr * jet[slot] for slot, arr in coeffs[id(op)])
+            return np.conj(self._jets[bra].f) * applied
+        values = quad.integrate_rows(
+            (row(*request) for request in requests.values()), self.grid)
         return dict(zip(requests, values))
 
 
-def _angular_states(n_top: int, l_top: int) -> list[tuple[int, int]]:
-    return [(l, n) for n in range(n_top + 1)
-            for l in range(-min(n, l_top), l_top + 1)]
+def _angular_states(top: int) -> list[tuple[int, int]]:
+    return [(l, n) for n in range(top + 1) for l in range(-n, top + 1)]
 
 
 def _neighbour_pairs(states, extra_offsets=((0, 2), (2, 0), (1, -2), (2, 2))):
@@ -276,13 +267,13 @@ _SCAN_OPS = ("H", "T1", "T2", "M3", "p1", "p2", "L3")
 
 def run_gauge_scan(p: PhysicalParams, gauges=None, nmax: int = 16,
                    grid_k: int = 80, scheme: str = "gauss_hermite",
-                   seed: int = 7, tol: float = QUAD_TOL, n_top: int = 4,
-                   l_top: int = 4) -> VerificationReport:
-    """Recompute physical matrix elements by quadrature in every gauge and
-    check that they do not move; check that the canonical (gauge-variant)
-    operators decompose exactly as predicted and shift between gauges by
-    the gradient of the gauge-transformation function.  The gauges share
-    one grid, and each is one batch of element requests."""
+                   seed: int = 7, tol: float = QUAD_TOL,
+                   levels: int = 4) -> VerificationReport:
+    """Recompute physical matrix elements up to level ``levels`` by
+    quadrature in every gauge and check that they do not move; check that
+    the canonical (gauge-variant) operators decompose exactly as predicted
+    and shift between gauges by the gradient of the gauge function.  The
+    gauges share one grid, and each is one batch of element requests."""
     if gauges is None:
         gauges = default_gauges(seed)
     x0 = gauges[0].x0
@@ -293,7 +284,7 @@ def run_gauge_scan(p: PhysicalParams, gauges=None, nmax: int = 16,
     rep = _report("gauge-scan", p, gauges, nmax=nmax, grid=grid_k,
                   scheme=scheme, seed=seed)
 
-    states = _angular_states(n_top, l_top)
+    states = _angular_states(levels)
     pairs = _neighbour_pairs(states)
     sample = states[:6]
     # canonical-operator checks on a deterministic half of the pairs,
@@ -396,12 +387,12 @@ def run_reproduce_tables(p: PhysicalParams, nmax: int = 16,
     mats = {name: fk.build_observable(name, p, g.x0, basis)
             for name in _TABLE_OPS}
 
-    states = _angular_states(idx_top, idx_top)
+    states = _angular_states(idx_top)
     pairs = _neighbour_pairs(states)
 
     # route 1 vs route 2 over every in-range label pair
     half = nmax // 2
-    wide = _angular_states(half, half)
+    wide = _angular_states(half)
     ell, lvl = (np.array(c)[:, None] for c in zip(*wide))
     for name in _TABLE_OPS:
         diff = (fk.angular_element(name, ell, lvl, ell.T, lvl.T, p).value
@@ -541,55 +532,64 @@ def run_basis_change(p: PhysicalParams, gauge: GaugeChoice | None = None,
     grid = _default_grid(p, g, grid_k, scheme)
     tvals = (0.0, -0.8 * sig, 0.8 * sig, 1.7 * sig)
 
+    # overlaps <n+, n-|t1, n-> (the first 36 at n- = 0), each row formed as
+    # inner_product forms it from values taken once per distinct state
+    overlaps = [(npl, 0, t1) for npl in range(9) for t1 in tvals]
+    overlaps += [(npl, nm, t1) for nm in (1, 2, 3) for npl in (0, 1, 3)
+                 for t1 in (0.0, 0.8 * sig)]
+    xy = grid.points[:2]
+    bras = {(npl, nm): np.conj(wv.fock_state(g, p, npl, nm).value(*xy))
+            for npl, nm in dict.fromkeys((npl, nm) for npl, nm, _ in overlaps)}
+    kets = {(t1, nm): wv.t1_state(g, p, t1, nm).value(*xy)
+            for t1, nm in dict.fromkeys((t1, nm) for _, nm, t1 in overlaps)}
+    values = quad.integrate_rows((bras[npl, nm] * kets[t1, nm]
+                                  for npl, nm, t1 in overlaps), grid)
     rep.add("closed-vs-quadrature", [
-        abs(quad.inner_product(wv.fock_state(g, p, npl, 0),
-                               wv.t1_state(g, p, t1, 0), grid)
-            - fk.change_of_basis(npl, t1, p))
-        for npl in range(9) for t1 in tvals], tol)
-
+        abs(v - fk.change_of_basis(npl, t1, p))
+        for v, (npl, _, t1) in zip(values[:36], overlaps)], tol)
     rep.add("level-phase", [
-        abs(quad.inner_product(wv.fock_state(g, p, npl, nm),
-                               wv.t1_state(g, p, t1, nm), grid)
-            - fk.t1_fock_overlap(npl, nm, t1, p))
-        for nm in (1, 2, 3) for npl in (0, 1, 3) for t1 in (0.0, 0.8 * sig)],
-        tol)
+        abs(v - fk.t1_fock_overlap(npl, nm, t1, p))
+        for v, (npl, nm, t1) in zip(values[36:], overlaps[36:])], tol)
 
-    # the coefficients on the line-integral nodes, once per n+.  Each is a
+    # the coefficients on the line-rule nodes, once per n+.  Each is a
     # real number times a power of i, so a product of two has one nonzero
     # term per part and numpy's vectorised complex multiply (which fuses
     # multiply-adds) rounds it as the scalar product does
-    nodes = quad.line_nodes(grid_k, sig).tolist()
+    line = quad.Grid1(grid_k, sig)
+    nodes = line.nodes.tolist()
     coeffs = [np.array([fk.change_of_basis(npl, tt, p) for tt in nodes])
               for npl in range(11)]
+    pairs = [(npl, mpl) for npl in range(11) for mpl in range(npl + 1)]
+    values = quad.integrate_rows((coeffs[npl] * np.conj(coeffs[mpl])
+                                  for npl, mpl in pairs), line)
     rep.add("orthonormality", [
-        abs(quad.line_integral(lambda t: coeffs[npl] * np.conj(coeffs[mpl]),
-                               k=grid_k, scale=sig)
-            - (1.0 if npl == mpl else 0.0))
-        for npl in range(11) for mpl in range(npl + 1)], tol)
+        abs(v - (1.0 if npl == mpl else 0.0))
+        for v, (npl, mpl) in zip(values, pairs)], tol)
 
     rng = np.random.default_rng(seed)
     lam = p.magnetic_length
     pts = g.x0 + lam * rng.uniform(-2.5, 2.5, size=(20, 2))
     amp = math.sqrt(p.m * p.omega_c / (2.0 * math.pi * p.hbar))
-    k = max(60, grid_k)
-    nodes = quad.line_nodes(k, sig).tolist()
+    line = quad.Grid1(max(60, grid_k), sig)
+    nodes = line.nodes.tolist()
     cases = ((0, 0), (1, 0), (2, 1), (1, 2), (3, 2))
     # one translation state per level and node, valued at every point at
     # once: a (node, point) table with the bits of the pointwise values
     states = {nm: np.array([wv.t1_state(g, p, tt, nm).value(*pts.T)
                             for tt in nodes])
               for nm in {nm for _, nm in cases}}
-    dev = []
-    for (npl, nm) in cases:
-        # a real number times a power of i, like the coefficients above
-        weight = np.conj([fk.t1_fock_overlap(npl, nm, tt, p) for tt in nodes])
-        rows = states[nm] * weight[:, None]
-        # the target stays pointwise: fock_state values on an array can
-        # differ from them in the last bit
-        target = wv.fock_state(g, p, npl, nm)
-        for j, (x1, x2) in enumerate(pts):
-            rec = quad.line_integral(lambda t: rows[:, j], k=k, scale=sig)
-            dev.append(abs(rec - target.value(x1, x2)) / amp)
+    # per case, one row per point: a column of the table weighted by a real
+    # number times a power of i, like the coefficients above
+    tables = (states[nm] * np.conj([fk.t1_fock_overlap(npl, nm, tt, p)
+                                    for tt in nodes])[:, None]
+              for npl, nm in cases)
+    recs = iter(quad.integrate_rows((col for t in tables for col in t.T),
+                                    line))
+    # the targets stay pointwise: fock_state values on an array can differ
+    # from them in the last bit
+    dev = [abs(next(recs) - target.value(x1, x2)) / amp
+           for target in (wv.fock_state(g, p, npl, nm) for npl, nm in cases)
+           for x1, x2 in pts]
     rep.add("reconstruction", dev, 1e-7)
     return rep
 
@@ -599,6 +599,19 @@ def run_basis_change(p: PhysicalParams, gauge: GaugeChoice | None = None,
 # ---------------------------------------------------------------------------
 
 
+def classical_orbit(p: PhysicalParams, E: float | None = None,
+                    xc=None) -> cl.TrajectoryParams:
+    """The orbit of energy ``E`` (default 0.5) about the centre ``xc``
+    (default the origin); with neither, the zero-point energy
+    hbar omega_c / 2 about a centre off the origin."""
+    if E is None and xc is None:
+        lam = p.magnetic_length
+        return cl.TrajectoryParams(0.5 * p.hbar * p.omega_c,
+                                   (0.5 * lam, -0.25 * lam))
+    return cl.TrajectoryParams(0.5 if E is None else E,
+                               (0.0, 0.0) if xc is None else xc)
+
+
 def run_classical_sim(p: PhysicalParams, tp: cl.TrajectoryParams | None = None,
                       dt: float | None = None, steps: int | None = None,
                       method: str = "boris", x0=(0.0, 0.0), seed: int = 7,
@@ -606,15 +619,13 @@ def run_classical_sim(p: PhysicalParams, tp: cl.TrajectoryParams | None = None,
     """Integrate a cyclotron orbit, emit the trajectory with its conserved
     charges, and check charge conservation, the charge relation, the
     equation-of-motion residual of the analytic solution, and closure;
-    ``tol`` bounds the relative drift of the charges.
+    ``tol`` bounds the relative drift of the charges; the orbit defaults to
+    ``classical_orbit(p)``.
 
     Returns the report and a ``(steps+1, 9)`` array of rows
     ``t, x1, x2, p1, p2, E, T1, T2, M3``."""
     period = 2.0 * math.pi / p.omega_c
-    if tp is None:
-        tp = cl.TrajectoryParams(E=0.5 * p.hbar * p.omega_c,
-                                 xc=(0.5 * p.magnetic_length,
-                                     -0.25 * p.magnetic_length))
+    tp = tp or classical_orbit(p)
     if dt is None:
         dt = period / 1000.0
     if steps is None:
@@ -733,16 +744,14 @@ def run_heisenberg_demo(p: PhysicalParams, grid_k: int = 80,
     def elements(states, ops):
         """``quad.matrix_element`` of every (bra, op, ket), bit for bit, with
         each distinct bra value and ket jet evaluated once; the rows are
-        reduced together, each exactly and support-checked in order."""
+        one stream, each reduced exactly and support-checked in order."""
         bras = {bra: np.conj(states[bra].value(*nodes))
                 for bra in dict.fromkeys(bra for _, _, bra, _ in ops)}
         jets = {ket: states[ket].jet(*nodes)
                 for ket in dict.fromkeys(ket for _, _, _, ket in ops)}
-        rows = np.empty((len(ops), nodes[0].size), dtype=complex)
-        for row, (_, op, bra, ket) in zip(rows, ops):
-            applied = op.apply_jet(jets[ket], states[ket].shifted(*nodes))
-            np.multiply(bras[bra], applied, out=row)
-        return quad.integrate_rows(rows, grid)
+        return quad.integrate_rows(
+            (bras[bra] * op.apply_jet(jets[ket], states[ket].shifted(*nodes))
+             for _, op, bra, ket in ops), grid)
 
     base = elements(states, op_set((zero, zero)))
     for i, lam in enumerate(lams):

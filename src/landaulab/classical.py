@@ -71,6 +71,8 @@ class TrajectoryParams:
     def __post_init__(self):
         if not 0.0 <= self.E < math.inf:
             raise ValueError("energy must be finite and nonnegative")
+        if not all(map(math.isfinite, self.xc)):
+            raise ValueError("guiding centre must be finite")
 
 
 class NoetherCharges(NamedTuple):

@@ -166,23 +166,38 @@ def _check_numerics(args, parser, p: PhysicalParams):
                 else quad.Grid2.simpson)
         checks.append(("--grid", lambda: rule(args.grid)))
     if args.command == "classical-sim":
+        def orbit():
+            return cp.classical_orbit(p, args.energy, args.centre)
         checks += [
             ("--steps", lambda: _require(args.steps is None or args.steps >= 1,
                                          "need at least one step")),
             ("--dt", lambda: _require(args.dt is None
                                       or 0.0 < args.dt < math.inf,
                                       "dt must be positive and finite")),
-            ("--energy", lambda: args.energy is None
-             or cl.TrajectoryParams(E=args.energy)),
+            ("--centre", lambda: args.centre is None
+             or cl.TrajectoryParams(0.0, args.centre)),
             ("--energy", lambda: _require(
-                args.energy is None or 2.0 * p.m * args.energy < math.inf,
+                2.0 * p.m * orbit().E < math.inf,
                 "the momentum sqrt(2 m E) overflows")),
+            ("--energy", lambda: cl.analytic_trajectory(p, orbit(), 0.0)),
+            ("--centre", lambda: _check_reach(p, orbit(), args.x0)),
         ]
     for flag, check in checks:
         try:
             check()
         except ValueError as exc:
             parser.error(f"{flag}: {exc}")
+
+
+def _check_reach(p: PhysicalParams, tp: cl.TrajectoryParams, x0):
+    """Refuse an orbit on which the charges about x0 or T1^2 + T2^2 overflow
+    anywhere: each point lies within reach = |xc - x0| + r of x0, so every
+    term they sum is below (12 + 4 |qB|) max(|p|, |qB| reach, reach)^2."""
+    pa, qb = math.sqrt(2.0 * p.m * tp.E), abs(p.qB)
+    reach = math.dist(tp.xc, x0) + math.sqrt(2.0 * tp.E / p.m) / p.omega_c
+    big = max(pa, qb * reach, reach)
+    _require((12.0 + 4.0 * qb) * big * big < math.inf,
+             f"the charges overflow on an orbit reaching {reach:.3e} from x0")
 
 
 # what makes csv.writer quote a field under its default dialect: the
@@ -256,8 +271,8 @@ def _campaign(args, p, g, scheme: str, tol: dict):
         gauges = cp.default_gauges(args.seed, x0=args.x0)
         report = cp.run_gauge_scan(p, gauges, nmax=args.nmax,
                                    grid_k=args.grid, scheme=scheme,
-                                   seed=args.seed, n_top=args.scan_levels,
-                                   l_top=args.scan_levels, **tol)
+                                   seed=args.seed, levels=args.scan_levels,
+                                   **tol)
         if args.dump_grid:
             csv_header = ["x1", "x2", "re", "im"]
             rows = _dump_grid_rows(wv.fock_state(g, p, 1, 0),
@@ -274,16 +289,11 @@ def _campaign(args, p, g, scheme: str, tol: dict):
                  complex(val).real, complex(val).imag, err)
                 for basis, op, idx, closed, val, err in table_rows]
     elif args.command == "classical-sim":
-        tp = None
-        if args.energy is not None or args.centre is not None:
-            tp = cl.TrajectoryParams(
-                E=args.energy if args.energy is not None else 0.5,
-                xc=args.centre if args.centre is not None else (0.0, 0.0))
-        report, sim_rows = cp.run_classical_sim(
-            p, tp, dt=args.dt, steps=args.steps, method=args.method,
-            x0=args.x0, seed=args.seed, **tol)
+        report, rows = cp.run_classical_sim(
+            p, cp.classical_orbit(p, args.energy, args.centre), dt=args.dt,
+            steps=args.steps, method=args.method, x0=args.x0, seed=args.seed,
+            **tol)
         csv_header = ["t", "x1", "x2", "p1", "p2", "E", "T1", "T2", "M3"]
-        rows = sim_rows
     elif args.command == "basis-change":
         report = cp.run_basis_change(p, gauge=g, grid_k=args.grid,
                                      scheme=scheme, seed=args.seed, **tol)

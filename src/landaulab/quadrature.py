@@ -2,33 +2,36 @@
 integrands; the brute-force oracle for every overlap and matrix element in
 the verification suites.
 
-Every reduction is correctly rounded: the real and imaginary parts of a
-weighted sum equal ``math.fsum`` of the products bit for bit, whatever the
-batch or block they are reduced in, so identical inputs produce
-bit-identical results.  Integrands are required to decay below 1e-12 of
-their peak on the outermost nodes: the outer ring of a 2-D grid, the two
-endpoints of a 1-D rule.
+Every integral is a row of integrand values on the nodes of a rule
+(:class:`Grid2` on the plane, :class:`Grid1` on the line), and every row
+goes through :func:`integrate_rows`, which reduces a stream of them in
+blocks.  Every reduction is correctly rounded: the real and imaginary
+parts of a weighted sum equal ``math.fsum`` of the products bit for bit,
+whatever the batch or block they are reduced in.  Integrands are required
+to decay below 1e-12 of their peak on the outermost nodes: the outer ring
+of a 2-D grid, the two endpoints of a 1-D rule.
 """
 
 from __future__ import annotations
 
 import math
 import threading
+from itertools import islice
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
 __all__ = [
     "SupportOverflowError",
+    "Grid1",
     "Grid2",
     "inner_product",
     "matrix_element",
     "integrate_rows",
     "line_integral",
-    "line_nodes",
     "SUPPORT_RATIO",
 ]
 
@@ -68,6 +71,15 @@ def _axis_simpson(n: int, centre: float, extent: float):
     return x, w * (h / 3.0)
 
 
+class Grid1:
+    """The k-node Gauss-Hermite rule about 0 on the real line, its nodes
+    ``scale`` times the standard ones; the two endpoints are its boundary."""
+
+    def __init__(self, k: int, scale: float = 1.0):
+        self.nodes, self.weights = _axis_gauss_hermite(k, 0.0, scale)
+        self.boundary_mask = np.isin(np.arange(k), (0, k - 1))
+
+
 @dataclass(frozen=True)
 class Grid2:
     """Tensor-product quadrature grid with positive weights."""
@@ -95,6 +107,10 @@ class Grid2:
         X1, X2 = np.meshgrid(self.x1, self.x2, indexing="ij")
         W = np.outer(self.w1, self.w2)
         return X1.ravel(), X2.ravel(), W.ravel()
+
+    @property
+    def weights(self) -> np.ndarray:
+        return self.points[2]
 
     @cached_property
     def boundary_mask(self) -> np.ndarray:
@@ -132,13 +148,6 @@ def _buffer(name: str, shape: tuple[int, int], dtype=float) -> np.ndarray:
     return buf[:size].reshape(shape)
 
 
-def _row_blocks(x: np.ndarray):
-    """Consecutive row slices of a 2-D array, each of at most
-    ``_BLOCK_VALUES`` values (at least one row)."""
-    block = max(1, _BLOCK_VALUES // max(x.shape[1], 1))
-    return (x[start:start + block] for start in range(0, len(x), block))
-
-
 def _fallback_sum(row: np.ndarray) -> float:
     """Sum of a row the extraction leaves out: with inf or nan, the IEEE
     result (nan for +inf with -inf); else the exact sum rounded once, as
@@ -158,8 +167,8 @@ def _fallback_sum(row: np.ndarray) -> float:
 
 
 def _fsum_rows(x: np.ndarray) -> list[float]:
-    """``math.fsum`` of every row of a 2-D float64 array, bit for bit where
-    ``math.fsum`` returns; the array itself is left unchanged.
+    """``math.fsum`` of every row of a block, a 2-D float64 array, bit for
+    bit where ``math.fsum`` returns; the block itself is left unchanged.
 
     Error-free extraction (Rump, Ogita & Oishi, "Accurate floating-point
     summation part I", SIAM J. Sci. Comput. 31, 2008), with one extraction
@@ -183,94 +192,111 @@ def _fsum_rows(x: np.ndarray) -> list[float]:
     never raises.
     """
     rows, n = x.shape
-    if n == 0:
+    if not x.size:
         return [0.0] * rows
     shift = (n + 2).bit_length()
     step = 52 - shift
-    out: list[float] = []
-    for src in _row_blocks(x):
-        tmp = _buffer("tmp", src.shape)
-        work = _buffer("work", src.shape)
-        np.abs(src, out=tmp)
-        peak = tmp.max(axis=1)
-        exact = peak <= _EXTRACT_LIMIT   # False for inf and nan rows
-        fallback = {}
-        cur = src
-        if not exact.all():
-            fallback = {r: _fallback_sum(src[r])
-                        for r in np.flatnonzero(~exact).tolist()}
+    tmp = _buffer("tmp", x.shape)
+    work = _buffer("work", x.shape)
+    np.abs(x, out=tmp)
+    peak = tmp.max(axis=1)
+    exact = peak <= _EXTRACT_LIMIT   # False for inf and nan rows
+    fallback = {}
+    cur = x
+    if not exact.all():
+        fallback = {r: _fallback_sum(x[r])
+                    for r in np.flatnonzero(~exact).tolist()}
+        cur = work
+        np.copyto(cur, x)
+        cur[~exact] = 0.0
+        tmp[~exact] = 0.0
+        peak[~exact] = 0.0
+    levels = []
+    top = float(peak.max())
+    if top:
+        # smallest nonzero magnitude: as integers the bit patterns of
+        # non-negative doubles keep their order, and 0 - 1 wraps to the
+        # largest; tmp is overwritten by the first level anyway
+        pattern = tmp.view(np.uint64)
+        np.subtract(pattern, 1, out=pattern)
+        low = (pattern.min() + np.uint64(1)).view(np.float64)
+        e = math.frexp(top)[1]
+        g = max(math.frexp(float(low))[1] - 53, -1074)
+        for _ in range(-(-(e - g) // step)):
+            sigma = math.ldexp(1.0, e + shift)
+            np.add(cur, sigma, out=tmp)
+            tmp -= sigma
+            levels.append(tmp.sum(axis=1).tolist())
+            np.subtract(cur, tmp, out=work)
             cur = work
-            np.copyto(cur, src)
-            cur[~exact] = 0.0
-            tmp[~exact] = 0.0
-            peak[~exact] = 0.0
-        levels = []
-        top = float(peak.max())
-        if top:
-            # smallest nonzero magnitude: as integers the bit patterns of
-            # non-negative doubles keep their order, and 0 - 1 wraps to the
-            # largest; tmp is overwritten by the first level anyway
-            pattern = tmp.view(np.uint64)
-            np.subtract(pattern, 1, out=pattern)
-            low = (pattern.min() + np.uint64(1)).view(np.float64)
-            e = math.frexp(top)[1]
-            g = max(math.frexp(float(low))[1] - 53, -1074)
-            for _ in range(-(-(e - g) // step)):
-                sigma = math.ldexp(1.0, e + shift)
-                np.add(cur, sigma, out=tmp)
-                tmp -= sigma
-                levels.append(tmp.sum(axis=1).tolist())
-                np.subtract(cur, tmp, out=work)
-                cur = work
-                e -= step
-            if cur.any():
-                raise AssertionError("extraction left a nonzero remainder")
-        parts = zip(*levels) if levels else [()] * len(src)
-        out += [fallback[r] if r in fallback else math.fsum(level_sums)
-                for r, level_sums in enumerate(parts)]
-    return out
+            e -= step
+        if cur.any():
+            raise AssertionError("extraction left a nonzero remainder")
+    parts = zip(*levels) if levels else [()] * rows
+    return [fallback[r] if r in fallback else math.fsum(level_sums)
+            for r, level_sums in enumerate(parts)]
 
 
 def _weighted_sums(values: np.ndarray, weights: np.ndarray) -> list[complex]:
-    """Correctly rounded ``sum(values[r] * weights)`` for every row r;
-    ``values`` is left unchanged."""
-    out: list[complex] = []
-    for src in _row_blocks(values):
-        # one complex-by-real multiply, as ``values * weights`` rounds it:
-        # real and imaginary products taken apart differ from it in the
-        # sign of zeros and where a part is infinite
-        prod = np.multiply(src, weights, out=_buffer("prod", src.shape, complex))
-        out += map(complex, _fsum_rows(prod.real), _fsum_rows(prod.imag))
-    return out
+    """Correctly rounded ``sum(values[r] * weights)`` for every row r of a
+    block; ``values`` is left unchanged."""
+    # one complex-by-real multiply, as ``values * weights`` rounds it: real
+    # and imaginary products taken apart differ from it in the sign of
+    # zeros and where a part is infinite
+    prod = np.multiply(values, weights,
+                       out=_buffer("prod", values.shape, complex))
+    return list(map(complex, _fsum_rows(prod.real), _fsum_rows(prod.imag)))
 
 
 def _support_check(values: np.ndarray, boundary_mask: np.ndarray):
-    """Boundary-decay check of every row of integrand values, in row order;
-    ``boundary_mask`` marks the outermost nodes of the rule."""
-    for src in _row_blocks(values):
-        mags = np.abs(src, out=_buffer("mags", src.shape))
-        peak = mags.max(axis=1)
-        boundary = mags[:, boundary_mask].max(axis=1)
-        failing = np.flatnonzero((peak != 0.0) & (boundary > SUPPORT_RATIO * peak))
-        if failing.size:
-            r = failing[0]
-            raise SupportOverflowError(
-                f"integrand boundary magnitude {boundary[r]:.3e} exceeds "
-                f"{SUPPORT_RATIO:.0e} of peak {peak[r]:.3e}; enlarge the grid")
+    """Boundary-decay check of every row of a block of integrand values, in
+    row order; ``boundary_mask`` marks the outermost nodes of the rule."""
+    mags = np.abs(values, out=_buffer("mags", values.shape))
+    peak = mags.max(axis=1)
+    boundary = mags[:, boundary_mask].max(axis=1)
+    failing = np.flatnonzero((peak != 0.0) & (boundary > SUPPORT_RATIO * peak))
+    if failing.size:
+        r = failing[0]
+        raise SupportOverflowError(
+            f"integrand boundary magnitude {boundary[r]:.3e} exceeds "
+            f"{SUPPORT_RATIO:.0e} of peak {peak[r]:.3e}; enlarge the grid")
 
 
-def integrate_rows(values: np.ndarray, grid: Grid2) -> list[complex]:
-    """Integrals of many integrands, one per row of ``values``.  The
-    boundary-decay check runs on every row, in row order."""
-    _support_check(values, grid.boundary_mask)
-    return _weighted_sums(values, grid.points[2])
+def integrate_rows(rows: Iterable, rule: Grid1 | Grid2) -> list[complex]:
+    """Integrals over ``rule`` of many integrands, one per row of values on
+    its nodes; ``rows`` is a 2-D array or any iterable of 1-D rows.
+
+    Each row is copied, as it is read, into a reused block of at most
+    ``_BLOCK_VALUES`` values (one row, if longer).  A full block, and the
+    last, is support-checked row by row and then reduced before the next
+    row is read.  A nested call, made while a row is computed, gathers its
+    rows in a block of its own."""
+    n = rule.weights.size
+    depth = getattr(_scratch, "depth", 0)
+    block = _buffer(f"rows{depth}", (max(1, _BLOCK_VALUES // n), n), complex)
+    rows, out = iter(rows), []
+    _scratch.depth = depth + 1
+    try:
+        while True:
+            filled = 0
+            for filled, row in enumerate(islice(rows, len(block)), 1):
+                if np.shape(row) != (n,):
+                    raise ValueError(
+                        f"row of shape {np.shape(row)} on {n} nodes")
+                block[filled - 1] = row
+            _support_check(block[:filled], rule.boundary_mask)
+            out += _weighted_sums(block[:filled], rule.weights)
+            if filled < len(block):
+                return out
+    finally:
+        _scratch.depth = depth
 
 
 def inner_product(psi1, psi2, grid: Grid2) -> complex:
     """<psi1|psi2> over the plane."""
     x1, x2, _ = grid.points
     row = np.conj(psi1.value(x1, x2)) * psi2.value(x1, x2)
-    return integrate_rows(row[None, :], grid)[0]
+    return integrate_rows([row], grid)[0]
 
 
 def matrix_element(psi1, op, psi2, grid: Grid2) -> complex:
@@ -278,19 +304,11 @@ def matrix_element(psi1, op, psi2, grid: Grid2) -> complex:
     derivatives of psi2."""
     x1, x2, _ = grid.points
     row = np.conj(psi1.value(x1, x2)) * op.apply(psi2, x1, x2)
-    return integrate_rows(row[None, :], grid)[0]
-
-
-def line_nodes(k: int = 80, scale: float = 1.0) -> np.ndarray:
-    """The nodes on which ``line_integral(f, k, scale)`` calls ``f``."""
-    return _axis_gauss_hermite(k, 0.0, scale)[0]
+    return integrate_rows([row], grid)[0]
 
 
 def line_integral(f: Callable, k: int = 80, scale: float = 1.0) -> complex:
     """Integral over the real line of a Gaussian-dominated function by the
-    k-node Gauss-Hermite rule about 0; ``f`` is called once, on the nodes
-    :func:`line_nodes` returns."""
-    x, w = _axis_gauss_hermite(k, 0.0, scale)
-    row = np.asarray(f(x), dtype=complex)[None, :]
-    _support_check(row, np.isin(np.arange(k), (0, k - 1)))
-    return _weighted_sums(row, w)[0]
+    rule ``Grid1(k, scale)``; ``f`` is called once, on its nodes."""
+    rule = Grid1(k, scale)
+    return integrate_rows([f(rule.nodes)], rule)[0]

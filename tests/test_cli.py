@@ -408,6 +408,20 @@ def test_bad_phi_rejected(capsys):
      "cyclotron frequency must be positive and finite"),
     (["classical-sim", "--energy", "1e308"],
      "--energy: the momentum sqrt(2 m E) overflows"),
+    # orbits the campaign would overflow on: the default energy hbar w / 2,
+    # the radius, the charges at the point farthest from x0, the centre
+    (["classical-sim", "--hbar", "1e300", "--bfield", "1e10"],
+     "--energy: energy must be finite and nonnegative"),
+    (["classical-sim", "--energy", "1e300", "--mass", "1e-10"],
+     "--energy: phase-space components must be finite"),
+    (["classical-sim", "--centre", "1e308,0"],
+     "--centre: the charges overflow on an orbit reaching 1.000e+308"),
+    (["classical-sim", "--x0", "1e308,0"],
+     "--centre: the charges overflow on an orbit reaching 1.000e+308"),
+    (["classical-sim", "--centre", "inf,0"],
+     "--centre: guiding centre must be finite"),
+    (["classical-sim", "--centre", "nan,0"],
+     "--centre: guiding centre must be finite"),
 ], ids=["nmax", "algebra-nmax-high", "scan-nmax-high", "tables-nmax-high",
         "simpson-grid", "margin", "phi-syntax", "mass", "steps",
         "dt-negative", "dt-nan", "energy", "bfield-nan", "hbar-inf",
@@ -415,7 +429,8 @@ def test_bad_phi_rejected(capsys):
         "scan-levels", "scan-levels-high", "seed", "scan-grid", "basis-grid",
         "demo-grid", "tables-grid", "dt-orbit-overflow", "tol-nan",
         "tol-negative", "tol-inf", "qb-underflow", "qb-overflow",
-        "omega-overflow", "energy-momentum-overflow"])
+        "omega-overflow", "energy-momentum-overflow", "default-energy-overflow",
+        "radius-overflow", "centre-far", "x0-far", "centre-inf", "centre-nan"])
 def test_bad_input_exits_2(capsys, args, message):
     with pytest.raises(SystemExit) as exc:
         main(args + ["--quiet", "--no-timestamp"])

@@ -44,7 +44,7 @@ def test_basis_change_orientation_reversed():
 def test_gauge_scan_orientation_reversed():
     p = PhysicalParams(2.0, 1.5, -0.9, hbar=2.0)
     rep = cp.run_gauge_scan(p, gauges=cp.default_gauges(3), nmax=12,
-                            grid_k=64, n_top=2, l_top=2)
+                            grid_k=64, levels=2)
     assert rep.passed, [c.id for c in rep.checks if not c.passed]
 
 
@@ -139,7 +139,7 @@ def test_table_checks_match_per_element_loops():
                                         idx_top=4)
     got = {c.id: c.deviation for c in rep.checks}
     basis = fk.FockBasis(8)
-    wide = cp._angular_states(4, 4)
+    wide = cp._angular_states(4)
     for name in cp._TABLE_OPS:
         mat = fk.build_observable(name, p, g.x0, basis)
         want = np.max([abs(fk.angular_element(name, l1, n1, l2, n2, p).value
@@ -149,7 +149,7 @@ def test_table_checks_match_per_element_loops():
             == struct.pack("<d", want), name
     angular = [r for r in rows if r[0] == "angular"]
     assert len(angular) == len(cp._TABLE_OPS) * len(
-        cp._neighbour_pairs(cp._angular_states(4, 4)))
+        cp._neighbour_pairs(cp._angular_states(4)))
     for _, name, (l1, n1, l2, n2), closed, val, err in angular:
         want = complex(fk.angular_element(name, l1, n1, l2, n2, p).value)
         assert struct.pack("<dd", want.real, want.imag) \

@@ -810,7 +810,7 @@ def test_scan_route_entries_equal_full_matrix_entries(setup):
         mp.setattr(_ElementEngine, "elements",
                    lambda self, requests: dict.fromkeys(requests, 0j))
         mp.setattr(FockOperator, "entries", recorded)
-        run_gauge_scan(p, scan_gauges, nmax=nmax, grid_k=8, n_top=2, l_top=2)
+        run_gauge_scan(p, scan_gauges, nmax=nmax, grid_k=8, levels=2)
     assert len(read) == len(scan_gauges) * len(CANONICAL_PARTNER)
     routes = [(g, name) for g in scan_gauges for name in CANONICAL_PARTNER]
     for (bra, ket, got), (g, name) in zip(read, routes):
@@ -818,7 +818,7 @@ def test_scan_route_entries_equal_full_matrix_entries(setup):
         assert got.tobytes() == want.entries(bra, ket).tobytes(), name
 
     b = FockBasis(nmax)
-    pairs = _neighbour_pairs(_angular_states(2, 2))
+    pairs = _neighbour_pairs(_angular_states(2))
     at = [((bra[1] + bra[0], bra[1]), (ket[1] + ket[0], ket[1]))
           for bra, ket in pairs]
     bras, kets = (tuple(np.array(c) for c in zip(*side)) for side in zip(*at))

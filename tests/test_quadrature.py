@@ -13,7 +13,8 @@ from landaulab import quadrature as quad
 from landaulab import waves as wv
 from landaulab.campaigns import (_SCAN_OPS, TABLE_INDEX_TOP, _angular_states,
                                  _default_grid, _ElementEngine,
-                                 _t1_level_rows, run_heisenberg_demo)
+                                 _t1_level_rows, run_basis_change,
+                                 run_heisenberg_demo)
 from landaulab.fockspace import change_of_basis, t1_fock_overlap
 from landaulab.params import CANONICAL_PARTNER
 from landaulab.quadrature import (Grid2, SupportOverflowError,
@@ -462,13 +463,13 @@ def test_engine_elements_equal_matrix_element(scheme, k):
     rows = []
 
     def counted(values, grid):
-        rows.append(len(values))
-        return integrate_rows(values, grid)
+        rows.append(integrate_rows(values, grid))
+        return rows[-1]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(quad, "integrate_rows", counted)
         values = eng.elements({**requests, **twins})
     assert list(values) == [*requests, *twins]
-    assert sum(rows) == len(requests) + len(twins)
+    assert sum(map(len, rows)) == len(requests) + len(twins)
     for (i, a, b), (_, op, _) in requests.items():
         ref = (inner_product(psi[a], psi[b], grid) if op is None
                else matrix_element(psi[a], op, psi[b], grid))
@@ -500,7 +501,7 @@ def test_level_rows_build_each_state_once(monkeypatch):
     for calls in builds.values():
         assert len(calls) == len(set(calls)) == 14
     eng = _table_engine()
-    for (l, n) in _angular_states(TABLE_INDEX_TOP, TABLE_INDEX_TOP):
+    for (l, n) in _angular_states(TABLE_INDEX_TOP):
         eng.load((l, n), fock_state, SYM, P, n + l, n)
     builds["fock_state"].clear()
     again = []
@@ -704,3 +705,111 @@ def test_warm_reduction_allocates_no_block_sized_temporaries():
     finally:
         tracemalloc.stop()
     assert peak <= 256 * 1024
+
+
+@pytest.mark.parametrize("k, nrows", [(80, 0), (80, 9), (80, 10), (80, 11),
+                                      (80, 20), (80, 35), (260, 3)])
+def test_array_and_stream_agree_across_block_edges(k, nrows):
+    # 6400 nodes make blocks of ten rows: no row, one row short of a block,
+    # one block, one row over, two blocks and several; 67 600 nodes are
+    # longer than a block, so each row is reduced on its own
+    grid = Grid2.gauss_hermite(k, scale=math.sqrt(2.0))
+    x1, x2, w = grid.points
+    assert quad._BLOCK_VALUES // x1.size == (10 if k == 80 else 0)
+    vals = _decaying_rows(np.random.default_rng(k + nrows), nrows, x1, x2)
+    expected = _bits(_fsum_products(vals, w))
+    assert _bits(integrate_rows(vals, grid)) == expected
+    assert _bits(integrate_rows((row.copy() for row in vals), grid)) \
+        == expected
+
+
+def test_stream_stops_at_the_block_that_fails_its_support_check():
+    # rows 23 and 26 of the third ten-row block have not decayed at the
+    # boundary: the first of them is reported, as row-by-row calls report
+    # it, and no row after that block is read
+    grid = Grid2.gauss_hermite(80, scale=math.sqrt(2.0))
+    x1, x2, _ = grid.points
+    vals = _decaying_rows(np.random.default_rng(9), 45, x1, x2)
+    vals[23] = 0.5
+    vals[26] = 2.0
+    with pytest.raises(SupportOverflowError) as per_row:
+        for row in vals:
+            integrate_rows([row], grid)
+    read = []
+
+    def stream():
+        for r, row in enumerate(vals):
+            read.append(r)
+            yield row
+    with pytest.raises(SupportOverflowError) as streamed:
+        integrate_rows(stream(), grid)
+    assert str(streamed.value) == str(per_row.value)
+    assert "5.000e-01" in str(per_row.value)
+    assert read == list(range(30))
+
+
+def test_rows_computed_by_nested_calls_keep_their_bits():
+    # each row is scaled by integrals taken while the stream is read, one
+    # of them over twelve rows, more than a block: the nested calls gather
+    # in blocks of their own and leave the outer block intact
+    grid = Grid2.gauss_hermite(80, scale=math.sqrt(2.0))
+    x1, x2, w = grid.points
+    vals = _decaying_rows(np.random.default_rng(10), 25, x1, x2)
+
+    def scaled(row):
+        return row * (integrate_rows(vals[:12], grid)[11]
+                      * integrate_rows([row], grid)[0])
+    expected = _bits(_fsum_products(np.array([scaled(r) for r in vals]), w))
+    assert _bits(integrate_rows((scaled(r) for r in vals), grid)) == expected
+    # a row of the wrong length, or a scalar, is refused, not broadcast
+    for row in (vals[0][:-1], np.ones(1), 1.0):
+        with pytest.raises(ValueError, match="on 6400 nodes"):
+            integrate_rows([vals[0], row], grid)
+
+
+@pytest.mark.parametrize("p, g, k", [
+    (P, SYM, 80),
+    (PhysicalParams(1.0, -1.0, 1.0, hbar=0.6),
+     GaugeChoice(0.37, (0.3, -0.2),
+                 parse_poly("0.05*u1^2*u2 - 0.1*u1 + 0.02*u2^3")), 56),
+], ids=["unit", "variant"])
+def test_basis_change_is_three_row_streams(monkeypatch, p, g, k):
+    # 28 distinct states valued once on the grid; 54 overlaps, 66
+    # orthonormality and 100 reconstruction integrals in three streams,
+    # each value with the bits of its own inner_product or line_integral
+    grid = _default_grid(p, g, k, "gauss_hermite")
+    on_grid = []
+    value = wv.WaveForm.value
+
+    def counted(self, x1, x2):
+        if np.size(x1) == grid.weights.size:
+            on_grid.append(self)
+        return value(self, x1, x2)
+    calls = []
+
+    def recorded(rows, rule):
+        rows = list(rows)
+        calls.append((rows, rule, integrate_rows(rows, rule)))
+        return calls[-1][2]
+    monkeypatch.setattr(wv.WaveForm, "value", counted)
+    monkeypatch.setattr(quad, "integrate_rows", recorded)
+    run_basis_change(p, gauge=g, grid_k=k)
+    monkeypatch.undo()
+    assert len(on_grid) == 28
+    assert [len(rows) for rows, _, _ in calls] == [54, 66, 100]
+
+    (_, plane, overlaps), *lines = calls
+    sig = math.sqrt(p.hbar * p.m * p.omega_c)
+    labels = [(npl, 0, t1) for npl in range(9)
+              for t1 in (0.0, -0.8 * sig, 0.8 * sig, 1.7 * sig)]
+    labels += [(npl, nm, t1) for nm in (1, 2, 3) for npl in (0, 1, 3)
+               for t1 in (0.0, 0.8 * sig)]
+    assert plane.weights.tobytes() == grid.weights.tobytes()
+    assert _bits(overlaps) == _bits([
+        inner_product(fock_state(g, p, npl, nm), t1_state(g, p, t1, nm), grid)
+        for npl, nm, t1 in labels])
+    assert [rule.nodes.size for _, rule, _ in lines] == [k, max(60, k)]
+    for rows, rule, got in lines:
+        assert _bits(got) == _bits([
+            line_integral(lambda _, row=row: row, k=rule.nodes.size,
+                          scale=sig) for row in rows])

@@ -27,6 +27,11 @@ campaign at its defaults, which are the acceptance settings (the
 acceptance gauge-scan alone takes most of the script's run time).  Each
 output line is ``<run> <campaign> <file> <exit code> <sha256>``; a file a
 campaign does not write reads ``-``.
+
+A last run, ``support``, pins the first integrand that fails its
+boundary-decay check: the four grid campaigns at ``--grid 10`` and
+basis-change at ``--grid 14`` and ``--grid 20`` each exit 2 mid-run, and
+the line reads ``stderr`` and the sha256 of the one-line error message.
 """
 
 from __future__ import annotations
@@ -76,6 +81,13 @@ RUNS = [
     ("acceptance", [[name] for name in SMALL]),
 ]
 
+SUPPORT = [["gauge-scan", "--grid", "10", "--scan-levels", "1", "--nmax", "4"],
+           ["basis-change", "--grid", "10"],
+           ["heisenberg-demo", "--grid", "10"],
+           ["reproduce-tables", "--grid", "10", "--nmax", "12"],
+           ["basis-change", "--grid", "14"],
+           ["basis-change", "--grid", "20"]]
+
 
 def _digest(path: Path) -> str:
     if not path.exists():
@@ -96,6 +108,17 @@ def main_digests() -> int:
                                         "--csv-out", str(out_csv)])
                 for kind, path in (("json", out_json), ("csv", out_csv)):
                     print(run, argv[0], kind, code, _digest(path))
+    for argv in SUPPORT:
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            try:
+                code = main(argv + ["--quiet", "--no-timestamp"])
+            except SystemExit as exc:
+                code = exc.code
+        message = err.getvalue().splitlines()[-1:]
+        print("support", argv[0], "stderr", code,
+              hashlib.sha256("".join(message).encode()).hexdigest())
     return 0
 
 
