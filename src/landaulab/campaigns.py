@@ -13,6 +13,7 @@ has the bits of the largest deviation divided once.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -212,11 +213,9 @@ class _ElementEngine:
         """``<bra|op|ket>`` for every key of ``requests``, a mapping from the
         caller's key to ``(bra_key, op, ket_key)``, integrated once per key;
         ``op=None`` gives the overlap ``<bra|ket>``.  Each value equals
-        ``quad.matrix_element`` (or ``inner_product``) bit for bit unless
-        the bra's phase polynomial is zero (symmetric gauge, phi = 0): then
-        ``WaveForm.value`` takes the complex ``exp(-Q + i*0)`` and the jet
-        the real ``exp(-Q)``, which can differ in the last bit.  A support
-        failure is raised for the first failing request, in key order."""
+        ``quad.matrix_element`` (or ``inner_product``) bit for bit.  A
+        support failure is raised for the first failing request, in key
+        order."""
         ops = {id(op): op for _, op, _ in requests.values() if op is not None}
         # the nonzero coefficient arrays of each operator, by jet slot
         coeffs = {key: [(slot, poly(*self.u)) for slot, poly in enumerate(
@@ -556,9 +555,7 @@ def run_basis_change(p: PhysicalParams, gauge: GaugeChoice | None = None,
     # term per part and numpy's vectorised complex multiply (which fuses
     # multiply-adds) rounds it as the scalar product does
     line = quad.Grid1(grid_k, sig)
-    nodes = line.nodes.tolist()
-    coeffs = [np.array([fk.change_of_basis(npl, tt, p) for tt in nodes])
-              for npl in range(11)]
+    coeffs = [fk.change_of_basis(npl, line.nodes, p) for npl in range(11)]
     pairs = [(npl, mpl) for npl in range(11) for mpl in range(npl + 1)]
     values = quad.integrate_rows((coeffs[npl] * np.conj(coeffs[mpl])
                                   for npl, mpl in pairs), line)
@@ -580,8 +577,8 @@ def run_basis_change(p: PhysicalParams, gauge: GaugeChoice | None = None,
               for nm in {nm for _, nm in cases}}
     # per case, one row per point: a column of the table weighted by a real
     # number times a power of i, like the coefficients above
-    tables = (states[nm] * np.conj([fk.t1_fock_overlap(npl, nm, tt, p)
-                                    for tt in nodes])[:, None]
+    tables = (states[nm]
+              * np.conj(fk.t1_fock_overlap(npl, nm, line.nodes, p))[:, None]
               for npl, nm in cases)
     recs = iter(quad.integrate_rows((col for t in tables for col in t.T),
                                     line))
@@ -664,13 +661,18 @@ def run_classical_sim(p: PhysicalParams, tp: cl.TrajectoryParams | None = None,
     # oracle (kills the truncation term, keeps round-off ~1e-11)
     rng = np.random.default_rng(seed)
     h = 1e-2 / p.omega_c
-    # force floor: cyclotron force at one magnetic length, so the zero-energy
-    # orbit normalises finite-difference round-off sensibly
+    # force floor: cyclotron force |qB| w l_B = m w^2 l_B at one magnetic
+    # length, so the zero-energy orbit normalises finite-difference
+    # round-off sensibly; w l_B stays finite where w ** 2 overflows
     force_scale = max(abs(p.qB) * p_amp / p.m,
-                      p.m * p.omega_c ** 2 * p.magnetic_length)
+                      abs(p.qB) * (p.omega_c * p.magnetic_length))
+    # the equation of motion is translation invariant: differencing the
+    # displacement from the centre keeps round-off independent of |xc|
+    about_origin = replace(tp, xc=(0.0, 0.0))
 
     def stencils(t, step):
-        xs = [np.asarray(cl.analytic_trajectory(p, tp, t + k * step).x)
+        xs = [np.asarray(cl.analytic_trajectory(p, about_origin,
+                                                t + k * step).x)
               for k in (-2, -1, 0, 1, 2)]
         acc = (-xs[0] + 16 * xs[1] - 30 * xs[2] + 16 * xs[3] - xs[4]) \
             / (12 * step * step)
@@ -711,54 +713,39 @@ def run_heisenberg_demo(p: PhysicalParams, grid_k: int = 80,
     """Matrix elements computed in the plain representation and in the
     connection-dressed representation with re-phased wave functions must
     coincide; exercised for three polynomial generators and five
-    operator/state pairs."""
+    operator/state pairs.  Each representation (the plain one has
+    generator zero) is one batch of an element engine of its own, which
+    holds the jets of its four states."""
     g = GaugeChoice(0.0)
     rep = _report("heisenberg-demo", p, [], grid=grid_k, scheme=scheme)
     grid = _default_grid(p, g, grid_k, scheme)
     hb = p.hbar
-    zero = Poly2.zero()
 
     lams = [
+        Poly2.zero(),
         Poly2({(1, 1): 0.5}),
         Poly2({(2, 0): 0.3, (0, 1): -0.7}),
         Poly2({(3, 0): 0.1, (0, 2): 0.4, (1, 0): -0.2}),
     ]
     states = {k: wv.fock_state(g, p, *k)
               for k in ((0, 0), (1, 0), (0, 1), (2, 1))}
-
-    def op_set(v):
+    x1 = wv.multiplication_op(Poly2.variable(1))
+    found = []
+    for lam in lams:
+        eng = _ElementEngine(grid, g.x0)
+        for k, psi in states.items():
+            eng.load(k, wv.phase_shifted, psi, lam, hb)
+        v = (lam.diff(1), lam.diff(2))
         p1 = wv.connection_momentum_op(v, 1, hb)
         p2 = wv.connection_momentum_op(v, 2, hb)
-        psq = p1.compose(p1) + p2.compose(p2)
-        x1 = wv.multiplication_op(Poly2.variable(1))
-        return [
-            ("p1", p1, (0, 0), (1, 0)),
-            ("p2", p2, (0, 0), (0, 1)),
-            ("p-squared", psq, (1, 0), (1, 0)),
-            ("x1*p1", x1.compose(p1), (1, 0), (2, 1)),
-            ("p2", p2, (2, 1), (0, 1)),
-        ]
-
-    nodes = grid.points[:2]
-
-    def elements(states, ops):
-        """``quad.matrix_element`` of every (bra, op, ket), bit for bit, with
-        each distinct bra value and ket jet evaluated once; the rows are
-        one stream, each reduced exactly and support-checked in order."""
-        bras = {bra: np.conj(states[bra].value(*nodes))
-                for bra in dict.fromkeys(bra for _, _, bra, _ in ops)}
-        jets = {ket: states[ket].jet(*nodes)
-                for ket in dict.fromkeys(ket for _, _, _, ket in ops)}
-        return quad.integrate_rows(
-            (bras[bra] * op.apply_jet(jets[ket], states[ket].shifted(*nodes))
-             for _, op, bra, ket in ops), grid)
-
-    base = elements(states, op_set((zero, zero)))
-    for i, lam in enumerate(lams):
-        v = (lam.diff(1), lam.diff(2))
-        dressed = {k: wv.phase_shifted(psi, lam, hb)
-                   for k, psi in states.items()}
+        ops = [(p1, (0, 0), (1, 0)), (p2, (0, 0), (0, 1)),
+               (p1.compose(p1) + p2.compose(p2), (1, 0), (1, 0)),
+               (x1.compose(p1), (1, 0), (2, 1)), (p2, (2, 1), (0, 1))]
+        values = eng.elements({j: (bra, op, ket)
+                               for j, (op, bra, ket) in enumerate(ops)})
+        found.append(list(values.values()))
+    base, *dressed = found
+    for i, values in enumerate(dressed):
         rep.add(f"flat-connection:lambda{i}",
-                [abs(z - z0) for z, z0 in zip(elements(dressed, op_set(v)),
-                                              base)], tol)
+                [abs(z - z0) for z, z0 in zip(values, base)], tol)
     return rep

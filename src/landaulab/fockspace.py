@@ -20,7 +20,7 @@ import numpy as np
 
 from .params import (CANONICAL_PARTNER, GaugeChoice, PhysicalParams, Poly2,
                      canonical_extra)
-from .waves import MAX_QUANTUM_NUMBER, check_quantum_number, hermite
+from .waves import MAX_QUANTUM_NUMBER, check_quantum_number, t1_basis_function
 
 __all__ = [
     "FockBasis",
@@ -400,13 +400,17 @@ def angular_element(name: str, l1, n1, l2, n2,
     return AngularElement(v, beyond)
 
 
-def change_of_basis(nplus: int, t1: float, p: PhysicalParams) -> complex:
+def change_of_basis(nplus: int, t1, p: PhysicalParams):
     """Coefficient <n+, n-|T1, E(m-)> of the basis change between the
     angular and translation eigenbases, diagonal factor delta(n-, m-) left
     to the caller:
 
     ``i^{n+} / sqrt(2^{n+} n+!) * (pi hbar m w)^{-1/4}
-      * exp(-t1^2 / (2 hbar m w)) * H_{n+}(t1 / sqrt(hbar m w))``.
+      * exp(-t1^2 / (2 hbar m w)) * H_{n+}(t1 / sqrt(hbar m w))``,
+
+    the conjugate of the translation-eigenvalue profile
+    :func:`~landaulab.waves.t1_basis_function`.  ``t1`` may be an array;
+    each entry has the bits of its scalar call.
 
     The phase is anchored in the lowest level; see :func:`t1_fock_overlap`
     for the level-dependent phase required when combining with the explicit
@@ -414,20 +418,14 @@ def change_of_basis(nplus: int, t1: float, p: PhysicalParams) -> complex:
     """
     if nplus < 0:
         raise ValueError("nplus must be nonnegative")
-    check_quantum_number(nplus, "nplus")
-    sig2 = p.hbar * p.m * p.omega_c
-    y = t1 / math.sqrt(sig2)
-    h = hermite(nplus, y)
-    norm = 1.0 / math.sqrt(2.0 ** nplus * math.factorial(nplus))
-    return (1j ** nplus) * norm * (math.pi * sig2) ** -0.25 \
-        * math.exp(-0.5 * y * y) * h
+    return np.conj(t1_basis_function(nplus, p).value(t1))
 
 
-def t1_fock_overlap(nplus: int, nminus: int, t1: float,
-                    p: PhysicalParams) -> complex:
+def t1_fock_overlap(nplus: int, nminus: int, t1, p: PhysicalParams):
     """Full overlap <n+, n-|T1, E(n-)> consistent with the explicit wave
     functions of both bases: the closed-form coefficient times the level
-    phase (i s)^{n-}.
+    phase (i s)^{n-}; ``t1`` may be an array, as for
+    :func:`change_of_basis`.
 
     The level phase is forced by the (-1)^n convention of the angular wave
     functions together with the real-coefficient convention of the

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -160,13 +161,29 @@ class WaveForm:
     def shifted(self, x1, x2):
         return x1 - self.origin[0], x2 - self.origin[1]
 
-    def value(self, x1, x2):
-        u1, u2 = self.shifted(x1, x2)
-        out = self.coeff * self.poly(u1, u2) \
-            * np.exp(-self.gauss(u1, u2) + 1j * self.phase(u1, u2))
+    @cached_property
+    def exponent(self) -> Poly2:
+        """R = -Q + i Phi, built once per wave function; its coefficients,
+        and so its values and exp, are real when the phase is zero."""
+        return -1.0 * self.gauss + complex(0.0, 1.0) * self.phase
+
+    def _value_parts(self, u1, u2):
+        """``(f, A, E, chain)`` at shifted coordinates: the value
+        f = C * A * E * S, the polynomial factor A, the exponential E and
+        the special factor's (S, S', S'') at its argument (None without
+        one).  The only evaluation of a wave function's value."""
+        A = self.poly(u1, u2)
+        E = np.exp(self.exponent(u1, u2))
+        f = self.coeff * A * E
+        chain = None
         if self.special is not None:
-            out = out * self.special.chain_values(self.special.arg(u1, u2))[0]
-        return out
+            chain = self.special.chain_values(self.special.arg(u1, u2))
+            f = f * chain[0]
+        return f, A, E, chain
+
+    def value(self, x1, x2):
+        """The value, with the bits of ``jet(x1, x2).f``."""
+        return self._value_parts(*self.shifted(x1, x2))[0]
 
     __call__ = value
 
@@ -174,28 +191,23 @@ class WaveForm:
         """Analytic value and first/second derivatives with respect to the
         plane coordinates."""
         u1, u2 = self.shifted(x1, x2)
-        # polynomial factor and its derivatives
-        a = self.poly
-        A = a(u1, u2)
+        f, A, E, chain = self._value_parts(u1, u2)
+        # polynomial factor and exponent R = -Q + i Phi: derivatives
+        a, r = self.poly, self.exponent
         A1, A2 = a.diff(1)(u1, u2), a.diff(2)(u1, u2)
         A11, A12, A22 = (a.diff(1).diff(1)(u1, u2), a.diff(1).diff(2)(u1, u2),
                          a.diff(2).diff(2)(u1, u2))
-        # exponent R = -Q + i Phi
-        r = -1.0 * self.gauss + complex(0.0, 1.0) * self.phase
         R1, R2 = r.diff(1)(u1, u2), r.diff(2)(u1, u2)
         R11, R12, R22 = (r.diff(1).diff(1)(u1, u2), r.diff(1).diff(2)(u1, u2),
                          r.diff(2).diff(2)(u1, u2))
-        E = np.exp(r(u1, u2))
         # special factor via chain rule
-        if self.special is not None:
+        if chain is not None:
             garg = self.special.arg
-            g = garg(u1, u2)
             g1, g2 = garg.diff(1)(u1, u2), garg.diff(2)(u1, u2)
             g11, g12, g22 = (garg.diff(1).diff(1)(u1, u2),
                              garg.diff(1).diff(2)(u1, u2),
                              garg.diff(2).diff(2)(u1, u2))
-            f0, fp, fpp = self.special.chain_values(g)
-            S = f0
+            S, fp, fpp = chain
             S1, S2 = fp * g1, fp * g2
             S11 = fpp * g1 * g1 + fp * g11
             S12 = fpp * g1 * g2 + fp * g12
@@ -206,7 +218,6 @@ class WaveForm:
             S11 = S12 = S22 = 0.0 * one
 
         C = self.coeff
-        f = C * A * E * S
         f1 = C * E * (A1 * S + A * R1 * S + A * S1)
         f2 = C * E * (A2 * S + A * R2 * S + A * S2)
         f11 = C * E * (A11 * S + 2 * A1 * R1 * S + 2 * A1 * S1

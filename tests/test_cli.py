@@ -275,13 +275,31 @@ def test_classical_zero_energy_all_drifts_zero(tmp_path):
 
 
 def test_zero_residual_reads_zero_when_force_scale_underflows(tmp_path):
-    # m = 1e300 makes omega_c**2 underflow, so the ODE-residual force scale
-    # is 0; the static zero-energy orbit must still read 0.0, not 0/0
+    # m = 1e300 and hbar = 1e-300 make omega_c l_B = 1e-450 underflow, so
+    # the ODE-residual force scale is 0; the static zero-energy orbit must
+    # still read 0.0, not 0/0
     rep = tmp_path / "rep.json"
-    main(["classical-sim", "--mass", "1e300", "--energy", "0", "--steps",
-          "20", "--quiet", "--no-timestamp", "--json-out", str(rep)])
+    main(["classical-sim", "--mass", "1e300", "--hbar", "1e-300", "--energy",
+          "0", "--steps", "20", "--quiet", "--no-timestamp", "--json-out",
+          str(rep)])
     checks = {c["id"]: c for c in json.loads(rep.read_text())["checks"]}
     assert checks["ode-residual"]["deviation"] == 0.0
+
+
+@pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_force_floor_without_an_overflowing_square(capsys, tmp_path):
+    # omega_c = 1e300 is finite, and so is the force floor
+    # m omega_c^2 l_B = 1e150, though omega_c ** 2 overflows: the run ends
+    # with a report, not a traceback
+    rep = tmp_path / "rep.json"
+    code = main(["classical-sim", "--mass", "1e-300", "--hbar", "1e-300",
+                 "--steps", "200", "--quiet", "--no-timestamp",
+                 "--json-out", str(rep)])
+    assert code in (0, 1)
+    assert "Traceback" not in capsys.readouterr().err
+    checks = {c["id"]: c for c in json.loads(rep.read_text())["checks"]}
+    assert checks["drift:E"]["pass"] and checks["closure:one-period"]["pass"]
 
 
 def test_reproduce_tables_csv(tmp_path):

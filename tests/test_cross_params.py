@@ -13,7 +13,7 @@ from landaulab import campaigns as cp
 from landaulab import fockspace as fk
 from landaulab import quadrature as quad
 from landaulab import waves as wv
-from landaulab.classical import NoetherCharges
+from landaulab.classical import NoetherCharges, TrajectoryParams
 
 PARAM_SETS = [
     PhysicalParams(1.3, -0.8, 1.7, hbar=0.6),   # s = -1
@@ -57,6 +57,23 @@ def test_flat_connection_demo_any_parameters():
 def test_classical_suite_any_parameters(p):
     rep, _ = cp.run_classical_sim(p, steps=3000)
     assert rep.passed, [c.id for c in rep.checks if not c.passed]
+
+
+@pytest.mark.parametrize("p", [PhysicalParams(1, 1, 1), *PARAM_SETS],
+                         ids=lambda p: f"s{p.sign}_w{p.omega_c:.2f}")
+def test_ode_residual_does_not_depend_on_the_centre(p):
+    # the stencils difference the displacement from the guiding centre, so
+    # an orbit 1e4 magnetic lengths out reads the bits of one about the
+    # origin, and passes
+    devs = set()
+    for far in (0.0, 1e2, 1e3, 1e4):
+        xc = (far * p.magnetic_length, -0.5 * far * p.magnetic_length)
+        tp = TrajectoryParams(0.5 * p.hbar * p.omega_c, xc)
+        rep, _ = cp.run_classical_sim(p, tp, steps=200)
+        ode = {c.id: c for c in rep.checks}["ode-residual"]
+        assert ode.passed, (far, ode.deviation)
+        devs.add(ode.deviation)
+    assert len(devs) == 1
 
 
 @pytest.mark.parametrize("p", PARAM_SETS, ids=lambda p: f"s{p.sign}_w{p.omega_c:.2f}")

@@ -18,6 +18,7 @@ from landaulab.fockspace import (FockBasis, FockOperator, TruncationError,
                                  position_monomials, t1_fock_overlap,
                                  angular_element, OBSERVABLE_NAMES)
 from landaulab.params import CANONICAL_PARTNER, canonical_extra
+from landaulab.waves import MAX_QUANTUM_NUMBER, t1_basis_function
 
 P = PhysicalParams(1, 1, 1)
 X0 = (0.0, 0.0)
@@ -666,6 +667,27 @@ def test_change_of_basis_normalised():
             vals = np.array([change_of_basis(nplus, sig * tt, p) for tt in t])
             total = float(np.sum(w * np.exp(t * t) * np.abs(vals) ** 2) * sig)
             assert total == pytest.approx(1.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("p", [P, PhysicalParams(1.3, -1.0, 0.7, hbar=0.6)],
+                         ids=["unit", "negative-orientation"])
+def test_basis_change_on_arrays_keeps_the_scalar_bits(p):
+    # every entry of an array call, signed zeros included, has the bits of
+    # its scalar call; the coefficient is the conjugate profile value
+    sig = math.sqrt(p.hbar * p.m * p.omega_c)
+    t = np.concatenate([np.random.default_rng(3).uniform(-9, 9, 64) * sig,
+                        [0.0, -0.0, 1e-300, 20.0 * sig], hermgauss(56)[0]])
+    for nplus in range(MAX_QUANTUM_NUMBER + 1):
+        got = change_of_basis(nplus, t, p)
+        assert got.tobytes() == np.array(
+            [change_of_basis(nplus, tt, p) for tt in t.tolist()]).tobytes()
+        assert got.tobytes() == np.conj(
+            t1_basis_function(nplus, p).value(t)).tobytes()
+        for nminus in (0, 1, 2, 3):
+            got = t1_fock_overlap(nplus, nminus, t, p)
+            assert got.tobytes() == np.array(
+                [t1_fock_overlap(nplus, nminus, tt, p)
+                 for tt in t.tolist()]).tobytes()
 
 
 def test_level_phase_factor():

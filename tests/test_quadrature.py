@@ -443,10 +443,16 @@ def test_level_count_is_fixed_by_the_block_range(monkeypatch):
     assert _bits(result) == _bits(_fsum_products(vals, w))
 
 
-@pytest.mark.parametrize("scheme, k", [("gauss_hermite", 40), ("simpson", 64)])
-def test_engine_elements_equal_matrix_element(scheme, k):
-    g = GaugeChoice(-0.6, (0.1, 0.4),
-                    parse_poly("0.08*u2^2 - 0.04*u1^3 + 0.03*u1*u2^2"))
+_CUBIC = GaugeChoice(-0.6, (0.1, 0.4),
+                     parse_poly("0.08*u2^2 - 0.04*u1^3 + 0.03*u1*u2^2"))
+
+
+@pytest.mark.parametrize("scheme, k, g", [
+    ("gauss_hermite", 40, _CUBIC), ("simpson", 64, _CUBIC),
+    # zero phase polynomial: value and jet share the real exponential
+    ("gauss_hermite", 40, SYM),
+], ids=["gauss_hermite-40", "simpson-64", "symmetric-gauss_hermite-40"])
+def test_engine_elements_equal_matrix_element(scheme, k, g):
     grid = _default_grid(P, g, k, scheme)
     labels = [(0, 0), (1, 0), (-1, 1), (2, 1)]
     psi = {lab: fock_state(g, P, lab[1] + lab[0], lab[1]) for lab in labels}
@@ -558,8 +564,9 @@ def _demo_reference(p, grid):
     (PhysicalParams(0.7, 1.1, 1.3, hbar=1.6), "simpson", 120),
 ])
 def test_heisenberg_demo_evaluates_each_state_once(monkeypatch, p, scheme, k):
-    # 12 distinct bras and 12 distinct kets over the plain and the three
-    # dressed state sets; each of the 20 elements keeps the bits of its own
+    # one element-engine batch per representation: the 4 states of the
+    # plain and of each of the three dressed sets make 16 jets and no
+    # separate value; each of the 20 elements keeps the bits of its own
     # matrix_element call, and each report deviation those of the reference
     counts = {"value": 0, "jet": 0}
     for name in counts:
@@ -575,13 +582,10 @@ def test_heisenberg_demo_evaluates_each_state_once(monkeypatch, p, scheme, k):
     monkeypatch.setattr(quad, "integrate_rows", recorded)
     rep = run_heisenberg_demo(p, grid_k=k, scheme=scheme)
     monkeypatch.undo()
-    assert counts == {"value": 12, "jet": 12}
+    assert counts == {"value": 0, "jet": 16}
 
     ref = _demo_reference(p, _default_grid(p, SYM, k, scheme))
-    assert len(elements) == len(ref)
-    for got, want in zip(elements, ref):
-        assert [struct.pack("<dd", z.real, z.imag) for z in got] \
-            == [struct.pack("<dd", z.real, z.imag) for z in want]
+    assert [_bits(got) for got in elements] == [_bits(want) for want in ref]
     devs = [max(abs(z - z0) for z, z0 in zip(row, ref[0])) for row in ref[1:]]
     assert [c.deviation for c in rep.checks] == devs
 

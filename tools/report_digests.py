@@ -22,8 +22,10 @@ matrix-route deviations are rounding-level, so the last bits of the
 canonical-operator matrix entries show in the report; and the benchmark's
 shapes with the variant parameters: a default-length (10,000-step) boris
 orbit with non-unit mass and field, an off-origin centre and its 10,001-row
-CSV, and heisenberg-demo with the Simpson rule on 120 intervals; and every
-campaign at its defaults, which are the acceptance settings (the
+CSV, and heisenberg-demo with the Simpson rule on 120 intervals, next to
+a 200-step unit-parameter orbit about the far centre (1000, 0), whose
+equation-of-motion residual must not grow with the centre's distance; and
+every campaign at its defaults, which are the acceptance settings (the
 acceptance gauge-scan alone takes most of the script's run time).  Each
 output line is ``<run> <campaign> <file> <exit code> <sha256>``; a file a
 campaign does not write reads ``-``.
@@ -77,7 +79,9 @@ RUNS = [
     ("full", [["classical-sim", *VARIANT, "--mass", "1.3", "--bfield", "0.7",
                "--energy", "1.1", "--centre", "0.5,-0.1"],
               ["heisenberg-demo", "--scheme", "simpson", "--grid", "120",
-               *VARIANT]]),
+               *VARIANT],
+              ["classical-sim", "--centre", "1e3,0", "--energy", "0.5",
+               "--steps", "200"]]),
     ("acceptance", [[name] for name in SMALL]),
 ]
 
