@@ -153,8 +153,7 @@ def run_verify_algebra(p: PhysicalParams, nmax: int = 16, margin: int = 3,
         ("comm:[L3,H]", L3, H, -0.5j * s * hb * w * (U1 @ P1 + P1 @ U1
                                                       + U2 @ P2 + P2 @ U2)),
     ]
-    # no excursion precondition here: an inadequate margin shows up as a
-    # large deviation rather than an exception
+    # an inadequate margin shows up as a large deviation, not an exception
     for cid, a, bb, expected in comms:
         rep.add(cid, (a @ bb - bb @ a - expected).magnitudes(margin), tol)
 
@@ -394,7 +393,7 @@ def run_reproduce_tables(p: PhysicalParams, nmax: int = 16,
     wide = _angular_states(half)
     ell, lvl = (np.array(c)[:, None] for c in zip(*wide))
     for name in _TABLE_OPS:
-        diff = (fk.angular_element(name, ell, lvl, ell.T, lvl.T, p).value
+        diff = (fk.angular_element(name, ell, lvl, ell.T, lvl.T, p)
                 - mats[name].entries((lvl + ell, lvl), (lvl.T + ell.T, lvl.T)))
         # Python's abs, with which numpy's vectorised complex modulus can
         # differ in the last bit, over the nonzero differences
@@ -415,7 +414,7 @@ def run_reproduce_tables(p: PhysicalParams, nmax: int = 16,
     values = eng.elements({(name, pair): (pair[0], ops[name], pair[1])
                            for name in _TABLE_OPS for pair in pairs})
     for name in _TABLE_OPS:
-        table = fk.angular_element(name, l1s, n1s, l2s, n2s, p).value.tolist()
+        table = fk.angular_element(name, l1s, n1s, l2s, n2s, p).tolist()
         got = [values[name, pair] for pair in pairs]
         block = [("angular", name, (*bra, *ket), closed, val,
                   abs(closed - val))

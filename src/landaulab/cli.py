@@ -2,9 +2,11 @@
 CSV outputs.
 
 Subcommands: verify-algebra, gauge-scan, reproduce-tables, classical-sim,
-basis-change, heisenberg-demo.  Exit code 0 if and only if every check of
-the campaign passed, 1 if a check failed, and 2 with a one-line message on
-invalid input, a quadrature grid too small for the integrands included.
+basis-change, heisenberg-demo, each taking only the flags its campaign
+reads.  Exit code 0 if and only if every check of the campaign passed, 1 if
+a check failed, and 2 with a one-line message on invalid input, a flag the
+subcommand does not take and a quadrature grid too small for the
+integrands included.
 """
 
 from __future__ import annotations
@@ -33,73 +35,83 @@ def _pair(text: str) -> tuple[float, float]:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    phys = common.add_argument_group("physical parameters")
-    phys.add_argument("--mass", type=float, default=1.0)
-    phys.add_argument("--charge", type=float, default=1.0)
-    phys.add_argument("--bfield", type=float, default=1.0)
-    phys.add_argument("--hbar", type=float, default=1.0)
-    gauge = common.add_argument_group("gauge choice")
-    gauge.add_argument("--alpha", type=float, default=0.0,
-                       help="shear parameter of the gauge family")
-    gauge.add_argument("--phi", type=str, default="0",
-                       help="polynomial gauge function in u1, u2")
-    gauge.add_argument("--x0", type=_pair, default=(0.0, 0.0),
-                       help="plane origin 'x1,x2'")
-    num = common.add_argument_group("numerics")
-    num.add_argument("--nmax", type=int, default=16,
-                     help="Fock truncation per sector")
-    num.add_argument("--margin", type=int, default=3,
-                     help="interior margin for truncated-operator checks")
-    num.add_argument("--grid", type=int, default=80,
-                     help="quadrature nodes per axis")
-    num.add_argument("--scheme", choices=["gh", "simpson"], default="gh")
-    num.add_argument("--tol", type=float, default=None,
-                     help="override the campaign's primary tolerance")
-    num.add_argument("--seed", type=int, default=7)
-    out = common.add_argument_group("output")
-    out.add_argument("--json-out", type=str, default=None)
-    out.add_argument("--csv-out", type=str, default=None)
-    out.add_argument("--no-timestamp", action="store_true",
-                     help="omit the timestamp for byte-reproducible reports")
-    out.add_argument("--quiet", action="store_true")
-
+    # every flag of every campaign, in help order
+    specs = {
+        **{flag: dict(type=float, default=1.0)
+           for flag in ("--mass", "--charge", "--bfield", "--hbar")},
+        "--alpha": dict(type=float, default=0.0,
+                        help="shear parameter of the gauge family"),
+        "--phi": dict(type=str, default="0",
+                      help="polynomial gauge function in u1, u2"),
+        "--x0": dict(type=_pair, default=(0.0, 0.0),
+                     help="plane origin 'x1,x2'"),
+        "--nmax": dict(type=int, default=16,
+                       help="Fock truncation per sector"),
+        "--margin": dict(type=int, default=3, help="interior margin for "
+                         "truncated-operator checks"),
+        "--grid": dict(type=int, default=80,
+                       help="quadrature nodes per axis"),
+        "--scheme": dict(choices=["gh", "simpson"], default="gh"),
+        "--seed": dict(type=int, default=7),
+        "--scan-levels": dict(type=int, default=4, help="largest level "
+                              "and angular index in the scan"),
+        "--energy": dict(type=float, default=None),
+        "--centre": dict(type=_pair, default=None,
+                         help="guiding centre 'x1,x2'"),
+        "--dt": dict(type=float, default=None),
+        "--steps": dict(type=int, default=None),
+        "--method": dict(choices=["boris", "rk4"], default="boris"),
+        "--dump-grid": dict(action="store_true", help="write a sampled "
+                            "wave function to --csv-out"),
+        "--tol": dict(type=float, default=None,
+                      help="override the campaign's primary tolerance"),
+        "--json-out": dict(type=str, default=None),
+        "--csv-out": dict(type=str, default=None),
+        "--no-timestamp": dict(action="store_true", help="omit the "
+                               "timestamp for byte-reproducible reports"),
+        "--quiet": dict(action="store_true"),
+    }
+    # each campaign with the flags it reads besides these, which all read
+    every = ("--mass --charge --bfield --hbar --tol --json-out --csv-out "
+             "--no-timestamp --quiet")
+    commands = {
+        "verify-algebra": ("commutator suite and charge relation on the "
+                           "truncated Fock space", "--x0 --nmax --margin"),
+        "gauge-scan": ("cross-gauge invariance of physical matrix elements; "
+                       "canonical-operator decompositions",
+                       "--alpha --phi --x0 --nmax --grid --scheme --seed "
+                       "--dump-grid --scan-levels"),
+        "reproduce-tables": ("closed form vs operator matrices vs quadrature "
+                             "for both eigenbasis tables",
+                             "--alpha --phi --x0 --nmax --grid --scheme"),
+        "classical-sim": ("integrate an orbit and track the conserved "
+                          "charges", "--x0 --seed --energy --centre --dt "
+                          "--steps --method"),
+        "basis-change": ("basis-change coefficients: closed form, "
+                         "orthonormality, reconstruction",
+                         "--alpha --phi --x0 --grid --scheme --seed "
+                         "--dump-grid"),
+        "heisenberg-demo": ("flat-connection representation conjugation "
+                            "demo", "--grid --scheme"),
+    }
+    # each action is made once, in a group (whose add_argument, unlike a
+    # parser's, builds no help formatter), and shared by every subcommand
+    # that takes its flag, as parents= shares a parent's actions
+    group = argparse.ArgumentParser(add_help=False).add_argument_group()
+    actions = {flag: group.add_argument(flag, **keywords)
+               for flag, keywords in specs.items()}
     parser = argparse.ArgumentParser(
         prog="landaulab",
         description="Numerical verification of planar charged-particle "
                     "dynamics in a uniform magnetic field across a general "
                     "family of gauge choices.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sub.add_parser("verify-algebra", parents=[common],
-                   help="commutator suite and charge relation on the "
-                        "truncated Fock space")
-    scan = sub.add_parser("gauge-scan", parents=[common],
-                          help="cross-gauge invariance of physical matrix "
-                               "elements; canonical-operator decompositions")
-    scan.add_argument("--dump-grid", action="store_true",
-                      help="write a sampled wave function to --csv-out")
-    scan.add_argument("--scan-levels", type=int, default=4,
-                      help="largest level and angular index in the scan")
-    sub.add_parser("reproduce-tables", parents=[common],
-                   help="closed form vs operator matrices vs quadrature for "
-                        "both eigenbasis tables")
-    sim = sub.add_parser("classical-sim", parents=[common],
-                         help="integrate an orbit and track the conserved "
-                              "charges")
-    sim.add_argument("--energy", type=float, default=None)
-    sim.add_argument("--centre", type=_pair, default=None,
-                     help="guiding centre 'x1,x2'")
-    sim.add_argument("--dt", type=float, default=None)
-    sim.add_argument("--steps", type=int, default=None)
-    sim.add_argument("--method", choices=["boris", "rk4"], default="boris")
-    bc = sub.add_parser("basis-change", parents=[common],
-                        help="basis-change coefficients: closed form, "
-                             "orthonormality, reconstruction")
-    bc.add_argument("--dump-grid", action="store_true",
-                    help="write a sampled wave function to --csv-out")
-    sub.add_parser("heisenberg-demo", parents=[common],
-                   help="flat-connection representation conjugation demo")
+    for command, (summary, own) in commands.items():
+        takes = set(f"{every} {own}".split())
+        sp = sub.add_parser(command, help=summary)
+        for flag, action in actions.items():
+            if flag in takes:
+                sp._add_action(action)
     return parser
 
 
@@ -112,19 +124,19 @@ def _physical(args, parser) -> PhysicalParams:
 
 
 def _gauge(args, parser) -> GaugeChoice:
+    """The gauge the subcommand's gauge flags choose; a flag it does not
+    take keeps the gauge's default."""
+    given = {name: getattr(args, name) for name in ("alpha", "x0")
+             if hasattr(args, name)}
+    if hasattr(args, "phi"):
+        try:
+            given["phi"] = parse_poly(args.phi)
+        except ValueError as exc:  # PolyParseError or DegreeOverflowError
+            parser.error(f"--phi: {exc}")
     try:
-        phi = parse_poly(args.phi)
-    except ValueError as exc:  # PolyParseError or DegreeOverflowError
-        parser.error(f"--phi: {exc}")
-    try:
-        return GaugeChoice(alpha=args.alpha, x0=args.x0, phi=phi)
+        return GaugeChoice(**given)
     except ValueError as exc:
         parser.error(str(exc))
-
-
-_USES_NMAX = ("verify-algebra", "gauge-scan", "reproduce-tables")
-_USES_GRID = ("gauge-scan", "reproduce-tables", "basis-change",
-              "heisenberg-demo")
 
 
 def _require(ok: bool, message: str):
@@ -134,20 +146,25 @@ def _require(ok: bool, message: str):
 
 def _check_numerics(args, parser, p: PhysicalParams):
     """Reject out-of-range numerics before a campaign starts, with the
-    message of the library check that would otherwise fail mid-campaign."""
+    message of the library check that would otherwise fail mid-campaign;
+    each flag is checked where the subcommand takes it."""
+    takes = vars(args)
     checks = []
-    if args.command in _USES_NMAX:
+    if "nmax" in takes:
         checks.append(("--nmax", lambda: fk.FockBasis(args.nmax)))
-    if args.command == "verify-algebra":
-        checks.append(("--margin", lambda: fk.FockBasis(
-            args.nmax).interior_indices(args.margin)))
+    if "margin" in takes:
+        # the charge relation is read inside a margin of at least 2
+        checks += [("--margin", lambda: fk.FockBasis(
+                        args.nmax).interior_indices(args.margin)),
+                   ("--nmax", lambda: _require(
+                       args.nmax >= 2, "the charge relation needs nmax >= 2"))]
     # labels reach n+ = twice the largest index; the scan's cubic gauge
     # needs nmax >= 3
     if args.command == "reproduce-tables":
         top = 2 * cp.TABLE_INDEX_TOP
         checks.append(("--nmax", lambda: _require(
             args.nmax >= top, f"reproduce-tables needs nmax >= {top}")))
-    if args.command == "gauge-scan":
+    if "scan_levels" in takes:
         lv, top = args.scan_levels, max(2 * args.scan_levels, 3)
         lv_max = wv.MAX_QUANTUM_NUMBER // 2
         checks += [("--scan-levels", lambda: _require(
@@ -157,15 +174,15 @@ def _check_numerics(args, parser, p: PhysicalParams):
                        f"{wv.MAX_QUANTUM_NUMBER}"))),
                    ("--nmax", lambda: _require(args.nmax >= top, (
                        f"--scan-levels {lv} needs nmax >= {top}")))]
-    checks.append(("--seed", lambda: np.random.default_rng(args.seed)))
+    if "seed" in takes:
+        checks.append(("--seed", lambda: np.random.default_rng(args.seed)))
     checks.append(("--tol", lambda: _require(
         args.tol is None or 0.0 <= args.tol < math.inf,
         "tolerance must be finite and nonnegative")))
-    if args.command in _USES_GRID:
-        rule = (quad.Grid2.gauss_hermite if args.scheme == "gh"
-                else quad.Grid2.simpson)
-        checks.append(("--grid", lambda: rule(args.grid)))
-    if args.command == "classical-sim":
+    if "grid" in takes:
+        checks.append(("--grid", lambda: cp._default_grid(
+            p, GaugeChoice(), args.grid, args.scheme)))
+    if "steps" in takes:  # the orbit flags
         def orbit():
             return cp.classical_orbit(p, args.energy, args.centre)
         checks += [
@@ -260,7 +277,7 @@ def _dump_grid_rows(psi: wv.WaveForm, extent: float, n: int = 41):
     return rows.reshape(n * n, 4)
 
 
-def _campaign(args, p, g, scheme: str, tol: dict):
+def _campaign(args, p, g, tol: dict):
     """Run the campaign ``args`` names; returns its report and the header
     and rows of its CSV output, both None when it writes none."""
     csv_header = rows = None
@@ -270,7 +287,7 @@ def _campaign(args, p, g, scheme: str, tol: dict):
     elif args.command == "gauge-scan":
         gauges = cp.default_gauges(args.seed, x0=args.x0)
         report = cp.run_gauge_scan(p, gauges, nmax=args.nmax,
-                                   grid_k=args.grid, scheme=scheme,
+                                   grid_k=args.grid, scheme=args.scheme,
                                    seed=args.seed, levels=args.scan_levels,
                                    **tol)
         if args.dump_grid:
@@ -279,8 +296,8 @@ def _campaign(args, p, g, scheme: str, tol: dict):
                                    4.0 * p.magnetic_length)
     elif args.command == "reproduce-tables":
         report, table_rows = cp.run_reproduce_tables(
-            p, nmax=args.nmax, grid_k=args.grid, scheme=scheme, gauge=g,
-            **tol)
+            p, nmax=args.nmax, grid_k=args.grid, scheme=args.scheme,
+            gauge=g, **tol)
         csv_header = ["basis", "operator", "indices", "closed_form_re",
                       "closed_form_im", "computed_re", "computed_im",
                       "abs_error"]
@@ -296,14 +313,14 @@ def _campaign(args, p, g, scheme: str, tol: dict):
         csv_header = ["t", "x1", "x2", "p1", "p2", "E", "T1", "T2", "M3"]
     elif args.command == "basis-change":
         report = cp.run_basis_change(p, gauge=g, grid_k=args.grid,
-                                     scheme=scheme, seed=args.seed, **tol)
+                                     scheme=args.scheme, seed=args.seed, **tol)
         if args.dump_grid:
             csv_header = ["x1", "x2", "re", "im"]
             rows = _dump_grid_rows(wv.fock_state(g, p, 2, 1),
                                    4.0 * p.magnetic_length)
     elif args.command == "heisenberg-demo":
-        report = cp.run_heisenberg_demo(p, grid_k=args.grid, scheme=scheme,
-                                        **tol)
+        report = cp.run_heisenberg_demo(p, grid_k=args.grid,
+                                        scheme=args.scheme, **tol)
     else:  # pragma: no cover - argparse enforces the choices
         raise SystemExit(2)
     return report, csv_header, rows
@@ -312,14 +329,15 @@ def _campaign(args, p, g, scheme: str, tol: dict):
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "scheme", None) == "gh":  # the library's name for it
+        args.scheme = "gauss_hermite"
     p = _physical(args, parser)
     _check_numerics(args, parser, p)
     g = _gauge(args, parser)
-    scheme = "gauss_hermite" if args.scheme == "gh" else "simpson"
     # --tol overrides the campaign's primary tolerance, its only one
     tol = {} if args.tol is None else {"tol": args.tol}
     try:
-        report, csv_header, rows = _campaign(args, p, g, scheme, tol)
+        report, csv_header, rows = _campaign(args, p, g, tol)
     except quad.SupportOverflowError as exc:
         parser.error(f"--grid: {exc}")
     except cl.NonFiniteOrbitError as exc:

@@ -13,8 +13,7 @@ involved.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import NamedTuple
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,7 +30,6 @@ __all__ = [
     "build_observable",
     "position_monomials",
     "poly_operator",
-    "AngularElement",
     "angular_element",
     "change_of_basis",
     "t1_fock_overlap",
@@ -108,19 +106,15 @@ class FockOperator:
     """Operator stored by shift: ``shifts`` maps (dn+, dn-) to a float64 array
     of shape ``(2, nmax+1, nmax+1)`` whose ``[:, n+, n-]`` holds the real and
     imaginary part of ``<n+ + dn+, n- + dn-| O |n+, n->``, zero where the
-    target leaves the basis.  ``excursion`` is metadata: the largest ladder
-    step the operator takes."""
+    target leaves the basis."""
 
     basis: FockBasis
     shifts: dict
-    excursion: int = 0
 
     def __post_init__(self):
         shape = (2, self.basis.nmax + 1, self.basis.nmax + 1)
         if any(np.shape(c) != shape for c in self.shifts.values()):
             raise ValueError("coefficient arrays do not match the basis")
-        if self.excursion < 0:
-            raise ValueError("excursion must be nonnegative")
 
     def _combine(self, other: "FockOperator", op) -> "FockOperator":
         # a shift missing from one operand reads zero there
@@ -128,8 +122,7 @@ class FockOperator:
         zero = np.zeros((2, self.basis.nmax + 1, self.basis.nmax + 1))
         return FockOperator(self.basis, {
             d: op(self.shifts.get(d, zero), other.shifts.get(d, zero))
-            for d in sorted(self.shifts.keys() | other.shifts.keys())},
-            max(self.excursion, other.excursion))
+            for d in sorted(self.shifts.keys() | other.shifts.keys())})
 
     def __add__(self, other: "FockOperator") -> "FockOperator":
         return self._combine(other, np.add)
@@ -141,7 +134,7 @@ class FockOperator:
         z = complex(scalar)
         pair = np.array([[[z.real]], [[z.imag]]])
         return FockOperator(self.basis, {d: _cmul(pair, c) for d, c in
-                                         self.shifts.items()}, self.excursion)
+                                         self.shifts.items()})
 
     __rmul__ = __mul__
 
@@ -161,7 +154,7 @@ class FockOperator:
                 if d not in out:
                     out[d] = np.zeros_like(a)
                 out[d][kets] += _cmul(b[kets], a[mids])
-        return FockOperator(self.basis, out, self.excursion + other.excursion)
+        return FockOperator(self.basis, out)
 
     def dagger(self) -> "FockOperator":
         # <n|O^dag|n - d> is the conjugate of <n - d|O|n>
@@ -170,7 +163,7 @@ class FockOperator:
             kets, sources = _windows((-d0, -d1), self.basis.nmax + 1)
             out[(-d0, -d1)] = np.zeros_like(c)
             out[(-d0, -d1)][kets] = c[sources] * [[[1.0]], [[-1.0]]]
-        return FockOperator(self.basis, out, self.excursion)
+        return FockOperator(self.basis, out)
 
     def is_hermitian_exact(self) -> bool:
         return not np.any((self - self.dagger()).magnitudes())
@@ -217,10 +210,9 @@ def sector_numbers(b: FockBasis):
     return tuple(np.meshgrid(n, n, indexing="ij"))
 
 
-def _real_operator(b: FockBasis, d, values, excursion=0) -> FockOperator:
+def _real_operator(b: FockBasis, d, values) -> FockOperator:
     """Operator with the single shift ``d`` and real coefficients."""
-    return FockOperator(b, {d: np.stack((values, np.zeros_like(values)))},
-                        excursion)
+    return FockOperator(b, {d: np.stack((values, np.zeros_like(values)))})
 
 
 def identity(b: FockBasis) -> FockOperator:
@@ -233,9 +225,9 @@ def ladder_ops(b: FockBasis):
     sqrt(n), a^dag raises it with sqrt(n + 1), zero at n = nmax."""
     ops = []
     for n, (u0, u1) in zip(sector_numbers(b), ((1, 0), (0, 1))):
-        ops += [_real_operator(b, (-u0, -u1), np.sqrt(n), 1),
+        ops += [_real_operator(b, (-u0, -u1), np.sqrt(n)),
                 _real_operator(b, (u0, u1),
-                               np.where(n < b.nmax, np.sqrt(n + 1.0), 0.0), 1)]
+                               np.where(n < b.nmax, np.sqrt(n + 1.0), 0.0))]
     return tuple(ops)
 
 
@@ -273,7 +265,7 @@ def build_observable(name: str, p: PhysicalParams, x0: tuple[float, float],
     if name == "L3":
         x = apd @ amd
         number = _real_operator(b, (0, 0), 2.0 * nminus + 1.0)
-        return replace(-s * p.hbar * (number + x + x.dagger()), excursion=1)
+        return -s * p.hbar * (number + x + x.dagger())
     if name == "x1":
         m = (lam / math.sqrt(2.0)) * (ap + am)
         return centred(x0[0], m + m.dagger())
@@ -328,24 +320,17 @@ def poly_operator(f: Poly2, monomials: dict, b: FockBasis) -> FockOperator:
 # ---------------------------------------------------------------------------
 
 
-class AngularElement(NamedTuple):
-    value: complex
-    beyond_table: bool
-
-
-def angular_element(name: str, l1, n1, l2, n2,
-                   p: PhysicalParams) -> AngularElement:
+def angular_element(name: str, l1, n1, l2, n2, p: PhysicalParams):
     """Closed-form matrix element between angular-basis states (l1, n1) and
     (l2, n2), labelled by total angular momentum s*hbar*l and level n.
 
     The labels may be integer arrays, which broadcast against each other;
-    the value and the flag are then arrays of the broadcast shape.  Scalar
-    labels give a scalar value and flag.  Each entry is the same arithmetic,
-    in the same order, as for its scalar labels, so it has the same bits.
+    the value is then an array of the broadcast shape.  Scalar labels give
+    a Python scalar.  Each entry is the same arithmetic, in the same order,
+    as for its scalar labels, so it has the same bits.
 
     The orbital angular momentum between different levels is not part of the
-    tabulated set; its value is computed from the ladder action and flagged
-    ``beyond_table``.
+    tabulated set; its value there is computed from the ladder action.
     """
     l1, n1, l2, n2 = (np.asarray(a) for a in (l1, n1, l2, n2))
     if np.any((l1 < -n1) | (l2 < -n2) | (n1 < 0) | (n2 < 0)):
@@ -362,7 +347,6 @@ def angular_element(name: str, l1, n1, l2, n2,
     def up(cond, arg):
         return np.sqrt(np.where(cond, arg, 0))
 
-    beyond = False
     if name == "H":
         v = hb * p.omega_c * (n1 + 0.5) * d(l1, l2) * d(n1, n2)
     elif name == "T1":
@@ -388,16 +372,12 @@ def angular_element(name: str, l1, n1, l2, n2,
                      np.where(n2 == n1 + 1, -s * hb * np.sqrt((n2 + l2) * n2),
                               0.0)),
             0.0)
-        beyond = n1 != n2
-        v = np.where(beyond, ladder, -s * hb * (2 * n1 + 1) * d(l1, l2))
+        v = np.where(n1 != n2, ladder, -s * hb * (2 * n1 + 1) * d(l1, l2))
     else:
         raise ValueError(f"unknown observable {name!r}")
     shape = np.broadcast_shapes(l1.shape, n1.shape, l2.shape, n2.shape)
     v = np.broadcast_to(v, shape)
-    beyond = np.broadcast_to(beyond, shape)
-    if not shape:
-        return AngularElement(v.item(), bool(beyond))
-    return AngularElement(v, beyond)
+    return v if shape else v.item()
 
 
 def change_of_basis(nplus: int, t1, p: PhysicalParams):

@@ -256,7 +256,7 @@ def _tokenize(text: str):
     return out
 
 
-def parse_poly(text: str, max_degree: int = DEFAULT_MAX_DEGREE) -> Poly2:
+def parse_poly(text: str) -> Poly2:
     """Parse polynomial text into a :class:`Poly2`.
 
     Grammar: ``expression := term (('+'|'-') term)*`` with
@@ -267,7 +267,7 @@ def parse_poly(text: str, max_degree: int = DEFAULT_MAX_DEGREE) -> Poly2:
     Raises :class:`PolyParseError` with the character position on bad input,
     including numbers and coefficient sums outside the finite floating-point
     range, and :class:`DegreeOverflowError` when the total degree exceeds
-    ``max_degree``.
+    :data:`DEFAULT_MAX_DEGREE`.
     """
     tokens = _tokenize(text)
     if not tokens:
@@ -315,9 +315,9 @@ def parse_poly(text: str, max_degree: int = DEFAULT_MAX_DEGREE) -> Poly2:
             if k >= len(tokens):
                 raise PolyParseError("dangling '*'", tokens[k - 1][2])
             k, i, j = parse_factor(k, i, j)
-        if i + j > max_degree:
-            raise DegreeOverflowError(
-                f"term of degree {i + j} exceeds maximum degree {max_degree}")
+        if i + j > DEFAULT_MAX_DEGREE:
+            raise DegreeOverflowError(f"term of degree {i + j} exceeds "
+                                      f"maximum degree {DEFAULT_MAX_DEGREE}")
         total = terms.get((i, j), 0.0) + coeff
         if not math.isfinite(total):
             raise PolyParseError("coefficient sum out of floating-point range",

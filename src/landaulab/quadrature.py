@@ -90,16 +90,16 @@ class Grid2:
     w2: np.ndarray
 
     @classmethod
-    def gauss_hermite(cls, k: int, centre=(0.0, 0.0), scale=(1.0, 1.0)) -> "Grid2":
-        s1, s2 = (scale, scale) if np.isscalar(scale) else scale
-        return cls(*_axis_gauss_hermite(k, centre[0], s1),
-                   *_axis_gauss_hermite(k, centre[1], s2))
+    def gauss_hermite(cls, k: int, centre=(0.0, 0.0),
+                      scale: float = 1.0) -> "Grid2":
+        return cls(*_axis_gauss_hermite(k, centre[0], scale),
+                   *_axis_gauss_hermite(k, centre[1], scale))
 
     @classmethod
-    def simpson(cls, n: int, centre=(0.0, 0.0), extent=(1.0, 1.0)) -> "Grid2":
-        e1, e2 = (extent, extent) if np.isscalar(extent) else extent
-        return cls(*_axis_simpson(n, centre[0], e1),
-                   *_axis_simpson(n, centre[1], e2))
+    def simpson(cls, n: int, centre=(0.0, 0.0),
+                extent: float = 1.0) -> "Grid2":
+        return cls(*_axis_simpson(n, centre[0], extent),
+                   *_axis_simpson(n, centre[1], extent))
 
     @cached_property
     def points(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

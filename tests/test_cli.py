@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import math
@@ -14,7 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import landaulab
-from landaulab.cli import _write_csv, main
+from landaulab.cli import _write_csv, build_parser, main
 from landaulab.report import VerificationReport
 
 
@@ -358,7 +359,7 @@ def test_gauge_flags_accepted(tmp_path):
 
 def test_bad_phi_rejected(capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["verify-algebra", "--phi", "u1^9", "--quiet", "--no-timestamp"])
+        main(["basis-change", "--phi", "u1^9", "--quiet", "--no-timestamp"])
     assert exc.value.code == 2
     assert "--phi: term of degree 9" in capsys.readouterr().err
 
@@ -375,7 +376,7 @@ def test_bad_phi_rejected(capsys):
      "--grid: Simpson rule needs an even interval count"),
     (["verify-algebra", "--margin", "20"],
      "--margin: margin 20 out of range for nmax 16"),
-    (["verify-algebra", "--phi", "u1^^2"],
+    (["basis-change", "--phi", "u1^^2"],
      "--phi: expected nonnegative integer exponent (at position 3)"),
     (["classical-sim", "--mass", "0"], "mass must be positive"),
     (["classical-sim", "--steps", "0"], "--steps: need at least one step"),
@@ -389,6 +390,14 @@ def test_bad_phi_rejected(capsys):
     (["heisenberg-demo", "--hbar", "inf"], "hbar must be positive and finite"),
     (["basis-change", "--alpha", "nan"], "alpha and x0 must be finite"),
     (["basis-change", "--x0", "nan,0"], "alpha and x0 must be finite"),
+    (["verify-algebra", "--x0", "nan,0"], "alpha and x0 must be finite"),
+    (["classical-sim", "--x0", "inf,0"],
+     "--centre: the charges overflow on an orbit reaching inf from x0"),
+    # the charge relation is read inside a margin of 2 whatever --margin says
+    (["verify-algebra", "--nmax", "1", "--margin", "0"],
+     "--nmax: the charge relation needs nmax >= 2"),
+    (["verify-algebra", "--nmax", "1", "--margin", "1"],
+     "--nmax: the charge relation needs nmax >= 2"),
     (["reproduce-tables", "--nmax", "11"],
      "--nmax: reproduce-tables needs nmax >= 12"),
     (["gauge-scan", "--scan-levels", "2", "--nmax", "3"],
@@ -443,7 +452,8 @@ def test_bad_phi_rejected(capsys):
 ], ids=["nmax", "algebra-nmax-high", "scan-nmax-high", "tables-nmax-high",
         "simpson-grid", "margin", "phi-syntax", "mass", "steps",
         "dt-negative", "dt-nan", "energy", "bfield-nan", "hbar-inf",
-        "alpha-nan", "x0-nan", "tables-nmax", "scan-nmax", "scan-nmax-cubic",
+        "alpha-nan", "x0-nan", "algebra-x0-nan", "sim-x0-inf",
+        "algebra-nmax-1-margin-0", "algebra-nmax-1-margin-1", "tables-nmax", "scan-nmax", "scan-nmax-cubic",
         "scan-levels", "scan-levels-high", "seed", "scan-grid", "basis-grid",
         "demo-grid", "tables-grid", "dt-orbit-overflow", "tol-nan",
         "tol-negative", "tol-inf", "qb-underflow", "qb-overflow",
@@ -456,6 +466,50 @@ def test_bad_input_exits_2(capsys, args, message):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.splitlines()[-1].startswith(f"landaulab: error: {message}")
+
+
+# the flags each subcommand takes: those its campaign reads
+_FLAGS = {
+    "verify-algebra": "--x0 --nmax --margin",
+    "gauge-scan": "--alpha --phi --x0 --nmax --grid --scheme --seed "
+                  "--scan-levels --dump-grid",
+    "reproduce-tables": "--alpha --phi --x0 --nmax --grid --scheme",
+    "classical-sim": "--x0 --seed --energy --centre --dt --steps --method",
+    "basis-change": "--alpha --phi --x0 --grid --scheme --seed --dump-grid",
+    "heisenberg-demo": "--grid --scheme",
+}
+_EVERY = ("--mass --charge --bfield --hbar --tol --json-out --csv-out "
+          "--no-timestamp --quiet")
+
+# a valid value for each flag some subcommand does not take
+_VALUES = {"--alpha": "0.3", "--phi": "u1", "--x0": "0.1,0.2", "--nmax": "8",
+           "--margin": "1", "--grid": "40", "--scheme": "simpson",
+           "--seed": "3"}
+_NOT_TAKEN = [(name, flag) for name, own in _FLAGS.items()
+              for flag in _VALUES if flag not in own.split()]
+
+
+def test_each_subcommand_takes_the_flags_its_campaign_reads():
+    sub, = [a for a in build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction)]
+    taken = {name: {flag for a in sp._actions for flag in a.option_strings
+                    if flag not in ("-h", "--help")}
+             for name, sp in sub.choices.items()}
+    assert taken == {name: set(f"{_EVERY} {own}".split())
+                     for name, own in _FLAGS.items()}
+    assert sum(map(len, taken.values())) == 88
+    assert len(_NOT_TAKEN) == 22
+
+
+@pytest.mark.parametrize("command, flag", _NOT_TAKEN,
+                         ids=[f"{c}{f}" for c, f in _NOT_TAKEN])
+def test_flag_not_taken_exits_2(capsys, command, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([command, flag, _VALUES[flag], "--quiet", "--no-timestamp"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "unrecognized arguments: " + flag in err.splitlines()[-1]
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",

@@ -263,15 +263,6 @@ def test_interior_entries_do_not_depend_on_truncation():
         assert run_verify_algebra(params, nmax=32, x0=origin).passed
 
 
-def test_excursion_metadata():
-    b = _basis()
-    ap, apd, am, amd = ladder_ops(b)
-    assert ap.excursion == apd.excursion == 1
-    assert (ap @ am).excursion == 2
-    assert build_observable("H", P, X0, b).excursion == 0
-    assert _poly_op(parse_poly("u1^2*u2"), P, b).excursion == 3
-
-
 def test_every_observable_exactly_hermitian():
     b = _basis()
     for name in OBSERVABLE_NAMES:
@@ -516,10 +507,10 @@ def test_poly_operator_commutes_positions():
 
 
 def test_angular_elements_examples():
-    assert angular_element("M3", 3, 2, 3, 2, P).value == 3.0
-    assert angular_element("p1", 0, 0, 0, 0, P).value == 0
-    assert angular_element("L3", 0, 1, 0, 1, P).value == -3.0
-    assert angular_element("T1", 1, 0, 0, 0, P).value == pytest.approx(
+    assert angular_element("M3", 3, 2, 3, 2, P) == 3.0
+    assert angular_element("p1", 0, 0, 0, 0, P) == 0
+    assert angular_element("L3", 0, 1, 0, 1, P) == -3.0
+    assert angular_element("T1", 1, 0, 0, 0, P) == pytest.approx(
         1j * math.sqrt(0.5), abs=1e-15)
 
 
@@ -532,7 +523,7 @@ def test_angular_elements_match_matrices():
             for n1 in range(max(0, -l1), 4):
                 for l2 in range(-3, 4):
                     for n2 in range(max(0, -l2), 4):
-                        closed = angular_element(name, l1, n1, l2, n2, p).value
+                        closed = angular_element(name, l1, n1, l2, n2, p)
                         entry = op.element((n1 + l1, n1), (n2 + l2, n2))
                         assert abs(closed - entry) < 1e-13, (name, l1, n1, l2, n2)
 
@@ -553,31 +544,31 @@ def _angular_element_scalar(name, l1, n1, l2, n2, p):
         return math.sqrt(arg) if cond else 0.0
 
     if name == "H":
-        return hb * p.omega_c * (n1 + 0.5) * d(l1, l2) * d(n1, n2), False
+        return hb * p.omega_c * (n1 + 0.5) * d(l1, l2) * d(n1, n2)
     if name == "T1":
         return 1j * c * (up(l1 == l2 + 1, n1 + l1)
-                         - up(l2 == l1 + 1, n1 + l2)) * d(n1, n2), False
+                         - up(l2 == l1 + 1, n1 + l2)) * d(n1, n2)
     if name == "T2":
         return s * c * (up(l1 == l2 + 1, n1 + l1)
-                        + up(l2 == l1 + 1, n1 + l2)) * d(n1, n2), False
+                        + up(l2 == l1 + 1, n1 + l2)) * d(n1, n2)
     if name == "M3":
-        return s * hb * l1 * d(l1, l2) * d(n1, n2), False
+        return s * hb * l1 * d(l1, l2) * d(n1, n2)
     if name == "p1":
         return 1j * c * (up(l2 == l1 + 1 and n1 == n2 + 1, n1)
-                         - up(l1 == l2 + 1 and n2 == n1 + 1, n2)), False
+                         - up(l1 == l2 + 1 and n2 == n1 + 1, n2))
     if name == "p2":
         return -s * c * (up(l2 == l1 + 1 and n1 == n2 + 1, n1)
-                         + up(l1 == l2 + 1 and n2 == n1 + 1, n2)), False
+                         + up(l1 == l2 + 1 and n2 == n1 + 1, n2))
     assert name == "L3"
     if n1 == n2:
-        return -s * hb * (2 * n1 + 1) * d(l1, l2), False
+        return -s * hb * (2 * n1 + 1) * d(l1, l2)
     v = 0.0
     if l1 == l2:
         if n1 == n2 + 1:
             v = -s * hb * math.sqrt((n2 + l2 + 1) * (n2 + 1))
         elif n2 == n1 + 1:
             v = -s * hb * math.sqrt((n2 + l2) * n2)
-    return complex(v), True
+    return complex(v)
 
 
 def _bits(z):
@@ -606,28 +597,22 @@ def test_array_angular_element_matches_scalar_code_bitwise(
               for l in range(-n, top[1] + 1)] + extra
     l1, n1 = (np.array(c)[:, None] for c in zip(*labels))
     el = angular_element(name, l1, n1, l1.T, n1.T, p)
-    assert el.value.shape == el.beyond_table.shape == (len(labels),) * 2
+    assert el.shape == (len(labels),) * 2
     for i, (lb, nb) in enumerate(labels):
         for j, (lk, nk) in enumerate(labels):
-            value, beyond = _angular_element_scalar(name, lb, nb, lk, nk, p)
-            assert _bits(el.value[i, j]) == _bits(value)
-            assert el.beyond_table[i, j] == beyond
+            value = _angular_element_scalar(name, lb, nb, lk, nk, p)
+            assert _bits(el[i, j]) == _bits(value)
     # scalar labels in, Python scalars out, with the same bits
     for (lb, nb), (lk, nk) in zip(labels, labels[::-1]):
-        value, beyond = _angular_element_scalar(name, lb, nb, lk, nk, p)
+        value = _angular_element_scalar(name, lb, nb, lk, nk, p)
         one = angular_element(name, lb, nb, lk, nk, p)
-        assert type(one.value) in (float, complex)
-        assert type(one.beyond_table) is bool
-        assert _bits(one.value) == _bits(value)
-        assert one.beyond_table == beyond
+        assert type(one) in (float, complex)
+        assert _bits(one) == _bits(value)
 
 
 def test_orbital_between_levels_flagged():
     el = angular_element("L3", 2, 1, 2, 2, P)
-    assert el.beyond_table
-    assert el.value == pytest.approx(-math.sqrt((2 + 2) * 2), rel=1e-15)
-    same = angular_element("L3", 2, 1, 2, 1, P)
-    assert not same.beyond_table
+    assert el == pytest.approx(-math.sqrt((2 + 2) * 2), rel=1e-15)
 
 
 def test_label_validation():

@@ -73,8 +73,8 @@ def test_parse_literal():
 def test_parse_degree_overflow():
     with pytest.raises(DegreeOverflowError):
         parse_poly("u1^7")
-    # the bound is configurable
-    assert parse_poly("u1^7", max_degree=8).terms == {(7, 0): 1.0}
+    # the bound itself, DEFAULT_MAX_DEGREE = 6, is accepted
+    assert parse_poly("u1^6").terms == {(6, 0): 1.0}
 
 
 def test_parse_errors_carry_position():

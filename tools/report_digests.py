@@ -8,12 +8,13 @@ Usage, from the root of a checkout::
 
 Eight runs: every campaign at small settings; every campaign with a
 non-default parameter set (negative charge, non-unit hbar, off-origin x0,
-sheared gauge with a cubic gauge function); gauge-scan with the Simpson
-rule and ``--dump-grid``; the dynamics campaigns at their own settings
-(verify-algebra at the default ``--nmax 16`` with the variant parameters,
-an rk4 orbit, the zero-momentum orbit, heisenberg-demo at the default
-``--grid 80`` and basis-change at ``--grid 56``, whose line integrals then
-run on 56 and 60 nodes, both with the variant parameters); and
+sheared gauge with a cubic gauge function), of which each campaign takes
+the parts it reads; gauge-scan with the Simpson rule and ``--dump-grid``;
+the dynamics campaigns at their own settings (verify-algebra at the
+default ``--nmax 16`` with the variant parameters, an rk4 orbit, the
+zero-momentum orbit, heisenberg-demo at the default ``--grid 80`` and
+basis-change at ``--grid 56``, whose line integrals then run on 56 and 60
+nodes, both with the variant parameters); and
 reproduce-tables at ``--nmax 16``, whose closed-vs-matrix check then spans
 all 117 angular states, with the variant parameters and non-unit mass and
 field; and gauge-scan at ``--nmax 16`` over the seeded default gauges with
@@ -57,29 +58,40 @@ SMALL = {
     "heisenberg-demo": ["--grid", "48"],
 }
 
-VARIANT = ["--charge", "-1", "--hbar", "0.6", "--x0", "0.3,-0.2",
-           "--alpha", "0.37",
-           "--phi", "0.05*u1^2*u2 - 0.1*u1 + 0.02*u2^3"]
+PHYSICAL = ["--charge", "-1", "--hbar", "0.6"]
+ORIGIN = ["--x0", "0.3,-0.2"]
+GAUGE = ["--alpha", "0.37", "--phi", "0.05*u1^2*u2 - 0.1*u1 + 0.02*u2^3"]
+# the parts of the variant parameter set each campaign reads
+VARIANT = {
+    "verify-algebra": PHYSICAL + ORIGIN,
+    "gauge-scan": PHYSICAL + ORIGIN + GAUGE,
+    "reproduce-tables": PHYSICAL + ORIGIN + GAUGE,
+    "basis-change": PHYSICAL + ORIGIN + GAUGE,
+    "classical-sim": PHYSICAL + ORIGIN,
+    "heisenberg-demo": PHYSICAL,
+}
 
 RUNS = [
     ("small", [[name, *args] for name, args in SMALL.items()]),
-    ("variant", [[name, *args, *VARIANT] for name, args in SMALL.items()]),
+    ("variant", [[name, *args, *VARIANT[name]]
+                 for name, args in SMALL.items()]),
     ("simpson", [["gauge-scan", "--scheme", "simpson", "--grid", "80",
                   "--scan-levels", "2", "--nmax", "8", "--dump-grid"]]),
-    ("dynamics", [["verify-algebra", *VARIANT],
+    ("dynamics", [["verify-algebra", *VARIANT["verify-algebra"]],
                   ["classical-sim", "--method", "rk4", "--steps", "2000"],
                   ["classical-sim", "--energy", "0", "--centre", "0.3,0.4"],
-                  ["heisenberg-demo", *VARIANT],
-                  ["basis-change", "--grid", "56", *VARIANT]]),
-    ("tables", [["reproduce-tables", "--nmax", "16", "--grid", "56", *VARIANT,
-                 "--mass", "1.3", "--bfield", "0.7"]]),
+                  ["heisenberg-demo", *VARIANT["heisenberg-demo"]],
+                  ["basis-change", "--grid", "56", *VARIANT["basis-change"]]]),
+    ("tables", [["reproduce-tables", "--nmax", "16", "--grid", "56",
+                 *VARIANT["reproduce-tables"], "--mass", "1.3", "--bfield",
+                 "0.7"]]),
     ("scan", [["gauge-scan", "--scan-levels", "2", "--grid", "40", "--nmax",
                "16", "--seed", "90917", "--charge", "-1", "--hbar", "0.6",
                "--mass", "1.3", "--bfield", "0.7", "--x0", "0.3,-0.2"]]),
-    ("full", [["classical-sim", *VARIANT, "--mass", "1.3", "--bfield", "0.7",
-               "--energy", "1.1", "--centre", "0.5,-0.1"],
+    ("full", [["classical-sim", *VARIANT["classical-sim"], "--mass", "1.3",
+               "--bfield", "0.7", "--energy", "1.1", "--centre", "0.5,-0.1"],
               ["heisenberg-demo", "--scheme", "simpson", "--grid", "120",
-               *VARIANT],
+               *VARIANT["heisenberg-demo"]],
               ["classical-sim", "--centre", "1e3,0", "--energy", "0.5",
                "--steps", "200"]]),
     ("acceptance", [[name] for name in SMALL]),
