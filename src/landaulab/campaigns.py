@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -190,46 +191,187 @@ def _default_grid(p: PhysicalParams, g: GaugeChoice, k: int,
     raise ValueError(f"unknown scheme {scheme!r}")
 
 
-class _ElementEngine:
-    """Caches wave-function jets on the fine grid and evaluates each batch
-    of matrix elements as one stream of integrand rows through
-    ``quad.integrate_rows``."""
+# The rule's weight exponent and the states' Gaussians are each rounded a
+# few times over; within this relative distance they are one exponent.
+_WEIGHT_RTOL = 1e-14
 
-    def __init__(self, grid: quad.Grid2, origin):
-        self.grid = grid
-        x1, x2, _ = grid.points
-        self.xy = (x1, x2)
-        self.u = (x1 - origin[0], x2 - origin[1])
-        self._jets: dict = {}
+
+class _Shape(NamedTuple):
+    """What the degree certificate reads of a wave function: the total
+    degree of its polynomial part (the polynomial times the special
+    factor), the degree each derivative can add to it (that of R' for
+    R = -Q + i Phi), its phase and its Gaussian."""
+
+    degree: int
+    slope: int
+    phase: Poly2
+    gauss: Poly2
+
+    @classmethod
+    def of(cls, form: wv.WaveForm) -> "_Shape":
+        degree = form.poly.degree
+        if form.special is not None:
+            degree += form.special.n * form.special.arg.degree
+        return cls(degree, max(form.exponent.degree - 1, 0), form.phase,
+                   form.gauss)
+
+
+def _op_degrees(op: wv.DiffOpSpec | None) -> list[tuple[int, int]]:
+    """``(order, degree)`` of each nonzero coefficient of an operator; the
+    overlap (``op=None``) is the identity."""
+    if op is None:
+        return [(0, 0)]
+    return [(order, poly.degree) for order, poly in zip(
+        (0, 1, 1, 2, 2, 2), (op.c, op.b1, op.b2, op.a11, op.a12, op.a22))
+        if not poly.is_zero()]
+
+
+class _ElementEngine:
+    """Evaluates batches of matrix elements, each as streams of integrand
+    rows through ``quad.integrate_rows``, from wave functions loaded under
+    keys; each key's jet is computed once per rule, when a row first reads
+    it.
+
+    A request ``<bra|op|ket>`` is *certified* when its integrand is a
+    polynomial times the weight of the Gauss-Hermite rule about the gauge
+    origin at scale sqrt(2) l_B: the scheme is ``gauss_hermite``, bra and
+    ket share their phase and have the rule's centre as origin, and their
+    Gaussians sum to the rule's exponent |u|^2 / (2 l_B^2).  Its degree is
+
+        D = deg(bra) + max over the nonzero slots of op of
+            [deg(coefficient) + deg(ket) + order * (deg R - 1)],
+
+    with R = -Q + i Phi the ket's exponent, and a k-node rule integrates
+    it exactly once D <= 2k - 1 (Golub & Welsch, "Calculation of Gauss
+    quadrature rules", Math. Comp. 23, 1969).  The certified requests of a
+    batch run on one such rule, k = max(3, ceil((D_max + 1) / 2)), which
+    skips the boundary-decay check.  The others, and all of a batch whose
+    k is not below ``grid_k``, run on the ``grid_k`` rule of ``scheme``
+    under that check.  ``certified_k`` is the largest certified k so far,
+    or None."""
+
+    def __init__(self, p: PhysicalParams, g: GaugeChoice, grid_k: int,
+                 scheme: str):
+        self.p, self.g, self.grid_k, self.scheme = p, g, grid_k, scheme
+        self.x0 = g.x0
+        self.scale = math.sqrt(2.0) * p.magnetic_length
+        self.certified_k = None
+        self._forms: dict = {}
+        self._jets: dict = {}    # (key, k) -> jet; k None on the grid_k rule
+        self._rules: dict = {}   # k -> (rule, nodes, shifted nodes)
+        self._shapes: dict = {}  # key -> _Shape, or None off the centre
 
     def load(self, key, make, *args):
-        """Cache the jet of the wave function ``make(*args)`` under ``key``;
-        the function is only built when no jet is cached for the key."""
-        if key not in self._jets:
-            self._jets[key] = make(*args).jet(*self.xy)
+        """Keep the wave function ``make(*args)`` under ``key``; it is only
+        built when no function is kept under the key."""
+        if key not in self._forms:
+            self._forms[key] = make(*args)
+
+    def _rule(self, k):
+        """The certified rule of ``k`` nodes per axis, or for ``None`` the
+        ``grid_k`` rule, with its nodes and their shifts from the origin."""
+        if k not in self._rules:
+            rule = (_default_grid(self.p, self.g, self.grid_k, self.scheme)
+                    if k is None else quad.Grid2.gauss_hermite(
+                        k, centre=self.x0, scale=self.scale, exact=True))
+            x1, x2, _ = rule.points
+            self._rules[k] = (rule, (x1, x2),
+                              (x1 - self.x0[0], x2 - self.x0[1]))
+        return self._rules[k]
+
+    def _jet(self, key, k):
+        jet = self._jets.get((key, k))
+        if jet is None:
+            jet = self._jets[key, k] = self._forms[key].jet(*self._rule(k)[1])
+        return jet
+
+    def _shape(self, key) -> _Shape | None:
+        if key not in self._shapes:
+            form = self._forms[key]
+            self._shapes[key] = (_Shape.of(form) if form.origin == self.x0
+                                 else None)
+        return self._shapes[key]
+
+    def _weight_pair(self, qa: Poly2, qb: Poly2) -> bool:
+        """Whether two Gaussians sum to the rule's exponent, coefficient by
+        coefficient."""
+        total = (qa + qb).terms
+        c = 1.0 / (self.scale * self.scale)
+        return total.keys() == {(2, 0), (0, 2)} and all(
+            math.isclose(total[key], c, rel_tol=_WEIGHT_RTOL)
+            for key in total)
+
+    def _degrees(self, requests: dict) -> dict:
+        """The degree D of every certified request, by key."""
+        if self.scheme != "gauss_hermite":
+            return {}
+        weighted: dict = {}  # (bra, ket) -> whether the Gaussians certify
+        reach: dict = {}     # (op, slope) -> D - deg(bra) - deg(ket)
+        out = {}
+        for key, (bra, op, ket) in requests.items():
+            a, b = self._shape(bra), self._shape(ket)
+            if a is None or b is None or a.phase != b.phase:
+                continue
+            if (bra, ket) not in weighted:
+                weighted[bra, ket] = self._weight_pair(a.gauss, b.gauss)
+            if weighted[bra, ket]:
+                if (id(op), b.slope) not in reach:
+                    # a zero operator's integrand is zero, of any degree
+                    reach[id(op), b.slope] = max(
+                        (degree + order * b.slope
+                         for order, degree in _op_degrees(op)), default=0)
+                out[key] = a.degree + b.degree + reach[id(op), b.slope]
+        return out
 
     def elements(self, requests: dict) -> dict:
         """``<bra|op|ket>`` for every key of ``requests``, a mapping from the
-        caller's key to ``(bra_key, op, ket_key)``, integrated once per key;
-        ``op=None`` gives the overlap ``<bra|ket>``.  Each value equals
-        ``quad.matrix_element`` (or ``inner_product``) bit for bit.  A
-        support failure is raised for the first failing request, in key
-        order."""
-        ops = {id(op): op for _, op, _ in requests.values() if op is not None}
-        # the nonzero coefficient arrays of each operator, by jet slot
-        coeffs = {key: [(slot, poly(*self.u)) for slot, poly in enumerate(
-                      (op.c, op.b1, op.b2, op.a11, op.a12, op.a22))
-                      if not poly.is_zero()]
-                  for key, op in ops.items()}
+        caller's key to ``(bra_key, op, ket_key)``, integrated once per key,
+        in key order; ``op=None`` gives the overlap ``<bra|ket>``.  An
+        uncertified value equals ``quad.matrix_element`` (or
+        ``inner_product``) on the ``grid_k`` rule bit for bit.  The
+        uncertified requests run first, so a support failure is raised for
+        the first failing one, in key order."""
+        degrees = self._degrees(requests)
+        k = max(3, (max(degrees.values(), default=0) + 2) // 2)
+        if k >= self.grid_k:
+            degrees = {}
+        elif degrees:
+            self.certified_k = max(k, self.certified_k or k)
+        values = {}
+        for rule_k, keys in ((None, [key for key in requests
+                                     if key not in degrees]),
+                             (k, list(degrees))):
+            if keys:
+                values.update(zip(keys, quad.integrate_rows(
+                    self._rows(requests, keys, rule_k),
+                    self._rule(rule_k)[0])))
+        return {key: values[key] for key in requests}
 
-        def row(bra, op, ket):
-            jet = self._jets[ket]
-            applied = jet.f if op is None else sum(
-                arr * jet[slot] for slot, arr in coeffs[id(op)])
-            return np.conj(self._jets[bra].f) * applied
-        values = quad.integrate_rows(
-            (row(*request) for request in requests.values()), self.grid)
-        return dict(zip(requests, values))
+    def _rows(self, requests: dict, keys, k):
+        """The integrand rows of the requests under ``keys`` on rule ``k``,
+        in order; each operator's nonzero coefficient arrays, by jet slot,
+        are evaluated when a row first reads them."""
+        u = self._rule(k)[2]
+        coeffs: dict = {}
+        for key in keys:
+            bra, op, ket = requests[key]
+            jet = self._jet(ket, k)
+            if op is None:
+                applied = jet.f
+            else:
+                if id(op) not in coeffs:
+                    coeffs[id(op)] = [
+                        (slot, poly(*u)) for slot, poly in enumerate(
+                            (op.c, op.b1, op.b2, op.a11, op.a12, op.a22))
+                        if not poly.is_zero()]
+                applied = sum(arr * jet[slot] for slot, arr in coeffs[id(op)])
+            yield np.conj(self._jet(bra, k).f) * applied
+
+
+def _largest(ks):
+    """The largest of the engines' ``certified_k``, or None if none
+    certified a batch."""
+    return max((k for k in ks if k is not None), default=None)
 
 
 def _angular_states(top: int) -> list[tuple[int, int]]:
@@ -270,8 +412,10 @@ def run_gauge_scan(p: PhysicalParams, gauges=None, nmax: int = 16,
     """Recompute physical matrix elements up to level ``levels`` by
     quadrature in every gauge and check that they do not move; check that
     the canonical (gauge-variant) operators decompose exactly as predicted
-    and shift between gauges by the gradient of the gauge function.  The
-    gauges share one grid, and each is one batch of element requests."""
+    and shift between gauges by the gradient of the gauge function.  Each
+    gauge is one batch of element requests, all certified (see
+    ``_ElementEngine``); the report's ``certified_k`` is the largest
+    certified node count per axis."""
     if gauges is None:
         gauges = default_gauges(seed)
     x0 = gauges[0].x0
@@ -321,10 +465,10 @@ def run_gauge_scan(p: PhysicalParams, gauges=None, nmax: int = 16,
              .entries((n1 + l1, n1), (n2 + l2, n2)).tolist()
              for name, f in extra.items()} for extra in extras]
     del monomials, partners  # not held through the quadrature
-    grid = _default_grid(p, gauges[0], grid_k, scheme)
     found: dict = {}  # each request's values, in gauge order
+    certified = []
     for gi, (g, extra) in enumerate(zip(gauges, extras)):
-        eng = _ElementEngine(grid, x0)
+        eng = _ElementEngine(p, g, grid_k, scheme)
         for (l, n) in states:
             eng.load((l, n), wv.fock_state, g, p, n + l, n)
         ops = {name: wv.position_op(name, g, p) for name in _SCAN_OPS}
@@ -338,6 +482,8 @@ def run_gauge_scan(p: PhysicalParams, gauges=None, nmax: int = 16,
             requests.update(shifts)
         for key, value in eng.elements(requests).items():
             found.setdefault(key, []).append(value)
+        certified.append(eng.certified_k)
+    rep.settings["certified_k"] = _largest(certified)
 
     for name in _SCAN_OPS:
         rows = [np.array(found[name, pair]) for pair in pairs]
@@ -376,7 +522,9 @@ def run_reproduce_tables(p: PhysicalParams, nmax: int = 16,
     and the translation-eigenbasis table through two; returns the report and
     the CSV rows (basis, operator, indices, closed form, computed, error).
     ``tol`` bounds the quadrature routes; the closed form and the Fock
-    matrices agree to ``ALGEBRA_TOL``."""
+    matrices agree to ``ALGEBRA_TOL``.  The angular rows are certified
+    (``certified_k`` as for the scan); the translation-state rows run on
+    the ``grid_k`` rule."""
     g = gauge if gauge is not None else GaugeChoice(0.0)
     rep = _report("reproduce-tables", p, [g], nmax=nmax, grid=grid_k,
                   scheme=scheme)
@@ -406,8 +554,7 @@ def run_reproduce_tables(p: PhysicalParams, nmax: int = 16,
         abs(z) for name in ("p1", "p2") for z in mats[name].entries(
             (n1s + l1s, n1s), (n2s + l2s, n2s))[same].tolist()], ALGEBRA_TOL)
 
-    grid = _default_grid(p, g, grid_k, scheme)
-    eng = _ElementEngine(grid, g.x0)
+    eng = _ElementEngine(p, g, grid_k, scheme)
     for (l, n) in states:
         eng.load((l, n), wv.fock_state, g, p, n + l, n)
     ops = {name: wv.position_op(name, g, p) for name in _TABLE_OPS}
@@ -455,6 +602,7 @@ def run_reproduce_tables(p: PhysicalParams, nmax: int = 16,
     dev_levels = _t1_level_rows(p, g, eng, rows, idx_top)
     for name, dev in dev_levels.items():
         rep.add(f"t1:{name}:kernel-vs-quadrature", dev, tol)
+    rep.settings["certified_k"] = eng.certified_k
     return rep, rows
 
 
@@ -714,10 +862,9 @@ def run_heisenberg_demo(p: PhysicalParams, grid_k: int = 80,
     coincide; exercised for three polynomial generators and five
     operator/state pairs.  Each representation (the plain one has
     generator zero) is one batch of an element engine of its own, which
-    holds the jets of its four states."""
+    holds the jets of its four states; ``certified_k`` as for the scan."""
     g = GaugeChoice(0.0)
     rep = _report("heisenberg-demo", p, [], grid=grid_k, scheme=scheme)
-    grid = _default_grid(p, g, grid_k, scheme)
     hb = p.hbar
 
     lams = [
@@ -729,9 +876,9 @@ def run_heisenberg_demo(p: PhysicalParams, grid_k: int = 80,
     states = {k: wv.fock_state(g, p, *k)
               for k in ((0, 0), (1, 0), (0, 1), (2, 1))}
     x1 = wv.multiplication_op(Poly2.variable(1))
-    found = []
+    found, certified = [], []
     for lam in lams:
-        eng = _ElementEngine(grid, g.x0)
+        eng = _ElementEngine(p, g, grid_k, scheme)
         for k, psi in states.items():
             eng.load(k, wv.phase_shifted, psi, lam, hb)
         v = (lam.diff(1), lam.diff(2))
@@ -743,6 +890,8 @@ def run_heisenberg_demo(p: PhysicalParams, grid_k: int = 80,
         values = eng.elements({j: (bra, op, ket)
                                for j, (op, bra, ket) in enumerate(ops)})
         found.append(list(values.values()))
+        certified.append(eng.certified_k)
+    rep.settings["certified_k"] = _largest(certified)
     base, *dressed = found
     for i, values in enumerate(dressed):
         rep.add(f"flat-connection:lambda{i}",

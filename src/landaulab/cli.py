@@ -186,6 +186,8 @@ def _check_numerics(args, parser, p: PhysicalParams):
         def orbit():
             return cp.classical_orbit(p, args.energy, args.centre)
         checks += [
+            ("--x0", lambda: _require(all(map(math.isfinite, args.x0)),
+                                      "x0 must be finite")),
             ("--steps", lambda: _require(args.steps is None or args.steps >= 1,
                                          "need at least one step")),
             ("--dt", lambda: _require(args.dt is None

@@ -7,9 +7,14 @@ Every integral is a row of integrand values on the nodes of a rule
 goes through :func:`integrate_rows`, which reduces a stream of them in
 blocks.  Every reduction is correctly rounded: the real and imaginary
 parts of a weighted sum equal ``math.fsum`` of the products bit for bit,
-whatever the batch or block they are reduced in.  Integrands are required
-to decay below 1e-12 of their peak on the outermost nodes: the outer ring
-of a 2-D grid, the two endpoints of a 1-D rule.
+whatever the batch or block they are reduced in.
+
+On every rule but an exact one, integrands are required to decay below
+1e-12 of their peak on the outermost nodes: the outer ring of a 2-D grid,
+the two endpoints of a 1-D rule.  An exact rule (``Grid2.exact``) is one
+whose every integrand its caller has certified to be a polynomial times
+the rule's Gauss-Hermite weight, of a degree the rule integrates exactly;
+that degree certificate replaces the boundary-decay check there.
 """
 
 from __future__ import annotations
@@ -73,7 +78,10 @@ def _axis_simpson(n: int, centre: float, extent: float):
 
 class Grid1:
     """The k-node Gauss-Hermite rule about 0 on the real line, its nodes
-    ``scale`` times the standard ones; the two endpoints are its boundary."""
+    ``scale`` times the standard ones; the two endpoints are its boundary,
+    always checked."""
+
+    exact = False
 
     def __init__(self, k: int, scale: float = 1.0):
         self.nodes, self.weights = _axis_gauss_hermite(k, 0.0, scale)
@@ -82,18 +90,21 @@ class Grid1:
 
 @dataclass(frozen=True)
 class Grid2:
-    """Tensor-product quadrature grid with positive weights."""
+    """Tensor-product quadrature grid with positive weights.  An ``exact``
+    grid skips the boundary-decay check: its caller has certified that the
+    rule integrates each of its integrands exactly."""
 
     x1: np.ndarray
     w1: np.ndarray
     x2: np.ndarray
     w2: np.ndarray
+    exact: bool = False
 
     @classmethod
-    def gauss_hermite(cls, k: int, centre=(0.0, 0.0),
-                      scale: float = 1.0) -> "Grid2":
+    def gauss_hermite(cls, k: int, centre=(0.0, 0.0), scale: float = 1.0,
+                      exact: bool = False) -> "Grid2":
         return cls(*_axis_gauss_hermite(k, centre[0], scale),
-                   *_axis_gauss_hermite(k, centre[1], scale))
+                   *_axis_gauss_hermite(k, centre[1], scale), exact)
 
     @classmethod
     def simpson(cls, n: int, centre=(0.0, 0.0),
@@ -268,9 +279,9 @@ def integrate_rows(rows: Iterable, rule: Grid1 | Grid2) -> list[complex]:
 
     Each row is copied, as it is read, into a reused block of at most
     ``_BLOCK_VALUES`` values (one row, if longer).  A full block, and the
-    last, is support-checked row by row and then reduced before the next
-    row is read.  A nested call, made while a row is computed, gathers its
-    rows in a block of its own."""
+    last, is support-checked row by row, unless the rule is exact, and then
+    reduced before the next row is read.  A nested call, made while a row
+    is computed, gathers its rows in a block of its own."""
     n = rule.weights.size
     depth = getattr(_scratch, "depth", 0)
     block = _buffer(f"rows{depth}", (max(1, _BLOCK_VALUES // n), n), complex)
@@ -284,7 +295,8 @@ def integrate_rows(rows: Iterable, rule: Grid1 | Grid2) -> list[complex]:
                     raise ValueError(
                         f"row of shape {np.shape(row)} on {n} nodes")
                 block[filled - 1] = row
-            _support_check(block[:filled], rule.boundary_mask)
+            if not rule.exact:
+                _support_check(block[:filled], rule.boundary_mask)
             out += _weighted_sums(block[:filled], rule.weights)
             if filled < len(block):
                 return out

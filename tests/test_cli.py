@@ -341,6 +341,23 @@ def test_heisenberg_demo(tmp_path):
     assert code == 0
 
 
+@pytest.mark.parametrize("args, certified_k", [
+    # a cubic gauge and states up to n+ + n- = 3: degree 10, six nodes
+    (["gauge-scan", "--grid", "40", "--scan-levels", "1", "--nmax", "8"], 6),
+    (["reproduce-tables", "--grid", "56", "--nmax", "12"], 20),
+    (["heisenberg-demo", "--grid", "48"], 4),
+    # Simpson's rule is never certified
+    (["heisenberg-demo", "--scheme", "simpson", "--grid", "48"], None),
+    (["basis-change", "--grid", "64"], "absent"),
+], ids=["scan", "tables", "demo", "demo-simpson", "basis"])
+def test_reports_record_the_certified_rule(tmp_path, args, certified_k):
+    out = tmp_path / "r.json"
+    code = main(args + ["--quiet", "--no-timestamp", "--json-out", str(out)])
+    assert code == 0
+    settings = json.loads(out.read_text())["settings"]
+    assert settings.get("certified_k", "absent") == certified_k
+
+
 def test_simpson_scheme(tmp_path):
     code = main(["basis-change", "--scheme", "simpson", "--grid", "96",
                  "--quiet", "--no-timestamp",
@@ -391,8 +408,8 @@ def test_bad_phi_rejected(capsys):
     (["basis-change", "--alpha", "nan"], "alpha and x0 must be finite"),
     (["basis-change", "--x0", "nan,0"], "alpha and x0 must be finite"),
     (["verify-algebra", "--x0", "nan,0"], "alpha and x0 must be finite"),
-    (["classical-sim", "--x0", "inf,0"],
-     "--centre: the charges overflow on an orbit reaching inf from x0"),
+    (["classical-sim", "--x0", "inf,0"], "--x0: x0 must be finite"),
+    (["classical-sim", "--x0", "nan,0"], "--x0: x0 must be finite"),
     # the charge relation is read inside a margin of 2 whatever --margin says
     (["verify-algebra", "--nmax", "1", "--margin", "0"],
      "--nmax: the charge relation needs nmax >= 2"),
@@ -409,11 +426,13 @@ def test_bad_phi_rejected(capsys):
     (["gauge-scan", "--scan-levels", "21", "--nmax", "40"],
      "--scan-levels: levels above 20 reach quantum numbers beyond 40"),
     (["classical-sim", "--seed", "-1"], "--seed: expected non-negative integer"),
-    # grids too small for the integrands fail their support check mid-run
-    (["gauge-scan", "--grid", "10", "--scan-levels", "1", "--nmax", "4"],
+    # grids too small for the integrands fail their support check mid-run;
+    # the scan's and the demo's batches are certified on 14-15 and 4 nodes,
+    # so they fail it only where --grid is no larger
+    (["gauge-scan", "--grid", "10", "--scan-levels", "4"],
      "--grid: integrand boundary magnitude"),
     (["basis-change", "--grid", "10"], "--grid: integrand boundary magnitude"),
-    (["heisenberg-demo", "--grid", "10"],
+    (["heisenberg-demo", "--grid", "4"],
      "--grid: integrand boundary magnitude"),
     (["reproduce-tables", "--grid", "10", "--nmax", "12"],
      "--grid: integrand boundary magnitude"),
@@ -452,7 +471,7 @@ def test_bad_phi_rejected(capsys):
 ], ids=["nmax", "algebra-nmax-high", "scan-nmax-high", "tables-nmax-high",
         "simpson-grid", "margin", "phi-syntax", "mass", "steps",
         "dt-negative", "dt-nan", "energy", "bfield-nan", "hbar-inf",
-        "alpha-nan", "x0-nan", "algebra-x0-nan", "sim-x0-inf",
+        "alpha-nan", "x0-nan", "algebra-x0-nan", "sim-x0-inf", "sim-x0-nan",
         "algebra-nmax-1-margin-0", "algebra-nmax-1-margin-1", "tables-nmax", "scan-nmax", "scan-nmax-cubic",
         "scan-levels", "scan-levels-high", "seed", "scan-grid", "basis-grid",
         "demo-grid", "tables-grid", "dt-orbit-overflow", "tol-nan",

@@ -1,6 +1,7 @@
 import math
 import struct
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -13,8 +14,10 @@ from landaulab import quadrature as quad
 from landaulab import waves as wv
 from landaulab.campaigns import (_SCAN_OPS, TABLE_INDEX_TOP, _angular_states,
                                  _default_grid, _ElementEngine,
-                                 _t1_level_rows, run_basis_change,
-                                 run_heisenberg_demo)
+                                 _neighbour_pairs, _t1_level_rows,
+                                 default_gauges, run_basis_change,
+                                 run_gauge_scan, run_heisenberg_demo,
+                                 run_reproduce_tables)
 from landaulab.fockspace import change_of_basis, t1_fock_overlap
 from landaulab.params import CANONICAL_PARTNER
 from landaulab.quadrature import (Grid2, SupportOverflowError,
@@ -443,6 +446,17 @@ def test_level_count_is_fixed_by_the_block_range(monkeypatch):
     assert _bits(result) == _bits(_fsum_products(vals, w))
 
 
+def _rephased(psi):
+    """``psi`` times a plane wave: the same decay under another phase."""
+    return wv.phase_shifted(psi, Poly2.monomial(1, 0, 0.3), 1.0)
+
+
+def _certified_rule(p, g, k):
+    """The exact k-node rule an engine certifies on for ``g``'s origin."""
+    return Grid2.gauss_hermite(k, centre=g.x0, scale=math.sqrt(2.0)
+                               * p.magnetic_length, exact=True)
+
+
 _CUBIC = GaugeChoice(-0.6, (0.1, 0.4),
                      parse_poly("0.08*u2^2 - 0.04*u1^3 + 0.03*u1*u2^2"))
 
@@ -453,10 +467,16 @@ _CUBIC = GaugeChoice(-0.6, (0.1, 0.4),
     ("gauss_hermite", 40, SYM),
 ], ids=["gauss_hermite-40", "simpson-64", "symmetric-gauss_hermite-40"])
 def test_engine_elements_equal_matrix_element(scheme, k, g):
+    # the angular states of one gauge certify each other; a re-phased state
+    # carries another phase, so its rows with them are uncertified.  An
+    # uncertified value has the bits of matrix_element on the --grid rule,
+    # a certified one those of the same row on the certified rule
     grid = _default_grid(P, g, k, scheme)
-    labels = [(0, 0), (1, 0), (-1, 1), (2, 1)]
-    psi = {lab: fock_state(g, P, lab[1] + lab[0], lab[1]) for lab in labels}
-    eng = _ElementEngine(grid, g.x0)
+    labels = [(0, 0), (1, 0), (-1, 1), (2, 1), "rephased"]
+    psi = {lab: fock_state(g, P, lab[1] + lab[0], lab[1])
+           for lab in labels[:-1]}
+    psi["rephased"] = _rephased(psi[(1, 0)])
+    eng = _ElementEngine(P, g, k, scheme)
     for lab in labels:
         eng.load(lab, psi.get, lab)
     ops = [position_op(name, g, P)
@@ -466,9 +486,10 @@ def test_engine_elements_equal_matrix_element(scheme, k, g):
     # a second key for every request of the first operator: each key is
     # integrated once, and both keys of a request read the same bits
     twins = {("twin", a, b): (a, ops[0], b) for a in labels for b in labels}
-    rows = []
+    rows, rules = [], []
 
     def counted(values, grid):
+        rules.append(grid)
         rows.append(integrate_rows(values, grid))
         return rows[-1]
     with pytest.MonkeyPatch.context() as mp:
@@ -476,9 +497,15 @@ def test_engine_elements_equal_matrix_element(scheme, k, g):
         values = eng.elements({**requests, **twins})
     assert list(values) == [*requests, *twins]
     assert sum(map(len, rows)) == len(requests) + len(twins)
+    certified = eng.certified_k
+    assert (certified is None) == (scheme == "simpson")
+    assert [rule.exact for rule in rules] == [False] + [True] * bool(certified)
+    exact = certified and _certified_rule(P, g, certified)
     for (i, a, b), (_, op, _) in requests.items():
-        ref = (inner_product(psi[a], psi[b], grid) if op is None
-               else matrix_element(psi[a], op, psi[b], grid))
+        mixed = (a == "rephased") != (b == "rephased")
+        on = exact if certified and not mixed else grid
+        ref = (inner_product(psi[a], psi[b], on) if op is None
+               else matrix_element(psi[a], op, psi[b], on))
         assert struct.pack("<dd", values[i, a, b].real, values[i, a, b].imag) \
             == struct.pack("<dd", ref.real, ref.imag)
     for (_, a, b) in twins:
@@ -488,7 +515,7 @@ def test_engine_elements_equal_matrix_element(scheme, k, g):
 
 
 def _table_engine():
-    return _ElementEngine(_default_grid(P, SYM, 56, "gauss_hermite"), SYM.x0)
+    return _ElementEngine(P, SYM, 56, "gauss_hermite")
 
 
 def test_level_rows_build_each_state_once(monkeypatch):
@@ -536,14 +563,17 @@ _DEMO_LAMBDAS = (parse_poly("0.5*u1*u2"), parse_poly("0.3*u1^2 - 0.7*u2"),
                  parse_poly("0.1*u1^3 + 0.4*u2^2 - 0.2*u1"))
 
 
-def _demo_reference(p, grid):
+def _demo_reference(p, grids):
     """heisenberg-demo's 5 elements in the plain representation and in each
-    of the three dressed ones, one ``matrix_element`` call each."""
+    of the three dressed ones, one ``matrix_element`` call each, on one
+    rule for all or on one rule per representation."""
     hb = p.hbar
     zero = Poly2.zero()
     plain = {k: fock_state(SYM, p, *k) for k in _DEMO_STATES}
+    if isinstance(grids, Grid2):
+        grids = [grids] * (1 + len(_DEMO_LAMBDAS))
     out = []
-    for lam in (None, *_DEMO_LAMBDAS):
+    for lam, grid in zip((None, *_DEMO_LAMBDAS), grids):
         v = (zero, zero) if lam is None else (lam.diff(1), lam.diff(2))
         psi = plain if lam is None else {
             k: wv.phase_shifted(s, lam, hb) for k, s in plain.items()}
@@ -567,16 +597,19 @@ def test_heisenberg_demo_evaluates_each_state_once(monkeypatch, p, scheme, k):
     # one element-engine batch per representation: the 4 states of the
     # plain and of each of the three dressed sets make 16 jets and no
     # separate value; each of the 20 elements keeps the bits of its own
-    # matrix_element call, and each report deviation those of the reference
+    # matrix_element call on the rule of its batch, the certified 4-node
+    # rule under Gauss-Hermite, and each report deviation those of the
+    # reference
     counts = {"value": 0, "jet": 0}
     for name in counts:
         def counted(self, *args, fn=getattr(wv.WaveForm, name), name=name):
             counts[name] += 1
             return fn(self, *args)
         monkeypatch.setattr(wv.WaveForm, name, counted)
-    elements = []
+    elements, rules = [], []
 
     def recorded(values, grid):
+        rules.append(grid)
         elements.append(integrate_rows(values, grid))
         return elements[-1]
     monkeypatch.setattr(quad, "integrate_rows", recorded)
@@ -584,16 +617,25 @@ def test_heisenberg_demo_evaluates_each_state_once(monkeypatch, p, scheme, k):
     monkeypatch.undo()
     assert counts == {"value": 0, "jet": 16}
 
-    ref = _demo_reference(p, _default_grid(p, SYM, k, scheme))
+    if scheme == "simpson":
+        assert rep.settings["certified_k"] is None
+        assert not any(rule.exact for rule in rules)
+        ref = _demo_reference(p, _default_grid(p, SYM, k, scheme))
+    else:
+        assert rep.settings["certified_k"] == 4
+        assert all(rule.exact and rule.weights.size == 16 for rule in rules)
+        ref = _demo_reference(p, rules)
     assert [_bits(got) for got in elements] == [_bits(want) for want in ref]
     devs = [max(abs(z - z0) for z, z0 in zip(row, ref[0])) for row in ref[1:]]
     assert [c.deviation for c in rep.checks] == devs
 
 
-@pytest.mark.parametrize("k", [22, 24])
+@pytest.mark.parametrize("k", [3, 4])
 def test_heisenberg_demo_support_failure_matches_per_element_path(k):
-    # on 22 and 24 nodes per axis the third and the fourth plain element are
-    # the first to fail the boundary-decay check
+    # the demo's batches are certified on 4 nodes per axis, so on a --grid
+    # of 3 or 4 they run on it under the boundary-decay check, which a
+    # plain element fails first.  (Under Simpson's rule no element fails
+    # it: the rule spans 13 magnetic lengths whatever its node count.)
     with pytest.raises(SupportOverflowError) as per_element:
         _demo_reference(P, _default_grid(P, SYM, k, "gauss_hermite"))
     with pytest.raises(SupportOverflowError) as batched:
@@ -602,23 +644,255 @@ def test_heisenberg_demo_support_failure_matches_per_element_path(k):
 
 
 def test_engine_support_failure_matches_per_element_path():
-    # on 20 nodes per axis the vacuum element passes and the next one, with
-    # a slower-decaying ket, is the first to fail
+    # re-phased kets carry another phase than the bras, so their rows run
+    # on the --grid rule under the boundary-decay check: on 20 nodes per
+    # axis the vacuum element passes and the next one, with a
+    # slower-decaying ket, is the first to fail.  Certified rows, on the
+    # kets themselves, would fail it too on this rule; they are not checked
     grid = _grid(SYM, k=20)
     labels = [(0, 0), (1, 0), (2, 1)]
     psi = {lab: fock_state(SYM, P, *lab) for lab in labels}
+    psi.update({("rephased", lab): _rephased(psi[lab]) for lab in labels})
     op = position_op("H", SYM, P)
-    requests = {(a, b): (a, op, b) for a in labels for b in labels}
-    matrix_element(psi[(0, 0)], op, psi[(0, 0)], grid)
+    requests = {(a, b): (a, op, b) for a in labels
+                for b in (*labels, *(("rephased", lab) for lab in labels))}
+    uncertified = [(a, b) for a, _, b in requests.values()
+                   if b[0] == "rephased"]
+    matrix_element(psi[(0, 0)], op, psi["rephased", (0, 0)], grid)
+    with pytest.raises(SupportOverflowError):
+        matrix_element(psi[(2, 1)], op, psi[(2, 1)], grid)
     with pytest.raises(SupportOverflowError) as per_element:
-        for a, _, b in requests.values():
+        for a, b in uncertified:
             matrix_element(psi[a], op, psi[b], grid)
-    eng = _ElementEngine(grid, SYM.x0)
-    for lab in labels:
+    eng = _ElementEngine(P, SYM, 20, "gauss_hermite")
+    for lab in psi:
         eng.load(lab, psi.get, lab)
     with pytest.raises(SupportOverflowError) as batched:
         eng.elements(requests)
     assert str(batched.value) == str(per_element.value)
+
+
+# ---------------------------------------------------------------------------
+# The degree certificate
+# ---------------------------------------------------------------------------
+
+
+def _on_rule(forms, requests, rule, x0):
+    """Each request ``(bra, op, ket)`` over ``forms`` integrated on ``rule``
+    from jets taken on its nodes, through the operators' own ``apply_jet``."""
+    x1, x2, _ = rule.points
+    jets = {key: form.jet(x1, x2) for key, form in forms.items()}
+    u = (x1 - x0[0], x2 - x0[1])
+    return integrate_rows((
+        np.conj(jets[bra].f) * (jets[ket].f if op is None
+                                else op.apply_jet(jets[ket], u))
+        for bra, op, ket in requests.values()), rule)
+
+
+def _scan_batch(p, g, levels=2):
+    """The scan's states and requests of one gauge, overlaps included."""
+    states = {lab: fock_state(g, p, lab[1] + lab[0], lab[1])
+              for lab in _angular_states(levels)}
+    ops = {name: position_op(name, g, p)
+           for name in _SCAN_OPS + tuple(CANONICAL_PARTNER)}
+    ops["overlap"] = None
+    requests = {(name, pair): (pair[0], op, pair[1])
+                for pair in _neighbour_pairs(list(states))
+                for name, op in ops.items()}
+    return states, requests
+
+
+_UNIT = st.floats(0.5, 2.0)
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2 ** 31 - 1), gi=st.integers(0, 6),
+       m=_UNIT, q=_UNIT, b=_UNIT, hbar=_UNIT, flip=st.booleans(),
+       x0=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)))
+@example(seed=11, gi=6, m=2.0, q=1.0, b=0.7, hbar=1.3, flip=True,
+         x0=(0.4, -0.3))
+def test_certified_values_match_the_80_node_rule(seed, gi, m, q, b, hbar,
+                                                 flip, x0):
+    # every scan request of a default gauge, for variant parameters of both
+    # orientations about an off-origin x0, is certified, and its value on
+    # the certified rule is the 80-node rule's to 1e-13 relative
+    p = PhysicalParams(m, -q if flip else q, b, hbar)
+    g = default_gauges(seed, x0)[gi]
+    states, requests = _scan_batch(p, g)
+    eng = _ElementEngine(p, g, 80, "gauss_hermite")
+    for lab, psi in states.items():
+        eng.load(lab, lambda s=psi: s)
+    rules = []
+
+    def recorded(rows, rule):
+        rules.append(rule)
+        return integrate_rows(rows, rule)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(quad, "integrate_rows", recorded)
+        got = eng.elements(requests)
+    assert [rule.exact for rule in rules] == [True]
+    assert rules[0].x1.size == eng.certified_k < 80
+    ref = _on_rule(states, requests, _default_grid(p, g, 80, "gauss_hermite"),
+                   g.x0)
+    for key, want in zip(requests, ref):
+        assert abs(got[key] - want) <= 1e-13 * max(1.0, abs(want)), key
+
+
+def _special_poly(sf) -> Poly2:
+    """A special factor as a polynomial in u, by its recurrence."""
+    x, prev, cur = sf.arg, Poly2.zero(), Poly2.const(1.0)
+    for k in range(sf.n):
+        if sf.kind == "hermite":
+            prev, cur = cur, 2.0 * x * cur - 2.0 * k * prev
+        else:
+            prev, cur = cur, (1.0 / (k + 1)) * (
+                (2 * k + sf.m + 1) * cur - x * cur - (k + sf.m) * prev)
+    return cur
+
+
+def _integrand_degree(bra, op, ket) -> int:
+    """Total degree of conj(bra) * (op ket) divided by its exponential,
+    expanded exactly: each jet slot of a form is a polynomial times exp(R),
+    and a derivative maps P to P' + P R'."""
+    def slots(form):
+        poly = form.poly
+        if form.special is not None:
+            poly = poly * _special_poly(form.special)
+        r = form.exponent
+
+        def d(q, axis):
+            return q.diff(axis) + q * r.diff(axis)
+        p1, p2 = d(poly, 1), d(poly, 2)
+        return [poly, p1, p2, d(p1, 1), d(p1, 2), d(p2, 2)]
+    coeffs = ([Poly2.const(1.0)] if op is None else
+              [op.c, op.b1, op.b2, op.a11, op.a12, op.a22])
+    applied = Poly2.zero()
+    for c, s in zip(coeffs, slots(ket)):
+        applied = applied + c * s
+    conj = Poly2({key: complex(c).conjugate()
+                  for key, c in slots(bra)[0].terms.items()})
+    return (conj * applied).degree
+
+
+def _certifiable(p, x0, bra, ket) -> bool:
+    """Whether conj(bra) * ket is a polynomial times the weight of the
+    Gauss-Hermite rule about x0 at scale sqrt(2) l_B."""
+    total = (bra.gauss + ket.gauss).terms
+    weight = 1.0 / (2.0 * p.magnetic_length ** 2)
+    return (bra.phase == ket.phase and bra.origin == ket.origin == x0
+            and total.keys() == {(2, 0), (0, 2)}
+            and all(math.isclose(c, weight, rel_tol=1e-12)
+                    for c in total.values()))
+
+
+_VARIANT = PhysicalParams(2.0, -1.0, 0.7, hbar=1.3)
+
+
+@pytest.mark.parametrize("campaign", [
+    lambda: run_gauge_scan(_VARIANT, default_gauges(11, (0.4, -0.3)),
+                           nmax=8, grid_k=80, levels=2),
+    lambda: run_reproduce_tables(P, nmax=8, grid_k=56, gauge=_CUBIC,
+                                 idx_top=3),
+    lambda: run_heisenberg_demo(_VARIANT),
+], ids=["gauge-scan", "reproduce-tables", "heisenberg-demo"])
+def test_no_certified_batch_runs_below_its_degree(monkeypatch, campaign):
+    # every batch's certifiable requests, and only those, run on one exact
+    # rule of k nodes, and 2k - 1 covers the degree of each of their
+    # integrands, expanded exactly; the others run on the --grid rule
+    batches = []
+    elements = _ElementEngine.elements
+
+    def recorded(self, requests):
+        rules = []
+
+        def counted(rows, rule):
+            rows = list(rows)
+            rules.append((rule, len(rows)))
+            return integrate_rows(rows, rule)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(quad, "integrate_rows", counted)
+            out = elements(self, requests)
+        batches.append((self, requests, rules))
+        return out
+    monkeypatch.setattr(_ElementEngine, "elements", recorded)
+    campaign()
+    assert any(rule.exact for _, _, rules in batches for rule, _ in rules)
+    for eng, requests, rules in batches:
+        forms = eng._forms
+        certifiable = [(forms[bra], op, forms[ket])
+                       for bra, op, ket in requests.values()
+                       if _certifiable(eng.p, eng.x0, forms[bra], forms[ket])]
+        exact = [(rule, n) for rule, n in rules if rule.exact]
+        assert [n for rule, n in rules if not rule.exact] in (
+            [], [len(requests) - len(certifiable)])
+        if not exact:
+            continue
+        [(rule, n)] = exact
+        assert n == len(certifiable)
+        k = rule.x1.size
+        assert max(_integrand_degree(*r) for r in certifiable) <= 2 * k - 1
+        assert k <= eng.certified_k
+
+
+def _off_centre(psi):
+    """``psi`` with its Gaussian centred half a length off the origin."""
+    c = psi.gauss.terms[(2, 0)]
+    return replace(psi, gauss=Poly2({(2, 0): c, (0, 2): c, (1, 0): -c,
+                                     (0, 0): 0.25 * c}))
+
+
+@pytest.mark.parametrize("bra, op, ket, scheme", [
+    (t1_state(SYM, P, 0.3, 1), position_op("p1", SYM, P),
+     fock_state(SYM, P, 1, 1), "gauss_hermite"),
+    (fock_state(SYM, P, 0, 0), None, plane_wave((0.5, 0.0), 1.0),
+     "gauss_hermite"),
+    (fock_state(SYM, P, 1, 0), None, fock_state(GaugeChoice(1.0), P, 1, 0),
+     "gauss_hermite"),
+    (fock_state(SYM, P, 1, 0), position_op("x1", SYM, P),
+     _off_centre(fock_state(SYM, P, 0, 0)), "gauss_hermite"),
+    (fock_state(SYM, P, 1, 0), position_op("H", SYM, P),
+     fock_state(SYM, P, 1, 0), "simpson"),
+], ids=["t1-bra", "plane-wave", "phases", "off-centre", "simpson"])
+def test_uncertified_requests_run_on_the_grid_rule(bra, op, ket, scheme):
+    # each request runs alone on the 56-node --grid rule, under the
+    # boundary-decay check, with the bits of matrix_element there
+    grid = _default_grid(P, SYM, 56, scheme)
+    eng = _ElementEngine(P, SYM, 56, scheme)
+    eng.load("bra", lambda: bra)
+    eng.load("ket", lambda: ket)
+    rules = []
+
+    def recorded(rows, rule):
+        rules.append(rule)
+        return integrate_rows(rows, rule)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(quad, "integrate_rows", recorded)
+        got = eng.elements({0: ("bra", op, "ket")})[0]
+    assert [(rule.exact, rule.weights.size) for rule in rules] \
+        == [(False, grid.weights.size)]
+    assert eng.certified_k is None
+    want = (inner_product(bra, ket, grid) if op is None
+            else matrix_element(bra, op, ket, grid))
+    assert _bits([got]) == _bits([want])
+
+
+def test_grid_bounds_the_certified_rule():
+    # <n+=2, n-=1|H|n+=2, n-=1> = 3/2 has degree 3 + 3 + 2 = 8 and needs 5
+    # nodes: below --grid 6 it is certified on them; at --grid 5 it runs on
+    # the --grid rule itself, under the boundary-decay check, which it
+    # fails there
+    psi = fock_state(SYM, P, 2, 1)
+    request = {0: ("psi", position_op("H", SYM, P), "psi")}
+    for grid_k, certified in ((6, 5), (5, None)):
+        eng = _ElementEngine(P, SYM, grid_k, "gauss_hermite")
+        eng.load("psi", lambda: psi)
+        if certified is None:
+            with pytest.raises(SupportOverflowError):
+                eng.elements(request)
+        else:
+            value = eng.elements(request)[0]
+            assert abs(value - 1.5) < 1e-13
+        assert eng.certified_k == certified
 
 
 def _bits(values) -> list[bytes]:
