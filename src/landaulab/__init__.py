@@ -22,11 +22,10 @@ from .fockspace import (FockBasis, FockOperator, TruncationError,
                         build_observable, change_of_basis,
                         gauge_variant_matrix, ladder_ops, poly_operator,
                         t1_fock_overlap, angular_element)
-from .waves import (MAX_QUANTUM_NUMBER, DiffOpSpec, HermiteGaussian1D,
-                    QuantumNumberError, SpecialFactor, WaveForm,
-                    fock_state, gauge_phase, hermite,
+from .waves import (MAX_QUANTUM_NUMBER, DiffOpSpec, QuantumNumberError,
+                    SpecialFactor, WaveForm, fock_state, gauge_phase, hermite,
                     laguerre, multiplication_op, phase_shifted, plane_wave,
-                    position_op, t1_basis_function, t1_state, t1rep_apply)
+                    position_op, t1_basis_function, t1_state, t1rep_op)
 from .quadrature import (Grid2, SupportOverflowError,
                          inner_product, line_integral, matrix_element)
 from .report import CheckRecord, VerificationReport

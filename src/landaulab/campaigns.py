@@ -575,23 +575,25 @@ def run_reproduce_tables(p: PhysicalParams, nmax: int = 16,
     sig = math.sqrt(p.hbar * p.m * p.omega_c)
     tsamples = np.linspace(-2.5 * sig, 2.5 * sig, 9)
     c_plus = math.sqrt(p.hbar * p.m * p.omega_c / 2.0)
-    chis = [wv.t1_basis_function(npl, p) for npl in range(idx_top + 2)]
-    chi_values = [chi.value(tsamples) for chi in chis]
+    # one jet per profile; at the origin, (t, 0) are its shifted coordinates
+    at = (tsamples, 0.0)
+    jets = [wv.t1_basis_function(k, p).jet(*at) for k in range(idx_top + 2)]
     # T1 and T2 raise and lower n+: prefactor times (up + sign * down), where
     # x + (-a)*y rounds as x - a*y
     ladder = {"T1": (1j * c_plus, -1.0), "T2": (p.sign * c_plus, 1.0)}
     for name in ("T1", "T2", "M3"):
         lhs, rhs = [], []
         for n in range(idx_top + 1):
+            op = wv.t1rep_op(name, n, p)
             for npl in range(idx_top + 1):
-                lhs.append(wv.t1rep_apply(name, chis[npl], n, p)(tsamples))
+                lhs.append(op.apply_jet(jets[npl], at))
                 if name in ladder:
                     pre, sign = ladder[name]
-                    down = chi_values[npl - 1] if npl else 0.0
-                    rhs.append(pre * (math.sqrt(npl + 1) * chi_values[npl + 1]
+                    down = jets[npl - 1].f if npl else 0.0
+                    rhs.append(pre * (math.sqrt(npl + 1) * jets[npl + 1].f
                                       + sign * math.sqrt(npl) * down))
                 else:
-                    rhs.append(p.sign * p.hbar * (npl - n) * chi_values[npl])
+                    rhs.append(p.sign * p.hbar * (npl - n) * jets[npl].f)
                 rows.append(("t1", name, (npl, n),
                              complex(rhs[-1][4]), complex(lhs[-1][4]),
                              float(abs(lhs[-1][4] - rhs[-1][4]))))
@@ -677,12 +679,13 @@ def run_basis_change(p: PhysicalParams, gauge: GaugeChoice | None = None,
     sig = math.sqrt(p.hbar * p.m * p.omega_c)
     grid = _default_grid(p, g, grid_k, scheme)
     tvals = (0.0, -0.8 * sig, 0.8 * sig, 1.7 * sig)
+    tlevel = (0.0, 0.8 * sig)
 
     # overlaps <n+, n-|t1, n-> (the first 36 at n- = 0), each row formed as
     # inner_product forms it from values taken once per distinct state
     overlaps = [(npl, 0, t1) for npl in range(9) for t1 in tvals]
     overlaps += [(npl, nm, t1) for nm in (1, 2, 3) for npl in (0, 1, 3)
-                 for t1 in (0.0, 0.8 * sig)]
+                 for t1 in tlevel]
     xy = grid.points[:2]
     bras = {(npl, nm): np.conj(wv.fock_state(g, p, npl, nm).value(*xy))
             for npl, nm in dict.fromkeys((npl, nm) for npl, nm, _ in overlaps)}
@@ -690,12 +693,14 @@ def run_basis_change(p: PhysicalParams, gauge: GaugeChoice | None = None,
             for t1, nm in dict.fromkeys((t1, nm) for _, nm, t1 in overlaps)}
     values = quad.integrate_rows((bras[npl, nm] * kets[t1, nm]
                                   for npl, nm, t1 in overlaps), grid)
-    rep.add("closed-vs-quadrature", [
-        abs(v - fk.change_of_basis(npl, t1, p))
-        for v, (npl, _, t1) in zip(values[:36], overlaps)], tol)
-    rep.add("level-phase", [
-        abs(v - fk.t1_fock_overlap(npl, nm, t1, p))
-        for v, (npl, nm, t1) in zip(values[36:], overlaps[36:])], tol)
+    # closed forms in one array call per n+ or (n+, n-), in overlap order
+    closed = np.concatenate(
+        [fk.change_of_basis(npl, np.array(tvals), p) for npl in range(9)]
+        + [fk.t1_fock_overlap(npl, nm, np.array(tlevel), p)
+           for nm in (1, 2, 3) for npl in (0, 1, 3)])
+    dev = [abs(v - c) for v, c in zip(values, closed)]
+    rep.add("closed-vs-quadrature", dev[:36], tol)
+    rep.add("level-phase", dev[36:], tol)
 
     # the coefficients on the line-rule nodes, once per n+.  Each is a
     # real number times a power of i, so a product of two has one nonzero

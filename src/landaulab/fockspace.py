@@ -389,8 +389,8 @@ def change_of_basis(nplus: int, t1, p: PhysicalParams):
       * exp(-t1^2 / (2 hbar m w)) * H_{n+}(t1 / sqrt(hbar m w))``,
 
     the conjugate of the translation-eigenvalue profile
-    :func:`~landaulab.waves.t1_basis_function`.  ``t1`` may be an array;
-    each entry has the bits of its scalar call.
+    :func:`~landaulab.waves.t1_basis_function` at ``(t1, 0.0)``.  ``t1``
+    may be an array; each entry has the bits of its scalar call.
 
     The phase is anchored in the lowest level; see :func:`t1_fock_overlap`
     for the level-dependent phase required when combining with the explicit
@@ -398,7 +398,7 @@ def change_of_basis(nplus: int, t1, p: PhysicalParams):
     """
     if nplus < 0:
         raise ValueError("nplus must be nonnegative")
-    return np.conj(t1_basis_function(nplus, p).value(t1))
+    return np.conj(t1_basis_function(nplus, p).value(t1, 0.0))
 
 
 def t1_fock_overlap(nplus: int, nminus: int, t1, p: PhysicalParams):

@@ -8,6 +8,8 @@ goes through :func:`integrate_rows`, which reduces a stream of them in
 blocks.  Every reduction is correctly rounded: the real and imaginary
 parts of a weighted sum equal ``math.fsum`` of the products bit for bit,
 whatever the batch or block they are reduced in.
+The one-row calls :func:`inner_product`, :func:`matrix_element` and
+:func:`line_integral` are the tests' per-call references for the batches.
 
 On every rule but an exact one, integrands are required to decay below
 1e-12 of their peak on the outermost nodes: the outer ring of a 2-D grid,

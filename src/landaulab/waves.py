@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,9 +43,8 @@ __all__ = [
     "position_op",
     "connection_momentum_op",
     "phase_shifted",
-    "HermiteGaussian1D",
     "t1_basis_function",
-    "t1rep_apply",
+    "t1rep_op",
 ]
 
 
@@ -135,6 +134,13 @@ class SpecialFactor:
         raise ValueError(f"unknown special factor {self.kind!r}")
 
 
+def _partials(poly: Poly2, u1, u2):
+    """``(d1, d2, d11, d12, d22)`` of ``poly`` at shifted coordinates."""
+    p1, p2 = poly.diff(1), poly.diff(2)
+    return (p1(u1, u2), p2(u1, u2), p1.diff(1)(u1, u2), p1.diff(2)(u1, u2),
+            p2.diff(2)(u1, u2))
+
+
 class WaveJet(NamedTuple):
     """Value and derivatives up to second order at a set of points."""
 
@@ -193,20 +199,11 @@ class WaveForm:
         u1, u2 = self.shifted(x1, x2)
         f, A, E, chain = self._value_parts(u1, u2)
         # polynomial factor and exponent R = -Q + i Phi: derivatives
-        a, r = self.poly, self.exponent
-        A1, A2 = a.diff(1)(u1, u2), a.diff(2)(u1, u2)
-        A11, A12, A22 = (a.diff(1).diff(1)(u1, u2), a.diff(1).diff(2)(u1, u2),
-                         a.diff(2).diff(2)(u1, u2))
-        R1, R2 = r.diff(1)(u1, u2), r.diff(2)(u1, u2)
-        R11, R12, R22 = (r.diff(1).diff(1)(u1, u2), r.diff(1).diff(2)(u1, u2),
-                         r.diff(2).diff(2)(u1, u2))
+        A1, A2, A11, A12, A22 = _partials(self.poly, u1, u2)
+        R1, R2, R11, R12, R22 = _partials(self.exponent, u1, u2)
         # special factor via chain rule
         if chain is not None:
-            garg = self.special.arg
-            g1, g2 = garg.diff(1)(u1, u2), garg.diff(2)(u1, u2)
-            g11, g12, g22 = (garg.diff(1).diff(1)(u1, u2),
-                             garg.diff(1).diff(2)(u1, u2),
-                             garg.diff(2).diff(2)(u1, u2))
+            g1, g2, g11, g12, g22 = _partials(self.special.arg, u1, u2)
             S, fp, fpp = chain
             S1, S2 = fp * g1, fp * g2
             S11 = fpp * g1 * g1 + fp * g11
@@ -468,65 +465,35 @@ def connection_momentum_op(v: tuple[Poly2, Poly2], direction: int,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HermiteGaussian1D:
-    """coeff * exp(-y^2/2) * H_k(y) with y = t / scale; supplies exact
-    value and first two derivatives in t."""
-
-    coeff: complex
-    k: int
-    scale: float
-
-    def value(self, t):
-        y = np.asarray(t, dtype=float) / self.scale
-        return self.coeff * np.exp(-0.5 * y * y) * hermite(self.k, y)
-
-    def d1(self, t):
-        y = np.asarray(t, dtype=float) / self.scale
-        hk, hk1, _ = _hermite_tail(self.k, y)
-        return self.coeff / self.scale * np.exp(-0.5 * y * y) \
-            * (2.0 * self.k * hk1 - y * hk)
-
-    def d2(self, t):
-        y = np.asarray(t, dtype=float) / self.scale
-        hk, hk1, hk2 = _hermite_tail(self.k, y)
-        val = (4.0 * self.k * (self.k - 1) * hk2
-               - 4.0 * self.k * y * hk1 + (y * y - 1.0) * hk)
-        return self.coeff / self.scale ** 2 * np.exp(-0.5 * y * y) * val
-
-
-def t1_basis_function(nplus: int, p: PhysicalParams) -> HermiteGaussian1D:
+def t1_basis_function(nplus: int, p: PhysicalParams) -> WaveForm:
     """chi_{n+}(t): the translation-eigenvalue profile <T1, E_n|n+, n-=n>
-    shared by all levels up to the constant level phase."""
+    shared by all levels up to the constant level phase, as a wave form in
+    u1 = t alone, read as ``value(t, 0.0)``: Gaussian t^2/(2 sigma^2) and
+    special factor H_{n+}(t/sigma), with sigma = sqrt(hbar m w)."""
     check_quantum_number(nplus, "nplus")
     sig = math.sqrt(p.hbar * p.m * p.omega_c)
     coeff = (-1j) ** nplus / math.sqrt(2.0 ** nplus * math.factorial(nplus)) \
         * (math.pi * sig * sig) ** -0.25
-    return HermiteGaussian1D(coeff=coeff, k=nplus, scale=sig)
+    return WaveForm(coeff=coeff, origin=(0.0, 0.0),
+                    gauss=Poly2.monomial(2, 0, 0.5 / (sig * sig)),
+                    special=SpecialFactor("hermite", nplus,
+                                          Poly2.monomial(1, 0, 1.0 / sig)))
 
 
-def t1rep_apply(name: str, f, n: int, p: PhysicalParams) -> Callable:
-    """Action of an intra-level observable on a function of the translation
-    eigenvalue at level n, read off the delta-kernel matrix elements as a
-    differential operator:
-
-    - T1: multiply by t
-    - T2: i s hbar m w d/dt
-    - M3: -s hbar^2 m w / 2 d^2/dt^2 + s hbar (t^2/(2 hbar m w) - (n+1/2))
-
-    ``f`` must expose ``value``, ``d1`` and ``d2`` (e.g.
-    :class:`HermiteGaussian1D`).
-    """
+def t1rep_op(name: str, n: int, p: PhysicalParams) -> DiffOpSpec:
+    """Action of an intra-level observable at level n on functions of the
+    translation eigenvalue t = u1, read off the delta-kernel matrix elements
+    (apply it to the jet of :func:`t1_basis_function` at (t, 0)): T1 is t,
+    T2 is i s hbar m w d/dt, and M3 is -s hbar^2 m w / 2 d^2/dt^2
+    + s hbar (t^2/(2 hbar m w) - (n+1/2))."""
     s, hb, mw = p.sign, p.hbar, p.m * p.omega_c
     if name == "T1":
-        return lambda t: t * f.value(t)
+        return multiplication_op(Poly2.variable(1))
     if name == "T2":
-        return lambda t: 1j * s * hb * mw * f.d1(t)
+        return DiffOpSpec(b1=Poly2.const(1j * s * hb * mw))
     if name == "M3":
-        def act(t):
-            t = np.asarray(t, dtype=float)
-            return (-0.5 * s * hb * hb * mw * f.d2(t)
-                    + s * hb * (t * t / (2.0 * hb * mw) - (n + 0.5))
-                    * f.value(t))
-        return act
+        return DiffOpSpec(
+            c=(s * hb) * (Poly2.monomial(2, 0, 1.0 / (2.0 * hb * mw))
+                          - (n + 0.5)),
+            a11=Poly2.const(-0.5 * s * hb * hb * mw))
     raise ValueError(f"unknown intra-level observable {name!r}")

@@ -667,7 +667,7 @@ def test_basis_change_on_arrays_keeps_the_scalar_bits(p):
         assert got.tobytes() == np.array(
             [change_of_basis(nplus, tt, p) for tt in t.tolist()]).tobytes()
         assert got.tobytes() == np.conj(
-            t1_basis_function(nplus, p).value(t)).tobytes()
+            t1_basis_function(nplus, p).value(t, 0.0)).tobytes()
         for nminus in (0, 1, 2, 3):
             got = t1_fock_overlap(nplus, nminus, t, p)
             assert got.tobytes() == np.array(

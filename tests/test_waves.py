@@ -8,13 +8,13 @@ from numpy.polynomial.hermite import hermgauss
 
 from landaulab import GaugeChoice, PhysicalParams, Poly2, gauge_delta, parse_poly
 from landaulab.fockspace import change_of_basis, t1_fock_overlap
-from landaulab.waves import (MAX_QUANTUM_NUMBER, DiffOpSpec, HermiteGaussian1D,
+from landaulab.waves import (MAX_QUANTUM_NUMBER, DiffOpSpec,
                              QuantumNumberError, SpecialFactor,
                              connection_momentum_op,
                              fock_state, gauge_phase, hermite, laguerre,
                              multiplication_op, phase_shifted, plane_wave,
                              position_op, t1_basis_function, t1_state,
-                             t1rep_apply)
+                             t1rep_op)
 
 P = PhysicalParams(1, 1, 1)
 SYM = GaugeChoice(0.0)
@@ -374,9 +374,14 @@ def test_zero_phase_takes_the_real_exponential():
 # -- translation-eigenvalue representation ------------------------------------------
 
 
+def _t1rep(name, chi, n, p, t):
+    """``t1rep_op(name, n, p)`` applied to the profile ``chi`` at t."""
+    return t1rep_op(name, n, p).apply(chi, t, 0.0)
+
+
 def test_t1rep_multiplication_vanishes_at_zero():
     f = t1_basis_function(3, P)
-    assert t1rep_apply("T1", f, 0, P)(0.0) == 0.0
+    assert _t1rep("T1", f, 0, P, 0.0) == 0.0
 
 
 def test_t1rep_t2_matches_ladder():
@@ -385,8 +390,9 @@ def test_t1rep_t2_matches_ladder():
         t = np.linspace(-2.5, 2.5, 21) * math.sqrt(p.hbar * p.m * p.omega_c)
         chi0 = t1_basis_function(0, p)
         chi1 = t1_basis_function(1, p)
-        lhs = t1rep_apply("T2", chi0, 0, p)(t)
-        rhs = p.sign * math.sqrt(p.hbar * p.m * p.omega_c / 2) * chi1.value(t)
+        lhs = _t1rep("T2", chi0, 0, p, t)
+        rhs = p.sign * math.sqrt(p.hbar * p.m * p.omega_c / 2) \
+            * chi1.value(t, 0.0)
         assert np.max(np.abs(lhs - rhs)) < 1e-13 * np.max(np.abs(rhs))
 
 
@@ -396,29 +402,64 @@ def test_t1rep_rotation_eigenvalue():
         for n in (0, 2):
             for nplus in (0, 1, 4):
                 chi = t1_basis_function(nplus, p)
-                lhs = t1rep_apply("M3", chi, n, p)(t)
-                rhs = p.sign * p.hbar * (nplus - n) * chi.value(t)
-                scale = np.max(np.abs(chi.value(t))) * p.hbar * (abs(nplus - n) + 1)
+                lhs = _t1rep("M3", chi, n, p, t)
+                rhs = p.sign * p.hbar * (nplus - n) * chi.value(t, 0.0)
+                scale = np.max(np.abs(chi.value(t, 0.0))) * p.hbar \
+                    * (abs(nplus - n) + 1)
                 assert np.max(np.abs(lhs - rhs)) < 1e-12 * scale
 
 
+@pytest.mark.parametrize("p", [PhysicalParams(1.3, 1.0, 0.8, hbar=0.7),
+                               PhysicalParams(1.3, -1.0, 0.8, hbar=0.7)],
+                         ids=["positive-orientation", "negative-orientation"])
+@pytest.mark.parametrize("n", [0, 3])
+def test_t1rep_rotation_is_the_oscillator_of_the_translations(p, n):
+    # M3 = s/(2 m w) (T1 T1 + T2 T2) - s hbar (n + 1/2) on functions of the
+    # translation eigenvalue, coefficient by coefficient
+    s, mw = p.sign, p.m * p.omega_c
+    t1, t2 = t1rep_op("T1", n, p), t1rep_op("T2", n, p)
+    want = (s / (2.0 * mw)) * (t1.compose(t1) + t2.compose(t2)) \
+        - multiplication_op(Poly2.const(s * p.hbar * (n + 0.5)))
+    got = t1rep_op("M3", n, p)
+    for slot in ("c", "b1", "b2", "a11", "a12", "a22"):
+        a, b = getattr(got, slot).terms, getattr(want, slot).terms
+        assert a.keys() == b.keys(), slot
+        for key in a:
+            assert abs(a[key] - b[key]) <= 1e-15 * abs(b[key]), (slot, key)
+    assert set(got.c.terms) == {(0, 0), (2, 0)}
+    assert set(got.a11.terms) == {(0, 0)}
+
+
+def test_t1rep_unknown_observable_refused():
+    with pytest.raises(ValueError, match="unknown intra-level observable"):
+        t1rep_op("L3", 0, P)
+
+
 def test_hermite_gaussian_derivatives():
-    f = HermiteGaussian1D(coeff=0.7 - 0.2j, k=4, scale=1.3)
+    # the profile's jet in u1 = t: f1 against a central difference, f11
+    # against the oscillator equation f'' = (y^2 - 2n - 1) f / sigma^2,
+    # which is exact; the profile does not depend on u2
+    p = PhysicalParams(1.3, -1.0, 1.3, hbar=1.3)
+    sig = math.sqrt(p.hbar * p.m * p.omega_c)
+    n = 4
+    chi = t1_basis_function(n, p)
     t = np.linspace(-3, 3, 25)
     h = 1e-6
-    fd1 = (f.value(t + h) - f.value(t - h)) / (2 * h)
-    assert np.max(np.abs(f.d1(t) - fd1)) < 1e-7
-    # second derivative against the oscillator equation
-    # f'' = (y^2 - 2k - 1) f / scale^2, which is exact
-    y = t / f.scale
-    rhs = (y * y - 2 * f.k - 1) * f.value(t) / f.scale ** 2
-    assert np.max(np.abs(f.d2(t) - rhs)) < 1e-12 * np.max(np.abs(rhs))
+    jet = chi.jet(t, 0.0)
+    assert jet.f.tobytes() == chi.value(t, 0.0).tobytes()
+    fd1 = (chi.value(t + h, 0.0) - chi.value(t - h, 0.0)) / (2 * h)
+    assert np.max(np.abs(jet.f1 - fd1)) < 1e-7
+    y = t / sig
+    rhs = (y * y - 2 * n - 1) * jet.f / sig ** 2
+    assert np.max(np.abs(jet.f11 - rhs)) < 1e-12 * np.max(np.abs(rhs))
+    for part in (jet.f2, jet.f12, jet.f22):
+        assert not np.any(part)
 
 
 def test_one_hermite_pass_keeps_the_bits_of_separate_calls():
-    # the special factor's derivative values and the profile derivatives
-    # take H_n, H_{n-1} and H_{n-2} from one run of the recurrence; each
-    # has the bits of its own hermite call, signed zeros included
+    # the special factor's derivative values take H_n, H_{n-1} and H_{n-2}
+    # from one run of the recurrence; each has the bits of its own hermite
+    # call, signed zeros included
     x = np.concatenate([np.linspace(-9.0, 9.0, 37), [-0.0, 0.0, 1e-300]])
     arg = Poly2.variable(2)
     for n in range(MAX_QUANTUM_NUMBER + 1):
@@ -428,17 +469,6 @@ def test_one_hermite_pass_keeps_the_bits_of_separate_calls():
                 4.0 * n * (n - 1) * hermite(n - 2, x) if n >= 2 else 0.0 * x)
         assert [a.tobytes() for a in (f0, f1, f2)] \
             == [a.tobytes() for a in want], n
-        prof = HermiteGaussian1D(coeff=0.7 - 0.2j, k=n, scale=1.3)
-        y = x / 1.3
-        hk = hermite(n, y)
-        hk1 = hermite(n - 1, y) if n >= 1 else 0.0 * y
-        hk2 = hermite(n - 2, y) if n >= 2 else 0.0 * y
-        gauss = np.exp(-0.5 * y * y)
-        d1 = prof.coeff / 1.3 * gauss * (2.0 * n * hk1 - y * hk)
-        d2 = prof.coeff / 1.3 ** 2 * gauss * (
-            4.0 * n * (n - 1) * hk2 - 4.0 * n * y * hk1 + (y * y - 1.0) * hk)
-        assert prof.d1(x).tobytes() == d1.tobytes(), n
-        assert prof.d2(x).tobytes() == d2.tobytes(), n
 
 
 # -- validated range of quantum numbers ---------------------------------------
@@ -480,7 +510,7 @@ def test_closed_forms_hold_1e_10_at_the_quantum_number_bound():
                  for tt in map(mp.mpf, t)]
         assert sup_rel([change_of_basis(top, tt, P) for tt in t], coeff) \
             < 1e-10
-        assert sup_rel(t1_basis_function(top, P).value(t),
+        assert sup_rel(t1_basis_function(top, P).value(t, 0.0),
                        [(-1) ** top * c for c in coeff]) < 1e-10
         t1, u1 = 0.7, rng.uniform(-3, 3, 60)
         want = [mp.exp(-(b + t1) ** 2 / 2) * mp.expj(a * b / 2 + t1 * a)
