@@ -177,11 +177,15 @@ def run_verify_algebra(p: PhysicalParams, nmax: int = 16, margin: int = 3,
 # ---------------------------------------------------------------------------
 
 
+def _rule_scale(p: PhysicalParams) -> float:
+    """sqrt(2) l_B, the scale of every Gauss-Hermite rule of the campaigns."""
+    return math.sqrt(2.0) * p.magnetic_length
+
+
 def _default_grid(p: PhysicalParams, g: GaugeChoice, k: int,
                   scheme: str) -> quad.Grid2:
-    scale = math.sqrt(2.0) * p.magnetic_length
     if scheme == "gauss_hermite":
-        return quad.Grid2.gauss_hermite(k, centre=g.x0, scale=scale)
+        return quad.Grid2.gauss_hermite(k, centre=g.x0, scale=_rule_scale(p))
     if scheme == "simpson":
         # 13 magnetic lengths: the slowest suite integrands (translation
         # eigenstates decay in x1 only through their partner state) reach the
@@ -216,21 +220,15 @@ class _Shape(NamedTuple):
                    form.gauss)
 
 
-def _op_degrees(op: wv.DiffOpSpec | None) -> list[tuple[int, int]]:
-    """``(order, degree)`` of each nonzero coefficient of an operator; the
-    overlap (``op=None``) is the identity."""
-    if op is None:
-        return [(0, 0)]
-    return [(order, poly.degree) for order, poly in zip(
-        (0, 1, 1, 2, 2, 2), (op.c, op.b1, op.b2, op.a11, op.a12, op.a22))
-        if not poly.is_zero()]
-
-
 class _ElementEngine:
-    """Evaluates batches of matrix elements, each as streams of integrand
-    rows through ``quad.integrate_rows``, from wave functions loaded under
-    keys; each key's jet is computed once per rule, when a row first reads
-    it.
+    """Forms every plane-integral row of the campaigns: evaluates
+    batches of matrix elements and overlaps, each batch as one stream of
+    integrand rows through ``quad.integrate_rows`` on one rule, from wave
+    functions loaded under keys.  A key that an operator of the batch is
+    applied to is jetted, once per rule; any other key (a bra, an overlap's
+    ket) is only valued, with the bits of the jet's value.  Operators are
+    applied by ``DiffOpSpec.apply_jet``, from coefficient arrays evaluated
+    once per operator and batch.
 
     A request ``<bra|op|ket>`` is *certified* when its integrand is a
     polynomial times the weight of the Gauss-Hermite rule about the gauge
@@ -243,21 +241,21 @@ class _ElementEngine:
 
     with R = -Q + i Phi the ket's exponent, and a k-node rule integrates
     it exactly once D <= 2k - 1 (Golub & Welsch, "Calculation of Gauss
-    quadrature rules", Math. Comp. 23, 1969).  The certified requests of a
-    batch run on one such rule, k = max(3, ceil((D_max + 1) / 2)), which
-    skips the boundary-decay check.  The others, and all of a batch whose
-    k is not below ``grid_k``, run on the ``grid_k`` rule of ``scheme``
-    under that check.  ``certified_k`` is the largest certified k so far,
-    or None."""
+    quadrature rules", Math. Comp. 23, 1969).  A batch whose every request
+    is certified runs on one such rule, k = max(3, ceil((D_max + 1) / 2)),
+    which skips the boundary-decay check, if k is below ``grid_k``; any
+    other batch runs wholly on the ``grid_k`` rule of ``scheme`` under that
+    check.  ``certified_k`` is the largest certified k so far, or None."""
 
     def __init__(self, p: PhysicalParams, g: GaugeChoice, grid_k: int,
                  scheme: str):
         self.p, self.g, self.grid_k, self.scheme = p, g, grid_k, scheme
         self.x0 = g.x0
-        self.scale = math.sqrt(2.0) * p.magnetic_length
+        self.scale = _rule_scale(p)
         self.certified_k = None
         self._forms: dict = {}
         self._jets: dict = {}    # (key, k) -> jet; k None on the grid_k rule
+        self._values: dict = {}  # (key, k) -> value of a key never jetted
         self._rules: dict = {}   # k -> (rule, nodes, shifted nodes)
         self._shapes: dict = {}  # key -> _Shape, or None off the centre
 
@@ -280,10 +278,18 @@ class _ElementEngine:
         return self._rules[k]
 
     def _jet(self, key, k):
-        jet = self._jets.get((key, k))
-        if jet is None:
-            jet = self._jets[key, k] = self._forms[key].jet(*self._rule(k)[1])
-        return jet
+        if (key, k) not in self._jets:
+            self._jets[key, k] = self._forms[key].jet(*self._rule(k)[1])
+        return self._jets[key, k]
+
+    def _value(self, key, k, jetted):
+        """The value of a key's wave function on rule ``k``: its jet's, if
+        the key is in ``jetted`` or its jet is kept."""
+        if key in jetted or (key, k) in self._jets:
+            return self._jet(key, k).f
+        if (key, k) not in self._values:
+            self._values[key, k] = self._forms[key].value(*self._rule(k)[1])
+        return self._values[key, k]
 
     def _shape(self, key) -> _Shape | None:
         if key not in self._shapes:
@@ -301,71 +307,57 @@ class _ElementEngine:
             math.isclose(total[key], c, rel_tol=_WEIGHT_RTOL)
             for key in total)
 
-    def _degrees(self, requests: dict) -> dict:
-        """The degree D of every certified request, by key."""
-        if self.scheme != "gauss_hermite":
-            return {}
-        weighted: dict = {}  # (bra, ket) -> whether the Gaussians certify
-        reach: dict = {}     # (op, slope) -> D - deg(bra) - deg(ket)
-        out = {}
-        for key, (bra, op, ket) in requests.items():
+    def _certified(self, requests: dict) -> int | None:
+        """The node count k of the rule a batch is certified on, or None
+        unless every request is certified and k is below ``grid_k``."""
+        if self.scheme != "gauss_hermite" or not requests:
+            return None
+        weighted = set()  # (bra, ket) whose Gaussians certify
+        reach: dict = {}  # (op, slope) -> D - deg(bra) - deg(ket)
+        top = 0
+        for bra, op, ket in requests.values():
             a, b = self._shape(bra), self._shape(ket)
             if a is None or b is None or a.phase != b.phase:
-                continue
+                return None
             if (bra, ket) not in weighted:
-                weighted[bra, ket] = self._weight_pair(a.gauss, b.gauss)
-            if weighted[bra, ket]:
-                if (id(op), b.slope) not in reach:
-                    # a zero operator's integrand is zero, of any degree
-                    reach[id(op), b.slope] = max(
-                        (degree + order * b.slope
-                         for order, degree in _op_degrees(op)), default=0)
-                out[key] = a.degree + b.degree + reach[id(op), b.slope]
-        return out
+                if not self._weight_pair(a.gauss, b.gauss):
+                    return None
+                weighted.add((bra, ket))
+            if (id(op), b.slope) not in reach:
+                # the overlap is the identity; a zero operator's integrand
+                # is zero, of any degree
+                reach[id(op), b.slope] = 0 if op is None else max(
+                    (poly.degree + order * b.slope
+                     for _, order, poly in op.nonzero()), default=0)
+            top = max(top, a.degree + b.degree + reach[id(op), b.slope])
+        k = max(3, (top + 2) // 2)
+        return k if k < self.grid_k else None
 
     def elements(self, requests: dict) -> dict:
         """``<bra|op|ket>`` for every key of ``requests``, a mapping from the
         caller's key to ``(bra_key, op, ket_key)``, integrated once per key,
-        in key order; ``op=None`` gives the overlap ``<bra|ket>``.  An
-        uncertified value equals ``quad.matrix_element`` (or
-        ``inner_product``) on the ``grid_k`` rule bit for bit.  The
-        uncertified requests run first, so a support failure is raised for
-        the first failing one, in key order."""
-        degrees = self._degrees(requests)
-        k = max(3, (max(degrees.values(), default=0) + 2) // 2)
-        if k >= self.grid_k:
-            degrees = {}
-        elif degrees:
+        in key order, as one stream on one rule; ``op=None`` gives the
+        overlap ``<bra|ket>``.  A value equals ``quad.matrix_element`` (or
+        ``inner_product``) on the rule it ran on bit for bit, and a support
+        failure is raised for the first failing request, in key order."""
+        k = self._certified(requests)
+        if k is not None:
             self.certified_k = max(k, self.certified_k or k)
-        values = {}
-        for rule_k, keys in ((None, [key for key in requests
-                                     if key not in degrees]),
-                             (k, list(degrees))):
-            if keys:
-                values.update(zip(keys, quad.integrate_rows(
-                    self._rows(requests, keys, rule_k),
-                    self._rule(rule_k)[0])))
-        return {key: values[key] for key in requests}
+        return dict(zip(requests, quad.integrate_rows(
+            self._rows(requests, k), self._rule(k)[0])))
 
-    def _rows(self, requests: dict, keys, k):
-        """The integrand rows of the requests under ``keys`` on rule ``k``,
-        in order; each operator's nonzero coefficient arrays, by jet slot,
-        are evaluated when a row first reads them."""
+    def _rows(self, requests: dict, k):
+        """The integrand rows of ``requests`` on rule ``k``, in key order.
+        Each operator's coefficient arrays are evaluated once, and each key
+        an operator is applied to is jetted, its value the jet's."""
         u = self._rule(k)[2]
-        coeffs: dict = {}
-        for key in keys:
-            bra, op, ket = requests[key]
-            jet = self._jet(ket, k)
-            if op is None:
-                applied = jet.f
-            else:
-                if id(op) not in coeffs:
-                    coeffs[id(op)] = [
-                        (slot, poly(*u)) for slot, poly in enumerate(
-                            (op.c, op.b1, op.b2, op.a11, op.a12, op.a22))
-                        if not poly.is_zero()]
-                applied = sum(arr * jet[slot] for slot, arr in coeffs[id(op)])
-            yield np.conj(self._jet(bra, k).f) * applied
+        ops = {id(op): op for _, op, _ in requests.values() if op is not None}
+        terms = {i: op.terms(u) for i, op in ops.items()}
+        jetted = {ket for _, op, ket in requests.values() if op is not None}
+        for bra, op, ket in requests.values():
+            applied = (self._value(ket, k, jetted) if op is None else
+                       op.apply_jet(self._jet(ket, k), u, terms[id(op)]))
+            yield np.conj(self._value(bra, k, jetted)) * applied
 
 
 def _largest(ks):
@@ -572,15 +564,15 @@ def run_reproduce_tables(p: PhysicalParams, nmax: int = 16,
 
     # translation-eigenbasis table: intra-level rows act as differential
     # operators on the basis-change profiles
-    sig = math.sqrt(p.hbar * p.m * p.omega_c)
+    sig = p.momentum_scale
     tsamples = np.linspace(-2.5 * sig, 2.5 * sig, 9)
-    c_plus = math.sqrt(p.hbar * p.m * p.omega_c / 2.0)
     # one jet per profile; at the origin, (t, 0) are its shifted coordinates
     at = (tsamples, 0.0)
     jets = [wv.t1_basis_function(k, p).jet(*at) for k in range(idx_top + 2)]
     # T1 and T2 raise and lower n+: prefactor times (up + sign * down), where
     # x + (-a)*y rounds as x - a*y
-    ladder = {"T1": (1j * c_plus, -1.0), "T2": (p.sign * c_plus, 1.0)}
+    ladder = {"T1": (1j * p.ladder_scale, -1.0),
+              "T2": (p.sign * p.ladder_scale, 1.0)}
     for name in ("T1", "T2", "M3"):
         lhs, rhs = [], []
         for n in range(idx_top + 1):
@@ -613,9 +605,7 @@ def _t1_level_rows(p, g, eng: _ElementEngine, rows, idx_top) -> dict:
     quadrature on both sides: the operator element against the tabulated
     delta-kernel coefficient times the quadrature overlap.  Angular states
     are read from ``eng`` under their ``(l, n)`` keys, or loaded there."""
-    sig = math.sqrt(p.hbar * p.m * p.omega_c)
-    c = math.sqrt(p.hbar * p.m * p.omega_c / 2.0)
-    s, hb = p.sign, p.hbar
+    sig, c, s, hb = p.momentum_scale, p.ladder_scale, p.sign, p.hbar
     tvals = (0.0, 0.9 * sig)
     nplus_vals = (0, 2)
     ops = {name: wv.position_op(name, g, p) for name in ("p1", "p2", "L3")}
@@ -676,23 +666,22 @@ def run_basis_change(p: PhysicalParams, gauge: GaugeChoice | None = None,
     g = gauge if gauge is not None else GaugeChoice(0.0)
     rep = _report("basis-change", p, [g], grid=grid_k, scheme=scheme,
                   seed=seed)
-    sig = math.sqrt(p.hbar * p.m * p.omega_c)
-    grid = _default_grid(p, g, grid_k, scheme)
+    sig = p.momentum_scale
     tvals = (0.0, -0.8 * sig, 0.8 * sig, 1.7 * sig)
     tlevel = (0.0, 0.8 * sig)
 
-    # overlaps <n+, n-|t1, n-> (the first 36 at n- = 0), each row formed as
-    # inner_product forms it from values taken once per distinct state
+    # overlaps <n+, n-|t1, n-> (the first 36 at n- = 0) as one engine batch,
+    # keyed (n+, n-, t1); angular states under their (l, n) label
     overlaps = [(npl, 0, t1) for npl in range(9) for t1 in tvals]
     overlaps += [(npl, nm, t1) for nm in (1, 2, 3) for npl in (0, 1, 3)
                  for t1 in tlevel]
-    xy = grid.points[:2]
-    bras = {(npl, nm): np.conj(wv.fock_state(g, p, npl, nm).value(*xy))
-            for npl, nm in dict.fromkeys((npl, nm) for npl, nm, _ in overlaps)}
-    kets = {(t1, nm): wv.t1_state(g, p, t1, nm).value(*xy)
-            for t1, nm in dict.fromkeys((t1, nm) for _, nm, t1 in overlaps)}
-    values = quad.integrate_rows((bras[npl, nm] * kets[t1, nm]
-                                  for npl, nm, t1 in overlaps), grid)
+    eng = _ElementEngine(p, g, grid_k, scheme)
+    for npl, nm, t1 in overlaps:
+        eng.load((npl - nm, nm), wv.fock_state, g, p, npl, nm)
+        eng.load(("t1", t1, nm), wv.t1_state, g, p, t1, nm)
+    values = eng.elements({
+        (npl, nm, t1): ((npl - nm, nm), None, ("t1", t1, nm))
+        for npl, nm, t1 in overlaps}).values()
     # closed forms in one array call per n+ or (n+, n-), in overlap order
     closed = np.concatenate(
         [fk.change_of_basis(npl, np.array(tvals), p) for npl in range(9)]
@@ -716,16 +705,14 @@ def run_basis_change(p: PhysicalParams, gauge: GaugeChoice | None = None,
         for v, (npl, mpl) in zip(values, pairs)], tol)
 
     rng = np.random.default_rng(seed)
-    lam = p.magnetic_length
-    pts = g.x0 + lam * rng.uniform(-2.5, 2.5, size=(20, 2))
+    pts = g.x0 + p.magnetic_length * rng.uniform(-2.5, 2.5, size=(20, 2))
     amp = math.sqrt(p.m * p.omega_c / (2.0 * math.pi * p.hbar))
     line = quad.Grid1(max(60, grid_k), sig)
-    nodes = line.nodes.tolist()
     cases = ((0, 0), (1, 0), (2, 1), (1, 2), (3, 2))
     # one translation state per level and node, valued at every point at
     # once: a (node, point) table with the bits of the pointwise values
     states = {nm: np.array([wv.t1_state(g, p, tt, nm).value(*pts.T)
-                            for tt in nodes])
+                            for tt in line.nodes.tolist()])
               for nm in {nm for _, nm in cases}}
     # per case, one row per point: a column of the table weighted by a real
     # number times a power of i, like the coefficients above
@@ -887,8 +874,7 @@ def run_heisenberg_demo(p: PhysicalParams, grid_k: int = 80,
         for k, psi in states.items():
             eng.load(k, wv.phase_shifted, psi, lam, hb)
         v = (lam.diff(1), lam.diff(2))
-        p1 = wv.connection_momentum_op(v, 1, hb)
-        p2 = wv.connection_momentum_op(v, 2, hb)
+        p1, p2 = (wv.connection_momentum_op(v, i, hb) for i in (1, 2))
         ops = [(p1, (0, 0), (1, 0)), (p2, (0, 0), (0, 1)),
                (p1.compose(p1) + p2.compose(p2), (1, 0), (1, 0)),
                (x1.compose(p1), (1, 0), (2, 1)), (p2, (2, 1), (0, 1))]

@@ -240,7 +240,7 @@ def build_observable(name: str, p: PhysicalParams, x0: tuple[float, float],
     Hermitian.
     """
     s = p.sign
-    c = math.sqrt(p.hbar * p.m * p.omega_c / 2.0)
+    c = p.ladder_scale
     lam = p.magnetic_length
     nplus, nminus = sector_numbers(b)
 
@@ -337,7 +337,7 @@ def angular_element(name: str, l1, n1, l2, n2, p: PhysicalParams):
         raise ValueError("labels must satisfy n >= 0 and l >= -n")
     s = p.sign
     hb = p.hbar
-    c = math.sqrt(hb * p.m * p.omega_c / 2.0)
+    c = p.ladder_scale
 
     def d(a, bb):
         return np.where(a == bb, 1.0, 0.0)

@@ -407,6 +407,16 @@ class PhysicalParams:
         return math.sqrt(self.hbar / (self.m * self.omega_c))
 
     @property
+    def momentum_scale(self) -> float:
+        """sqrt(hbar m omega_c), the width of the translation profiles."""
+        return math.sqrt(self.hbar * self.m * self.omega_c)
+
+    @property
+    def ladder_scale(self) -> float:
+        """sqrt(hbar m omega_c / 2), the ladder coefficient of T and p."""
+        return math.sqrt(self.hbar * self.m * self.omega_c / 2.0)
+
+    @property
     def qB(self) -> float:
         return self.q * self.B
 

@@ -330,45 +330,51 @@ class DiffOpSpec:
     a12: Poly2 = _ZERO
     a22: Poly2 = _ZERO
 
+    ORDERS = (0, 1, 1, 2, 2, 2)  # of the WaveJet slots, f, f1, ..., f22
+
+    @property
+    def coefficients(self) -> tuple[Poly2, ...]:
+        """The coefficient of each WaveJet slot, in slot order."""
+        return (self.c, self.b1, self.b2, self.a11, self.a12, self.a22)
+
+    def nonzero(self) -> list[tuple[int, int, Poly2]]:
+        """``(slot, order, coefficient)`` of each nonzero coefficient."""
+        return [(slot, order, poly) for slot, (order, poly) in enumerate(
+            zip(self.ORDERS, self.coefficients)) if not poly.is_zero()]
+
     @property
     def order(self) -> int:
-        if not (self.a11.is_zero() and self.a12.is_zero() and self.a22.is_zero()):
-            return 2
-        if not (self.b1.is_zero() and self.b2.is_zero()):
-            return 1
-        return 0
+        return max((order for _, order, _ in self.nonzero()), default=0)
+
+    def terms(self, u) -> list[tuple[int, np.ndarray]]:
+        """``(slot, array)`` of c and of each nonzero other coefficient at
+        shifted coordinates ``u``: what :meth:`apply_jet` multiplies into
+        the jet slots."""
+        return [(slot, poly(*u)) for slot, poly in enumerate(self.coefficients)
+                if not slot or not poly.is_zero()]
 
     def apply(self, psi: WaveForm, x1, x2):
-        jet = psi.jet(x1, x2)
-        return self.apply_jet(jet, psi.shifted(x1, x2))
+        return self.apply_jet(psi.jet(x1, x2), psi.shifted(x1, x2))
 
-    def apply_jet(self, jet: WaveJet, shifted_coords):
-        u1, u2 = shifted_coords
-        out = self.c(u1, u2) * jet.f
-        if not self.b1.is_zero():
-            out = out + self.b1(u1, u2) * jet.f1
-        if not self.b2.is_zero():
-            out = out + self.b2(u1, u2) * jet.f2
-        if not self.a11.is_zero():
-            out = out + self.a11(u1, u2) * jet.f11
-        if not self.a12.is_zero():
-            out = out + self.a12(u1, u2) * jet.f12
-        if not self.a22.is_zero():
-            out = out + self.a22(u1, u2) * jet.f22
+    def apply_jet(self, jet: WaveJet, shifted_coords, terms=None):
+        """c f plus each nonzero other term, in slot order, from the
+        operator's :meth:`terms` at the jet's shifted coordinates; a caller
+        applying it to many jets passes them, evaluated once."""
+        (_, c), *rest = terms or self.terms(shifted_coords)
+        out = c * jet.f
+        for slot, arr in rest:
+            out = out + arr * jet[slot]
         return out
 
     def __add__(self, other: "DiffOpSpec") -> "DiffOpSpec":
-        return DiffOpSpec(self.c + other.c, self.b1 + other.b1,
-                          self.b2 + other.b2, self.a11 + other.a11,
-                          self.a12 + other.a12, self.a22 + other.a22)
+        return DiffOpSpec(*(a + b for a, b in zip(self.coefficients,
+                                                  other.coefficients)))
 
     def __sub__(self, other: "DiffOpSpec") -> "DiffOpSpec":
         return self + (-1.0) * other
 
     def __mul__(self, scalar) -> "DiffOpSpec":
-        return DiffOpSpec(self.c * scalar, self.b1 * scalar, self.b2 * scalar,
-                          self.a11 * scalar, self.a12 * scalar,
-                          self.a22 * scalar)
+        return DiffOpSpec(*(poly * scalar for poly in self.coefficients))
 
     __rmul__ = __mul__
 
@@ -377,10 +383,8 @@ class DiffOpSpec:
         within two."""
         if self.order + other.order > 2:
             raise ValueError("composition exceeds second order")
-        c, b1, b2 = self.c, self.b1, self.b2
-        a11, a12, a22 = self.a11, self.a12, self.a22
-        cp, bp1, bp2 = other.c, other.b1, other.b2
-        ap11, ap12, ap22 = other.a11, other.a12, other.a22
+        c, b1, b2, a11, a12, a22 = self.coefficients
+        cp, bp1, bp2, ap11, ap12, ap22 = other.coefficients
         rc = (c * cp + b1 * cp.diff(1) + b2 * cp.diff(2)
               + a11 * cp.diff(1).diff(1) + a12 * cp.diff(1).diff(2)
               + a22 * cp.diff(2).diff(2))
@@ -471,7 +475,7 @@ def t1_basis_function(nplus: int, p: PhysicalParams) -> WaveForm:
     u1 = t alone, read as ``value(t, 0.0)``: Gaussian t^2/(2 sigma^2) and
     special factor H_{n+}(t/sigma), with sigma = sqrt(hbar m w)."""
     check_quantum_number(nplus, "nplus")
-    sig = math.sqrt(p.hbar * p.m * p.omega_c)
+    sig = p.momentum_scale
     coeff = (-1j) ** nplus / math.sqrt(2.0 ** nplus * math.factorial(nplus)) \
         * (math.pi * sig * sig) ** -0.25
     return WaveForm(coeff=coeff, origin=(0.0, 0.0),

@@ -634,3 +634,25 @@ def test_reports_do_not_depend_on_the_blas_kernel(tmp_path):
         want = (default / f"{k}.json").read_bytes()
         for coretype, (out, _) in procs.items():
             assert (out / f"{k}.json").read_bytes() == want, (argv, coretype)
+
+
+_IMPORT_SCRIPT = """
+import sys
+before = set(sys.modules)
+import landaulab.cli
+print(*sorted({name.partition(".")[0] for name in set(sys.modules) - before}))
+"""
+
+
+def test_cli_import_loads_only_numpy_and_the_standard_library():
+    # the time to import landaulab.cli is paid by every campaign call: it
+    # loads numpy and standard-library modules only, in a fresh interpreter
+    src = str(Path(landaulab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert {"landaulab", "numpy"} <= loaded
+    assert loaded - {"landaulab", "numpy"} <= set(sys.stdlib_module_names)

@@ -468,9 +468,10 @@ _CUBIC = GaugeChoice(-0.6, (0.1, 0.4),
 ], ids=["gauss_hermite-40", "simpson-64", "symmetric-gauss_hermite-40"])
 def test_engine_elements_equal_matrix_element(scheme, k, g):
     # the angular states of one gauge certify each other; a re-phased state
-    # carries another phase, so its rows with them are uncertified.  An
-    # uncertified value has the bits of matrix_element on the --grid rule,
-    # a certified one those of the same row on the certified rule
+    # carries another phase, so a batch holding its rows runs wholly on the
+    # --grid rule, and a batch of the certified requests alone on the
+    # certified rule.  Each value has the bits of matrix_element (or
+    # inner_product) on the rule its batch ran on
     grid = _default_grid(P, g, k, scheme)
     labels = [(0, 0), (1, 0), (-1, 1), (2, 1), "rephased"]
     psi = {lab: fock_state(g, P, lab[1] + lab[0], lab[1])
@@ -483,6 +484,8 @@ def test_engine_elements_equal_matrix_element(scheme, k, g):
            for name in _SCAN_OPS + tuple(CANONICAL_PARTNER)] + [None]
     requests = {(i, a, b): (a, op, b)
                 for i, op in enumerate(ops) for a in labels for b in labels}
+    certifiable = {key: r for key, r in requests.items()
+                   if "rephased" not in r}
     # a second key for every request of the first operator: each key is
     # integrated once, and both keys of a request read the same bits
     twins = {("twin", a, b): (a, ops[0], b) for a in labels for b in labels}
@@ -495,23 +498,24 @@ def test_engine_elements_equal_matrix_element(scheme, k, g):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(quad, "integrate_rows", counted)
         values = eng.elements({**requests, **twins})
+        assert eng.certified_k is None
+        alone = eng.elements(certifiable)
     assert list(values) == [*requests, *twins]
-    assert sum(map(len, rows)) == len(requests) + len(twins)
+    assert list(alone) == list(certifiable)
+    assert list(map(len, rows)) == [len(requests) + len(twins),
+                                    len(certifiable)]
     certified = eng.certified_k
     assert (certified is None) == (scheme == "simpson")
-    assert [rule.exact for rule in rules] == [False] + [True] * bool(certified)
+    assert [rule.exact for rule in rules] == [False, bool(certified)]
     exact = certified and _certified_rule(P, g, certified)
-    for (i, a, b), (_, op, _) in requests.items():
-        mixed = (a == "rephased") != (b == "rephased")
-        on = exact if certified and not mixed else grid
-        ref = (inner_product(psi[a], psi[b], on) if op is None
-               else matrix_element(psi[a], op, psi[b], on))
-        assert struct.pack("<dd", values[i, a, b].real, values[i, a, b].imag) \
-            == struct.pack("<dd", ref.real, ref.imag)
+    for got, batch, on in ((values, requests, grid),
+                           (alone, certifiable, exact or grid)):
+        for key, (a, op, b) in batch.items():
+            ref = (inner_product(psi[a], psi[b], on) if op is None
+                   else matrix_element(psi[a], op, psi[b], on))
+            assert _bits([got[key]]) == _bits([ref]), key
     for (_, a, b) in twins:
-        assert struct.pack("<dd", values["twin", a, b].real,
-                           values["twin", a, b].imag) \
-            == struct.pack("<dd", values[0, a, b].real, values[0, a, b].imag)
+        assert _bits([values["twin", a, b]]) == _bits([values[0, a, b]])
 
 
 def _table_engine():
@@ -594,9 +598,10 @@ def _demo_reference(p, grids):
     (PhysicalParams(0.7, 1.1, 1.3, hbar=1.6), "simpson", 120),
 ])
 def test_heisenberg_demo_evaluates_each_state_once(monkeypatch, p, scheme, k):
-    # one element-engine batch per representation: the 4 states of the
-    # plain and of each of the three dressed sets make 16 jets and no
-    # separate value; each of the 20 elements keeps the bits of its own
+    # one element-engine batch per representation: of the 4 states of the
+    # plain and of each of the three dressed sets, (0, 0) is only ever a
+    # bra, so it is valued and the other 3 jetted, 4 values and 12 jets in
+    # all; each of the 20 elements keeps the bits of its own
     # matrix_element call on the rule of its batch, the certified 4-node
     # rule under Gauss-Hermite, and each report deviation those of the
     # reference
@@ -615,7 +620,7 @@ def test_heisenberg_demo_evaluates_each_state_once(monkeypatch, p, scheme, k):
     monkeypatch.setattr(quad, "integrate_rows", recorded)
     rep = run_heisenberg_demo(p, grid_k=k, scheme=scheme)
     monkeypatch.undo()
-    assert counts == {"value": 0, "jet": 16}
+    assert counts == {"value": 4, "jet": 12}
 
     if scheme == "simpson":
         assert rep.settings["certified_k"] is None
@@ -644,11 +649,11 @@ def test_heisenberg_demo_support_failure_matches_per_element_path(k):
 
 
 def test_engine_support_failure_matches_per_element_path():
-    # re-phased kets carry another phase than the bras, so their rows run
-    # on the --grid rule under the boundary-decay check: on 20 nodes per
-    # axis the vacuum element passes and the next one, with a
-    # slower-decaying ket, is the first to fail.  Certified rows, on the
-    # kets themselves, would fail it too on this rule; they are not checked
+    # re-phased kets carry another phase than the bras, so the batch holding
+    # their rows runs wholly on the --grid rule under the boundary-decay
+    # check, in key order: on 20 nodes per axis the vacuum element passes,
+    # and the batch fails where the first of its requests, taken one
+    # matrix_element call at a time, fails
     grid = _grid(SYM, k=20)
     labels = [(0, 0), (1, 0), (2, 1)]
     psi = {lab: fock_state(SYM, P, *lab) for lab in labels}
@@ -656,13 +661,11 @@ def test_engine_support_failure_matches_per_element_path():
     op = position_op("H", SYM, P)
     requests = {(a, b): (a, op, b) for a in labels
                 for b in (*labels, *(("rephased", lab) for lab in labels))}
-    uncertified = [(a, b) for a, _, b in requests.values()
-                   if b[0] == "rephased"]
-    matrix_element(psi[(0, 0)], op, psi["rephased", (0, 0)], grid)
+    matrix_element(psi[(0, 0)], op, psi[(0, 0)], grid)
     with pytest.raises(SupportOverflowError):
         matrix_element(psi[(2, 1)], op, psi[(2, 1)], grid)
     with pytest.raises(SupportOverflowError) as per_element:
-        for a, b in uncertified:
+        for a, b in requests:
             matrix_element(psi[a], op, psi[b], grid)
     eng = _ElementEngine(P, SYM, 20, "gauss_hermite")
     for lab in psi:
@@ -832,6 +835,58 @@ def test_no_certified_batch_runs_below_its_degree(monkeypatch, campaign):
         k = rule.x1.size
         assert max(_integrand_degree(*r) for r in certifiable) <= 2 * k - 1
         assert k <= eng.certified_k
+
+
+@pytest.mark.parametrize("campaign, line_streams", [
+    (lambda: run_gauge_scan(P, nmax=8, grid_k=40, levels=2), 0),
+    (lambda: run_reproduce_tables(P, nmax=8, grid_k=56, gauge=_CUBIC,
+                                  idx_top=3), 0),
+    (lambda: run_basis_change(P, grid_k=64), 2),
+    (lambda: run_heisenberg_demo(P, grid_k=48), 0),
+], ids=["gauge-scan", "reproduce-tables", "basis-change", "heisenberg-demo"])
+def test_every_plane_integral_is_one_engine_batch(monkeypatch, campaign,
+                                                  line_streams):
+    # the element engine forms every plane-integral row of the campaigns:
+    # each Grid2 stream is one engine batch, and each batch one stream.
+    # Only basis-change integrates on the line, in two streams
+    streams, batches = [], []
+    elements = _ElementEngine.elements
+
+    def recorded(rows, rule):
+        streams.append(type(rule))
+        return integrate_rows(rows, rule)
+
+    def batch(self, requests):
+        start = len(streams)
+        out = elements(self, requests)
+        batches.append(streams[start:])
+        del streams[start:]
+        return out
+    monkeypatch.setattr(quad, "integrate_rows", recorded)
+    monkeypatch.setattr(_ElementEngine, "elements", batch)
+    campaign()
+    assert batches and all(b == [Grid2] for b in batches)
+    assert streams == [quad.Grid1] * line_streams
+
+
+def test_reproduce_tables_values_translation_states(monkeypatch):
+    # a translation state is only ever a bra of the tables, which no
+    # operator is applied to: the engine takes its value and no jet
+    made, jetted = [], []
+    t1_form, jet = wv.t1_state, wv.WaveForm.jet
+
+    def made_t1(*args):
+        made.append(t1_form(*args))
+        return made[-1]
+
+    def recorded(self, *args):
+        jetted.append(self)  # kept, so no two forms share an id
+        return jet(self, *args)
+    monkeypatch.setattr(wv, "t1_state", made_t1)
+    monkeypatch.setattr(wv.WaveForm, "jet", recorded)
+    run_reproduce_tables(P, nmax=8, grid_k=56, gauge=_CUBIC, idx_top=3)
+    assert made and jetted
+    assert not {id(form) for form in made} & {id(form) for form in jetted}
 
 
 def _off_centre(psi):

@@ -33,14 +33,13 @@ campaign does not write reads ``-``.
 A last run, ``support``, pins the first integrand that fails its
 boundary-decay check, in every campaign with rows that run on the
 ``--grid`` rule: each call exits 2 mid-run, and the line reads ``stderr``
-and the sha256 of the one-line error message.  reproduce-tables (whose
-translation-state rows are never certified) and basis-change (which has no
-element engine) fail it at ``--grid 10``, and basis-change also at
-``--grid 14`` and ``--grid 20``.  gauge-scan and heisenberg-demo rows are
-all certified, so they run on ``--grid`` only where it is no larger than
-their certified node count: gauge-scan at ``--scan-levels 4`` (certified
-on 14-15 nodes) with ``--grid 10``, and heisenberg-demo (4 nodes) with
-``--grid 4``.
+and the sha256 of the one-line error message.  reproduce-tables and
+basis-change, whose translation-state rows are never certified, fail it at
+``--grid 10``, and basis-change also at ``--grid 14`` and ``--grid 20``.
+gauge-scan and heisenberg-demo rows are all certified, so they run on
+``--grid`` only where it is no larger than their certified node count:
+gauge-scan at ``--scan-levels 4`` (certified on 14-15 nodes) with
+``--grid 10``, and heisenberg-demo (4 nodes) with ``--grid 4``.
 """
 
 from __future__ import annotations
