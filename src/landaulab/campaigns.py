@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
-from typing import NamedTuple
 
 import numpy as np
 
@@ -200,35 +199,16 @@ def _default_grid(p: PhysicalParams, g: GaugeChoice, k: int,
 _WEIGHT_RTOL = 1e-14
 
 
-class _Shape(NamedTuple):
-    """What the degree certificate reads of a wave function: the total
-    degree of its polynomial part (the polynomial times the special
-    factor), the degree each derivative can add to it (that of R' for
-    R = -Q + i Phi), its phase and its Gaussian."""
-
-    degree: int
-    slope: int
-    phase: Poly2
-    gauss: Poly2
-
-    @classmethod
-    def of(cls, form: wv.WaveForm) -> "_Shape":
-        degree = form.poly.degree
-        if form.special is not None:
-            degree += form.special.n * form.special.arg.degree
-        return cls(degree, max(form.exponent.degree - 1, 0), form.phase,
-                   form.gauss)
-
-
 class _ElementEngine:
     """Forms every plane-integral row of the campaigns: evaluates
     batches of matrix elements and overlaps, each batch as one stream of
     integrand rows through ``quad.integrate_rows`` on one rule, from wave
-    functions loaded under keys.  A key that an operator of the batch is
-    applied to is jetted, once per rule; any other key (a bra, an overlap's
-    ket) is only valued, with the bits of the jet's value.  Operators are
-    applied by ``DiffOpSpec.apply_jet``, from coefficient arrays evaluated
-    once per operator and batch.
+    functions loaded under keys.  A batch jets each key it reads once, on
+    its rule, to the highest order of the operators applied to it (order 0
+    for a bra or an overlap's ket), and holds those jets and the rule only
+    while it runs: between batches the engine keeps its wave functions and
+    ``certified_k``.  Operators are applied by ``DiffOpSpec.apply_jet``,
+    from coefficient arrays evaluated once per operator and batch.
 
     A request ``<bra|op|ket>`` is *certified* when its integrand is a
     polynomial times the weight of the Gauss-Hermite rule about the gauge
@@ -239,13 +219,14 @@ class _ElementEngine:
         D = deg(bra) + max over the nonzero slots of op of
             [deg(coefficient) + deg(ket) + order * (deg R - 1)],
 
-    with R = -Q + i Phi the ket's exponent, and a k-node rule integrates
-    it exactly once D <= 2k - 1 (Golub & Welsch, "Calculation of Gauss
-    quadrature rules", Math. Comp. 23, 1969).  A batch whose every request
-    is certified runs on one such rule, k = max(3, ceil((D_max + 1) / 2)),
-    which skips the boundary-decay check, if k is below ``grid_k``; any
-    other batch runs wholly on the ``grid_k`` rule of ``scheme`` under that
-    check.  ``certified_k`` is the largest certified k so far, or None."""
+    with R = -Q + i Phi the ket's exponent (``WaveForm.degree`` and
+    ``WaveForm.slope``), and a k-node rule integrates it exactly once
+    D <= 2k - 1 (Golub & Welsch, "Calculation of Gauss quadrature rules",
+    Math. Comp. 23, 1969).  A batch whose every request is certified runs
+    on one such rule, k = max(3, ceil((D_max + 1) / 2)), which skips the
+    boundary-decay check, if k is below ``grid_k``; any other batch runs
+    wholly on the ``grid_k`` rule of ``scheme`` under that check.
+    ``certified_k`` is the largest certified k so far, or None."""
 
     def __init__(self, p: PhysicalParams, g: GaugeChoice, grid_k: int,
                  scheme: str):
@@ -254,49 +235,12 @@ class _ElementEngine:
         self.scale = _rule_scale(p)
         self.certified_k = None
         self._forms: dict = {}
-        self._jets: dict = {}    # (key, k) -> jet; k None on the grid_k rule
-        self._values: dict = {}  # (key, k) -> value of a key never jetted
-        self._rules: dict = {}   # k -> (rule, nodes, shifted nodes)
-        self._shapes: dict = {}  # key -> _Shape, or None off the centre
 
     def load(self, key, make, *args):
         """Keep the wave function ``make(*args)`` under ``key``; it is only
         built when no function is kept under the key."""
         if key not in self._forms:
             self._forms[key] = make(*args)
-
-    def _rule(self, k):
-        """The certified rule of ``k`` nodes per axis, or for ``None`` the
-        ``grid_k`` rule, with its nodes and their shifts from the origin."""
-        if k not in self._rules:
-            rule = (_default_grid(self.p, self.g, self.grid_k, self.scheme)
-                    if k is None else quad.Grid2.gauss_hermite(
-                        k, centre=self.x0, scale=self.scale, exact=True))
-            x1, x2, _ = rule.points
-            self._rules[k] = (rule, (x1, x2),
-                              (x1 - self.x0[0], x2 - self.x0[1]))
-        return self._rules[k]
-
-    def _jet(self, key, k):
-        if (key, k) not in self._jets:
-            self._jets[key, k] = self._forms[key].jet(*self._rule(k)[1])
-        return self._jets[key, k]
-
-    def _value(self, key, k, jetted):
-        """The value of a key's wave function on rule ``k``: its jet's, if
-        the key is in ``jetted`` or its jet is kept."""
-        if key in jetted or (key, k) in self._jets:
-            return self._jet(key, k).f
-        if (key, k) not in self._values:
-            self._values[key, k] = self._forms[key].value(*self._rule(k)[1])
-        return self._values[key, k]
-
-    def _shape(self, key) -> _Shape | None:
-        if key not in self._shapes:
-            form = self._forms[key]
-            self._shapes[key] = (_Shape.of(form) if form.origin == self.x0
-                                 else None)
-        return self._shapes[key]
 
     def _weight_pair(self, qa: Poly2, qb: Poly2) -> bool:
         """Whether two Gaussians sum to the rule's exponent, coefficient by
@@ -316,8 +260,9 @@ class _ElementEngine:
         reach: dict = {}  # (op, slope) -> D - deg(bra) - deg(ket)
         top = 0
         for bra, op, ket in requests.values():
-            a, b = self._shape(bra), self._shape(ket)
-            if a is None or b is None or a.phase != b.phase:
+            a, b = self._forms[bra], self._forms[ket]
+            if self.x0 != a.origin or self.x0 != b.origin \
+                    or a.phase != b.phase:
                 return None
             if (bra, ket) not in weighted:
                 if not self._weight_pair(a.gauss, b.gauss):
@@ -341,23 +286,34 @@ class _ElementEngine:
         ``inner_product``) on the rule it ran on bit for bit, and a support
         failure is raised for the first failing request, in key order."""
         k = self._certified(requests)
-        if k is not None:
+        if k is None:
+            rule = _default_grid(self.p, self.g, self.grid_k, self.scheme)
+        else:
             self.certified_k = max(k, self.certified_k or k)
+            rule = quad.Grid2.gauss_hermite(k, centre=self.x0,
+                                            scale=self.scale, exact=True)
         return dict(zip(requests, quad.integrate_rows(
-            self._rows(requests, k), self._rule(k)[0])))
+            self._rows(requests, rule.points[:2]), rule)))
 
-    def _rows(self, requests: dict, k):
-        """The integrand rows of ``requests`` on rule ``k``, in key order.
-        Each operator's coefficient arrays are evaluated once, and each key
-        an operator is applied to is jetted, its value the jet's."""
-        u = self._rule(k)[2]
+    def _rows(self, requests: dict, nodes):
+        """The integrand rows of ``requests`` at the rule's ``nodes``, in
+        key order, from one jet per key and one set of coefficient arrays
+        per operator."""
+        u = (nodes[0] - self.x0[0], nodes[1] - self.x0[1])
         ops = {id(op): op for _, op, _ in requests.values() if op is not None}
         terms = {i: op.terms(u) for i, op in ops.items()}
-        jetted = {ket for _, op, ket in requests.values() if op is not None}
+        orders = {i: op.order for i, op in ops.items()}
+        order = dict.fromkeys((key for bra, _, ket in requests.values()
+                               for key in (bra, ket)), 0)
+        for _, op, ket in requests.values():
+            if op is not None:
+                order[ket] = max(order[ket], orders[id(op)])
+        jets = {key: self._forms[key].jet(*nodes, n)
+                for key, n in order.items()}
         for bra, op, ket in requests.values():
-            applied = (self._value(ket, k, jetted) if op is None else
-                       op.apply_jet(self._jet(ket, k), u, terms[id(op)]))
-            yield np.conj(self._value(bra, k, jetted)) * applied
+            applied = (jets[ket].f if op is None else
+                       op.apply_jet(jets[ket], u, terms[id(op)]))
+            yield np.conj(jets[bra].f) * applied
 
 
 def _largest(ks):

@@ -5,8 +5,8 @@ Subcommands: verify-algebra, gauge-scan, reproduce-tables, classical-sim,
 basis-change, heisenberg-demo, each taking only the flags its campaign
 reads.  Exit code 0 if and only if every check of the campaign passed, 1 if
 a check failed, and 2 with a one-line message on invalid input, a flag the
-subcommand does not take and a quadrature grid too small for the
-integrands included.
+subcommand does not take, a quadrature grid too small for the integrands
+and one above the largest rule built included.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--margin": dict(type=int, default=3, help="interior margin for "
                          "truncated-operator checks"),
         "--grid": dict(type=int, default=80,
-                       help="quadrature nodes per axis"),
+                       help="quadrature nodes per axis, at most 370"),
         "--scheme": dict(choices=["gh", "simpson"], default="gh"),
         "--seed": dict(type=int, default=7),
         "--scan-levels": dict(type=int, default=4, help="largest level "

@@ -40,9 +40,14 @@ __all__ = [
     "integrate_rows",
     "line_integral",
     "SUPPORT_RATIO",
+    "MAX_AXIS_SIZE",
 ]
 
 SUPPORT_RATIO = 1e-12
+# Largest node count per axis of a Gauss-Hermite rule, and interval count
+# of a Simpson rule: from 371 nodes on, numpy's hermgauss returns zero or
+# non-finite weights.  Either rule is refused above it before it is built.
+MAX_AXIS_SIZE = 370
 
 
 class SupportOverflowError(ValueError):
@@ -60,9 +65,15 @@ def _hermite_rule(k: int) -> tuple[np.ndarray, np.ndarray]:
     return t, wt
 
 
+def _check_axis_size(n: int):
+    if n > MAX_AXIS_SIZE:
+        raise ValueError(f"{n} exceeds the largest rule size {MAX_AXIS_SIZE}")
+
+
 def _axis_gauss_hermite(k: int, centre: float, scale: float):
     if k < 3:
         raise ValueError("need at least 3 nodes per axis")
+    _check_axis_size(k)
     t, wt = _hermite_rule(k)
     return centre + scale * t, wt * scale
 
@@ -70,6 +81,7 @@ def _axis_gauss_hermite(k: int, centre: float, scale: float):
 def _axis_simpson(n: int, centre: float, extent: float):
     if n < 2 or n % 2:
         raise ValueError("Simpson rule needs an even interval count >= 2")
+    _check_axis_size(n)
     x = np.linspace(centre - extent, centre + extent, n + 1)
     h = 2.0 * extent / n
     w = np.full(n + 1, 2.0)

@@ -117,45 +117,51 @@ class SpecialFactor:
     arg: Poly2
     m: int = 0          # Laguerre upper index
 
-    def chain_values(self, gval):
-        """(f(g), f'(g), f''(g)) at argument values gval."""
+    def chain_values(self, gval, order: int = 2) -> list:
+        """[f(g), f'(g), f''(g)] at argument values gval, up to ``order``;
+        a derivative of order above n is 0 * g."""
+        n, m = self.n, self.m
         if self.kind == "hermite":
-            f0, h1, h2 = _hermite_tail(self.n, gval)
-            f1 = 2.0 * self.n * h1 if self.n >= 1 else 0.0 * gval
-            f2 = (4.0 * self.n * (self.n - 1) * h2 if self.n >= 2
-                  else 0.0 * gval)
-            return f0, f1, f2
-        if self.kind == "laguerre":
-            f0 = laguerre(self.n, self.m, gval)
-            f1 = -laguerre(self.n - 1, self.m + 1, gval) if self.n >= 1 else 0.0 * gval
-            f2 = (laguerre(self.n - 2, self.m + 2, gval)
-                  if self.n >= 2 else 0.0 * gval)
-            return f0, f1, f2
-        raise ValueError(f"unknown special factor {self.kind!r}")
+            h = _hermite_tail(n, gval)  # (H_n, H_{n-1}, H_{n-2})
+            fs = (lambda: h[0], lambda: 2.0 * n * h[1],
+                  lambda: 4.0 * n * (n - 1) * h[2])
+        elif self.kind == "laguerre":
+            fs = (lambda: laguerre(n, m, gval),
+                  lambda: -laguerre(n - 1, m + 1, gval),
+                  lambda: laguerre(n - 2, m + 2, gval))
+        else:
+            raise ValueError(f"unknown special factor {self.kind!r}")
+        return [fs[d]() if n >= d else 0.0 * gval for d in range(order + 1)]
 
 
-def _partials(poly: Poly2, u1, u2):
-    """``(d1, d2, d11, d12, d22)`` of ``poly`` at shifted coordinates."""
+def _partials(poly: Poly2, u1, u2, order: int) -> tuple:
+    """``(d1, d2)`` of ``poly`` at shifted coordinates, then, at order 2,
+    ``(d11, d12, d22)``."""
     p1, p2 = poly.diff(1), poly.diff(2)
-    return (p1(u1, u2), p2(u1, u2), p1.diff(1)(u1, u2), p1.diff(2)(u1, u2),
-            p2.diff(2)(u1, u2))
+    first = (p1(u1, u2), p2(u1, u2))
+    if order < 2:
+        return first
+    return first + (p1.diff(1)(u1, u2), p1.diff(2)(u1, u2),
+                    p2.diff(2)(u1, u2))
 
 
 class WaveJet(NamedTuple):
-    """Value and derivatives up to second order at a set of points."""
+    """Value and derivatives up to second order at a set of points; the
+    slots above the order the jet was taken to are None."""
 
     f: np.ndarray
-    f1: np.ndarray
-    f2: np.ndarray
-    f11: np.ndarray
-    f12: np.ndarray
-    f22: np.ndarray
+    f1: np.ndarray | None = None
+    f2: np.ndarray | None = None
+    f11: np.ndarray | None = None
+    f12: np.ndarray | None = None
+    f22: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
 class WaveForm:
     """coeff * poly(u) * exp(-gauss(u)) * exp(i phase(u)) * special(u),
-    anchored at the plane origin of its gauge."""
+    anchored at the plane origin of its gauge.  :meth:`jet` is its one
+    evaluation: the value is the order-0 jet's."""
 
     coeff: complex
     origin: tuple[float, float]
@@ -173,50 +179,66 @@ class WaveForm:
         and so its values and exp, are real when the phase is zero."""
         return -1.0 * self.gauss + complex(0.0, 1.0) * self.phase
 
-    def _value_parts(self, u1, u2):
-        """``(f, A, E, chain)`` at shifted coordinates: the value
-        f = C * A * E * S, the polynomial factor A, the exponential E and
-        the special factor's (S, S', S'') at its argument (None without
-        one).  The only evaluation of a wave function's value."""
-        A = self.poly(u1, u2)
-        E = np.exp(self.exponent(u1, u2))
-        f = self.coeff * A * E
-        chain = None
+    @cached_property
+    def degree(self) -> int:
+        """Total degree of the polynomial part: the polynomial times the
+        special factor."""
+        degree = self.poly.degree
         if self.special is not None:
-            chain = self.special.chain_values(self.special.arg(u1, u2))
-            f = f * chain[0]
-        return f, A, E, chain
+            degree += self.special.n * self.special.arg.degree
+        return degree
+
+    @cached_property
+    def slope(self) -> int:
+        """The degree each derivative can add to the polynomial part: that
+        of R' for the exponent R."""
+        return max(self.exponent.degree - 1, 0)
 
     def value(self, x1, x2):
-        """The value, with the bits of ``jet(x1, x2).f``."""
-        return self._value_parts(*self.shifted(x1, x2))[0]
+        """The value: ``jet(x1, x2, 0).f``."""
+        return self.jet(x1, x2, 0).f
 
     __call__ = value
 
-    def jet(self, x1, x2) -> WaveJet:
-        """Analytic value and first/second derivatives with respect to the
-        plane coordinates."""
+    def jet(self, x1, x2, order: int = 2) -> WaveJet:
+        """Analytic value and derivatives up to ``order`` (0, 1 or 2) with
+        respect to the plane coordinates; the slots above ``order`` are
+        None, and each slot has the same bits at every order that holds
+        it."""
         u1, u2 = self.shifted(x1, x2)
-        f, A, E, chain = self._value_parts(u1, u2)
+        A = self.poly(u1, u2)
+        E = np.exp(self.exponent(u1, u2))
+        f = self.coeff * A * E
+        if self.special is not None:
+            S, *chain = self.special.chain_values(self.special.arg(u1, u2),
+                                                  order)
+            f = f * S
+        if not order:
+            return WaveJet(f)
         # polynomial factor and exponent R = -Q + i Phi: derivatives
-        A1, A2, A11, A12, A22 = _partials(self.poly, u1, u2)
-        R1, R2, R11, R12, R22 = _partials(self.exponent, u1, u2)
+        A1, A2, *A_2 = _partials(self.poly, u1, u2, order)
+        R1, R2, *R_2 = _partials(self.exponent, u1, u2, order)
         # special factor via chain rule
-        if chain is not None:
-            g1, g2, g11, g12, g22 = _partials(self.special.arg, u1, u2)
-            S, fp, fpp = chain
+        if self.special is not None:
+            g1, g2, *g_2 = _partials(self.special.arg, u1, u2, order)
+            fp = chain[0]
             S1, S2 = fp * g1, fp * g2
+        else:
+            S = 1.0 + 0.0 * (u1 + u2)
+            S1 = S2 = 0.0 * S
+        C = self.coeff
+        f1 = C * E * (A1 * S + A * R1 * S + A * S1)
+        f2 = C * E * (A2 * S + A * R2 * S + A * S2)
+        if order == 1:
+            return WaveJet(f, f1, f2)
+        (A11, A12, A22), (R11, R12, R22) = A_2, R_2
+        if self.special is not None:
+            (g11, g12, g22), fpp = g_2, chain[1]
             S11 = fpp * g1 * g1 + fp * g11
             S12 = fpp * g1 * g2 + fp * g12
             S22 = fpp * g2 * g2 + fp * g22
         else:
-            one = 1.0 + 0.0 * (u1 + u2)
-            S, S1, S2 = one, 0.0 * one, 0.0 * one
-            S11 = S12 = S22 = 0.0 * one
-
-        C = self.coeff
-        f1 = C * E * (A1 * S + A * R1 * S + A * S1)
-        f2 = C * E * (A2 * S + A * R2 * S + A * S2)
+            S11 = S12 = S22 = S1
         f11 = C * E * (A11 * S + 2 * A1 * R1 * S + 2 * A1 * S1
                        + A * (R11 + R1 * R1) * S + 2 * A * R1 * S1 + A * S11)
         f22 = C * E * (A22 * S + 2 * A2 * R2 * S + 2 * A2 * S2
@@ -354,7 +376,9 @@ class DiffOpSpec:
                 if not slot or not poly.is_zero()]
 
     def apply(self, psi: WaveForm, x1, x2):
-        return self.apply_jet(psi.jet(x1, x2), psi.shifted(x1, x2))
+        """The operator applied to ``psi``, jetted to the operator's order."""
+        return self.apply_jet(psi.jet(x1, x2, self.order),
+                              psi.shifted(x1, x2))
 
     def apply_jet(self, jet: WaveJet, shifted_coords, terms=None):
         """c f plus each nonzero other term, in slot order, from the

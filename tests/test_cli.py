@@ -131,6 +131,24 @@ def _fixed_tolerance(check_id: str):
             "ode-residual": 1e-10, "closure:one-period": 1e-6}.get(check_id)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_campaigns_run_without_numpy_warnings(tmp_path):
+    # a numpy RuntimeWarning on a campaign's path marks arithmetic gone
+    # wrong, as the zero weights of a 371-node Gauss-Hermite rule did:
+    # here it is an error, and every campaign still passes
+    for args in (["verify-algebra", "--nmax", "8"],
+                 ["gauge-scan", "--grid", "40", "--scan-levels", "2",
+                  "--nmax", "8"],
+                 ["reproduce-tables", "--grid", "56", "--nmax", "12"],
+                 ["basis-change", "--grid", "56"],
+                 ["classical-sim", "--steps", "500"],
+                 ["heisenberg-demo", "--grid", "48"]):
+        code = main(args + ["--quiet", "--no-timestamp", "--json-out",
+                            str(tmp_path / "r.json"), "--csv-out",
+                            str(tmp_path / "r.csv")])
+        assert code == 0, args[0]
+
+
 @pytest.mark.parametrize("args", [
     ["verify-algebra", "--nmax", "8"],
     ["gauge-scan", "--grid", "40", "--scan-levels", "1", "--nmax", "8"],
@@ -468,6 +486,14 @@ def test_bad_phi_rejected(capsys):
      "--centre: guiding centre must be finite"),
     (["classical-sim", "--centre", "nan,0"],
      "--centre: guiding centre must be finite"),
+    # above 370 nodes numpy's Gauss-Hermite weights underflow to zero or
+    # overflow; a rule that large is refused before it is built
+    *[([campaign, "--grid", grid],
+       f"--grid: {grid} exceeds the largest rule size 370")
+      for campaign in ("gauge-scan", "reproduce-tables", "basis-change",
+                       "heisenberg-demo") for grid in ("371", str(10 ** 21))],
+    (["gauge-scan", "--scheme", "simpson", "--grid", "372"],
+     "--grid: 372 exceeds the largest rule size 370"),
 ], ids=["nmax", "algebra-nmax-high", "scan-nmax-high", "tables-nmax-high",
         "simpson-grid", "margin", "phi-syntax", "mass", "steps",
         "dt-negative", "dt-nan", "energy", "bfield-nan", "hbar-inf",
@@ -477,7 +503,9 @@ def test_bad_phi_rejected(capsys):
         "demo-grid", "tables-grid", "dt-orbit-overflow", "tol-nan",
         "tol-negative", "tol-inf", "qb-underflow", "qb-overflow",
         "omega-overflow", "energy-momentum-overflow", "default-energy-overflow",
-        "radius-overflow", "centre-far", "x0-far", "centre-inf", "centre-nan"])
+        "radius-overflow", "centre-far", "x0-far", "centre-inf", "centre-nan",
+        *[f"{c}-grid-{g}" for c in ("scan", "tables", "basis", "demo")
+          for g in ("371", "1e21")], "simpson-grid-372"])
 def test_bad_input_exits_2(capsys, args, message):
     with pytest.raises(SystemExit) as exc:
         main(args + ["--quiet", "--no-timestamp"])

@@ -1,6 +1,8 @@
 import math
 import struct
 import tracemalloc
+import warnings
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
@@ -261,6 +263,26 @@ def test_grid_validation():
         Grid2.gauss_hermite(2)
     with pytest.raises(ValueError):
         Grid2.simpson(5, extent=1.0)
+
+
+def test_rules_stop_at_the_largest_size_numpy_builds():
+    # from 371 nodes on numpy's hermgauss returns zero or non-finite
+    # weights; the 370-node rule is built without a warning, its weights
+    # positive and finite, and any larger rule is refused before it is
+    # built, the Simpson rule's interval count included
+    assert quad.MAX_AXIS_SIZE == 370
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        t, wt = quad._hermite_rule.__wrapped__(370)
+        grid = Grid2.gauss_hermite(370, scale=1.3)
+    assert t.size == 370
+    for w in (wt, grid.w1, grid.w2, quad.Grid1(370).weights,
+              Grid2.simpson(370).w1):
+        assert np.all(np.isfinite(w)) and np.all(w > 0)
+    for build in (lambda: Grid2.gauss_hermite(371), lambda: quad.Grid1(371),
+                  lambda: quad.Grid1(10 ** 21), lambda: Grid2.simpson(372)):
+        with pytest.raises(ValueError, match="largest rule size 370"):
+            build()
 
 
 def _correctly_rounded_sum(row) -> float:
@@ -598,19 +620,28 @@ def _demo_reference(p, grids):
     (PhysicalParams(0.7, 1.1, 1.3, hbar=1.6), "simpson", 120),
 ])
 def test_heisenberg_demo_evaluates_each_state_once(monkeypatch, p, scheme, k):
-    # one element-engine batch per representation: of the 4 states of the
-    # plain and of each of the three dressed sets, (0, 0) is only ever a
-    # bra, so it is valued and the other 3 jetted, 4 values and 12 jets in
-    # all; each of the 20 elements keeps the bits of its own
+    # one element-engine batch per representation, which jets each of its
+    # 4 states once, to the highest order of the operators applied to it:
+    # (0, 0) is only ever a bra, so order 0; (1, 0) is the ket of
+    # p1^2 + p2^2, so order 2; (0, 1) and (2, 1) are kets of first-order
+    # operators only.  Over the plain and the three dressed sets that is
+    # 4 jets of order 0, 8 of order 1 and 4 of order 2, and no call to
+    # value.  Each of the 20 elements keeps the bits of its own
     # matrix_element call on the rule of its batch, the certified 4-node
     # rule under Gauss-Hermite, and each report deviation those of the
     # reference
-    counts = {"value": 0, "jet": 0}
-    for name in counts:
-        def counted(self, *args, fn=getattr(wv.WaveForm, name), name=name):
-            counts[name] += 1
-            return fn(self, *args)
-        monkeypatch.setattr(wv.WaveForm, name, counted)
+    orders, valued = [], []
+    jet, value = wv.WaveForm.jet, wv.WaveForm.value
+
+    def jetted(self, x1, x2, order=2):
+        orders.append(order)
+        return jet(self, x1, x2, order)
+
+    def counted(self, *args):
+        valued.append(self)
+        return value(self, *args)
+    monkeypatch.setattr(wv.WaveForm, "jet", jetted)
+    monkeypatch.setattr(wv.WaveForm, "value", counted)
     elements, rules = [], []
 
     def recorded(values, grid):
@@ -620,7 +651,8 @@ def test_heisenberg_demo_evaluates_each_state_once(monkeypatch, p, scheme, k):
     monkeypatch.setattr(quad, "integrate_rows", recorded)
     rep = run_heisenberg_demo(p, grid_k=k, scheme=scheme)
     monkeypatch.undo()
-    assert counts == {"value": 4, "jet": 12}
+    assert not valued
+    assert Counter(orders) == {0: 4, 1: 8, 2: 4}
 
     if scheme == "simpson":
         assert rep.settings["certified_k"] is None
@@ -871,7 +903,7 @@ def test_every_plane_integral_is_one_engine_batch(monkeypatch, campaign,
 
 def test_reproduce_tables_values_translation_states(monkeypatch):
     # a translation state is only ever a bra of the tables, which no
-    # operator is applied to: the engine takes its value and no jet
+    # operator is applied to: the engine jets it at order 0 only
     made, jetted = [], []
     t1_form, jet = wv.t1_state, wv.WaveForm.jet
 
@@ -879,14 +911,15 @@ def test_reproduce_tables_values_translation_states(monkeypatch):
         made.append(t1_form(*args))
         return made[-1]
 
-    def recorded(self, *args):
-        jetted.append(self)  # kept, so no two forms share an id
-        return jet(self, *args)
+    def recorded(self, x1, x2, order=2):
+        jetted.append((self, order))  # kept, so no two forms share an id
+        return jet(self, x1, x2, order)
     monkeypatch.setattr(wv, "t1_state", made_t1)
     monkeypatch.setattr(wv.WaveForm, "jet", recorded)
     run_reproduce_tables(P, nmax=8, grid_k=56, gauge=_CUBIC, idx_top=3)
-    assert made and jetted
-    assert not {id(form) for form in made} & {id(form) for form in jetted}
+    ids = {id(form) for form in made}
+    orders = [order for form, order in jetted if id(form) in ids]
+    assert made and orders and set(orders) == {0}
 
 
 def _off_centre(psi):
@@ -1107,28 +1140,28 @@ def test_rows_computed_by_nested_calls_keep_their_bits():
                  parse_poly("0.05*u1^2*u2 - 0.1*u1 + 0.02*u2^3")), 56),
 ], ids=["unit", "variant"])
 def test_basis_change_is_three_row_streams(monkeypatch, p, g, k):
-    # 28 distinct states valued once on the grid; 54 overlaps, 66
-    # orthonormality and 100 reconstruction integrals in three streams,
+    # 28 distinct states jetted once on the grid, at order 0; 54 overlaps,
+    # 66 orthonormality and 100 reconstruction integrals in three streams,
     # each value with the bits of its own inner_product or line_integral
     grid = _default_grid(p, g, k, "gauss_hermite")
     on_grid = []
-    value = wv.WaveForm.value
+    jet = wv.WaveForm.jet
 
-    def counted(self, x1, x2):
+    def counted(self, x1, x2, order=2):
         if np.size(x1) == grid.weights.size:
-            on_grid.append(self)
-        return value(self, x1, x2)
+            on_grid.append(order)
+        return jet(self, x1, x2, order)
     calls = []
 
     def recorded(rows, rule):
         rows = list(rows)
         calls.append((rows, rule, integrate_rows(rows, rule)))
         return calls[-1][2]
-    monkeypatch.setattr(wv.WaveForm, "value", counted)
+    monkeypatch.setattr(wv.WaveForm, "jet", counted)
     monkeypatch.setattr(quad, "integrate_rows", recorded)
     run_basis_change(p, gauge=g, grid_k=k)
     monkeypatch.undo()
-    assert len(on_grid) == 28
+    assert on_grid == [0] * 28
     assert [len(rows) for rows, _, _ in calls] == [54, 66, 100]
 
     (_, plane, overlaps), *lines = calls

@@ -9,7 +9,7 @@ from numpy.polynomial.hermite import hermgauss
 from landaulab import GaugeChoice, PhysicalParams, Poly2, gauge_delta, parse_poly
 from landaulab.fockspace import change_of_basis, t1_fock_overlap
 from landaulab.waves import (MAX_QUANTUM_NUMBER, DiffOpSpec,
-                             QuantumNumberError, SpecialFactor,
+                             QuantumNumberError, SpecialFactor, WaveForm,
                              connection_momentum_op,
                              fock_state, gauge_phase, hermite, laguerre,
                              multiplication_op, phase_shifted, plane_wave,
@@ -369,6 +369,62 @@ def test_zero_phase_takes_the_real_exponential():
         want = psi.coeff * psi.poly(u1, u2) * np.exp(-psi.gauss(u1, u2)) \
             * psi.special.chain_values(psi.special.arg(u1, u2))[0]
         assert psi.value(x1, x2).tobytes() == want.tobytes()
+
+
+NEG = PhysicalParams(1.3, -1.0, 0.7, hbar=0.6)  # the other orientation
+
+
+@pytest.mark.parametrize("psi", [
+    fock_state(GEN, P, 3, 1), fock_state(GEN, P, 1, 3),
+    fock_state(GEN, NEG, 3, 1), fock_state(GEN, NEG, 1, 3),
+    t1_state(GEN, NEG, 0.45, 2), t1_basis_function(3, NEG),
+    phase_shifted(fock_state(GEN, P, 2, 0), parse_poly("0.2*u1*u2 - 0.3*u2"),
+                  P.hbar),
+    plane_wave((0.5, -0.3), 0.6, (0.2, -0.1)),
+], ids=["fock-l>0", "fock-l<0", "fock-l>0-neg", "fock-l<0-neg", "t1",
+        "t1-basis", "phase-shifted", "plane-wave"])
+def test_jet_slots_agree_across_orders(psi):
+    # a jet to order 0 or 1 holds the full jet's slots up to its order, bit
+    # for bit, and None above it; the value is the order-0 jet's
+    t = 3.0 * np.polynomial.hermite.hermgauss(56)[0]
+    x1, x2 = (a.ravel() for a in np.meshgrid(t + 0.2, t - 0.1))
+    full = psi.jet(x1, x2)
+    assert all(slot is not None for slot in full)
+    for order, size in ((0, 1), (1, 3), (2, 6)):
+        jet = psi.jet(x1, x2, order)
+        assert [a.tobytes() for a in jet[:size]] == \
+            [a.tobytes() for a in full[:size]]
+        assert all(slot is None for slot in jet[size:])
+    assert psi.value(x1, x2).tobytes() == psi.jet(x1, x2, 0).f.tobytes()
+
+
+@pytest.mark.parametrize("name, order", [("x1", 0), ("T1", 1), ("H", 2)])
+def test_apply_jets_to_the_operator_order(monkeypatch, name, order):
+    # apply jets the wave function to the operator's order only, and keeps
+    # the bits of apply_jet on the full jet
+    op = position_op(name, GEN, NEG)
+    assert op.order == order
+    psi = fock_state(GEN, NEG, 2, 1)
+    x1, x2 = np.random.default_rng(5).uniform(-3, 3, (2, 400))
+    want = op.apply_jet(psi.jet(x1, x2), psi.shifted(x1, x2))
+    orders, jet = [], WaveForm.jet
+
+    def recorded(self, x1, x2, order=2):
+        orders.append(order)
+        return jet(self, x1, x2, order)
+    monkeypatch.setattr(WaveForm, "jet", recorded)
+    assert op.apply(psi, x1, x2).tobytes() == want.tobytes()
+    assert orders == [order]
+
+
+def test_apply_jet_below_the_operator_order_raises():
+    psi = fock_state(GEN, P, 2, 1)
+    x1, x2 = np.random.default_rng(6).uniform(-3, 3, (2, 50))
+    u = psi.shifted(x1, x2)
+    jets = [psi.jet(x1, x2, order) for order in (0, 1)]
+    for name, jet in (("T1", jets[0]), ("H", jets[0]), ("H", jets[1])):
+        with pytest.raises(TypeError):
+            position_op(name, GEN, P).apply_jet(jet, u)
 
 
 # -- translation-eigenvalue representation ------------------------------------------
