@@ -47,23 +47,17 @@ EXACT = 0.0
 TABLE_INDEX_TOP = 6  # largest level and angular index of the tables
 
 
-def _params_dict(p: PhysicalParams) -> dict:
-    return {"m": p.m, "q": p.q, "B": p.B, "hbar": p.hbar,
-            "omega_c": p.omega_c, "s": p.sign}
-
-
-def _gauge_dict(g: GaugeChoice) -> dict:
-    return {"alpha": g.alpha, "phi": format_poly(g.phi), "x0": list(g.x0)}
-
-
 def _report(campaign: str, p: PhysicalParams, gauges,
             **settings) -> VerificationReport:
     """An empty report whose common settings read None unless given."""
     return VerificationReport(
-        campaign=campaign, params=_params_dict(p),
-        gauges=[_gauge_dict(g) for g in gauges],
-        settings={**dict.fromkeys(("nmax", "margin", "grid", "scheme",
-                                   "seed")), **settings})
+        campaign=campaign, params={"m": p.m, "q": p.q, "B": p.B,
+                                   "hbar": p.hbar, "omega_c": p.omega_c,
+                                   "s": p.sign},
+        gauges=[{"alpha": g.alpha, "phi": format_poly(g.phi),
+                 "x0": list(g.x0)} for g in gauges],
+        settings={**dict.fromkeys(("nmax", "grid", "scheme", "seed")),
+                  **settings})
 
 
 def default_gauges(seed: int, x0=(0.0, 0.0)) -> list[GaugeChoice]:
@@ -85,13 +79,13 @@ def default_gauges(seed: int, x0=(0.0, 0.0)) -> list[GaugeChoice]:
 # ---------------------------------------------------------------------------
 
 
-def run_verify_algebra(p: PhysicalParams, nmax: int = 16, margin: int = 3,
+def run_verify_algebra(p: PhysicalParams, nmax: int = 16,
                        tol: float = ALGEBRA_TOL,
                        x0=(0.0, 0.0)) -> VerificationReport:
-    """Full commutator suite and the quantum charge relation on the interior
-    of a truncated two-sector basis: a deviation is the largest modulus of
-    an entry whose ket and target both lie inside the margin."""
-    rep = _report("verify-algebra", p, [], nmax=nmax, margin=margin)
+    """Full commutator suite and the quantum charge relation on a truncated
+    two-sector basis: a deviation is the largest modulus of an entry the
+    truncation did not touch (``FockOperator.magnitudes``)."""
+    rep = _report("verify-algebra", p, [], nmax=nmax)
     b = fk.FockBasis(nmax)
     ops = {name: fk.build_observable(name, p, x0, b)
            for name in fk.OBSERVABLE_NAMES}
@@ -107,64 +101,64 @@ def run_verify_algebra(p: PhysicalParams, nmax: int = 16, margin: int = 3,
     rep.add("spectrum:degeneracy", np.abs(hdiag - hdiag[0][None, :]), EXACT)
 
     one = fk.identity(b)
-    zero = fk.FockOperator(b, {})
-    U1 = fk.build_observable("x1", p, (0.0, 0.0), b)
-    U2 = fk.build_observable("x2", p, (0.0, 0.0), b)
+    zero = fk.FockOperator(b, {}, {})
+    U1, U2 = (fk.build_observable(x, p, (0.0, 0.0), b) for x in ("x1", "x2"))
+    ops.update(u1=U1, u2=U2)
     H, T1, T2, M3 = ops["H"], ops["T1"], ops["T2"], ops["M3"]
-    P1, P2, L3 = ops["p1"], ops["p2"], ops["L3"]
-    XC1, XC2 = ops["xc1"], ops["xc2"]
-    X1, X2 = ops["x1"], ops["x2"]
+    P1, P2 = ops["p1"], ops["p2"]
 
     comms = [
-        ("comm:[x1,p1]", X1, P1, 1j * hb * one),
-        ("comm:[x1,p2]", X1, P2, zero),
-        ("comm:[x2,p1]", X2, P1, zero),
-        ("comm:[x2,p2]", X2, P2, 1j * hb * one),
-        ("comm:[p1,p2]", P1, P2, 1j * hb * qb * one),
-        ("comm:[T1,T2]", T1, T2, -1j * hb * s * p.m * w * one),
-        ("comm:[T1,H]", T1, H, zero),
-        ("comm:[T2,H]", T2, H, zero),
-        ("comm:[M3,H]", M3, H, zero),
-        ("comm:[T1,M3]", T1, M3, -1j * hb * T2),
-        ("comm:[T2,M3]", T2, M3, 1j * hb * T1),
-        ("comm:[xc1,xc2]", XC1, XC2, (-1j * hb / qb) * one),
-        ("comm:[xc1,H]", XC1, H, zero),
-        ("comm:[xc2,H]", XC2, H, zero),
-        ("comm:[xc1,p1]", XC1, P1, zero),
-        ("comm:[xc1,p2]", XC1, P2, zero),
-        ("comm:[xc2,p1]", XC2, P1, zero),
-        ("comm:[xc2,p2]", XC2, P2, zero),
-        ("comm:[p1,H]", P1, H, 1j * s * hb * w * P2),
-        ("comm:[p2,H]", P2, H, -1j * s * hb * w * P1),
-        ("comm:[L3,M3]", L3, M3, zero),
-        ("comm:[T1,L3]", T1, L3, -1j * hb * P2),
-        ("comm:[T2,L3]", T2, L3, 1j * hb * P1),
-        ("comm:[p1,L3]", P1, L3, 1j * hb * T2 - 2j * hb * P2),
-        ("comm:[p2,L3]", P2, L3, -1j * hb * T1 + 2j * hb * P1),
-        ("comm:[x1,T1]", X1, T1, 1j * hb * one),
-        ("comm:[x1,T2]", X1, T2, zero),
-        ("comm:[x2,T2]", X2, T2, 1j * hb * one),
-        ("comm:[p1,T1]", P1, T1, zero),
-        ("comm:[p2,T2]", P2, T2, zero),
-        ("comm:[u1,M3]", U1, M3, -1j * hb * U2),
-        ("comm:[u2,M3]", U2, M3, 1j * hb * U1),
-        ("comm:[p1,M3]", P1, M3, -1j * hb * P2),
-        ("comm:[p2,M3]", P2, M3, 1j * hb * P1),
-        ("comm:[L3,H]", L3, H, -0.5j * s * hb * w * (U1 @ P1 + P1 @ U1
-                                                      + U2 @ P2 + P2 @ U2)),
+        ("x1", "p1", 1j * hb * one),
+        ("x1", "p2", zero),
+        ("x2", "p1", zero),
+        ("x2", "p2", 1j * hb * one),
+        ("p1", "p2", 1j * hb * qb * one),
+        ("T1", "T2", -1j * hb * s * p.m * w * one),
+        ("T1", "H", zero),
+        ("T2", "H", zero),
+        ("M3", "H", zero),
+        ("T1", "M3", -1j * hb * T2),
+        ("T2", "M3", 1j * hb * T1),
+        ("xc1", "xc2", (-1j * hb / qb) * one),
+        ("xc1", "H", zero),
+        ("xc2", "H", zero),
+        ("xc1", "p1", zero),
+        ("xc1", "p2", zero),
+        ("xc2", "p1", zero),
+        ("xc2", "p2", zero),
+        ("p1", "H", 1j * s * hb * w * P2),
+        ("p2", "H", -1j * s * hb * w * P1),
+        ("L3", "M3", zero),
+        ("T1", "L3", -1j * hb * P2),
+        ("T2", "L3", 1j * hb * P1),
+        ("p1", "L3", 1j * hb * T2 - 2j * hb * P2),
+        ("p2", "L3", -1j * hb * T1 + 2j * hb * P1),
+        ("x1", "T1", 1j * hb * one),
+        ("x1", "T2", zero),
+        ("x2", "T2", 1j * hb * one),
+        ("p1", "T1", zero),
+        ("p2", "T2", zero),
+        ("u1", "M3", -1j * hb * U2),
+        ("u2", "M3", 1j * hb * U1),
+        ("p1", "M3", -1j * hb * P2),
+        ("p2", "M3", 1j * hb * P1),
+        ("L3", "H", -0.5j * s * hb * w * (U1 @ P1 + P1 @ U1
+                                          + U2 @ P2 + P2 @ U2)),
     ]
-    # an inadequate margin shows up as a large deviation, not an exception
-    for cid, a, bb, expected in comms:
-        rep.add(cid, (a @ bb - bb @ a - expected).magnitudes(margin), tol)
+    for a, c, expected in comms:
+        A, C = ops[a], ops[c]
+        rep.add(f"comm:[{a},{c}]", (A @ C - C @ A - expected).magnitudes(),
+                tol)
 
     rel = T1 @ T1 + T2 @ T2 - 2.0 * p.m * H - 2.0 * qb * M3
-    rep.add("charge-relation", rel.magnitudes(max(margin, 2)), tol)
+    rep.add("charge-relation", rel.magnitudes(), tol)
 
     # selection rules: velocity moves exactly one level, translations one
     # intra-level step at fixed level
     def off(op, allowed):
-        return fk.FockOperator(b, {d: c for d, c in op.shifts.items()
-                                   if not allowed(d)}).magnitudes()
+        kept = [d for d in op.shifts if not allowed(d)]
+        return fk.FockOperator(b, {d: op.shifts[d] for d in kept},
+                               {d: op.reach[d] for d in kept}).magnitudes()
     rep.add("selection:p-levels", off(P1, lambda d: abs(d[1]) == 1), tol)
     rep.add("selection:T-intra-level",
             off(T1, lambda d: abs(d[0]) == 1 and d[1] == 0), tol)
@@ -207,8 +201,7 @@ class _ElementEngine:
     its rule, to the highest order of the operators applied to it (order 0
     for a bra or an overlap's ket), and holds those jets and the rule only
     while it runs: between batches the engine keeps its wave functions and
-    ``certified_k``.  Operators are applied by ``DiffOpSpec.apply_jet``,
-    from coefficient arrays evaluated once per operator and batch.
+    ``certified_k``.
 
     A request ``<bra|op|ket>`` is *certified* when its integrand is a
     polynomial times the weight of the Gauss-Hermite rule about the gauge
@@ -363,7 +356,8 @@ def run_gauge_scan(p: PhysicalParams, gauges=None, nmax: int = 16,
     and shift between gauges by the gradient of the gauge function.  Each
     gauge is one batch of element requests, all certified (see
     ``_ElementEngine``); the report's ``certified_k`` is the largest
-    certified node count per axis."""
+    certified node count per axis.  Raises ``TruncationError`` before any
+    quadrature unless every Fock entry it reads is exact at ``nmax``."""
     if gauges is None:
         gauges = default_gauges(seed)
     x0 = gauges[0].x0
@@ -409,10 +403,17 @@ def run_gauge_scan(p: PhysicalParams, gauges=None, nmax: int = 16,
     partners = {name: fk.build_observable(partner, p, x0, basis)
                 for name, partner in CANONICAL_PARTNER.items()}
     l1, n1, l2, n2 = _label_arrays(checked)
-    fock = [{name: (partners[name] + fk.poly_operator(f, monomials, basis))
-             .entries((n1 + l1, n1), (n2 + l2, n2)).tolist()
-             for name, f in extra.items()} for extra in extras]
-    del monomials, partners  # not held through the quadrature
+    bra, ket = (n1 + l1, n1), (n2 + l2, n2)
+    canonical = [{name: partners[name] + fk.poly_operator(f, monomials, basis)
+                  for name, f in extra.items()} for extra in extras]
+    need = fk.exact_nmax([op for ops in canonical for op in ops.values()],
+                         bra, ket)
+    if need > nmax:
+        raise fk.TruncationError(f"the canonical-operator entries the scan "
+                                 f"reads are exact only from nmax {need}")
+    fock = [{name: op.entries(bra, ket).tolist() for name, op in ops.items()}
+            for ops in canonical]
+    del monomials, partners, canonical  # not held through the quadrature
     found: dict = {}  # each request's values, in gauge order
     certified = []
     for gi, (g, extra) in enumerate(zip(gauges, extras)):
@@ -718,10 +719,8 @@ def run_classical_sim(p: PhysicalParams, tp: cl.TrajectoryParams | None = None,
     ``t, x1, x2, p1, p2, E, T1, T2, M3``."""
     period = 2.0 * math.pi / p.omega_c
     tp = tp or classical_orbit(p)
-    if dt is None:
-        dt = period / 1000.0
-    if steps is None:
-        steps = 10000
+    dt = period / 1000.0 if dt is None else dt
+    steps = 10000 if steps is None else steps
     rep = _report("classical-sim", p, [], scheme=method, seed=seed, dt=dt,
                   steps=steps, trajectory={"E": tp.E, "xc": list(tp.xc),
                                            "t0": tp.t0})

@@ -5,8 +5,8 @@ Subcommands: verify-algebra, gauge-scan, reproduce-tables, classical-sim,
 basis-change, heisenberg-demo, each taking only the flags its campaign
 reads.  Exit code 0 if and only if every check of the campaign passed, 1 if
 a check failed, and 2 with a one-line message on invalid input, a flag the
-subcommand does not take, a quadrature grid too small for the integrands
-and one above the largest rule built included.
+subcommand does not take, a grid too small for the integrands or above the
+largest rule, and a truncation below a gauge scan's exact entries included.
 """
 
 from __future__ import annotations
@@ -47,8 +47,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="plane origin 'x1,x2'"),
         "--nmax": dict(type=int, default=16,
                        help="Fock truncation per sector"),
-        "--margin": dict(type=int, default=3, help="interior margin for "
-                         "truncated-operator checks"),
         "--grid": dict(type=int, default=80,
                        help="quadrature nodes per axis, at most 370"),
         "--scheme": dict(choices=["gh", "simpson"], default="gh"),
@@ -76,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
              "--no-timestamp --quiet")
     commands = {
         "verify-algebra": ("commutator suite and charge relation on the "
-                           "truncated Fock space", "--x0 --nmax --margin"),
+                           "truncated Fock space", "--x0 --nmax"),
         "gauge-scan": ("cross-gauge invariance of physical matrix elements; "
                        "canonical-operator decompositions",
                        "--alpha --phi --x0 --nmax --grid --scheme --seed "
@@ -152,28 +150,18 @@ def _check_numerics(args, parser, p: PhysicalParams):
     checks = []
     if "nmax" in takes:
         checks.append(("--nmax", lambda: fk.FockBasis(args.nmax)))
-    if "margin" in takes:
-        # the charge relation is read inside a margin of at least 2
-        checks += [("--margin", lambda: fk.FockBasis(
-                        args.nmax).interior_indices(args.margin)),
-                   ("--nmax", lambda: _require(
-                       args.nmax >= 2, "the charge relation needs nmax >= 2"))]
-    # labels reach n+ = twice the largest index; the scan's cubic gauge
-    # needs nmax >= 3
+    # labels reach n+ = twice the largest index
     if args.command == "reproduce-tables":
         top = 2 * cp.TABLE_INDEX_TOP
         checks.append(("--nmax", lambda: _require(
             args.nmax >= top, f"reproduce-tables needs nmax >= {top}")))
     if "scan_levels" in takes:
-        lv, top = args.scan_levels, max(2 * args.scan_levels, 3)
-        lv_max = wv.MAX_QUANTUM_NUMBER // 2
+        lv, lv_max = args.scan_levels, wv.MAX_QUANTUM_NUMBER // 2
         checks += [("--scan-levels", lambda: _require(
                         lv >= 0, "levels must be nonnegative")),
                    ("--scan-levels", lambda: _require(lv <= lv_max, (
                        f"levels above {lv_max} reach quantum numbers beyond "
-                       f"{wv.MAX_QUANTUM_NUMBER}"))),
-                   ("--nmax", lambda: _require(args.nmax >= top, (
-                       f"--scan-levels {lv} needs nmax >= {top}")))]
+                       f"{wv.MAX_QUANTUM_NUMBER}")))]
     if "seed" in takes:
         checks.append(("--seed", lambda: np.random.default_rng(args.seed)))
     checks.append(("--tol", lambda: _require(
@@ -188,8 +176,9 @@ def _check_numerics(args, parser, p: PhysicalParams):
         checks += [
             ("--x0", lambda: _require(all(map(math.isfinite, args.x0)),
                                       "x0 must be finite")),
-            ("--steps", lambda: _require(args.steps is None or args.steps >= 1,
-                                         "need at least one step")),
+            ("--steps", lambda: _require(
+                args.steps is None or 1 <= args.steps <= cl.MAX_STEPS,
+                f"need between 1 and {cl.MAX_STEPS} steps")),
             ("--dt", lambda: _require(args.dt is None
                                       or 0.0 < args.dt < math.inf,
                                       "dt must be positive and finite")),
@@ -284,18 +273,13 @@ def _campaign(args, p, g, tol: dict):
     and rows of its CSV output, both None when it writes none."""
     csv_header = rows = None
     if args.command == "verify-algebra":
-        report = cp.run_verify_algebra(p, nmax=args.nmax, margin=args.margin,
-                                       x0=args.x0, **tol)
+        report = cp.run_verify_algebra(p, nmax=args.nmax, x0=args.x0, **tol)
     elif args.command == "gauge-scan":
         gauges = cp.default_gauges(args.seed, x0=args.x0)
         report = cp.run_gauge_scan(p, gauges, nmax=args.nmax,
                                    grid_k=args.grid, scheme=args.scheme,
                                    seed=args.seed, levels=args.scan_levels,
                                    **tol)
-        if args.dump_grid:
-            csv_header = ["x1", "x2", "re", "im"]
-            rows = _dump_grid_rows(wv.fock_state(g, p, 1, 0),
-                                   4.0 * p.magnetic_length)
     elif args.command == "reproduce-tables":
         report, table_rows = cp.run_reproduce_tables(
             p, nmax=args.nmax, grid_k=args.grid, scheme=args.scheme,
@@ -316,15 +300,14 @@ def _campaign(args, p, g, tol: dict):
     elif args.command == "basis-change":
         report = cp.run_basis_change(p, gauge=g, grid_k=args.grid,
                                      scheme=args.scheme, seed=args.seed, **tol)
-        if args.dump_grid:
-            csv_header = ["x1", "x2", "re", "im"]
-            rows = _dump_grid_rows(wv.fock_state(g, p, 2, 1),
-                                   4.0 * p.magnetic_length)
-    elif args.command == "heisenberg-demo":
+    else:  # heisenberg-demo, as argparse enforces the choices
         report = cp.run_heisenberg_demo(p, grid_k=args.grid,
                                         scheme=args.scheme, **tol)
-    else:  # pragma: no cover - argparse enforces the choices
-        raise SystemExit(2)
+    if getattr(args, "dump_grid", False):
+        state = (1, 0) if args.command == "gauge-scan" else (2, 1)
+        csv_header = ["x1", "x2", "re", "im"]
+        rows = _dump_grid_rows(wv.fock_state(g, p, *state),
+                               4.0 * p.magnetic_length)
     return report, csv_header, rows
 
 
@@ -342,6 +325,8 @@ def main(argv=None) -> int:
         report, csv_header, rows = _campaign(args, p, g, tol)
     except quad.SupportOverflowError as exc:
         parser.error(f"--grid: {exc}")
+    except fk.TruncationError as exc:
+        parser.error(f"--nmax: {exc}")
     except cl.NonFiniteOrbitError as exc:
         parser.error(f"--dt: {exc}")
 

@@ -4,16 +4,16 @@ closed-form matrix elements in the angular-momentum eigenbasis, and the
 basis-change coefficients.
 
 States |n+, n-> carry an intra-level quantum number n+ (guiding-centre
-sector) and the level number n- (energy sector).  Truncation corrupts only
-entries near the cutoff, so every identity is checked on an interior
-subspace whose margin covers the ladder excursions of the operators
-involved.
+sector) and the level number n- (energy sector).  Each operator knows, per
+shift, which entries the truncation left exact, and identities are checked
+on exactly those.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -42,7 +42,8 @@ OBSERVABLE_NAMES = ("H", "T1", "T2", "M3", "p1", "p2", "L3",
 
 
 class TruncationError(ValueError):
-    """Raised for a truncation, margin or degree out of range."""
+    """Raised for a truncation or degree out of range, also for the exact
+    entries a campaign reads."""
 
 
 @dataclass(frozen=True)
@@ -72,22 +73,13 @@ class FockBasis:
         k = self.nmax + 1
         return [(i // k, i % k) for i in range(k * k)]
 
-    def _cut(self, margin: int) -> int:
-        if margin < 0 or margin > self.nmax:
-            raise TruncationError(f"margin {margin} out of range for nmax {self.nmax}")
-        return self.nmax - margin
 
-    def interior_indices(self, margin: int) -> np.ndarray:
-        """Flat indices of states with n+- <= nmax - margin."""
-        n = np.arange(self._cut(margin) + 1)
-        return (n[:, None] * (self.nmax + 1) + n[None, :]).ravel()
-
-
-def _windows(d, k: int):
+@lru_cache(maxsize=None)
+def _windows(d, k: int, e=(0, 0)):
     """Indices into a coefficient array over 0..k-1 per sector of the kets n
-    whose target n + d also lies in 0..k-1, and of those targets."""
+    with n + d and ``max(n, n + d) + e`` in 0..k-1, and of their targets."""
     lo = [max(0, -di) for di in d]
-    hi = [max(a, k - max(0, di)) for a, di in zip(lo, d)]
+    hi = [max(a, k - ei - max(0, di)) for a, di, ei in zip(lo, d, e)]
     return ((slice(None), *map(slice, lo, hi)), (slice(None), *(
         slice(a + di, z + di) for a, z, di in zip(lo, hi, d))))
 
@@ -106,23 +98,32 @@ class FockOperator:
     """Operator stored by shift: ``shifts`` maps (dn+, dn-) to a float64 array
     of shape ``(2, nmax+1, nmax+1)`` whose ``[:, n+, n-]`` holds the real and
     imaginary part of ``<n+ + dn+, n- + dn-| O |n+, n->``, zero where the
-    target leaves the basis."""
+    target leaves the basis.  ``reach`` maps each shift d to a pair e[d]:
+    the entry at ket n equals the untruncated operator's, bit for bit, when
+    ``max(n, n + d) + e[d] <= nmax`` in each sector.  An operator given
+    entrywise has reach 0; each operation below derives its result's."""
 
     basis: FockBasis
     shifts: dict
+    reach: dict
 
     def __post_init__(self):
         shape = (2, self.basis.nmax + 1, self.basis.nmax + 1)
         if any(np.shape(c) != shape for c in self.shifts.values()):
             raise ValueError("coefficient arrays do not match the basis")
+        if self.reach.keys() != self.shifts.keys():
+            raise ValueError("reach and coefficient shifts differ")
 
     def _combine(self, other: "FockOperator", op) -> "FockOperator":
-        # a shift missing from one operand reads zero there
+        # a shift missing from one operand reads an exact zero there
         self._check(other)
         zero = np.zeros((2, self.basis.nmax + 1, self.basis.nmax + 1))
+        keys = sorted(self.shifts.keys() | other.shifts.keys())
         return FockOperator(self.basis, {
             d: op(self.shifts.get(d, zero), other.shifts.get(d, zero))
-            for d in sorted(self.shifts.keys() | other.shifts.keys())})
+            for d in keys}, {d: tuple(map(max, self.reach.get(d, (0, 0)),
+                                          other.reach.get(d, (0, 0))))
+                             for d in keys})
 
     def __add__(self, other: "FockOperator") -> "FockOperator":
         return self._combine(other, np.add)
@@ -134,7 +135,7 @@ class FockOperator:
         z = complex(scalar)
         pair = np.array([[[z.real]], [[z.imag]]])
         return FockOperator(self.basis, {d: _cmul(pair, c) for d, c in
-                                         self.shifts.items()})
+                                         self.shifts.items()}, self.reach)
 
     __rmul__ = __mul__
 
@@ -144,17 +145,26 @@ class FockOperator:
         self's at n + dB, and it lands on shift dA + dB.  The terms of one
         shift are added in increasing (dA, dB) order, from zero.  A term whose
         intermediate state n + dB leaves the basis is left out, as from the
-        truncated matrix product."""
+        truncated matrix product; below 0 it is an exact zero, so shift d
+        has the reach max over its terms of max(max(0, dB) + e_B, max(dB, d)
+        + e_A) - max(0, d), per sector."""
         self._check(other)
         out: dict = {}
+        reach: dict = {}
         for da, a in sorted(self.shifts.items()):
+            ea = self.reach[da]
             for db, b in sorted(other.shifts.items()):
                 kets, mids = _windows(db, self.basis.nmax + 1)
                 d = (da[0] + db[0], da[1] + db[1])
                 if d not in out:
                     out[d] = np.zeros_like(a)
                 out[d][kets] += _cmul(b[kets], a[mids])
-        return FockOperator(self.basis, out)
+                r, eb = reach.get(d, (0, 0)), other.reach[db]
+                reach[d] = tuple(max(r[i], max(0, db[i]) + eb[i],
+                                     max(db[i], d[i]) + ea[i]) for i in (0, 1))
+        return FockOperator(self.basis, out, {
+            d: tuple(r - max(0, i) for r, i in zip(reach[d], d))
+            for d in out})
 
     def dagger(self) -> "FockOperator":
         # <n|O^dag|n - d> is the conjugate of <n - d|O|n>
@@ -163,23 +173,21 @@ class FockOperator:
             kets, sources = _windows((-d0, -d1), self.basis.nmax + 1)
             out[(-d0, -d1)] = np.zeros_like(c)
             out[(-d0, -d1)][kets] = c[sources] * [[[1.0]], [[-1.0]]]
-        return FockOperator(self.basis, out)
+        return FockOperator(self.basis, out, {
+            (-d0, -d1): e for (d0, d1), e in self.reach.items()})
 
-    def is_hermitian_exact(self) -> bool:
-        return not np.any((self - self.dagger()).magnitudes())
-
-    def magnitudes(self, margin: int = 0) -> np.ndarray:
-        """Moduli (``hypot`` of the real pair) of the stored entries whose ket
-        and target both have n+- <= nmax - margin; all others are zero."""
-        k = self.basis._cut(margin) + 1
-        parts = [np.hypot(*c[_windows(d, k)[0]]).ravel()
+    def magnitudes(self) -> np.ndarray:
+        """Moduli (``hypot`` of the real pair) of the exact entries, shift
+        by shift."""
+        k = self.basis.nmax + 1
+        parts = [np.hypot(*c[_windows(d, k, self.reach[d])[0]]).ravel()
                  for d, c in sorted(self.shifts.items())]
         return np.concatenate(parts) if parts else np.zeros(0)
 
     def entries(self, bra, ket) -> np.ndarray:
         """``<bra|O|ket>`` for labels ``bra = (n+, n-)`` and ``ket``: integers
         or integer arrays that broadcast against each other."""
-        labels = np.broadcast_arrays(*(np.asarray(a) for a in (*bra, *ket)))
+        labels = np.broadcast_arrays(*bra, *ket)
         if any(np.any((a < 0) | (a > self.basis.nmax)) for a in labels):
             raise IndexError("state outside truncation")
         bp, bm, kp, km = labels
@@ -204,6 +212,19 @@ class FockOperator:
             raise ValueError("operators live on different bases")
 
 
+def exact_nmax(ops, bra, ket) -> int:
+    """The smallest nmax at which every entry ``<bra|O|ket>`` of every
+    operator O of ``ops`` is exact, with labels as for
+    :meth:`FockOperator.entries`: per sector, the larger label plus the
+    reach of its shift (an entry off the stored shifts is an exact zero)."""
+    labels = list(zip(*(a.ravel().tolist()
+                        for a in np.broadcast_arrays(*bra, *ket))))
+    return max((max(max(bp, kp) + e[0], max(bm, km) + e[1])
+                for op in ops for bp, bm, kp, km in labels
+                for e in [op.reach.get((bp - kp, bm - km), (0, 0))]),
+               default=0)
+
+
 def sector_numbers(b: FockBasis):
     """Grids ``(n+, n-)`` over the ket states, as a coefficient array's."""
     n = np.arange(b.nmax + 1, dtype=float)
@@ -212,7 +233,8 @@ def sector_numbers(b: FockBasis):
 
 def _real_operator(b: FockBasis, d, values) -> FockOperator:
     """Operator with the single shift ``d`` and real coefficients."""
-    return FockOperator(b, {d: np.stack((values, np.zeros_like(values)))})
+    return FockOperator(b, {d: np.stack((values, np.zeros_like(values)))},
+                        {d: (0, 0)})
 
 
 def identity(b: FockBasis) -> FockOperator:
@@ -309,7 +331,7 @@ def poly_operator(f: Poly2, monomials: dict, b: FockBasis) -> FockOperator:
     monomials[k]`` from zero, in sorted term order, where ``monomials`` is a
     :func:`position_monomials` table holding every term of f.  The bits do
     not depend on which other keys the table holds."""
-    op = FockOperator(b, {})
+    op = FockOperator(b, {}, {})
     for key in sorted(f.terms):
         op = op + f.terms[key] * monomials[key]
     return op
@@ -416,8 +438,6 @@ def t1_fock_overlap(nplus: int, nminus: int, t1, p: PhysicalParams):
         raise ValueError("nminus must be nonnegative")
     check_quantum_number(nminus, "nminus")
     return (1j * p.sign) ** nminus * change_of_basis(nplus, t1, p)
-
-
 
 
 # ---------------------------------------------------------------------------

@@ -451,10 +451,6 @@ class GaugeChoice:
         """Total gauge function: -(alpha*B/2) u1 u2 + phi."""
         return Poly2.monomial(1, 1, -0.5 * self.alpha * B) + self.phi
 
-    def shifted(self, x1, x2):
-        """Map plane coordinates to the shifted coordinates of this gauge."""
-        return x1 - self.x0[0], x2 - self.x0[1]
-
 
 def vector_potential_polys(g: GaugeChoice, B: float) -> tuple[Poly2, Poly2]:
     """Cartesian components of the vector potential as exact polynomials in
@@ -472,7 +468,7 @@ def vector_potential(g: GaugeChoice, p: PhysicalParams,
                      x: tuple[float, float]) -> tuple[float, float]:
     """Evaluate the vector potential at a plane point."""
     a1, a2 = vector_potential_polys(g, p.B)
-    u1, u2 = g.shifted(x[0], x[1])
+    u1, u2 = x[0] - g.x0[0], x[1] - g.x0[1]
     return a1(u1, u2), a2(u1, u2)
 
 

@@ -139,10 +139,8 @@ class Grid2:
 
     @cached_property
     def boundary_mask(self) -> np.ndarray:
-        n1, n2 = len(self.x1), len(self.x2)
-        mask = np.zeros((n1, n2), dtype=bool)
-        mask[0, :] = mask[-1, :] = True
-        mask[:, 0] = mask[:, -1] = True
+        mask = np.ones((len(self.x1), len(self.x2)), dtype=bool)
+        mask[1:-1, 1:-1] = False
         return mask.ravel()
 
 

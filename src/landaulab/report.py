@@ -57,14 +57,10 @@ class VerificationReport:
         self.timestamp = datetime.now(timezone.utc).isoformat()
 
     def to_dict(self) -> dict:
-        out = {
-            "campaign": self.campaign,
-            "params": self.params,
-            "gauges": self.gauges,
-            "settings": self.settings,
-            "checks": [c.to_dict() for c in self.checks],
-            "pass": self.passed,
-        }
+        out = {"campaign": self.campaign, "params": self.params,
+               "gauges": self.gauges, "settings": self.settings,
+               "checks": [c.to_dict() for c in self.checks],
+               "pass": self.passed}
         if self.timestamp is not None:
             out["timestamp"] = self.timestamp
         return out

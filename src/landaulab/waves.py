@@ -248,10 +248,6 @@ class WaveForm:
                        + A2 * S1 + A * R2 * S1 + A * S12)
         return WaveJet(f, f1, f2, f11, f12, f22)
 
-    def with_extra_phase(self, extra: Poly2) -> "WaveForm":
-        """Multiply by exp(i * extra(u))."""
-        return replace(self, phase=self.phase + extra)
-
 
 # ---------------------------------------------------------------------------
 # The two eigenstate families
@@ -330,7 +326,7 @@ def gauge_phase(delta: Poly2, q: float, hbar: float, u1, u2):
 def phase_shifted(psi: WaveForm, lam: Poly2, hbar: float) -> WaveForm:
     """exp(-i lam(u)/hbar) * psi, the re-phased wave function that pairs
     with the flat connection grad(lam)."""
-    return psi.with_extra_phase((-1.0 / hbar) * lam)
+    return replace(psi, phase=psi.phase + (-1.0 / hbar) * lam)
 
 
 # ---------------------------------------------------------------------------

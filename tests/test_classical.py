@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from landaulab import (GaugeChoice, PhysicalParams, Poly2, gauge_delta,
-                       parse_poly)
-from landaulab.classical import (PhaseSpacePoint, PolyObservable,
+from landaulab import (GaugeChoice, PhysicalParams, Poly2, classical,
+                       gauge_delta, parse_poly)
+from landaulab.classical import (MAX_STEPS, PhaseSpacePoint, PolyObservable,
                                  TrajectoryParams, analytic_trajectory,
                                  canonical_momenta, canonical_momentum_observable,
                                  centre_observable, energy_observable,
@@ -116,6 +116,18 @@ def test_integrate_validates_input():
         integrate(P, s0, 0.1, 0)
     with pytest.raises(ValueError):
         integrate(P, s0, 0.1, 5, method="verlet")
+
+
+@pytest.mark.parametrize("method", ["boris", "rk4"])
+def test_integrate_refuses_steps_above_the_bound(monkeypatch, method):
+    # one step past MAX_STEPS is refused before any state is built
+    def unreachable(*args):
+        raise AssertionError("orbit built")
+    monkeypatch.setattr(classical, "_rotation_orbit", unreachable)
+    monkeypatch.setattr(classical, "_rk4_orbit", unreachable)
+    s0 = PhaseSpacePoint((0, 0), (1, 0))
+    with pytest.raises(ValueError, match=f"between 1 and {MAX_STEPS} steps"):
+        integrate(P, s0, 0.1, MAX_STEPS + 1, method=method)
 
 
 # reference steppers: the integrator's arithmetic written one step at a time,

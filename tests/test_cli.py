@@ -30,8 +30,8 @@ def test_verify_algebra_passes_and_writes_report(tmp_path, capsys):
     assert data["pass"] is True
     assert data["params"] == {"m": 1.0, "q": 1.0, "B": 1.0, "hbar": 1.0,
                               "omega_c": 1.0, "s": 1}
-    assert data["settings"] == {"nmax": 16, "margin": 3, "grid": None,
-                                "scheme": None, "seed": None}
+    assert data["settings"] == {"nmax": 16, "grid": None, "scheme": None,
+                                "seed": None}
     assert all(set(c) == {"id", "deviation", "tolerance", "pass"}
                for c in data["checks"])
     assert "timestamp" not in data
@@ -76,14 +76,13 @@ def test_report_roundtrip(tmp_path):
     assert not back.passed
 
 
-def test_truncation_edge_flagged_as_failure(tmp_path):
-    code = main(["verify-algebra", "--nmax", "2", "--margin", "0", "--quiet",
-                 "--no-timestamp", "--json-out", str(tmp_path / "r.json")])
-    assert code == 1
-    data = json.loads((tmp_path / "r.json").read_text())
-    assert data["pass"] is False
-    failed = [c for c in data["checks"] if not c["pass"]]
-    assert failed
+@pytest.mark.parametrize("args", [
+    ["verify-algebra", "--nmax", "1"],
+    ["gauge-scan", "--scan-levels", "4", "--nmax", "9"]],
+    ids=["algebra-nmax-1", "scan-levels-4-nmax-9"])
+def test_smallest_truncation_passes(args):
+    # each reads only entries the truncation did not touch
+    assert main(args + ["--quiet", "--no-timestamp"]) == 0
 
 
 def test_hbar_rescaling_keeps_pass_profile(tmp_path):
@@ -409,12 +408,13 @@ def test_bad_phi_rejected(capsys):
      "--nmax: nmax 41 exceeds the validated maximum 40"),
     (["gauge-scan", "--scheme", "simpson", "--grid", "41"],
      "--grid: Simpson rule needs an even interval count"),
-    (["verify-algebra", "--margin", "20"],
-     "--margin: margin 20 out of range for nmax 16"),
     (["basis-change", "--phi", "u1^^2"],
      "--phi: expected nonnegative integer exponent (at position 3)"),
     (["classical-sim", "--mass", "0"], "mass must be positive"),
-    (["classical-sim", "--steps", "0"], "--steps: need at least one step"),
+    (["classical-sim", "--steps", "0"],
+     "--steps: need between 1 and 1048576 steps"),
+    (["classical-sim", "--steps", "1048577"],
+     "--steps: need between 1 and 1048576 steps"),
     (["classical-sim", "--dt", "-0.1"],
      "--dt: dt must be positive and finite"),
     (["classical-sim", "--dt", "nan"], "--dt: dt must be positive and finite"),
@@ -428,17 +428,22 @@ def test_bad_phi_rejected(capsys):
     (["verify-algebra", "--x0", "nan,0"], "alpha and x0 must be finite"),
     (["classical-sim", "--x0", "inf,0"], "--x0: x0 must be finite"),
     (["classical-sim", "--x0", "nan,0"], "--x0: x0 must be finite"),
-    # the charge relation is read inside a margin of 2 whatever --margin says
-    (["verify-algebra", "--nmax", "1", "--margin", "0"],
-     "--nmax: the charge relation needs nmax >= 2"),
-    (["verify-algebra", "--nmax", "1", "--margin", "1"],
-     "--nmax: the charge relation needs nmax >= 2"),
     (["reproduce-tables", "--nmax", "11"],
      "--nmax: reproduce-tables needs nmax >= 12"),
+    # the scan refuses, before any quadrature, a truncation that touches a
+    # canonical-operator entry it reads, naming the nmax it needs; the cubic
+    # gauge's degree asks for 3 first
     (["gauge-scan", "--scan-levels", "2", "--nmax", "3"],
-     "--nmax: --scan-levels 2 needs nmax >= 4"),
+     "--nmax: the canonical-operator entries the scan reads are exact only "
+     "from nmax 4"),
     (["gauge-scan", "--scan-levels", "1", "--nmax", "2"],
-     "--nmax: --scan-levels 1 needs nmax >= 3"),
+     "--nmax: polynomial degree 3 exceeds truncation nmax=2"),
+    (["gauge-scan", "--scan-levels", "4", "--nmax", "8"],
+     "--nmax: the canonical-operator entries the scan reads are exact only "
+     "from nmax 9"),
+    (["gauge-scan", "--scan-levels", "5", "--nmax", "10"],
+     "--nmax: the canonical-operator entries the scan reads are exact only "
+     "from nmax 11"),
     (["gauge-scan", "--scan-levels", "-1"],
      "--scan-levels: levels must be nonnegative"),
     (["gauge-scan", "--scan-levels", "21", "--nmax", "40"],
@@ -495,10 +500,11 @@ def test_bad_phi_rejected(capsys):
     (["gauge-scan", "--scheme", "simpson", "--grid", "372"],
      "--grid: 372 exceeds the largest rule size 370"),
 ], ids=["nmax", "algebra-nmax-high", "scan-nmax-high", "tables-nmax-high",
-        "simpson-grid", "margin", "phi-syntax", "mass", "steps",
+        "simpson-grid", "phi-syntax", "mass", "steps", "steps-high",
         "dt-negative", "dt-nan", "energy", "bfield-nan", "hbar-inf",
         "alpha-nan", "x0-nan", "algebra-x0-nan", "sim-x0-inf", "sim-x0-nan",
-        "algebra-nmax-1-margin-0", "algebra-nmax-1-margin-1", "tables-nmax", "scan-nmax", "scan-nmax-cubic",
+        "tables-nmax", "scan-nmax", "scan-nmax-cubic", "scan-nmax-levels-4",
+        "scan-nmax-levels-5",
         "scan-levels", "scan-levels-high", "seed", "scan-grid", "basis-grid",
         "demo-grid", "tables-grid", "dt-orbit-overflow", "tol-nan",
         "tol-negative", "tol-inf", "qb-underflow", "qb-overflow",
@@ -517,7 +523,7 @@ def test_bad_input_exits_2(capsys, args, message):
 
 # the flags each subcommand takes: those its campaign reads
 _FLAGS = {
-    "verify-algebra": "--x0 --nmax --margin",
+    "verify-algebra": "--x0 --nmax",
     "gauge-scan": "--alpha --phi --x0 --nmax --grid --scheme --seed "
                   "--scan-levels --dump-grid",
     "reproduce-tables": "--alpha --phi --x0 --nmax --grid --scheme",
@@ -528,7 +534,8 @@ _FLAGS = {
 _EVERY = ("--mass --charge --bfield --hbar --tol --json-out --csv-out "
           "--no-timestamp --quiet")
 
-# a valid value for each flag some subcommand does not take
+# a valid value for each flag some subcommand does not take; --margin, a
+# removed flag, is taken by none
 _VALUES = {"--alpha": "0.3", "--phi": "u1", "--x0": "0.1,0.2", "--nmax": "8",
            "--margin": "1", "--grid": "40", "--scheme": "simpson",
            "--seed": "3"}
@@ -544,8 +551,8 @@ def test_each_subcommand_takes_the_flags_its_campaign_reads():
              for name, sp in sub.choices.items()}
     assert taken == {name: set(f"{_EVERY} {own}".split())
                      for name, own in _FLAGS.items()}
-    assert sum(map(len, taken.values())) == 88
-    assert len(_NOT_TAKEN) == 22
+    assert sum(map(len, taken.values())) == 87
+    assert len(_NOT_TAKEN) == 23
 
 
 @pytest.mark.parametrize("command, flag", _NOT_TAKEN,

@@ -24,7 +24,7 @@ PARAM_SETS = [
 
 @pytest.mark.parametrize("p", PARAM_SETS, ids=lambda p: f"s{p.sign}_w{p.omega_c:.2f}")
 def test_algebra_suite_any_parameters(p):
-    rep = cp.run_verify_algebra(p, nmax=12, margin=3)
+    rep = cp.run_verify_algebra(p, nmax=12)
     assert rep.passed, [c.id for c in rep.checks if not c.passed]
 
 
