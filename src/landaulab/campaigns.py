@@ -30,6 +30,7 @@ __all__ = [
     "ALGEBRA_TOL",
     "QUAD_TOL",
     "DRIFT_TOL",
+    "ScanLevelsError",
     "default_gauges",
     "classical_orbit",
     "run_verify_algebra",
@@ -45,6 +46,10 @@ QUAD_TOL = 1e-8
 DRIFT_TOL = 1e-8
 EXACT = 0.0
 TABLE_INDEX_TOP = 6  # largest level and angular index of the tables
+
+
+class ScanLevelsError(fk.TruncationError):
+    """Raised for scan levels whose Fock entries no truncation keeps exact."""
 
 
 def _report(campaign: str, p: PhysicalParams, gauges,
@@ -79,78 +84,59 @@ def default_gauges(seed: int, x0=(0.0, 0.0)) -> list[GaugeChoice]:
 # ---------------------------------------------------------------------------
 
 
+# the commutators checked, in report order
+_COMMUTATORS = [tuple(pair.split(",")) for pair in (
+    "x1,p1 x1,p2 x2,p1 x2,p2 p1,p2 T1,T2 T1,H T2,H M3,H T1,M3 T2,M3 "
+    "xc1,xc2 xc1,H xc2,H xc1,p1 xc1,p2 xc2,p1 xc2,p2 p1,H p2,H L3,M3 "
+    "T1,L3 T2,L3 p1,L3 p2,L3 x1,T1 x1,T2 x2,T2 p1,T1 p2,T2 u1,M3 u2,M3 "
+    "p1,M3 p2,M3 L3,H").split()]
+
+
 def run_verify_algebra(p: PhysicalParams, nmax: int = 16,
                        tol: float = ALGEBRA_TOL,
                        x0=(0.0, 0.0)) -> VerificationReport:
     """Full commutator suite and the quantum charge relation on a truncated
     two-sector basis: a deviation is the largest modulus of an entry the
-    truncation did not touch (``FockOperator.magnitudes``)."""
+    truncation did not touch (``FockOperator.magnitudes``).  Weyl's map Q
+    (``fk.poly_operator``) is exact on the observables' classical
+    polynomials f, of degree at most 2 (Groenewold 1946): each observable
+    must be Q(f), and each [A, C] must be i hbar Q({f_A, f_C})."""
     rep = _report("verify-algebra", p, [], nmax=nmax)
     b = fk.FockBasis(nmax)
     ops = {name: fk.build_observable(name, p, x0, b)
            for name in fk.OBSERVABLE_NAMES}
-    hb, s, w, qb = p.hbar, p.sign, p.omega_c, p.qB
 
     for name, op in ops.items():
         rep.add(f"hermitian:{name}", (op - op.dagger()).magnitudes(), EXACT)
 
     _, nminus = fk.sector_numbers(b)
     hdiag = ops["H"].shifts[(0, 0)][0]
-    rep.add("spectrum:landau-levels", np.abs(hdiag - hb * w * (nminus + 0.5)),
-            EXACT)
+    rep.add("spectrum:landau-levels",
+            np.abs(hdiag - p.hbar * p.omega_c * (nminus + 0.5)), EXACT)
     rep.add("spectrum:degeneracy", np.abs(hdiag - hdiag[0][None, :]), EXACT)
 
-    one = fk.identity(b)
-    zero = fk.FockOperator(b, {}, {})
-    U1, U2 = (fk.build_observable(x, p, (0.0, 0.0), b) for x in ("x1", "x2"))
-    ops.update(u1=U1, u2=U2)
-    H, T1, T2, M3 = ops["H"], ops["T1"], ops["T2"], ops["M3"]
-    P1, P2 = ops["p1"], ops["p2"]
-
-    comms = [
-        ("x1", "p1", 1j * hb * one),
-        ("x1", "p2", zero),
-        ("x2", "p1", zero),
-        ("x2", "p2", 1j * hb * one),
-        ("p1", "p2", 1j * hb * qb * one),
-        ("T1", "T2", -1j * hb * s * p.m * w * one),
-        ("T1", "H", zero),
-        ("T2", "H", zero),
-        ("M3", "H", zero),
-        ("T1", "M3", -1j * hb * T2),
-        ("T2", "M3", 1j * hb * T1),
-        ("xc1", "xc2", (-1j * hb / qb) * one),
-        ("xc1", "H", zero),
-        ("xc2", "H", zero),
-        ("xc1", "p1", zero),
-        ("xc1", "p2", zero),
-        ("xc2", "p1", zero),
-        ("xc2", "p2", zero),
-        ("p1", "H", 1j * s * hb * w * P2),
-        ("p2", "H", -1j * s * hb * w * P1),
-        ("L3", "M3", zero),
-        ("T1", "L3", -1j * hb * P2),
-        ("T2", "L3", 1j * hb * P1),
-        ("p1", "L3", 1j * hb * T2 - 2j * hb * P2),
-        ("p2", "L3", -1j * hb * T1 + 2j * hb * P1),
-        ("x1", "T1", 1j * hb * one),
-        ("x1", "T2", zero),
-        ("x2", "T2", 1j * hb * one),
-        ("p1", "T1", zero),
-        ("p2", "T2", zero),
-        ("u1", "M3", -1j * hb * U2),
-        ("u2", "M3", 1j * hb * U1),
-        ("p1", "M3", -1j * hb * P2),
-        ("p2", "M3", 1j * hb * P1),
-        ("L3", "H", -0.5j * s * hb * w * (U1 @ P1 + P1 @ U1
-                                          + U2 @ P2 + P2 @ U2)),
-    ]
-    for a, c, expected in comms:
+    u1, u2, p1, p2 = map(cl.PolyObservable.coordinate, "u1 u2 p1 p2".split())
+    f = {"H": cl.energy_observable(p), "M3": cl.rotation_observable(p),
+         "T1": cl.translation_observable(1, p), "u1": u1, "u2": u2,
+         "T2": cl.translation_observable(2, p), "p1": p1, "p2": p2,
+         "xc1": cl.centre_observable(1, p, x0), "x1": u1 + x0[0],
+         "xc2": cl.centre_observable(2, p, x0), "x2": u2 + x0[1],
+         "L3": u1 * p2 - u2 * p1}
+    brackets = {pair: cl.poisson_bracket(f[pair[0]], f[pair[1]], p)
+                for pair in _COMMUTATORS}
+    table = fk.position_monomials(p, b, [
+        key for g in (*f.values(), *brackets.values()) for key in g.terms])
+    ops.update(u1=table[(1, 0, 0, 0)], u2=table[(0, 1, 0, 0)])
+    for name in fk.OBSERVABLE_NAMES:
+        gap = fk.poly_operator(f[name], table, b) - ops[name]
+        rep.add(f"quantisation:{name}", gap.magnitudes(), tol)
+    for (a, c), bracket in brackets.items():
         A, C = ops[a], ops[c]
-        rep.add(f"comm:[{a},{c}]", (A @ C - C @ A - expected).magnitudes(),
-                tol)
+        gap = A @ C - C @ A - 1j * p.hbar * fk.poly_operator(bracket, table, b)
+        rep.add(f"comm:[{a},{c}]", gap.magnitudes(), tol)
 
-    rel = T1 @ T1 + T2 @ T2 - 2.0 * p.m * H - 2.0 * qb * M3
+    H, T1, T2, M3, P1 = (ops[name] for name in ("H", "T1", "T2", "M3", "p1"))
+    rel = T1 @ T1 + T2 @ T2 - 2.0 * p.m * H - 2.0 * p.qB * M3
     rep.add("charge-relation", rel.magnitudes(), tol)
 
     # selection rules: velocity moves exactly one level, translations one
@@ -310,8 +296,7 @@ class _ElementEngine:
 
 
 def _largest(ks):
-    """The largest of the engines' ``certified_k``, or None if none
-    certified a batch."""
+    """The largest ``certified_k`` of the engines, or None if none is."""
     return max((k for k in ks if k is not None), default=None)
 
 
@@ -322,25 +307,29 @@ def _angular_states(top: int) -> list[tuple[int, int]]:
 def _neighbour_pairs(states, extra_offsets=((0, 2), (2, 0), (1, -2), (2, 2))):
     """Index pairs coupled by the tabulated operators plus a deterministic
     sample of structurally-zero pairs."""
+    pairs = [((l, n), (l + dl, n + dn)) for (l, n) in states
+             for dl in (-1, 0, 1) for dn in (-1, 0, 1)]
+    pairs += [((l, n), (l + dl, n + dn)) for (dn, dl) in extra_offsets
+              for (l, n) in states[:: max(1, len(states) // 4)]]
     sset = set(states)
-    pairs = []
-    for (l1, n1) in states:
-        for dl in (-1, 0, 1):
-            for dn in (-1, 0, 1):
-                cand = (l1 + dl, n1 + dn)
-                if cand in sset:
-                    pairs.append(((l1, n1), cand))
-    for (dn, dl) in extra_offsets:
-        for (l1, n1) in states[:: max(1, len(states) // 4)]:
-            cand = (l1 + dl, n1 + dn)
-            if cand in sset:
-                pairs.append(((l1, n1), cand))
-    return pairs
+    return [pair for pair in pairs if pair[1] in sset]
 
 
 def _label_arrays(pairs):
     """Arrays ``l1, n1, l2, n2`` of angular-label pairs."""
     return [np.array(c) for c in zip(*(bra + ket for bra, ket in pairs))]
+
+
+def _scan_pairs(levels: int):
+    """The scan's states, neighbour pairs, checked pairs (a fixed half, and
+    the sample block of the first six states) and their Fock labels."""
+    states = _angular_states(levels)
+    pairs = _neighbour_pairs(states)
+    checked = dict.fromkeys(
+        (bra, ket) for pi, (bra, ket) in enumerate(pairs)
+        if not (pi % 2) or (bra in states[:6] and ket in states[:6]))
+    l1, n1, l2, n2 = _label_arrays(checked)
+    return states, pairs, checked, ((n1 + l1, n1), (n2 + l2, n2))
 
 
 _SCAN_OPS = ("H", "T1", "T2", "M3", "p1", "p2", "L3")
@@ -357,7 +346,8 @@ def run_gauge_scan(p: PhysicalParams, gauges=None, nmax: int = 16,
     gauge is one batch of element requests, all certified (see
     ``_ElementEngine``); the report's ``certified_k`` is the largest
     certified node count per axis.  Raises ``TruncationError`` before any
-    quadrature unless every Fock entry it reads is exact at ``nmax``."""
+    quadrature unless every Fock entry it reads is exact at ``nmax``; if no
+    ``nmax`` does, ``ScanLevelsError`` names the largest level admitted."""
     if gauges is None:
         gauges = default_gauges(seed)
     x0 = gauges[0].x0
@@ -368,14 +358,32 @@ def run_gauge_scan(p: PhysicalParams, gauges=None, nmax: int = 16,
     rep = _report("gauge-scan", p, gauges, nmax=nmax, grid=grid_k,
                   scheme=scheme, seed=seed)
 
-    states = _angular_states(levels)
-    pairs = _neighbour_pairs(states)
+    # the Fock route reads the canonical operators at the checked pairs, over
+    # one monomial table for all gauges
+    extras = [{name: canonical_extra(name, g, p) for name in CANONICAL_PARTNER}
+              for g in gauges]
+    basis = fk.FockBasis(nmax)
+    monomials = fk.position_monomials(p, basis, [
+        key for extra in extras for f in extra.values() for key in f.terms])
+    canonical = [{name: fk.gauge_variant_matrix(name, g, p, basis, monomials)
+                  for name in CANONICAL_PARTNER} for g in gauges]
+    flat = [op for ops in canonical for op in ops.values()]
+    top = wv.MAX_QUANTUM_NUMBER
+    lv = min(levels, top // 2 + 1)  # beyond, labels n+ = 2 lv leave any basis
+    states, pairs, checked, (bra, ket) = _scan_pairs(lv)
+    need = fk.exact_nmax(flat, bra, ket)
+    if need > top:
+        while fk.exact_nmax(flat, *_scan_pairs(lv - 1)[3]) > top:
+            lv -= 1
+        raise ScanLevelsError(f"levels above {lv - 1} read canonical-operator "
+                              f"entries that no nmax up to {top} keeps exact")
+    if need > nmax:
+        raise fk.TruncationError(f"the canonical-operator entries the scan "
+                                 f"reads are exact only from nmax {need}")
+    fock = [{name: op.entries(bra, ket).tolist() for name, op in ops.items()}
+            for ops in canonical]
+    del monomials, canonical, flat  # not held through the quadrature
     sample = states[:6]
-    # canonical-operator checks on a deterministic half of the pairs,
-    # always keeping the sample block used by the shift comparison
-    checked = dict.fromkeys(
-        (bra, ket) for pi, (bra, ket) in enumerate(pairs)
-        if not (pi % 2) or (bra in sample and ket in sample))
 
     # gauge dependence: elements shift by the gradient of the gauge change,
     # predicted by requests in the reference gauge's batch
@@ -393,27 +401,6 @@ def run_gauge_scan(p: PhysicalParams, gauges=None, nmax: int = 16,
                            for bra, ket in checked
                            if bra in sample and ket in sample})
 
-    # the Fock route reads the canonical operators at the checked pairs, each
-    # with fk.gauge_variant_matrix's bits from tables built once for all
-    extras = [{name: canonical_extra(name, g, p) for name in CANONICAL_PARTNER}
-              for g in gauges]
-    basis = fk.FockBasis(nmax)
-    monomials = fk.position_monomials(p, basis, [
-        key for extra in extras for f in extra.values() for key in f.terms])
-    partners = {name: fk.build_observable(partner, p, x0, basis)
-                for name, partner in CANONICAL_PARTNER.items()}
-    l1, n1, l2, n2 = _label_arrays(checked)
-    bra, ket = (n1 + l1, n1), (n2 + l2, n2)
-    canonical = [{name: partners[name] + fk.poly_operator(f, monomials, basis)
-                  for name, f in extra.items()} for extra in extras]
-    need = fk.exact_nmax([op for ops in canonical for op in ops.values()],
-                         bra, ket)
-    if need > nmax:
-        raise fk.TruncationError(f"the canonical-operator entries the scan "
-                                 f"reads are exact only from nmax {need}")
-    fock = [{name: op.entries(bra, ket).tolist() for name, op in ops.items()}
-            for ops in canonical]
-    del monomials, partners, canonical  # not held through the quadrature
     found: dict = {}  # each request's values, in gauge order
     certified = []
     for gi, (g, extra) in enumerate(zip(gauges, extras)):
@@ -473,7 +460,8 @@ def run_reproduce_tables(p: PhysicalParams, nmax: int = 16,
     ``tol`` bounds the quadrature routes; the closed form and the Fock
     matrices agree to ``ALGEBRA_TOL``.  The angular rows are certified
     (``certified_k`` as for the scan); the translation-state rows run on
-    the ``grid_k`` rule."""
+    the ``grid_k`` rule.  Raises ``TruncationError`` before any quadrature
+    unless every Fock entry it reads is exact at ``nmax``."""
     g = gauge if gauge is not None else GaugeChoice(0.0)
     rep = _report("reproduce-tables", p, [g], nmax=nmax, grid=grid_k,
                   scheme=scheme)
@@ -485,23 +473,28 @@ def run_reproduce_tables(p: PhysicalParams, nmax: int = 16,
     states = _angular_states(idx_top)
     pairs = _neighbour_pairs(states)
 
-    # route 1 vs route 2 over every in-range label pair
-    half = nmax // 2
-    wide = _angular_states(half)
-    ell, lvl = (np.array(c)[:, None] for c in zip(*wide))
+    # routes 1 vs 2 at every in-range label pair; p at the table's pairs
+    ell, lvl = (np.array(c)[:, None] for c in zip(*_angular_states(nmax // 2)))
+    wide = (lvl + ell, lvl), (lvl.T + ell.T, lvl.T)
+    l1s, n1s, l2s, n2s = _label_arrays(pairs)
+    at = (n1s + l1s, n1s), (n2s + l2s, n2s)
+    need = max(fk.exact_nmax(mats.values(), *wide),
+               fk.exact_nmax([mats["p1"], mats["p2"]], *at))
+    if need > nmax:
+        raise fk.TruncationError(f"the operator entries the tables read are "
+                                 f"exact only from nmax {need}")
     for name in _TABLE_OPS:
         diff = (fk.angular_element(name, ell, lvl, ell.T, lvl.T, p)
-                - mats[name].entries((lvl + ell, lvl), (lvl.T + ell.T, lvl.T)))
+                - mats[name].entries(*wide))
         # Python's abs, with which numpy's vectorised complex modulus can
         # differ in the last bit, over the nonzero differences
         rep.add(f"angular:{name}:closed-vs-matrix",
                 [abs(z) for z in diff[diff != 0].tolist()], ALGEBRA_TOL)
 
-    l1s, n1s, l2s, n2s = _label_arrays(pairs)
     same = n1s == n2s
     rep.add("angular:p-same-level-zero", [
-        abs(z) for name in ("p1", "p2") for z in mats[name].entries(
-            (n1s + l1s, n1s), (n2s + l2s, n2s))[same].tolist()], ALGEBRA_TOL)
+        abs(z) for name in ("p1", "p2")
+        for z in mats[name].entries(*at)[same].tolist()], ALGEBRA_TOL)
 
     eng = _ElementEngine(p, g, grid_k, scheme)
     for (l, n) in states:

@@ -150,18 +150,9 @@ def _check_numerics(args, parser, p: PhysicalParams):
     checks = []
     if "nmax" in takes:
         checks.append(("--nmax", lambda: fk.FockBasis(args.nmax)))
-    # labels reach n+ = twice the largest index
-    if args.command == "reproduce-tables":
-        top = 2 * cp.TABLE_INDEX_TOP
-        checks.append(("--nmax", lambda: _require(
-            args.nmax >= top, f"reproduce-tables needs nmax >= {top}")))
     if "scan_levels" in takes:
-        lv, lv_max = args.scan_levels, wv.MAX_QUANTUM_NUMBER // 2
-        checks += [("--scan-levels", lambda: _require(
-                        lv >= 0, "levels must be nonnegative")),
-                   ("--scan-levels", lambda: _require(lv <= lv_max, (
-                       f"levels above {lv_max} reach quantum numbers beyond "
-                       f"{wv.MAX_QUANTUM_NUMBER}")))]
+        checks.append(("--scan-levels", lambda: _require(
+            args.scan_levels >= 0, "levels must be nonnegative")))
     if "seed" in takes:
         checks.append(("--seed", lambda: np.random.default_rng(args.seed)))
     checks.append(("--tol", lambda: _require(
@@ -325,6 +316,8 @@ def main(argv=None) -> int:
         report, csv_header, rows = _campaign(args, p, g, tol)
     except quad.SupportOverflowError as exc:
         parser.error(f"--grid: {exc}")
+    except cp.ScanLevelsError as exc:
+        parser.error(f"--scan-levels: {exc}")
     except fk.TruncationError as exc:
         parser.error(f"--nmax: {exc}")
     except cl.NonFiniteOrbitError as exc:

@@ -17,8 +17,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .params import (CANONICAL_PARTNER, GaugeChoice, PhysicalParams, Poly2,
-                     canonical_extra)
+from .params import (CANONICAL_PARTNER, DegreeOverflowError, GaugeChoice,
+                     PhysicalParams, canonical_extra)
 from .waves import MAX_QUANTUM_NUMBER, check_quantum_number, t1_basis_function
 
 __all__ = [
@@ -217,12 +217,14 @@ def exact_nmax(ops, bra, ket) -> int:
     operator O of ``ops`` is exact, with labels as for
     :meth:`FockOperator.entries`: per sector, the larger label plus the
     reach of its shift (an entry off the stored shifts is an exact zero)."""
-    labels = list(zip(*(a.ravel().tolist()
-                        for a in np.broadcast_arrays(*bra, *ket))))
-    return max((max(max(bp, kp) + e[0], max(bm, km) + e[1])
-                for op in ops for bp, bm, kp, km in labels
-                for e in [op.reach.get((bp - kp, bm - km), (0, 0))]),
-               default=0)
+    bp, bm, kp, km = map(np.ravel, np.broadcast_arrays(*bra, *ket))
+    hi = np.maximum(bp, kp), np.maximum(bm, km)
+    need = [0] + [int(t.max()) for t in hi if ops and t.size]
+    for op in ops:
+        for (d0, d1), e in op.reach.items():
+            hit = (bp - kp == d0) & (bm - km == d1)
+            need += [int(t[hit].max()) + i for t, i in zip(hi, e) if hit.any()]
+    return max(need)
 
 
 def sector_numbers(b: FockBasis):
@@ -303,34 +305,44 @@ def build_observable(name: str, p: PhysicalParams, x0: tuple[float, float],
 
 
 def position_monomials(p: PhysicalParams, b: FockBasis,
-                       keys) -> dict[tuple[int, int], FockOperator]:
-    """The position monomials (x1 - x0_1)^i (x2 - x0_2)^j, one per distinct
-    ``(i, j)`` in ``keys``, in sorted key order: ``pow1[i] @ pow2[j]`` of
-    the power chains ``1, 1 @ u, (1 @ u) @ u, ...``, so a monomial has the
-    same bits whichever polynomial needs it.  A product with the identity
-    copies the other factor exactly (times one, plus zeros).
-    """
+                       keys) -> dict[tuple, FockOperator]:
+    """The operator of each distinct monomial key in ``keys``, in sorted key
+    order; a degree above both 2 and nmax raises :class:`TruncationError`.
+    A position key (i, j), or (i, j, 0, 0) in (u1, u2, p1, p2), is ``pow1[i]
+    @ pow2[j]`` of the power chains ``1, 1 @ u, (1 @ u) @ u, ...``, the same
+    bits whichever polynomial needs it.  A key with a momentum factor is
+    Weyl-quantised, exact to degree 2 (Groenewold 1946): a coordinate A,
+    ``A @ A`` or ``0.5 (A @ B + B @ A)`` in axis order, and a higher degree
+    raises :class:`DegreeOverflowError`."""
     keys = sorted(set(keys))
-    deg = max((i + j for i, j in keys), default=0)
-    if deg > b.nmax:
+    deg = max(map(sum, keys), default=0)
+    if deg > max(b.nmax, 2):
         raise TruncationError(
             f"polynomial degree {deg} exceeds truncation nmax={b.nmax}")
-    chains = []
-    for name, top in (("x1", max((i for i, _ in keys), default=0)),
-                      ("x2", max((j for _, j in keys), default=0))):
-        u = build_observable(name, p, (0.0, 0.0), b)
-        chain = [identity(b)]
-        for _ in range(top):
-            chain.append(chain[-1] @ u)
-        chains.append(chain)
-    return {(i, j): chains[0][i] @ chains[1][j] for (i, j) in keys}
+    weyl = [key for key in keys if any(key[2:])]
+    if any(sum(key) > 2 for key in weyl):
+        raise DegreeOverflowError(f"Weyl quantisation is exact only up to "
+                                  f"degree 2: {max(weyl, key=sum)}")
+    u = [build_observable(x, p, (0.0, 0.0), b)
+         for x in ("x1", "x2", "p1", "p2")[:4 if weyl else 2]]
+    chains = [[identity(b)], [identity(b)]]
+    for axis, chain in enumerate(chains):
+        for _ in range(max([k[axis] for k in keys if k not in weyl] + [0])):
+            chain.append(chain[-1] @ u[axis])
+
+    def product(key):
+        a, *c = [u[i] for i, e in enumerate(key) for _ in range(e)]
+        return (a if not c else a @ a if c[0] is a
+                else 0.5 * (a @ c[0] + c[0] @ a))
+    return {key: product(key) if key in weyl
+            else chains[0][key[0]] @ chains[1][key[1]] for key in keys}
 
 
-def poly_operator(f: Poly2, monomials: dict, b: FockBasis) -> FockOperator:
-    """Operator f(x1 - x0_1, x2 - x0_2): the sum of ``f.terms[k] *
-    monomials[k]`` from zero, in sorted term order, where ``monomials`` is a
-    :func:`position_monomials` table holding every term of f.  The bits do
-    not depend on which other keys the table holds."""
+def poly_operator(f, monomials: dict, b: FockBasis) -> FockOperator:
+    """Operator of f, a polynomial in (u1, u2) or (u1, u2, p1, p2) with u =
+    x - x0: the sum of ``f.terms[k] * monomials[k]`` from zero, in sorted
+    term order, over a :func:`position_monomials` table holding every term
+    of f.  The bits do not depend on which other keys the table holds."""
     op = FockOperator(b, {}, {})
     for key in sorted(f.terms):
         op = op + f.terms[key] * monomials[key]
@@ -446,11 +458,13 @@ def t1_fock_overlap(nplus: int, nminus: int, t1, p: PhysicalParams):
 
 
 def gauge_variant_matrix(which: str, g: GaugeChoice, p: PhysicalParams,
-                         b: FockBasis) -> FockOperator:
+                         b: FockBasis, monomials=None) -> FockOperator:
     """Gauge-variant canonical operator (pi1, pi2 or L3c): its gauge-invariant
     partner observable plus the :func:`poly_operator` of its polynomial
-    position term :func:`~landaulab.params.canonical_extra`."""
+    position term :func:`~landaulab.params.canonical_extra`, over the
+    :func:`position_monomials` table ``monomials`` (default: its own)."""
     partner = build_observable(CANONICAL_PARTNER[which], p, g.x0, b)
     extra = canonical_extra(which, g, p)
-    monomials = position_monomials(p, b, extra.terms)
+    if monomials is None:
+        monomials = position_monomials(p, b, extra.terms)
     return partner + poly_operator(extra, monomials, b)

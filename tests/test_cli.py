@@ -428,8 +428,10 @@ def test_bad_phi_rejected(capsys):
     (["verify-algebra", "--x0", "nan,0"], "alpha and x0 must be finite"),
     (["classical-sim", "--x0", "inf,0"], "--x0: x0 must be finite"),
     (["classical-sim", "--x0", "nan,0"], "--x0: x0 must be finite"),
+    # the p entries at the table's label pairs reach n+ = 12
     (["reproduce-tables", "--nmax", "11"],
-     "--nmax: reproduce-tables needs nmax >= 12"),
+     "--nmax: the operator entries the tables read are exact only from "
+     "nmax 12"),
     # the scan refuses, before any quadrature, a truncation that touches a
     # canonical-operator entry it reads, naming the nmax it needs; the cubic
     # gauge's degree asks for 3 first
@@ -446,8 +448,12 @@ def test_bad_phi_rejected(capsys):
      "from nmax 11"),
     (["gauge-scan", "--scan-levels", "-1"],
      "--scan-levels: levels must be nonnegative"),
-    (["gauge-scan", "--scan-levels", "21", "--nmax", "40"],
-     "--scan-levels: levels above 20 reach quantum numbers beyond 40"),
+    # level 20 reads entries exact only from nmax 41, and no --nmax admits
+    # that; any larger level is refused the same way, before its states
+    # are listed
+    *[(["gauge-scan", "--scan-levels", lv, "--nmax", "40"],
+       "--scan-levels: levels above 19 read canonical-operator entries that "
+       "no nmax up to 40 keeps exact") for lv in ("20", "21", str(10 ** 9))],
     (["classical-sim", "--seed", "-1"], "--seed: expected non-negative integer"),
     # grids too small for the integrands fail their support check mid-run;
     # the scan's and the demo's batches are certified on 14-15 and 4 nodes,
@@ -505,7 +511,8 @@ def test_bad_phi_rejected(capsys):
         "alpha-nan", "x0-nan", "algebra-x0-nan", "sim-x0-inf", "sim-x0-nan",
         "tables-nmax", "scan-nmax", "scan-nmax-cubic", "scan-nmax-levels-4",
         "scan-nmax-levels-5",
-        "scan-levels", "scan-levels-high", "seed", "scan-grid", "basis-grid",
+        "scan-levels", "scan-levels-20", "scan-levels-high",
+        "scan-levels-1e9", "seed", "scan-grid", "basis-grid",
         "demo-grid", "tables-grid", "dt-orbit-overflow", "tol-nan",
         "tol-negative", "tol-inf", "qb-underflow", "qb-overflow",
         "omega-overflow", "energy-momentum-overflow", "default-energy-overflow",

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 import operator
 import struct
@@ -9,7 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.hermite import hermgauss
 
+from landaulab import campaigns, classical
+from landaulab import fockspace as fk
 from landaulab import GaugeChoice, PhysicalParams, Poly2, parse_poly
+from landaulab.classical import PolyObservable, poisson_bracket
 from landaulab.campaigns import (_angular_states, _ElementEngine,
                                  _neighbour_pairs, default_gauges,
                                  run_gauge_scan, run_verify_algebra)
@@ -19,7 +23,8 @@ from landaulab.fockspace import (FockBasis, FockOperator, TruncationError,
                                  ladder_ops, poly_operator,
                                  position_monomials, t1_fock_overlap,
                                  angular_element, OBSERVABLE_NAMES)
-from landaulab.params import CANONICAL_PARTNER, canonical_extra
+from landaulab.params import (CANONICAL_PARTNER, DegreeOverflowError,
+                               canonical_extra)
 from landaulab.waves import MAX_QUANTUM_NUMBER, t1_basis_function
 
 P = PhysicalParams(1, 1, 1)
@@ -303,6 +308,23 @@ def test_exact_nmax_is_the_truncation_that_marks_an_entry_exact():
     assert exact_nmax([op], ([0, 9], [0, 0]), ([0, 8], [0, 0])) == 9
 
 
+def test_exact_nmax_is_the_largest_need_of_an_entry():
+    # over label arrays, the need of the entry that needs most: the larger
+    # label plus its shift's reach per sector, reach 0 off the stored shifts
+    rng = np.random.default_rng(5)
+    b = FockBasis(4)
+    shifts = [(0, 0), (1, -1), (-2, 0), (0, 3)]
+    ops = [_random_operator(b, rng, shifts, {
+        d: tuple(int(e) for e in rng.integers(0, 4, 2)) for d in shifts})
+        for _ in range(3)]
+    bra, ket = rng.integers(0, 9, (2, 2, 40))
+    want = max(max(max(bp, kp) + e[0], max(bm, km) + e[1])
+               for op in ops for bp, bm, kp, km in zip(*bra, *ket)
+               for e in [op.reach.get((bp - kp, bm - km), (0, 0))])
+    assert exact_nmax(ops, tuple(bra), tuple(ket)) == want
+    assert exact_nmax([], tuple(bra), tuple(ket)) == 0
+
+
 def test_every_observable_exactly_hermitian():
     b = _basis()
     for name in OBSERVABLE_NAMES:
@@ -548,6 +570,130 @@ def test_poly_operator_vacuum_radius_squared():
 def test_poly_operator_degree_guard():
     with pytest.raises(TruncationError):
         _poly_op(parse_poly("u1^4"), P, FockBasis(3))
+    # Weyl's exact range, degree 2, is built at every nmax: the reach marks
+    # which entries the truncation left exact
+    square = _poly_op(parse_poly("u1^2"), P, FockBasis(1))
+    assert square.reach[(0, 0)] == (1, 1)
+
+
+def test_position_monomials_refuses_momentum_beyond_degree_two():
+    # Weyl quantisation is exact only up to degree 2 (Groenewold 1946); a
+    # position key of any degree keeps its power-chain product
+    b = FockBasis(6)
+    for key in ((1, 0, 2, 0), (0, 0, 0, 3), (1, 1, 0, 1)):
+        with pytest.raises(DegreeOverflowError, match="degree 2"):
+            position_monomials(P, b, [key])
+    assert list(position_monomials(P, b, [(3, 0, 0, 0)])) == [(3, 0, 0, 0)]
+
+
+def test_momentum_monomials_are_symmetrised_products():
+    # a key with a momentum factor: the coordinate, its square, or half the
+    # sum of both orders of its two coordinates, over origin-free position
+    # operators; the position keys of a four-variable table have the bits
+    # of the same keys in two variables
+    p = PhysicalParams(1.3, -0.7, 1.9, hbar=1.4)
+    b = FockBasis(5)
+    u1, u2, p1, p2 = (build_observable(x, p, (0.0, 0.0), b)
+                      for x in ("x1", "x2", "p1", "p2"))
+    mono = position_monomials(p, b, [(0, 0, 1, 0), (0, 0, 0, 2),
+                                     (1, 0, 1, 0), (0, 1, 0, 1),
+                                     (2, 0, 0, 0), (1, 1, 0, 0)])
+    want = {(0, 0, 1, 0): p1, (0, 0, 0, 2): p2 @ p2,
+            (1, 0, 1, 0): 0.5 * (u1 @ p1 + p1 @ u1),
+            (0, 1, 0, 1): 0.5 * (u2 @ p2 + p2 @ u2)}
+    for key, op in want.items():
+        assert mono[key].shifts.keys() == op.shifts.keys(), key
+        assert mono[key].reach == op.reach, key
+        for d, c in op.shifts.items():
+            assert _bits_of(mono[key].shifts[d]) == _bits_of(c), (key, d)
+    plane = position_monomials(p, b, [(2, 0), (1, 1)])
+    for key in plane:
+        assert _bits_of(plane[key].matrix) \
+            == _bits_of(mono[key + (0, 0)].matrix), key
+
+
+_QUADRATIC = [k for k in itertools.product(range(3), repeat=4) if sum(k) <= 2]
+
+
+@st.composite
+def _quadratic_observables(draw):
+    """Physical parameters of either orientation with non-unit hbar, two
+    phase-space polynomials of degree at most 2 and a truncation."""
+    sign = draw(st.sampled_from([1.0, -1.0]))
+    p = PhysicalParams(draw(st.floats(0.5, 2.0)),
+                       sign * draw(st.floats(0.5, 2.0)),
+                       draw(st.floats(0.5, 2.0)), hbar=draw(st.floats(0.6, 1.8)))
+    f, g = (PolyObservable({key: draw(st.floats(-1.0, 1.0))
+                            for key in _QUADRATIC if draw(st.booleans())})
+            for _ in range(2))
+    return p, f, g, draw(st.sampled_from([1, 2, 5, 9]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_quadratic_observables())
+def test_weyl_map_sends_brackets_to_commutators(case):
+    # for degree at most 2 the Weyl map Q is exact: [Q(f), Q(g)] equals
+    # i hbar Q({f, g}) on every entry the truncation left exact, to within
+    # the rounding of the products
+    p, f, g, nmax = case
+    b = FockBasis(nmax)
+    bracket = poisson_bracket(f, g, p)
+    table = position_monomials(p, b, [*f.terms, *g.terms, *bracket.terms])
+    qf, qg, qb = (poly_operator(h, table, b) for h in (f, g, bracket))
+    gap = qf @ qg - qg @ qf - 1j * p.hbar * qb
+    scale = sum(np.max(op.magnitudes(), initial=0.0) for op in (qf, qg))
+    assert np.max(gap.magnitudes(), initial=0.0) <= 16 * EPS * (1 + scale) ** 2
+
+
+def _flipped_term(make, key):
+    """``make`` with the sign of the ``key`` term of its polynomials
+    flipped, where they hold one."""
+    def flipped(*args):
+        terms = dict(make(*args).terms)
+        if key in terms:
+            terms[key] = -terms[key]
+        return PolyObservable(terms)
+    return flipped
+
+
+def _failed(**patches):
+    """The ids of verify-algebra's failed checks with the given module
+    attributes replaced, at non-unit parameters, qB < 0 and off-origin x0."""
+    with pytest.MonkeyPatch.context() as mp:
+        for target, value in patches.items():
+            module, name = target.split(".")
+            mp.setattr({"cl": classical, "fk": fk}[module], name, value)
+        rep = run_verify_algebra(PhysicalParams(1.3, -0.7, 1.9, hbar=1.4),
+                                 nmax=8, x0=(0.4, -0.8))
+    return {c.id for c in rep.checks if not c.passed}
+
+
+@pytest.mark.parametrize("name, target, key", [
+    ("M3", "rotation_observable", (0, 1, 1, 0)),
+    ("H", "energy_observable", (0, 0, 2, 0)),
+    ("T1", "translation_observable", (0, 1, 0, 0)),
+])
+def test_sign_flip_in_a_classical_observable_fails_its_checks(name, target,
+                                                              key):
+    # the classical polynomial states what each observable is: a sign error
+    # there fails its quantisation check and a commutator it enters
+    make = getattr(classical, target)
+    failed = _failed(**{f"cl.{target}": _flipped_term(make, key)})
+    assert f"quantisation:{name}" in failed
+    assert any(cid.startswith("comm:") and name in cid for cid in failed)
+    assert _failed() == set()
+
+
+@pytest.mark.parametrize("name", ["H", "T1", "T2", "M3", "L3", "xc1", "xc2"])
+def test_sign_flip_in_build_observable_fails_its_quantisation(name):
+    # the coordinates x1, x2, p1, p2 are the Weyl map's own factors, so a
+    # sign error in them shows in the commutators instead
+    build = fk.build_observable
+
+    def flipped(which, *args):
+        op = build(which, *args)
+        return -1.0 * op if which == name else op
+    assert f"quantisation:{name}" in _failed(**{"fk.build_observable": flipped})
 
 
 def test_poly_operator_commutes_positions():
