@@ -22,8 +22,7 @@ from . import fockspace as fk
 from . import quadrature as quad
 from . import waves as wv
 from .params import (CANONICAL_PARTNER, GaugeChoice, OriginMismatchError,
-                     PhysicalParams, Poly2, canonical_extra, format_poly,
-                     gauge_delta)
+                     PhysicalParams, Poly2, format_poly)
 from .report import VerificationReport
 
 __all__ = [
@@ -115,13 +114,7 @@ def run_verify_algebra(p: PhysicalParams, nmax: int = 16,
             np.abs(hdiag - p.hbar * p.omega_c * (nminus + 0.5)), EXACT)
     rep.add("spectrum:degeneracy", np.abs(hdiag - hdiag[0][None, :]), EXACT)
 
-    u1, u2, p1, p2 = map(cl.PolyObservable.coordinate, "u1 u2 p1 p2".split())
-    f = {"H": cl.energy_observable(p), "M3": cl.rotation_observable(p),
-         "T1": cl.translation_observable(1, p), "u1": u1, "u2": u2,
-         "T2": cl.translation_observable(2, p), "p1": p1, "p2": p2,
-         "xc1": cl.centre_observable(1, p, x0), "x1": u1 + x0[0],
-         "xc2": cl.centre_observable(2, p, x0), "x2": u2 + x0[1],
-         "L3": u1 * p2 - u2 * p1}
+    f = cl.observables(p, GaugeChoice(0.0, x0))
     brackets = {pair: cl.poisson_bracket(f[pair[0]], f[pair[1]], p)
                 for pair in _COMMUTATORS}
     table = fk.position_monomials(p, b, [
@@ -342,7 +335,7 @@ def run_gauge_scan(p: PhysicalParams, gauges=None, nmax: int = 16,
     """Recompute physical matrix elements up to level ``levels`` by
     quadrature in every gauge and check that they do not move; check that
     the canonical (gauge-variant) operators decompose exactly as predicted
-    and shift between gauges by the gradient of the gauge function.  Each
+    and shift between gauges by q times the change of vector potential.  Each
     gauge is one batch of element requests, all certified (see
     ``_ElementEngine``); the report's ``certified_k`` is the largest
     certified node count per axis.  Raises ``TruncationError`` before any
@@ -360,8 +353,9 @@ def run_gauge_scan(p: PhysicalParams, gauges=None, nmax: int = 16,
 
     # the Fock route reads the canonical operators at the checked pairs, over
     # one monomial table for all gauges
-    extras = [{name: canonical_extra(name, g, p) for name in CANONICAL_PARTNER}
-              for g in gauges]
+    tables = [cl.observables(p, g) for g in gauges]
+    extras = [{name: f[name] - f[partner]
+               for name, partner in CANONICAL_PARTNER.items()} for f in tables]
     basis = fk.FockBasis(nmax)
     monomials = fk.position_monomials(p, basis, [
         key for extra in extras for f in extra.values() for key in f.terms])
@@ -385,18 +379,18 @@ def run_gauge_scan(p: PhysicalParams, gauges=None, nmax: int = 16,
     del monomials, canonical, flat  # not held through the quadrature
     sample = states[:6]
 
-    # gauge dependence: elements shift by the gradient of the gauge change,
-    # predicted by requests in the reference gauge's batch
+    # gauge dependence: elements shift by the change of the canonical
+    # polynomials, q (A_g - A_ref)(u), predicted by requests in the reference
+    # gauge's batch
     ref = min(range(len(gauges)),
               key=lambda i: (gauges[i].alpha != 0.0, not gauges[i].phi.is_zero(), i))
-    u1, u2 = Poly2.variable(1), Poly2.variable(2)
+    conn = wv.gauge_connection(gauges[ref], p)
     shifts = {}
-    for gi, g in enumerate(gauges):
+    for gi, f in enumerate(tables):
         if gi == ref:
             continue
-        d1, d2 = (p.q * gauge_delta(gauges[ref], g, p).diff(k) for k in (1, 2))
-        for name, f in (("pi1", d1), ("pi2", d2), ("L3c", u1 * d2 - u2 * d1)):
-            op = wv.multiplication_op(f)
+        for name in CANONICAL_PARTNER:
+            op = wv.schrodinger_op(f[name] - tables[ref][name], conn, p.hbar)
             shifts.update({(gi, name, (bra, ket)): (bra, op, ket)
                            for bra, ket in checked
                            if bra in sample and ket in sample})
@@ -407,10 +401,9 @@ def run_gauge_scan(p: PhysicalParams, gauges=None, nmax: int = 16,
         eng = _ElementEngine(p, g, grid_k, scheme)
         for (l, n) in states:
             eng.load((l, n), wv.fock_state, g, p, n + l, n)
-        ops = {name: wv.position_op(name, g, p) for name in _SCAN_OPS}
-        for name, f in extra.items():
-            ops[name] = wv.position_op(name, g, p)
-            ops["extra", name] = wv.multiplication_op(f)
+        ops = wv.position_ops(_SCAN_OPS + tuple(CANONICAL_PARTNER), g, p)
+        ops.update({("extra", k): wv.schrodinger_op(
+            e, wv.gauge_connection(g, p), p.hbar) for k, e in extra.items()})
         requests = {(name, pair): (pair[0], op, pair[1]) for pair in pairs
                     for name, op in ops.items()
                     if name in _SCAN_OPS or pair in checked}
@@ -499,7 +492,7 @@ def run_reproduce_tables(p: PhysicalParams, nmax: int = 16,
     eng = _ElementEngine(p, g, grid_k, scheme)
     for (l, n) in states:
         eng.load((l, n), wv.fock_state, g, p, n + l, n)
-    ops = {name: wv.position_op(name, g, p) for name in _TABLE_OPS}
+    ops = wv.position_ops(_TABLE_OPS, g, p)
     values = eng.elements({(name, pair): (pair[0], ops[name], pair[1])
                            for name in _TABLE_OPS for pair in pairs})
     for name in _TABLE_OPS:
@@ -543,22 +536,22 @@ def run_reproduce_tables(p: PhysicalParams, nmax: int = 16,
         scale = np.max([np.max(np.abs(rhs)), 1e-300])
         rep.add(f"t1:{name}:kernel-vs-ladder", np.abs(lhs - rhs) / scale, tol)
 
-    dev_levels = _t1_level_rows(p, g, eng, rows, idx_top)
+    dev_levels = _t1_level_rows(p, g, eng, ops, rows, idx_top)
     for name, dev in dev_levels.items():
         rep.add(f"t1:{name}:kernel-vs-quadrature", dev, tol)
     rep.settings["certified_k"] = eng.certified_k
     return rep, rows
 
 
-def _t1_level_rows(p, g, eng: _ElementEngine, rows, idx_top) -> dict:
+def _t1_level_rows(p, g, eng: _ElementEngine, ops, rows, idx_top) -> dict:
     """Level-changing rows of the translation-eigenbasis table checked by
     quadrature on both sides: the operator element against the tabulated
-    delta-kernel coefficient times the quadrature overlap.  Angular states
-    are read from ``eng`` under their ``(l, n)`` keys, or loaded there."""
+    delta-kernel coefficient times the quadrature overlap.  ``ops`` holds
+    the operators p1, p2 and L3 in the gauge g; angular states are read from
+    ``eng`` under their ``(l, n)`` keys, or loaded there."""
     sig, c, s, hb = p.momentum_scale, p.ladder_scale, p.sign, p.hbar
     tvals = (0.0, 0.9 * sig)
     nplus_vals = (0, 2)
-    ops = {name: wv.position_op(name, g, p) for name in ("p1", "p2", "L3")}
 
     def coeff(name, n1, n2):
         if name == "L3":  # tabulated only within a level
@@ -815,14 +808,14 @@ def run_heisenberg_demo(p: PhysicalParams, grid_k: int = 80,
     ]
     states = {k: wv.fock_state(g, p, *k)
               for k in ((0, 0), (1, 0), (0, 1), (2, 1))}
-    x1 = wv.multiplication_op(Poly2.variable(1))
     found, certified = [], []
     for lam in lams:
         eng = _ElementEngine(p, g, grid_k, scheme)
         for k, psi in states.items():
             eng.load(k, wv.phase_shifted, psi, lam, hb)
-        v = (lam.diff(1), lam.diff(2))
-        p1, p2 = (wv.connection_momentum_op(v, i, hb) for i in (1, 2))
+        conn = (lam.diff(1), lam.diff(2))
+        x1, p1, p2 = (wv.schrodinger_op(cl.PolyObservable.coordinate(x), conn,
+                                        hb) for x in ("u1", "p1", "p2"))
         ops = [(p1, (0, 0), (1, 0)), (p2, (0, 0), (0, 1)),
                (p1.compose(p1) + p2.compose(p2), (1, 0), (1, 0)),
                (x1.compose(p1), (1, 0), (2, 1)), (p2, (2, 1), (0, 1))]

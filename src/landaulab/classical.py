@@ -2,7 +2,9 @@
 analytic circular orbits, numerical integrators, conserved charges, and an
 exact Poisson-bracket calculus on polynomial phase-space observables, which
 are the four-variable member of the shared polynomial ring of
-:mod:`landaulab.params`.
+:mod:`landaulab.params`.  :func:`observables` is the one table that says
+what each observable is; the Fock route (``fockspace.poly_operator``) and
+the wave-function route (``waves.schrodinger_op``) quantise its entries.
 
 The phase space is parametrised by the gauge-invariant pair (x, p) with the
 magnetic bracket {p1, p2} = qB; canonical-coordinate statements are recovered
@@ -38,7 +40,7 @@ __all__ = [
     "translation_observable",
     "rotation_observable",
     "centre_observable",
-    "canonical_momentum_observable",
+    "observables",
 ]
 
 
@@ -318,10 +320,19 @@ def centre_observable(i: int, p: PhysicalParams,
     return PolyObservable.const(x0[i - 1]) + (sgn / qb) * t
 
 
-def canonical_momentum_observable(i: int, g: GaugeChoice,
-                                  p: PhysicalParams) -> PolyObservable:
-    """pi_i = p_i + q A_i(u) with the gauge's polynomial vector potential."""
-    a1, a2 = vector_potential_polys(g, p.B)
-    a = a1 if i == 1 else a2
-    return (PolyObservable.coordinate(f"p{i}")
-            + p.q * PolyObservable.from_position_poly(a))
+def observables(p: PhysicalParams,
+                g: GaugeChoice) -> dict[str, PolyObservable]:
+    """The phase-space polynomial of each named observable, u = x - x0: H,
+    T1, T2, M3, p1, p2, L3 = u1 p2 - u2 p1, xc1, xc2, x1, x2, u1, u2, and
+    the gauge's canonical momenta pi_i = p_i + q A_i(u) and canonical
+    angular momentum L3c = u1 pi2 - u2 pi1."""
+    u1, u2, p1, p2 = map(PolyObservable.coordinate, ("u1", "u2", "p1", "p2"))
+    pi1, pi2 = (pk + p.q * PolyObservable.from_position_poly(a)
+                for pk, a in zip((p1, p2), vector_potential_polys(g, p.B)))
+    return {"H": energy_observable(p), "T1": translation_observable(1, p),
+            "T2": translation_observable(2, p), "M3": rotation_observable(p),
+            "p1": p1, "p2": p2, "L3": u1 * p2 - u2 * p1,
+            "xc1": centre_observable(1, p, g.x0), "x1": u1 + g.x0[0],
+            "xc2": centre_observable(2, p, g.x0), "x2": u2 + g.x0[1],
+            "u1": u1, "u2": u2, "pi1": pi1, "pi2": pi2,
+            "L3c": u1 * pi2 - u2 * pi1}

@@ -17,8 +17,9 @@ from functools import lru_cache
 
 import numpy as np
 
+from .classical import observables
 from .params import (CANONICAL_PARTNER, DegreeOverflowError, GaugeChoice,
-                     PhysicalParams, canonical_extra)
+                     PhysicalParams)
 from .waves import MAX_QUANTUM_NUMBER, check_quantum_number, t1_basis_function
 
 __all__ = [
@@ -309,11 +310,12 @@ def position_monomials(p: PhysicalParams, b: FockBasis,
     """The operator of each distinct monomial key in ``keys``, in sorted key
     order; a degree above both 2 and nmax raises :class:`TruncationError`.
     A position key (i, j), or (i, j, 0, 0) in (u1, u2, p1, p2), is ``pow1[i]
-    @ pow2[j]`` of the power chains ``1, 1 @ u, (1 @ u) @ u, ...``, the same
-    bits whichever polynomial needs it.  A key with a momentum factor is
-    Weyl-quantised, exact to degree 2 (Groenewold 1946): a coordinate A,
-    ``A @ A`` or ``0.5 (A @ B + B @ A)`` in axis order, and a higher degree
-    raises :class:`DegreeOverflowError`."""
+    @ pow2[j]`` of the power chains ``1, u, u @ u, ...``, or its one chain
+    element where the other exponent is 0, the same bits whichever
+    polynomial needs it.  A key with a momentum factor is Weyl-quantised,
+    exact to degree 2 (Groenewold 1946): a coordinate A, ``A @ A`` or
+    ``0.5 (A @ B + B @ A)`` in axis order, and a higher degree raises
+    :class:`DegreeOverflowError`."""
     keys = sorted(set(keys))
     deg = max(map(sum, keys), default=0)
     if deg > max(b.nmax, 2):
@@ -325,9 +327,9 @@ def position_monomials(p: PhysicalParams, b: FockBasis,
                                   f"degree 2: {max(weyl, key=sum)}")
     u = [build_observable(x, p, (0.0, 0.0), b)
          for x in ("x1", "x2", "p1", "p2")[:4 if weyl else 2]]
-    chains = [[identity(b)], [identity(b)]]
+    chains = [[identity(b), u[0]], [identity(b), u[1]]]
     for axis, chain in enumerate(chains):
-        for _ in range(max([k[axis] for k in keys if k not in weyl] + [0])):
+        for _ in range(max([k[axis] for k in keys if k not in weyl] + [1]) - 1):
             chain.append(chain[-1] @ u[axis])
 
     def product(key):
@@ -335,7 +337,9 @@ def position_monomials(p: PhysicalParams, b: FockBasis,
         return (a if not c else a @ a if c[0] is a
                 else 0.5 * (a @ c[0] + c[0] @ a))
     return {key: product(key) if key in weyl
-            else chains[0][key[0]] @ chains[1][key[1]] for key in keys}
+            else chains[0][key[0]] @ chains[1][key[1]] if all(key[:2])
+            else chains[0][key[0]] if key[0] else chains[1][key[1]]
+            for key in keys}
 
 
 def poly_operator(f, monomials: dict, b: FockBasis) -> FockOperator:
@@ -460,11 +464,11 @@ def t1_fock_overlap(nplus: int, nminus: int, t1, p: PhysicalParams):
 def gauge_variant_matrix(which: str, g: GaugeChoice, p: PhysicalParams,
                          b: FockBasis, monomials=None) -> FockOperator:
     """Gauge-variant canonical operator (pi1, pi2 or L3c): its gauge-invariant
-    partner observable plus the :func:`poly_operator` of its polynomial
-    position term :func:`~landaulab.params.canonical_extra`, over the
+    partner observable plus the :func:`poly_operator` of their difference in
+    ``classical.observables``, a polynomial in u alone, over the
     :func:`position_monomials` table ``monomials`` (default: its own)."""
-    partner = build_observable(CANONICAL_PARTNER[which], p, g.x0, b)
-    extra = canonical_extra(which, g, p)
-    if monomials is None:
-        monomials = position_monomials(p, b, extra.terms)
-    return partner + poly_operator(extra, monomials, b)
+    partner, f = CANONICAL_PARTNER[which], observables(p, g)
+    extra = f[which] - f[partner]
+    monomials = monomials or position_monomials(p, b, extra.terms)
+    return build_observable(partner, p, g.x0, b) \
+        + poly_operator(extra, monomials, b)

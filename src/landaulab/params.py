@@ -8,7 +8,8 @@ phase-space observables fix four.  All gauge data are expressed in
 coordinates shifted to a common origin, ``u_k = x_k - x0_k``.  Gauge
 functions are restricted to polynomials in these coordinates so that
 gradients, gauge phases and curl identities are exact at the coefficient
-level.
+level.  A gauge enters the observables only through its vector potential,
+in the canonical momenta of ``classical.observables``.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ __all__ = [
     "vector_potential_polys",
     "gauge_delta",
     "CANONICAL_PARTNER",
-    "canonical_extra",
 ]
 
 DEFAULT_MAX_DEGREE = 6
@@ -488,26 +488,3 @@ def gauge_delta(g_from: GaugeChoice, g_to: GaugeChoice, p: PhysicalParams) -> Po
 
 # canonical operator -> the gauge-invariant observable it is built on
 CANONICAL_PARTNER = {"pi1": "T1", "pi2": "T2", "L3c": "M3"}
-
-
-def canonical_extra(which: str, g: GaugeChoice, p: PhysicalParams) -> Poly2:
-    """Position polynomial that turns the gauge-invariant partner
-    (:data:`CANONICAL_PARTNER`) into a gauge-variant canonical operator:
-
-    - ``pi1 = T1 - (alpha-1)/2 qB u2 + d1(q phi)``
-    - ``pi2 = T2 - (alpha+1)/2 qB u1 + d2(q phi)``
-    - ``L3c = M3 - alpha qB/2 (u1^2 - u2^2) + u1 d2(q phi) - u2 d1(q phi)``
-    """
-    qb = p.qB
-    if which == "pi1":
-        return Poly2.monomial(0, 1, -0.5 * (g.alpha - 1.0) * qb) \
-            + p.q * g.phi.diff(1)
-    if which == "pi2":
-        return Poly2.monomial(1, 0, -0.5 * (g.alpha + 1.0) * qb) \
-            + p.q * g.phi.diff(2)
-    if which == "L3c":
-        u1, u2 = Poly2.variable(1), Poly2.variable(2)
-        return Poly2.monomial(2, 0, -0.5 * g.alpha * qb) \
-            + Poly2.monomial(0, 2, 0.5 * g.alpha * qb) \
-            + u1 * (p.q * g.phi.diff(2)) - u2 * (p.q * g.phi.diff(1))
-    raise ValueError(f"unknown gauge-variant operator {which!r}")

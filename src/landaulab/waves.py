@@ -1,6 +1,8 @@
 """Closed-form wave functions with exact analytic derivatives, gauge-phase
 machinery, position-space differential operators, and the one-dimensional
-translation-eigenvalue representation of the intra-level observables.
+translation-eigenvalue representation of the intra-level observables.  An
+observable's operator is :func:`schrodinger_op` of its polynomial in
+``classical.observables``, with p = -i hbar grad - q A in the gauge.
 
 Every wave function handled here factors as
 
@@ -23,7 +25,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .params import GaugeChoice, PhysicalParams, Poly2, vector_potential_polys
+from .classical import observables
+from .params import (DegreeOverflowError, GaugeChoice, PhysicalParams, Poly2,
+                     vector_potential_polys)
 
 __all__ = [
     "MAX_QUANTUM_NUMBER",
@@ -39,9 +43,9 @@ __all__ = [
     "plane_wave",
     "gauge_phase",
     "DiffOpSpec",
-    "multiplication_op",
-    "position_op",
-    "connection_momentum_op",
+    "schrodinger_op",
+    "gauge_connection",
+    "position_ops",
     "phase_shifted",
     "t1_basis_function",
     "t1rep_op",
@@ -418,70 +422,56 @@ class DiffOpSpec:
         return DiffOpSpec(rc, rb1, rb2, ra11, ra12, ra22)
 
 
-def multiplication_op(poly: Poly2) -> DiffOpSpec:
-    return DiffOpSpec(c=poly)
+def schrodinger_op(f, conn: tuple[Poly2, Poly2], hbar: float) -> DiffOpSpec:
+    """The operator of a phase-space polynomial f in (u1, u2, p1, p2) on wave
+    functions: u_i multiplies and p_i is P_i = -i hbar d_i + conn_i(u).  A
+    key with momentum factors is Weyl-symmetrised, as in
+    ``fockspace.position_monomials``: u^a p_j is u^a P_j - (i hbar / 2)
+    d_j u^a and p_i p_j is (P_i P_j + P_j P_i) / 2; above degree 2 it raises
+    :class:`DegreeOverflowError`.  Each coefficient is summed from zero over
+    the keys of f in sorted order."""
+    mih = complex(0.0, -hbar)
+    slots = [{} for _ in DiffOpSpec.ORDERS]
+    for key in sorted(f.terms):
+        u, axes = key[:2], [a for a in (0, 1) for _ in range(key[2 + a])]
+        if axes and sum(key) > 2:
+            raise DegreeOverflowError(f"Weyl quantisation is exact only up "
+                                      f"to degree 2: {key}")
+        if not axes:  # (slot, terms) of the key's operator
+            parts = [(0, {u: 1.0})]
+        elif len(axes) == 1:
+            a = axes[0]
+            parts = [(0, {(i + u[0], j + u[1]): v
+                          for (i, j), v in conn[a].terms.items()}),
+                     (a + 1, {u: mih})]
+            if u[a]:  # u_a p_a: the Weyl term -(i hbar / 2) d_a u_a
+                parts.append((0, {(0, 0): 0.5 * mih}))
+        else:
+            a, b = axes
+            cross = conn[a] * conn[b] + (0.5 * mih) * (
+                conn[b].diff(a + 1) + conn[a].diff(b + 1))
+            parts = [(0, cross.terms), (a + 1, (mih * conn[b]).terms),
+                     (b + 1, (mih * conn[a]).terms),
+                     (3 + a + b, {(0, 0): mih * mih})]
+        c = f.terms[key]
+        for slot, terms in parts:
+            acc = slots[slot]
+            for k, v in terms.items():
+                acc[k] = acc.get(k, 0) + c * v
+    return DiffOpSpec(*map(Poly2, slots))
 
 
-def position_op(name: str, g: GaugeChoice, p: PhysicalParams) -> DiffOpSpec:
-    """Position-space differential operator of an observable in the given
-    gauge, for the canonical representation (wave functions carry the full
-    gauge phase; conjugate momenta act as plain -i hbar d_i)."""
-    hb, qb = p.hbar, p.qB
-    u1, u2 = Poly2.variable(1), Poly2.variable(2)
-    mih = Poly2.const(complex(0.0, -hb))
-    a1, a2 = vector_potential_polys(g, p.B)
-
-    if name == "pi1":
-        return DiffOpSpec(b1=mih)
-    if name == "pi2":
-        return DiffOpSpec(b2=mih)
-    if name == "p1":
-        return DiffOpSpec(c=(-p.q) * a1, b1=mih)
-    if name == "p2":
-        return DiffOpSpec(c=(-p.q) * a2, b2=mih)
-    if name == "T1":
-        return DiffOpSpec(c=(-p.q) * a1 - qb * u2, b1=mih)
-    if name == "T2":
-        return DiffOpSpec(c=(-p.q) * a2 + qb * u1, b2=mih)
-    if name == "H":
-        p1 = position_op("p1", g, p)
-        p2 = position_op("p2", g, p)
-        return (1.0 / (2.0 * p.m)) * (p1.compose(p1) + p2.compose(p2))
-    if name == "L3c":
-        return DiffOpSpec(b1=complex(0.0, hb) * u2, b2=complex(0.0, -hb) * u1)
-    if name == "M3":
-        c = (Poly2.monomial(2, 0, 0.5 * g.alpha * qb)
-             + Poly2.monomial(0, 2, -0.5 * g.alpha * qb)
-             - u1 * (p.q * g.phi.diff(2)) + u2 * (p.q * g.phi.diff(1)))
-        return DiffOpSpec(c=c, b1=complex(0.0, hb) * u2,
-                          b2=complex(0.0, -hb) * u1)
-    if name == "L3":
-        m3 = position_op("M3", g, p)
-        return m3 + multiplication_op(
-            Poly2({(2, 0): -0.5 * qb, (0, 2): -0.5 * qb}))
-    if name == "xc1":
-        t2 = position_op("T2", g, p)
-        return (1.0 / qb) * t2 + multiplication_op(Poly2.const(g.x0[0]))
-    if name == "xc2":
-        t1 = position_op("T1", g, p)
-        return (-1.0 / qb) * t1 + multiplication_op(Poly2.const(g.x0[1]))
-    if name == "x1":
-        return multiplication_op(u1 + Poly2.const(g.x0[0]))
-    if name == "x2":
-        return multiplication_op(u2 + Poly2.const(g.x0[1]))
-    raise ValueError(f"unknown observable {name!r}")
+def gauge_connection(g: GaugeChoice, p: PhysicalParams) -> tuple[Poly2, Poly2]:
+    """-q A(u), the connection of the momentum in the gauge g."""
+    return tuple((-p.q) * a for a in vector_potential_polys(g, p.B))
 
 
-def connection_momentum_op(v: tuple[Poly2, Poly2], direction: int,
-                           hbar: float) -> DiffOpSpec:
-    """Conjugate-momentum representation -i hbar (d_i + (i/hbar) V_i) for a
-    curl-free connection V given by a pair of polynomials."""
-    if direction not in (1, 2):
-        raise ValueError("direction must be 1 or 2")
-    mih = Poly2.const(complex(0.0, -hbar))
-    if direction == 1:
-        return DiffOpSpec(c=v[0], b1=mih)
-    return DiffOpSpec(c=v[1], b2=mih)
+def position_ops(names, g: GaugeChoice,
+                 p: PhysicalParams) -> dict[str, DiffOpSpec]:
+    """:func:`schrodinger_op` of each named entry of one table
+    ``classical.observables(p, g)``, with the connection of the gauge g."""
+    f, conn = observables(p, g), gauge_connection(g, p)
+    return {name: schrodinger_op(f[name], conn, p.hbar) for name in names}
 
 
 # ---------------------------------------------------------------------------
@@ -512,7 +502,7 @@ def t1rep_op(name: str, n: int, p: PhysicalParams) -> DiffOpSpec:
     + s hbar (t^2/(2 hbar m w) - (n+1/2))."""
     s, hb, mw = p.sign, p.hbar, p.m * p.omega_c
     if name == "T1":
-        return multiplication_op(Poly2.variable(1))
+        return DiffOpSpec(c=Poly2.variable(1))
     if name == "T2":
         return DiffOpSpec(b1=Poly2.const(1j * s * hb * mw))
     if name == "M3":

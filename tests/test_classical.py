@@ -9,12 +9,12 @@ from landaulab import (GaugeChoice, PhysicalParams, Poly2, classical,
                        gauge_delta, parse_poly)
 from landaulab.classical import (MAX_STEPS, PhaseSpacePoint, PolyObservable,
                                  TrajectoryParams, analytic_trajectory,
-                                 canonical_momenta, canonical_momentum_observable,
-                                 centre_observable, energy_observable,
-                                 integrate, magnetic_centre, noether_charges,
+                                 canonical_momenta, centre_observable,
+                                 energy_observable, integrate,
+                                 magnetic_centre, noether_charges, observables,
                                  poisson_bracket, rotation_observable,
                                  translation_observable)
-from landaulab.params import DegreeOverflowError
+from landaulab.params import CANONICAL_PARTNER, DegreeOverflowError
 
 P = PhysicalParams(1, 1, 1)
 
@@ -414,6 +414,29 @@ def test_canonical_momenta_gauge_shift_is_delta_gradient():
                            rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("p", [P, PhysicalParams(1.3, -0.7, 1.9, hbar=1.4)])
+@pytest.mark.parametrize("g", [
+    GaugeChoice(0.37, (0.3, -0.2),
+                parse_poly("0.05*u1^2*u2 - 0.1*u1 + 0.02*u2^3")),
+    GaugeChoice(-1.0), GaugeChoice(2.0, (1.0, 0.5), parse_poly("u1*u2"))])
+def test_canonical_extras_are_the_gauge_terms(p, g):
+    # a canonical observable of the table minus its gauge-invariant partner
+    # holds no momentum: it is the closed-form gauge term, to rounding
+    u1, u2 = Poly2.variable(1), Poly2.variable(2)
+    qb, (d1, d2) = p.qB, (p.q * g.phi.diff(1), p.q * g.phi.diff(2))
+    want = {"pi1": (-0.5 * (g.alpha - 1.0) * qb) * u2 + d1,
+            "pi2": (-0.5 * (g.alpha + 1.0) * qb) * u1 + d2,
+            "L3c": (-0.5 * g.alpha * qb) * (u1 * u1 - u2 * u2)
+            + u1 * d2 - u2 * d1}
+    f = observables(p, g)
+    for name, partner in CANONICAL_PARTNER.items():
+        extra = f[name] - f[partner]
+        assert not any(any(key[2:]) for key in extra.terms), name
+        gap = Poly2({k[:2]: c for k, c in extra.terms.items()}) - want[name]
+        assert all(abs(c) <= 4e-16 * max(1.0, abs(qb))
+                   for c in gap.terms.values()), name
+
+
 def test_canonical_coordinates_have_canonical_brackets():
     # {u_i, pi_j} = delta_ij and {pi_i, pi_j} = 0 exactly, for dyadic gauges
     rng = np.random.default_rng(13)
@@ -424,8 +447,7 @@ def test_canonical_coordinates_have_canonical_brackets():
             if 0 < i + j <= 4:
                 terms[(i, j)] = float(rng.integers(-16, 17)) / 32.0
         g = GaugeChoice(float(rng.integers(-4, 5)) / 2.0, (0, 0), Poly2(terms))
-        pi1 = canonical_momentum_observable(1, g, P)
-        pi2 = canonical_momentum_observable(2, g, P)
+        pi1, pi2 = (observables(P, g)[name] for name in ("pi1", "pi2"))
         assert poisson_bracket(U1, pi1, P) == PolyObservable.const(1.0)
         assert poisson_bracket(U2, pi1, P).is_zero()
         assert poisson_bracket(U1, pi2, P).is_zero()

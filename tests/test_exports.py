@@ -11,8 +11,8 @@ MODULES = sorted(info.name for info in pkgutil.iter_modules(landaulab.__path__))
 
 
 def test_every_module_is_checked():
-    assert {"campaigns", "fockspace", "params", "quadrature", "waves"} \
-        <= set(MODULES)
+    assert {"campaigns", "classical", "cli", "fockspace", "params",
+            "quadrature", "report", "waves"} <= set(MODULES)
 
 
 @pytest.mark.parametrize("name", MODULES)

@@ -23,8 +23,7 @@ from landaulab.fockspace import (FockBasis, FockOperator, TruncationError,
                                  ladder_ops, poly_operator,
                                  position_monomials, t1_fock_overlap,
                                  angular_element, OBSERVABLE_NAMES)
-from landaulab.params import (CANONICAL_PARTNER, DegreeOverflowError,
-                               canonical_extra)
+from landaulab.params import CANONICAL_PARTNER, DegreeOverflowError
 from landaulab.waves import MAX_QUANTUM_NUMBER, t1_basis_function
 
 P = PhysicalParams(1, 1, 1)
@@ -656,15 +655,23 @@ def _flipped_term(make, key):
     return flipped
 
 
-def _failed(**patches):
-    """The ids of verify-algebra's failed checks with the given module
-    attributes replaced, at non-unit parameters, qB < 0 and off-origin x0."""
+def _failed(campaign="verify-algebra", **patches):
+    """The ids of a campaign's failed checks with the given module
+    attributes replaced, at non-unit parameters, qB < 0 and off-origin x0:
+    verify-algebra, or reproduce-tables in a sheared gauge with a cubic
+    gauge function."""
+    p = PhysicalParams(1.3, -0.7, 1.9, hbar=1.4)
     with pytest.MonkeyPatch.context() as mp:
         for target, value in patches.items():
             module, name = target.split(".")
             mp.setattr({"cl": classical, "fk": fk}[module], name, value)
-        rep = run_verify_algebra(PhysicalParams(1.3, -0.7, 1.9, hbar=1.4),
-                                 nmax=8, x0=(0.4, -0.8))
+        if campaign == "verify-algebra":
+            rep = run_verify_algebra(p, nmax=8, x0=(0.4, -0.8))
+        else:
+            gauge = GaugeChoice(0.37, (0.4, -0.8),
+                                parse_poly("0.05*u1^2*u2 - 0.1*u1 + 0.02*u2^3"))
+            rep, _ = campaigns.run_reproduce_tables(p, nmax=14, grid_k=56,
+                                                    gauge=gauge)
     return {c.id for c in rep.checks if not c.passed}
 
 
@@ -676,12 +683,18 @@ def _failed(**patches):
 def test_sign_flip_in_a_classical_observable_fails_its_checks(name, target,
                                                               key):
     # the classical polynomial states what each observable is: a sign error
-    # there fails its quantisation check and a commutator it enters
-    make = getattr(classical, target)
-    failed = _failed(**{f"cl.{target}": _flipped_term(make, key)})
+    # there fails its quantisation check and a commutator it enters, and the
+    # wave-function route, which quantises the same table, fails its angular
+    # table against the closed form where the observable has one there
+    flipped = {f"cl.{target}": _flipped_term(getattr(classical, target), key)}
+    failed = _failed(**flipped)
     assert f"quantisation:{name}" in failed
     assert any(cid.startswith("comm:") and name in cid for cid in failed)
     assert _failed() == set()
+    if name in campaigns._TABLE_OPS:
+        assert f"angular:{name}:closed-vs-quadrature" \
+            in _failed("reproduce-tables", **flipped)
+        assert _failed("reproduce-tables") == set()
 
 
 @pytest.mark.parametrize("name", ["H", "T1", "T2", "M3", "L3", "xc1", "xc2"])
@@ -988,8 +1001,8 @@ def _reference_poly_sum(p, b):
 
     def poly_sum(f):
         m = np.zeros((b.dim, b.dim), dtype=complex)
-        for (i, j) in sorted(f.terms):
-            m += f.terms[(i, j)] * (pow1[i] @ pow2[j])
+        for key in sorted(f.terms):
+            m += f.terms[key] * (pow1[key[0]] @ pow2[key[1]])
         return m
     return poly_sum
 
@@ -1033,7 +1046,8 @@ def test_scan_route_entries_equal_full_matrix_entries(setup):
     for g in gauges:
         for name in CANONICAL_PARTNER:
             full = gauge_variant_matrix(name, g, p, b)
-            extra = canonical_extra(name, g, p)
+            f = classical.observables(p, g)
+            extra = f[name] - f[CANONICAL_PARTNER[name]]
             partner = build_observable(CANONICAL_PARTNER[name], p, g.x0, b)
             summed = partner + _poly_op(extra, p, b)
             assert full.shifts.keys() == summed.shifts.keys()

@@ -27,11 +27,16 @@ from landaulab.quadrature import (Grid2, SupportOverflowError,
                                   _weighted_sums, inner_product,
                                   integrate_rows, line_integral,
                                   matrix_element)
-from landaulab.waves import fock_state, plane_wave, position_op, t1_state
+from landaulab.waves import fock_state, plane_wave, position_ops, t1_state
 
 P = PhysicalParams(1, 1, 1)
 SYM = GaugeChoice(0.0)
 GEN = GaugeChoice(-0.6, (0.1, 0.4), parse_poly("0.08*u2^2 - 0.04*u1^3"))
+
+
+def _op(name, g, p):
+    """The wave-function operator of one named observable in the gauge g."""
+    return position_ops([name], g, p)[name]
 
 
 def _grid(g=SYM, k=80, p=P):
@@ -64,21 +69,21 @@ def test_orthonormality_random_gauge():
 def test_energy_element_any_gauge():
     for g in (SYM, GEN, GaugeChoice(1.0)):
         grid = _grid(g)
-        val = matrix_element(fock_state(g, P, 0, 0), position_op("H", g, P),
+        val = matrix_element(fock_state(g, P, 0, 0), _op("H", g, P),
                              fock_state(g, P, 0, 0), grid)
         assert abs(val - 0.5) < 1e-8
 
 
 def test_rotation_element_vacuum_zero():
     grid = _grid(GEN)
-    val = matrix_element(fock_state(GEN, P, 0, 0), position_op("M3", GEN, P),
+    val = matrix_element(fock_state(GEN, P, 0, 0), _op("M3", GEN, P),
                          fock_state(GEN, P, 0, 0), grid)
     assert abs(val) < 1e-8
 
 
 def test_translation_element_matches_closed_form():
     grid = _grid(GEN)
-    val = matrix_element(fock_state(GEN, P, 1, 0), position_op("T1", GEN, P),
+    val = matrix_element(fock_state(GEN, P, 1, 0), _op("T1", GEN, P),
                          fock_state(GEN, P, 0, 0), grid)
     assert abs(val - 1j * math.sqrt(0.5)) < 1e-8
 
@@ -89,7 +94,7 @@ def test_guiding_centre_elements_match_operator_matrices():
     grid = _grid(GEN)
     basis = FockBasis(8)
     for name in ("xc1", "xc2"):
-        op = position_op(name, GEN, P)
+        op = _op(name, GEN, P)
         mat = build_observable(name, P, GEN.x0, basis)
         for bra, ket in (((1, 0), (0, 0)), ((2, 1), (2, 1)), ((0, 1), (1, 1))):
             val = matrix_element(fock_state(GEN, P, *bra), op,
@@ -502,7 +507,7 @@ def test_engine_elements_equal_matrix_element(scheme, k, g):
     eng = _ElementEngine(P, g, k, scheme)
     for lab in labels:
         eng.load(lab, psi.get, lab)
-    ops = [position_op(name, g, P)
+    ops = [_op(name, g, P)
            for name in _SCAN_OPS + tuple(CANONICAL_PARTNER)] + [None]
     requests = {(i, a, b): (a, op, b)
                 for i, op in enumerate(ops) for a in labels for b in labels}
@@ -544,6 +549,9 @@ def _table_engine():
     return _ElementEngine(P, SYM, 56, "gauss_hermite")
 
 
+_LEVEL_OPS = position_ops(("p1", "p2", "L3"), SYM, P)
+
+
 def test_level_rows_build_each_state_once(monkeypatch):
     # the engine caches jets by key, so a state shared by several rows is
     # built once: 14 translation and 14 angular states at the table sizes,
@@ -555,7 +563,8 @@ def test_level_rows_build_each_state_once(monkeypatch):
             return fn(*args)
         monkeypatch.setattr(wv, name, counted)
     rows = []
-    _t1_level_rows(P, SYM, _table_engine(), rows, TABLE_INDEX_TOP)
+    _t1_level_rows(P, SYM, _table_engine(), _LEVEL_OPS, rows,
+                   TABLE_INDEX_TOP)
     assert rows
     for calls in builds.values():
         assert len(calls) == len(set(calls)) == 14
@@ -564,7 +573,7 @@ def test_level_rows_build_each_state_once(monkeypatch):
         eng.load((l, n), fock_state, SYM, P, n + l, n)
     builds["fock_state"].clear()
     again = []
-    _t1_level_rows(P, SYM, eng, again, TABLE_INDEX_TOP)
+    _t1_level_rows(P, SYM, eng, _LEVEL_OPS, again, TABLE_INDEX_TOP)
     assert builds["fock_state"] == [] and again == rows
 
 
@@ -578,7 +587,8 @@ def test_level_rows_request_each_overlap_once(monkeypatch):
         requests.extend(reqs.values())
         return elements(self, reqs)
     monkeypatch.setattr(_ElementEngine, "elements", recorded)
-    _t1_level_rows(P, SYM, _table_engine(), [], TABLE_INDEX_TOP)
+    _t1_level_rows(P, SYM, _table_engine(), _LEVEL_OPS, [],
+                   TABLE_INDEX_TOP)
     overlaps = [(bra, ket) for bra, op, ket in requests if op is None]
     assert len(requests) == 148
     assert len(overlaps) == len(set(overlaps)) == 28
@@ -603,9 +613,10 @@ def _demo_reference(p, grids):
         v = (zero, zero) if lam is None else (lam.diff(1), lam.diff(2))
         psi = plain if lam is None else {
             k: wv.phase_shifted(s, lam, hb) for k, s in plain.items()}
-        p1 = wv.connection_momentum_op(v, 1, hb)
-        p2 = wv.connection_momentum_op(v, 2, hb)
-        x1 = wv.multiplication_op(Poly2.variable(1))
+        # -i hbar d_i + v_i and u1, written out
+        mih = Poly2.const(complex(0.0, -hb))
+        p1, p2 = wv.DiffOpSpec(c=v[0], b1=mih), wv.DiffOpSpec(c=v[1], b2=mih)
+        x1 = wv.DiffOpSpec(c=Poly2.variable(1))
         ops = [(p1, (0, 0), (1, 0)), (p2, (0, 0), (0, 1)),
                (p1.compose(p1) + p2.compose(p2), (1, 0), (1, 0)),
                (x1.compose(p1), (1, 0), (2, 1)), (p2, (2, 1), (0, 1))]
@@ -690,7 +701,7 @@ def test_engine_support_failure_matches_per_element_path():
     labels = [(0, 0), (1, 0), (2, 1)]
     psi = {lab: fock_state(SYM, P, *lab) for lab in labels}
     psi.update({("rephased", lab): _rephased(psi[lab]) for lab in labels})
-    op = position_op("H", SYM, P)
+    op = _op("H", SYM, P)
     requests = {(a, b): (a, op, b) for a in labels
                 for b in (*labels, *(("rephased", lab) for lab in labels))}
     matrix_element(psi[(0, 0)], op, psi[(0, 0)], grid)
@@ -728,7 +739,7 @@ def _scan_batch(p, g, levels=2):
     """The scan's states and requests of one gauge, overlaps included."""
     states = {lab: fock_state(g, p, lab[1] + lab[0], lab[1])
               for lab in _angular_states(levels)}
-    ops = {name: position_op(name, g, p)
+    ops = {name: _op(name, g, p)
            for name in _SCAN_OPS + tuple(CANONICAL_PARTNER)}
     ops["overlap"] = None
     requests = {(name, pair): (pair[0], op, pair[1])
@@ -930,15 +941,15 @@ def _off_centre(psi):
 
 
 @pytest.mark.parametrize("bra, op, ket, scheme", [
-    (t1_state(SYM, P, 0.3, 1), position_op("p1", SYM, P),
+    (t1_state(SYM, P, 0.3, 1), _op("p1", SYM, P),
      fock_state(SYM, P, 1, 1), "gauss_hermite"),
     (fock_state(SYM, P, 0, 0), None, plane_wave((0.5, 0.0), 1.0),
      "gauss_hermite"),
     (fock_state(SYM, P, 1, 0), None, fock_state(GaugeChoice(1.0), P, 1, 0),
      "gauss_hermite"),
-    (fock_state(SYM, P, 1, 0), position_op("x1", SYM, P),
+    (fock_state(SYM, P, 1, 0), _op("x1", SYM, P),
      _off_centre(fock_state(SYM, P, 0, 0)), "gauss_hermite"),
-    (fock_state(SYM, P, 1, 0), position_op("H", SYM, P),
+    (fock_state(SYM, P, 1, 0), _op("H", SYM, P),
      fock_state(SYM, P, 1, 0), "simpson"),
 ], ids=["t1-bra", "plane-wave", "phases", "off-centre", "simpson"])
 def test_uncertified_requests_run_on_the_grid_rule(bra, op, ket, scheme):
@@ -970,7 +981,7 @@ def test_grid_bounds_the_certified_rule():
     # the --grid rule itself, under the boundary-decay check, which it
     # fails there
     psi = fock_state(SYM, P, 2, 1)
-    request = {0: ("psi", position_op("H", SYM, P), "psi")}
+    request = {0: ("psi", _op("H", SYM, P), "psi")}
     for grid_k, certified in ((6, 5), (5, None)):
         eng = _ElementEngine(P, SYM, grid_k, "gauss_hermite")
         eng.load("psi", lambda: psi)

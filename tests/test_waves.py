@@ -7,20 +7,31 @@ from hypothesis import strategies as st
 from numpy.polynomial.hermite import hermgauss
 
 from landaulab import GaugeChoice, PhysicalParams, Poly2, gauge_delta, parse_poly
+from landaulab.classical import PolyObservable, observables, poisson_bracket
 from landaulab.fockspace import change_of_basis, t1_fock_overlap
+from landaulab.params import DegreeOverflowError
 from landaulab.waves import (MAX_QUANTUM_NUMBER, DiffOpSpec,
                              QuantumNumberError, SpecialFactor, WaveForm,
-                             connection_momentum_op,
                              fock_state, gauge_phase, hermite, laguerre,
-                             multiplication_op, phase_shifted, plane_wave,
-                             position_op, t1_basis_function, t1_state,
-                             t1rep_op)
+                             gauge_connection, phase_shifted, plane_wave,
+                             position_ops, schrodinger_op, t1_basis_function,
+                             t1_state, t1rep_op)
 
 P = PhysicalParams(1, 1, 1)
 SYM = GaugeChoice(0.0)
 # a deliberately awkward gauge used throughout: shear, shifted origin,
 # polynomial gauge function
 GEN = GaugeChoice(0.37, (0.2, -0.1), parse_poly("0.05*u1^2 - 0.1*u2 + 0.02*u1*u2^2"))
+
+
+def _op(name, g, p):
+    """The wave-function operator of one named observable in the gauge g."""
+    return position_ops([name], g, p)[name]
+
+
+def _momentum(conn, i, hbar):
+    """p_i on wave functions with the connection ``conn``."""
+    return schrodinger_op(PolyObservable.coordinate(f"p{i}"), conn, hbar)
 
 
 # -- special functions ---------------------------------------------------------
@@ -235,7 +246,7 @@ def _grid_points():
 
 def test_energy_eigenrelation_pointwise():
     X1, X2 = _grid_points()
-    op = position_op("H", GEN, P)
+    op = _op("H", GEN, P)
     for (nplus, nminus) in ((0, 0), (2, 1), (1, 3)):
         psi = fock_state(GEN, P, nplus, nminus)
         lhs = op.apply(psi, X1, X2)
@@ -245,7 +256,7 @@ def test_energy_eigenrelation_pointwise():
 
 def test_translation_eigenrelation_pointwise():
     X1, X2 = _grid_points()
-    op = position_op("T1", GEN, P)
+    op = _op("T1", GEN, P)
     for (t1, n) in ((0.0, 0), (0.75, 2)):
         psi = t1_state(GEN, P, t1, n)
         lhs = op.apply(psi, X1, X2)
@@ -255,7 +266,7 @@ def test_translation_eigenrelation_pointwise():
 
 def test_rotation_eigenrelation_pointwise():
     X1, X2 = _grid_points()
-    op = position_op("M3", GEN, P)
+    op = _op("M3", GEN, P)
     for (nplus, nminus) in ((0, 0), (3, 1), (0, 2)):
         psi = fock_state(GEN, P, nplus, nminus)
         lhs = op.apply(psi, X1, X2)
@@ -265,13 +276,13 @@ def test_rotation_eigenrelation_pointwise():
 
 
 def test_unknown_position_op():
-    with pytest.raises(ValueError):
-        position_op("badname", GEN, P)
+    with pytest.raises(KeyError):
+        _op("badname", GEN, P)
 
 
 def test_compose_matches_manual_application():
-    x1op = multiplication_op(Poly2.variable(1))
-    p1op = position_op("pi1", GEN, P)
+    x1op = DiffOpSpec(c=Poly2.variable(1))
+    p1op = _op("pi1", GEN, P)
     combo = x1op.compose(p1op)
     psi = fock_state(GEN, P, 1, 1)
     X1, X2 = _grid_points()
@@ -281,14 +292,14 @@ def test_compose_matches_manual_application():
 
 
 def test_compose_order_guard():
-    p1 = position_op("pi1", GEN, P)
+    p1 = _op("pi1", GEN, P)
     psq = p1.compose(p1)
     with pytest.raises(ValueError):
         psq.compose(p1)
 
 
 def test_compose_mixed_second_derivative():
-    op = position_op("pi1", GEN, P).compose(position_op("pi2", GEN, P))
+    op = _op("pi1", GEN, P).compose(_op("pi2", GEN, P))
     assert op.a12 == Poly2.const(complex(-P.hbar ** 2, 0.0))
     psi = fock_state(GEN, P, 2, 1)
     X1, X2 = _grid_points()
@@ -299,10 +310,119 @@ def test_compose_mixed_second_derivative():
 
 def test_hamiltonian_operator_expansion():
     # second-order coefficients are -hbar^2/(2m) on the diagonal
-    op = position_op("H", GEN, P)
+    op = _op("H", GEN, P)
     assert op.a11 == Poly2.const(complex(-P.hbar ** 2 / (2 * P.m), 0.0))
     assert op.a22 == Poly2.const(complex(-P.hbar ** 2 / (2 * P.m), 0.0))
     assert op.a12.is_zero()
+
+
+# -- the Schrodinger map of the classical table -------------------------------
+
+EPS = np.finfo(float).eps
+
+
+def _largest(op):
+    """The largest modulus of a coefficient of a DiffOpSpec."""
+    return max((abs(c) for poly in op.coefficients
+                for c in poly.terms.values()), default=0.0)
+
+
+def _key(*exponents, c=1.0):
+    return PolyObservable({exponents: c})
+
+
+def test_schrodinger_op_is_the_symmetrised_operator_product():
+    # u^a p_j is half the sum of both orders of u^a and P_j, and p_i p_j of
+    # P_i and P_j, each composed by DiffOpSpec.compose; u1 p1 carries the
+    # Weyl term -i hbar / 2 and u1 p2 none
+    conn = gauge_connection(GEN, NEG)
+    hb = NEG.hbar
+    u1 = DiffOpSpec(c=Poly2.variable(1))
+    p1, p2 = (schrodinger_op(_key(0, 0, *e), conn, hb)
+              for e in ((1, 0), (0, 1)))
+    assert p1 == DiffOpSpec(c=conn[0], b1=Poly2.const(complex(0.0, -hb)))
+    want = {(1, 0, 1, 0): 0.5 * (u1.compose(p1) + p1.compose(u1)),
+            (1, 0, 0, 1): 0.5 * (u1.compose(p2) + p2.compose(u1)),
+            (0, 0, 2, 0): p1.compose(p1),
+            (0, 0, 1, 1): 0.5 * (p1.compose(p2) + p2.compose(p1))}
+    for key, op in want.items():
+        gap = schrodinger_op(_key(*key), conn, hb) - op
+        assert _largest(gap) <= 4 * EPS * _largest(op), key
+    weyl = schrodinger_op(_key(1, 0, 1, 0), conn, hb) \
+        - u1.compose(p1)
+    assert weyl == DiffOpSpec(c=Poly2.const(complex(0.0, -0.5 * hb)))
+    assert (0, 0) not in schrodinger_op(_key(1, 0, 0, 1), conn, hb).c.terms
+
+
+def test_schrodinger_op_refuses_momentum_beyond_degree_two():
+    # Weyl's map is exact only up to degree 2 (Groenewold 1946); a position
+    # key of any degree multiplies
+    conn = gauge_connection(GEN, P)
+    for key in ((0, 0, 3, 0), (1, 0, 2, 0), (0, 0, 1, 2), (2, 0, 1, 0)):
+        with pytest.raises(DegreeOverflowError, match="degree 2"):
+            schrodinger_op(_key(*key), conn, P.hbar)
+    assert schrodinger_op(_key(3, 1, 0, 0), conn, P.hbar) \
+        == DiffOpSpec(c=Poly2.monomial(3, 1))
+
+
+def test_canonical_momenta_are_plain_derivatives_in_their_gauge():
+    # p + q A(u) with p = -i hbar grad - q A: the connection cancels exactly,
+    # coefficient by coefficient, in pi1, pi2 and L3c
+    mih = complex(0.0, -NEG.hbar)
+    u1, u2 = Poly2.variable(1), Poly2.variable(2)
+    ops = position_ops(["pi1", "pi2", "L3c"], GEN, NEG)
+    assert ops["pi1"] == DiffOpSpec(b1=Poly2.const(mih))
+    assert ops["pi2"] == DiffOpSpec(b2=Poly2.const(mih))
+    assert ops["L3c"] == DiffOpSpec(b1=-mih * u2, b2=mih * u1)
+
+
+_FIRST_ORDER = ("T1", "T2", "M3", "p1", "p2", "L3", "xc1", "xc2", "x1",
+                "x2", "u1", "u2", "pi1", "pi2", "L3c")
+# keys linear in p with affine coefficients, and position keys to degree 3
+_LINEAR_KEYS = [(i, j, a, b) for i in range(4) for j in range(4)
+                for a, b in ((0, 0), (1, 0), (0, 1))
+                if i + j + a + b <= (2 if a + b else 3)]
+
+
+@st.composite
+def _gauged_tables(draw):
+    """Parameters of either orientation, a gauge with shear, a cubic gauge
+    function and an off-origin x0, and two random polynomials linear in p."""
+    unit = st.floats(0.5, 2.0)
+    sign = draw(st.sampled_from([1.0, -1.0]))
+    p = PhysicalParams(draw(unit), sign * draw(unit), draw(unit),
+                       hbar=draw(st.floats(0.6, 1.8)))
+    phi = Poly2({(i, j): draw(st.floats(-0.1, 0.1)) for i in range(4)
+                 for j in range(4) if 0 < i + j <= 3 and draw(st.booleans())})
+    g = GaugeChoice(draw(st.floats(-2.0, 2.0)),
+                    (draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0))),
+                    phi)
+    linear = [PolyObservable({key: draw(st.floats(-1.0, 1.0))
+                              for key in _LINEAR_KEYS if draw(st.booleans())})
+              for _ in range(2)]
+    return p, g, linear
+
+
+@settings(max_examples=12, deadline=None)
+@given(_gauged_tables())
+def test_schrodinger_map_sends_brackets_to_commutators(case):
+    # S(f) S(g) - S(g) S(f) = i hbar S({f, g}) with the magnetic bracket,
+    # coefficient by coefficient, to rounding, for every pair of the
+    # table's first-order entries in the drawn gauge and the random
+    # polynomials linear in p
+    p, g, linear = case
+    f = observables(p, g)
+    polys = [f[name] for name in _FIRST_ORDER] + linear
+    conn = gauge_connection(g, p)
+    ops = [schrodinger_op(h, conn, p.hbar) for h in polys]
+    worst = 0.0
+    for i, (fa, a) in enumerate(zip(polys, ops)):
+        for fb, b in zip(polys[i + 1:], ops[i + 1:]):
+            bracket = schrodinger_op(poisson_bracket(fa, fb, p), conn, p.hbar)
+            gap = a.compose(b) - b.compose(a) - (1j * p.hbar) * bracket
+            scale = (1.0 + _largest(a)) * (1.0 + _largest(b))
+            worst = max(worst, _largest(gap) / scale)
+    assert worst <= 16 * EPS
 
 
 # -- flat connections ------------------------------------------------------------
@@ -314,7 +434,7 @@ def test_plane_wave_momentum_eigenfunction():
     zero = (Poly2.zero(), Poly2.zero())
     pts = np.random.default_rng(1).uniform(-2, 2, size=(30, 2))
     for i in (1, 2):
-        vals = connection_momentum_op(zero, i, P.hbar).apply(
+        vals = _momentum(zero, i, P.hbar).apply(
             psi, pts[:, 0], pts[:, 1])
         assert np.allclose(vals, k[i - 1] * psi.value(pts[:, 0], pts[:, 1]),
                            rtol=0, atol=1e-14)
@@ -328,7 +448,7 @@ def test_pure_gauge_conjugation_identity():
     pts = np.random.default_rng(5).uniform(-2, 2, size=(50, 2))
     x1, x2 = pts[:, 0], pts[:, 1]
     for i in (1, 2):
-        lhs = connection_momentum_op(v, i, P.hbar).apply(shifted, x1, x2)
+        lhs = _momentum(v, i, P.hbar).apply(shifted, x1, x2)
         jet = psi.jet(x1, x2)
         plain = -1j * P.hbar * (jet.f1 if i == 1 else jet.f2)
         rhs = np.exp(-1j * lam(x1, x2) / P.hbar) * plain
@@ -402,7 +522,7 @@ def test_jet_slots_agree_across_orders(psi):
 def test_apply_jets_to_the_operator_order(monkeypatch, name, order):
     # apply jets the wave function to the operator's order only, and keeps
     # the bits of apply_jet on the full jet
-    op = position_op(name, GEN, NEG)
+    op = _op(name, GEN, NEG)
     assert op.order == order
     psi = fock_state(GEN, NEG, 2, 1)
     x1, x2 = np.random.default_rng(5).uniform(-3, 3, (2, 400))
@@ -424,7 +544,7 @@ def test_apply_jet_below_the_operator_order_raises():
     jets = [psi.jet(x1, x2, order) for order in (0, 1)]
     for name, jet in (("T1", jets[0]), ("H", jets[0]), ("H", jets[1])):
         with pytest.raises(TypeError):
-            position_op(name, GEN, P).apply_jet(jet, u)
+            _op(name, GEN, P).apply_jet(jet, u)
 
 
 # -- translation-eigenvalue representation ------------------------------------------
@@ -475,7 +595,7 @@ def test_t1rep_rotation_is_the_oscillator_of_the_translations(p, n):
     s, mw = p.sign, p.m * p.omega_c
     t1, t2 = t1rep_op("T1", n, p), t1rep_op("T2", n, p)
     want = (s / (2.0 * mw)) * (t1.compose(t1) + t2.compose(t2)) \
-        - multiplication_op(Poly2.const(s * p.hbar * (n + 0.5)))
+        - DiffOpSpec(c=Poly2.const(s * p.hbar * (n + 0.5)))
     got = t1rep_op("M3", n, p)
     for slot in ("c", "b1", "b2", "a11", "a12", "a22"):
         a, b = getattr(got, slot).terms, getattr(want, slot).terms
