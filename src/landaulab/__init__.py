@@ -11,12 +11,11 @@ quadrature acts as the brute-force oracle tying the routes together.
 from .params import (CANONICAL_PARTNER, DEFAULT_MAX_DEGREE,
                      DegreeOverflowError, GaugeChoice, OriginMismatchError,
                      PhysicalParams, Poly2, PolyParseError, SparsePoly,
-                     format_poly, gauge_delta, parse_poly, vector_potential,
+                     format_poly, gauge_delta, parse_poly,
                      vector_potential_polys)
 from .classical import (NoetherCharges, NonFiniteOrbitError,
                         PhaseSpacePoint, PolyObservable,
-                        TrajectoryParams, analytic_trajectory,
-                        canonical_momenta, integrate, magnetic_centre,
+                        TrajectoryParams, analytic_trajectory, integrate,
                         noether_charges, observables, poisson_bracket)
 from .fockspace import (FockBasis, FockOperator, TruncationError,
                         build_observable, change_of_basis,

@@ -3,8 +3,9 @@ analytic circular orbits, numerical integrators, conserved charges, and an
 exact Poisson-bracket calculus on polynomial phase-space observables, which
 are the four-variable member of the shared polynomial ring of
 :mod:`landaulab.params`.  :func:`observables` is the one table that says
-what each observable is; the Fock route (``fockspace.poly_operator``) and
-the wave-function route (``waves.schrodinger_op``) quantise its entries.
+what each observable is.  The classical route evaluates its entries (the
+charges of :func:`noether_charges`, the canonical momenta pi_i, the centres
+xc_i); the Fock and the wave-function route quantise them.
 
 The phase space is parametrised by the gauge-invariant pair (x, p) with the
 magnetic bracket {p1, p2} = qB; canonical-coordinate statements are recovered
@@ -20,8 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .params import (DegreeOverflowError, GaugeChoice, PhysicalParams,
-                     Poly2, SparsePoly, vector_potential,
-                     vector_potential_polys)
+                     Poly2, SparsePoly, vector_potential_polys)
 
 __all__ = [
     "MAX_STEPS",
@@ -32,8 +32,6 @@ __all__ = [
     "analytic_trajectory",
     "integrate",
     "noether_charges",
-    "magnetic_centre",
-    "canonical_momenta",
     "PolyObservable",
     "poisson_bracket",
     "energy_observable",
@@ -198,9 +196,8 @@ def _rk4_orbit(p: PhysicalParams, s0: PhaseSpacePoint, dt: float,
 def noether_charges(p: PhysicalParams, x0: tuple[float, float],
                     s: PhaseSpacePoint | np.ndarray) -> NoetherCharges:
     """Conserved charges at a phase-space point, relative to the origin x0:
-
-    ``E = p^2/(2m)``, ``T_i = p_i - qB eps_ij u_j``,
-    ``M3 = eps_ij u_i p_j + qB u^2 / 2`` with u = x - x0.
+    the polynomials H, T1, T2 and M3 of :func:`observables` evaluated at
+    (u, p) with u = x - x0.
 
     ``s`` is a PhaseSpacePoint, giving float charges, or an array whose last
     axis holds x1, x2, p1, p2 (such as a path from :func:`integrate`),
@@ -210,28 +207,10 @@ def noether_charges(p: PhysicalParams, x0: tuple[float, float],
         (x1, x2), (p1, p2) = s.x, s.p
     else:
         x1, x2, p1, p2 = np.moveaxis(np.asarray(s, dtype=float), -1, 0)
-    u1, u2 = x1 - x0[0], x2 - x0[1]
-    qb = p.qB
-    e = (p1 * p1 + p2 * p2) / (2.0 * p.m)
-    t1 = p1 - qb * u2
-    t2 = p2 + qb * u1
-    m3 = u1 * p2 - u2 * p1 + 0.5 * qb * (u1 * u1 + u2 * u2)
-    return NoetherCharges(e, t1, t2, m3)
-
-
-def magnetic_centre(p: PhysicalParams, x0: tuple[float, float],
-                    T: tuple[float, float]) -> tuple[float, float]:
-    """Guiding-centre position from the translation charges:
-    ``xc_i = x0_i + eps_ij T_j / (qB)``."""
-    qb = p.qB
-    return x0[0] + T[1] / qb, x0[1] - T[0] / qb
-
-
-def canonical_momenta(g: GaugeChoice, p: PhysicalParams,
-                      s: PhaseSpacePoint) -> tuple[float, float]:
-    """Gauge-variant canonical momenta pi_i = p_i + q A_i(x)."""
-    a1, a2 = vector_potential(g, p, s.x)
-    return s.p[0] + p.q * a1, s.p[1] + p.q * a2
+    g = GaugeChoice(0.0, x0)
+    f = observables(p, g)
+    at = (x1 - g.x0[0], x2 - g.x0[1], p1, p2)
+    return NoetherCharges(*(f[name](*at) for name in ("H", "T1", "T2", "M3")))
 
 
 # ---------------------------------------------------------------------------

@@ -191,7 +191,8 @@ def _check_numerics(args, parser, p: PhysicalParams):
 def _check_reach(p: PhysicalParams, tp: cl.TrajectoryParams, x0):
     """Refuse an orbit on which the charges about x0 or T1^2 + T2^2 overflow
     anywhere: each point lies within reach = |xc - x0| + r of x0, so every
-    term they sum is below (12 + 4 |qB|) max(|p|, |qB| reach, reach)^2."""
+    term the evaluator forms (u_i^2, p_i^2, u_i p_j, qB u_i, qB u_i^2 / 2)
+    and every sum is below (12 + 4 |qB|) max(|p|, |qB| reach, reach)^2."""
     pa, qb = math.sqrt(2.0 * p.m * tp.E), abs(p.qB)
     reach = math.dist(tp.xc, x0) + math.sqrt(2.0 * tp.E / p.m) / p.omega_c
     big = max(pa, qb * reach, reach)

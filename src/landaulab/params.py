@@ -1,11 +1,11 @@
 """Physical constants, the general planar gauge family, and one exact
 sparse polynomial ring in n variables.
 
-The ring (:class:`SparsePoly`) is shared by every polynomial in the
-library: :class:`Poly2` fixes two variables for gauge functions,
-wave-function factors and operator coefficients, and the classical
-phase-space observables fix four.  All gauge data are expressed in
-coordinates shifted to a common origin, ``u_k = x_k - x0_k``.  Gauge
+The ring (:class:`SparsePoly`) and its one evaluator are shared by every
+polynomial in the library: :class:`Poly2` fixes two variables for gauge
+functions, wave-function factors and operator coefficients, and the
+classical phase-space observables fix four.  All gauge data are expressed
+in coordinates shifted to a common origin, ``u_k = x_k - x0_k``.  Gauge
 functions are restricted to polynomials in these coordinates so that
 gradients, gauge phases and curl identities are exact at the coefficient
 level.  A gauge enters the observables only through its vector potential,
@@ -30,7 +30,6 @@ __all__ = [
     "format_poly",
     "PhysicalParams",
     "GaugeChoice",
-    "vector_potential",
     "vector_potential_polys",
     "gauge_delta",
     "CANONICAL_PARTNER",
@@ -162,6 +161,30 @@ class SparsePoly:
                 out[key[:i] + (e - 1,) + key[i + 1:]] = c * e
         return self._from_terms(out)
 
+    def __call__(self, *coords):
+        """Value at one coordinate per variable (scalars or numpy arrays): each
+        coefficient times its powers in axis order, summed in key order."""
+        if len(coords) != self.nvars:
+            raise TypeError(f"{type(self).__name__} takes {self.nvars} "
+                            f"coordinates, got {len(coords)}")
+        terms = self.terms
+        if not terms:
+            return 0.0 * coords[0]
+        chains = []
+        for x, top in zip(coords, map(max, zip(*terms))):
+            chain = [1.0]
+            for _ in range(top):
+                chain.append(chain[-1] * x)
+            chains.append(chain)
+        acc = 0.0
+        for key in sorted(terms):
+            term = terms[key]
+            for chain, e in zip(chains, key):
+                if e:
+                    term = term * chain[e]
+            acc = acc + term
+        return acc
+
     # -- queries -----------------------------------------------------------
 
     @property
@@ -201,23 +224,6 @@ class Poly2(SparsePoly):
     @classmethod
     def monomial(cls, i: int, j: int, c=1.0) -> "Poly2":
         return cls({(i, j): c})
-
-    def __call__(self, u1, u2):
-        """Evaluate at shifted coordinates; accepts scalars or numpy arrays."""
-        if not self.terms:
-            return 0.0 * u1
-        imax = max(i for i, _ in self.terms)
-        jmax = max(j for _, j in self.terms)
-        p1 = [1.0]
-        for _ in range(imax):
-            p1.append(p1[-1] * u1)
-        p2 = [1.0]
-        for _ in range(jmax):
-            p2.append(p2[-1] * u2)
-        acc = 0.0
-        for (i, j) in sorted(self.terms):
-            acc = acc + self.terms[(i, j)] * p1[i] * p2[j]
-        return acc
 
     def __repr__(self):
         return f"Poly2({format_poly(self)!r})"
@@ -462,14 +468,6 @@ def vector_potential_polys(g: GaugeChoice, B: float) -> tuple[Poly2, Poly2]:
     a1 = Poly2.monomial(0, 1, -0.5 * (g.alpha + 1.0) * B) + g.phi.diff(1)
     a2 = Poly2.monomial(1, 0, -0.5 * (g.alpha - 1.0) * B) + g.phi.diff(2)
     return a1, a2
-
-
-def vector_potential(g: GaugeChoice, p: PhysicalParams,
-                     x: tuple[float, float]) -> tuple[float, float]:
-    """Evaluate the vector potential at a plane point."""
-    a1, a2 = vector_potential_polys(g, p.B)
-    u1, u2 = x[0] - g.x0[0], x[1] - g.x0[1]
-    return a1(u1, u2), a2(u1, u2)
 
 
 def gauge_delta(g_from: GaugeChoice, g_to: GaugeChoice, p: PhysicalParams) -> Poly2:

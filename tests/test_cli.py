@@ -320,6 +320,24 @@ def test_force_floor_without_an_overflowing_square(capsys, tmp_path):
     assert checks["drift:E"]["pass"] and checks["closure:one-period"]["pass"]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_centre_at_the_edge_of_the_reach_bound(capsys, tmp_path):
+    # at unit parameters _check_reach admits reaches below 3.35e153: just
+    # inside, every term of the charges and their relation stays finite and
+    # the run ends with a report; just outside, the centre is refused
+    rep = tmp_path / "rep.json"
+    code = main(["classical-sim", "--centre", "3e153,0", "--steps", "200",
+                 "--quiet", "--no-timestamp", "--json-out", str(rep)])
+    assert code in (0, 1)
+    assert "Traceback" not in capsys.readouterr().err
+    assert json.loads(rep.read_text())["checks"]
+    with pytest.raises(SystemExit) as exc:
+        main(["classical-sim", "--centre", "3.4e153,0", "--quiet",
+              "--no-timestamp"])
+    assert exc.value.code == 2
+    assert "--centre: the charges overflow" in capsys.readouterr().err
+
+
 def test_reproduce_tables_csv(tmp_path):
     out = tmp_path / "tables.csv"
     code = main(["reproduce-tables", "--nmax", "14", "--grid", "64", "--quiet",

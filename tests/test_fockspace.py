@@ -658,8 +658,8 @@ def _flipped_term(make, key):
 def _failed(campaign="verify-algebra", **patches):
     """The ids of a campaign's failed checks with the given module
     attributes replaced, at non-unit parameters, qB < 0 and off-origin x0:
-    verify-algebra, or reproduce-tables in a sheared gauge with a cubic
-    gauge function."""
+    verify-algebra, a 400-step classical-sim, or reproduce-tables in a
+    sheared gauge with a cubic gauge function."""
     p = PhysicalParams(1.3, -0.7, 1.9, hbar=1.4)
     with pytest.MonkeyPatch.context() as mp:
         for target, value in patches.items():
@@ -667,6 +667,8 @@ def _failed(campaign="verify-algebra", **patches):
             mp.setattr({"cl": classical, "fk": fk}[module], name, value)
         if campaign == "verify-algebra":
             rep = run_verify_algebra(p, nmax=8, x0=(0.4, -0.8))
+        elif campaign == "classical-sim":
+            rep, _ = campaigns.run_classical_sim(p, steps=400, x0=(0.4, -0.8))
         else:
             gauge = GaugeChoice(0.37, (0.4, -0.8),
                                 parse_poly("0.05*u1^2*u2 - 0.1*u1 + 0.02*u2^3"))
@@ -683,21 +685,26 @@ def _failed(campaign="verify-algebra", **patches):
 def test_sign_flip_in_a_classical_observable_fails_its_checks(name, target,
                                                               key):
     # the classical polynomial states what each observable is: a sign error
-    # there fails its quantisation check and a commutator it enters, and the
-    # wave-function route, which quantises the same table, fails its angular
-    # table against the closed form where the observable has one there
+    # there fails its quantisation check and a commutator it enters, the
+    # classical route, which evaluates the same table, fails the drift of
+    # its charge, and the wave-function route, which quantises the table,
+    # fails its angular table against the closed form where the observable
+    # has one there
     flipped = {f"cl.{target}": _flipped_term(getattr(classical, target), key)}
     failed = _failed(**flipped)
     assert f"quantisation:{name}" in failed
     assert any(cid.startswith("comm:") and name in cid for cid in failed)
     assert _failed() == set()
+    charge = "E" if name == "H" else name
+    assert f"drift:{charge}" in _failed("classical-sim", **flipped)
+    assert _failed("classical-sim") == set()
     if name in campaigns._TABLE_OPS:
         assert f"angular:{name}:closed-vs-quadrature" \
             in _failed("reproduce-tables", **flipped)
         assert _failed("reproduce-tables") == set()
 
 
-@pytest.mark.parametrize("name", ["H", "T1", "T2", "M3", "L3", "xc1", "xc2"])
+@pytest.mark.parametrize("name", fk.OBSERVABLE_NAMES)
 def test_sign_flip_in_build_observable_fails_its_quantisation(name):
     # the coordinates x1, x2, p1, p2 are the Weyl map's own factors, so a
     # sign error in them shows in the commutators instead
@@ -706,7 +713,11 @@ def test_sign_flip_in_build_observable_fails_its_quantisation(name):
     def flipped(which, *args):
         op = build(which, *args)
         return -1.0 * op if which == name else op
-    assert f"quantisation:{name}" in _failed(**{"fk.build_observable": flipped})
+    failed = _failed(**{"fk.build_observable": flipped})
+    if name in ("x1", "x2", "p1", "p2"):
+        assert any(cid.startswith("comm:") and name in cid for cid in failed)
+    else:
+        assert f"quantisation:{name}" in failed
 
 
 def test_poly_operator_commutes_positions():

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from landaulab import (DegreeOverflowError, GaugeChoice, OriginMismatchError,
                        PhysicalParams, Poly2, PolyObservable, PolyParseError,
-                       format_poly, gauge_delta, parse_poly, vector_potential,
+                       format_poly, gauge_delta, parse_poly,
                        vector_potential_polys)
 from landaulab.waves import fock_state
 
@@ -219,17 +220,53 @@ def test_bad_exponent_tuple_refused(ring, key):
         ring({key: 1.0})
 
 
+# magnitudes of at least 1/8 keep every product clear of the subnormal
+# range, where a rounding is no longer relative
+_coeff = st.floats(0.125, 4.0) | st.floats(-4.0, -0.125)
+_coord = st.floats(0.125, 3.0) | st.floats(-3.0, -0.125) | st.just(0.0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(ring=st.sampled_from([Poly2, PolyObservable]), data=st.data())
+def test_evaluation_matches_exact_rationals(ring, data):
+    # the float value of a polynomial is within the rounding bound of its
+    # exact rational value: a term of total degree d is d roundings off,
+    # and summing n terms adds n - 1 more, each at most eps/2 relative
+    key = st.tuples(*[st.integers(0, 3)] * ring.nvars)
+    terms = data.draw(st.dictionaries(key, _coeff, max_size=6))
+    coords = data.draw(st.tuples(*[_coord] * ring.nvars))
+    poly = ring(terms)
+    exact = [Fraction(c) * math.prod(Fraction(x) ** e
+                                     for x, e in zip(coords, k))
+             for k, c in poly.terms.items()]
+    bound = (max(poly.degree, 0) + len(exact)) * np.finfo(float).eps \
+        * float(sum(map(abs, exact)))
+    assert abs(Fraction(poly(*coords)) - sum(exact)) <= bound
+
+
+@pytest.mark.parametrize("ring", [Poly2, PolyObservable])
+def test_evaluation_refuses_a_wrong_coordinate_count(ring):
+    # zip would silently drop an axis, or a coordinate, without this check
+    for poly, value in ((ring.zero(), 0.0), (ring.const(1.5), 1.5)):
+        for n in (ring.nvars - 1, ring.nvars + 1):
+            with pytest.raises(TypeError, match=f"takes {ring.nvars} "):
+                poly(*[0.5] * n)
+        assert poly(*[0.5] * ring.nvars) == value
+
+
 # -- vector potential and gauge differences ---------------------------------
 
 
 def test_first_landau_gauge_substitution():
     p = PhysicalParams(1, 1, 1)
-    assert vector_potential(GaugeChoice(1.0), p, (0.5, 2.0)) == (-2.0, 0.0)
+    a1, a2 = vector_potential_polys(GaugeChoice(1.0), p.B)
+    assert (a1(0.5, 2.0), a2(0.5, 2.0)) == (-2.0, 0.0)
 
 
 def test_symmetric_gauge_substitution():
     p = PhysicalParams(1, 1, 1)
-    assert vector_potential(GaugeChoice(0.0), p, (1.0, 1.0)) == (-0.5, 0.5)
+    a1, a2 = vector_potential_polys(GaugeChoice(0.0), p.B)
+    assert (a1(1.0, 1.0), a2(1.0, 1.0)) == (-0.5, 0.5)
 
 
 def _dyadic_poly(rng, deg=6):
