@@ -154,16 +154,14 @@ def _rule_scale(p: PhysicalParams) -> float:
     return math.sqrt(2.0) * p.magnetic_length
 
 
-def _default_grid(p: PhysicalParams, g: GaugeChoice, k: int,
-                  scheme: str) -> quad.Grid2:
+def _default_grid(p: PhysicalParams, k: int, scheme: str) -> quad.Grid2:
     if scheme == "gauss_hermite":
-        return quad.Grid2.gauss_hermite(k, centre=g.x0, scale=_rule_scale(p))
+        return quad.Grid2.gauss_hermite(k, scale=_rule_scale(p))
     if scheme == "simpson":
         # 13 magnetic lengths: the slowest suite integrands (translation
-        # eigenstates decay in x1 only through their partner state) reach the
+        # eigenstates decay in u1 only through their partner state) reach the
         # 1e-12 boundary contract there
-        return quad.Grid2.simpson(k, centre=g.x0,
-                                  extent=13.0 * p.magnetic_length)
+        return quad.Grid2.simpson(k, extent=13.0 * p.magnetic_length)
     raise ValueError(f"unknown scheme {scheme!r}")
 
 
@@ -176,17 +174,17 @@ class _ElementEngine:
     """Forms every plane-integral row of the campaigns: evaluates
     batches of matrix elements and overlaps, each batch as one stream of
     integrand rows through ``quad.integrate_rows`` on one rule, from wave
-    functions loaded under keys.  A batch jets each key it reads once, on
-    its rule, to the highest order of the operators applied to it (order 0
-    for a bra or an overlap's ket), and holds those jets and the rule only
-    while it runs: between batches the engine keeps its wave functions and
-    ``certified_k``.
+    functions loaded under keys, all about the gauge origin, at the rule's
+    nodes u.  A batch jets each key it reads once, on its rule, to the
+    highest order of the operators applied to it (order 0 for a bra or an
+    overlap's ket), and holds those jets and the rule only while it runs:
+    between batches the engine keeps its wave functions and ``certified_k``.
 
     A request ``<bra|op|ket>`` is *certified* when its integrand is a
-    polynomial times the weight of the Gauss-Hermite rule about the gauge
-    origin at scale sqrt(2) l_B: the scheme is ``gauss_hermite``, bra and
-    ket share their phase and have the rule's centre as origin, and their
-    Gaussians sum to the rule's exponent |u|^2 / (2 l_B^2).  Its degree is
+    polynomial times the weight of the Gauss-Hermite rule about u = 0 at
+    scale sqrt(2) l_B: the scheme is ``gauss_hermite``, bra and ket share
+    their phase, and their Gaussians sum to the rule's exponent
+    |u|^2 / (2 l_B^2).  Its degree is
 
         D = deg(bra) + max over the nonzero slots of op of
             [deg(coefficient) + deg(ket) + order * (deg R - 1)],
@@ -202,17 +200,20 @@ class _ElementEngine:
 
     def __init__(self, p: PhysicalParams, g: GaugeChoice, grid_k: int,
                  scheme: str):
-        self.p, self.g, self.grid_k, self.scheme = p, g, grid_k, scheme
-        self.x0 = g.x0
+        self.p, self.x0, self.grid_k, self.scheme = p, g.x0, grid_k, scheme
         self.scale = _rule_scale(p)
         self.certified_k = None
         self._forms: dict = {}
 
     def load(self, key, make, *args):
         """Keep the wave function ``make(*args)`` under ``key``; it is only
-        built when no function is kept under the key."""
+        built when no function is kept under the key, and refused unless
+        its origin is the engine's."""
         if key not in self._forms:
-            self._forms[key] = make(*args)
+            form = make(*args)
+            if form.origin != self.x0:
+                raise OriginMismatchError("not the engine's origin")
+            self._forms[key] = form
 
     def _weight_pair(self, qa: Poly2, qb: Poly2) -> bool:
         """Whether two Gaussians sum to the rule's exponent, coefficient by
@@ -233,8 +234,7 @@ class _ElementEngine:
         top = 0
         for bra, op, ket in requests.values():
             a, b = self._forms[bra], self._forms[ket]
-            if self.x0 != a.origin or self.x0 != b.origin \
-                    or a.phase != b.phase:
+            if a.phase != b.phase:
                 return None
             if (bra, ket) not in weighted:
                 if not self._weight_pair(a.gauss, b.gauss):
@@ -259,19 +259,17 @@ class _ElementEngine:
         failure is raised for the first failing request, in key order."""
         k = self._certified(requests)
         if k is None:
-            rule = _default_grid(self.p, self.g, self.grid_k, self.scheme)
+            rule = _default_grid(self.p, self.grid_k, self.scheme)
         else:
             self.certified_k = max(k, self.certified_k or k)
-            rule = quad.Grid2.gauss_hermite(k, centre=self.x0,
-                                            scale=self.scale, exact=True)
+            rule = quad.Grid2.gauss_hermite(k, self.scale, exact=True)
         return dict(zip(requests, quad.integrate_rows(
             self._rows(requests, rule.points[:2]), rule)))
 
-    def _rows(self, requests: dict, nodes):
-        """The integrand rows of ``requests`` at the rule's ``nodes``, in
+    def _rows(self, requests: dict, u):
+        """The integrand rows of ``requests`` at the rule's nodes ``u``, in
         key order, from one jet per key and one set of coefficient arrays
         per operator."""
-        u = (nodes[0] - self.x0[0], nodes[1] - self.x0[1])
         ops = {id(op): op for _, op, _ in requests.values() if op is not None}
         terms = {i: op.terms(u) for i, op in ops.items()}
         orders = {i: op.order for i, op in ops.items()}
@@ -280,7 +278,7 @@ class _ElementEngine:
         for _, op, ket in requests.values():
             if op is not None:
                 order[ket] = max(order[ket], orders[id(op)])
-        jets = {key: self._forms[key].jet(*nodes, n)
+        jets = {key: self._forms[key].jet(*u, n)
                 for key, n in order.items()}
         for bra, op, ket in requests.values():
             applied = (jets[ket].f if op is None else
@@ -509,7 +507,7 @@ def run_reproduce_tables(p: PhysicalParams, nmax: int = 16,
     # operators on the basis-change profiles
     sig = p.momentum_scale
     tsamples = np.linspace(-2.5 * sig, 2.5 * sig, 9)
-    # one jet per profile; at the origin, (t, 0) are its shifted coordinates
+    # one jet per profile, at the shifted coordinates (t, 0)
     at = (tsamples, 0.0)
     jets = [wv.t1_basis_function(k, p).jet(*at) for k in range(idx_top + 2)]
     # T1 and T2 raise and lower n+: prefactor times (up + sign * down), where
@@ -648,13 +646,13 @@ def run_basis_change(p: PhysicalParams, gauge: GaugeChoice | None = None,
         for v, (npl, mpl) in zip(values, pairs)], tol)
 
     rng = np.random.default_rng(seed)
-    pts = g.x0 + p.magnetic_length * rng.uniform(-2.5, 2.5, size=(20, 2))
+    u = p.magnetic_length * rng.uniform(-2.5, 2.5, size=(20, 2))
     amp = math.sqrt(p.m * p.omega_c / (2.0 * math.pi * p.hbar))
     line = quad.Grid1(max(60, grid_k), sig)
     cases = ((0, 0), (1, 0), (2, 1), (1, 2), (3, 2))
     # one translation state per level and node, valued at every point at
     # once: a (node, point) table with the bits of the pointwise values
-    states = {nm: np.array([wv.t1_state(g, p, tt, nm).value(*pts.T)
+    states = {nm: np.array([wv.t1_state(g, p, tt, nm).jet(*u.T, 0).f
                             for tt in line.nodes.tolist()])
               for nm in {nm for _, nm in cases}}
     # per case, one row per point: a column of the table weighted by a real
@@ -666,9 +664,9 @@ def run_basis_change(p: PhysicalParams, gauge: GaugeChoice | None = None,
                                     line))
     # the targets stay pointwise: fock_state values on an array can differ
     # from them in the last bit
-    dev = [abs(next(recs) - target.value(x1, x2)) / amp
+    dev = [abs(next(recs) - target.jet(u1, u2, 0).f) / amp
            for target in (wv.fock_state(g, p, npl, nm) for npl, nm in cases)
-           for x1, x2 in pts]
+           for u1, u2 in u]
     rep.add("reconstruction", dev, 1e-7)
     return rep
 

@@ -196,8 +196,8 @@ def _rk4_orbit(p: PhysicalParams, s0: PhaseSpacePoint, dt: float,
 def noether_charges(p: PhysicalParams, x0: tuple[float, float],
                     s: PhaseSpacePoint | np.ndarray) -> NoetherCharges:
     """Conserved charges at a phase-space point, relative to the origin x0:
-    the polynomials H, T1, T2 and M3 of :func:`observables` evaluated at
-    (u, p) with u = x - x0.
+    the polynomials H, T1, T2 and M3 of :func:`observables`, built alone,
+    evaluated at (u, p) with u = x - x0.
 
     ``s`` is a PhaseSpacePoint, giving float charges, or an array whose last
     axis holds x1, x2, p1, p2 (such as a path from :func:`integrate`),
@@ -207,10 +207,10 @@ def noether_charges(p: PhysicalParams, x0: tuple[float, float],
         (x1, x2), (p1, p2) = s.x, s.p
     else:
         x1, x2, p1, p2 = np.moveaxis(np.asarray(s, dtype=float), -1, 0)
-    g = GaugeChoice(0.0, x0)
-    f = observables(p, g)
-    at = (x1 - g.x0[0], x2 - g.x0[1], p1, p2)
-    return NoetherCharges(*(f[name](*at) for name in ("H", "T1", "T2", "M3")))
+    at = (x1 - x0[0], x2 - x0[1], p1, p2)
+    return NoetherCharges(*(f(*at) for f in (
+        energy_observable(p), translation_observable(1, p),
+        translation_observable(2, p), rotation_observable(p))))
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--phi": dict(type=str, default="0",
                       help="polynomial gauge function in u1, u2"),
         "--x0": dict(type=_pair, default=(0.0, 0.0),
-                     help="plane origin 'x1,x2'"),
+                     help="plane origin 'x1,x2'; a negative x1 is written "
+                          "--x0=-0.3,0.2"),
         "--nmax": dict(type=int, default=16,
                        help="Fock truncation per sector"),
         "--grid": dict(type=int, default=80,
@@ -55,7 +56,8 @@ def build_parser() -> argparse.ArgumentParser:
                               "and angular index in the scan"),
         "--energy": dict(type=float, default=None),
         "--centre": dict(type=_pair, default=None,
-                         help="guiding centre 'x1,x2'"),
+                         help="guiding centre 'x1,x2'; a negative x1 is "
+                              "written --centre=-0.3,0.2"),
         "--dt": dict(type=float, default=None),
         "--steps": dict(type=int, default=None),
         "--method": dict(choices=["boris", "rk4"], default="boris"),
@@ -150,6 +152,9 @@ def _check_numerics(args, parser, p: PhysicalParams):
     checks = []
     if "nmax" in takes:
         checks.append(("--nmax", lambda: fk.FockBasis(args.nmax)))
+    if args.command == "verify-algebra":
+        checks.append(("--x0", lambda: _check_positions(p, args.nmax,
+                                                        args.x0)))
     if "scan_levels" in takes:
         checks.append(("--scan-levels", lambda: _require(
             args.scan_levels >= 0, "levels must be nonnegative")))
@@ -160,7 +165,7 @@ def _check_numerics(args, parser, p: PhysicalParams):
         "tolerance must be finite and nonnegative")))
     if "grid" in takes:
         checks.append(("--grid", lambda: cp._default_grid(
-            p, GaugeChoice(), args.grid, args.scheme)))
+            p, args.grid, args.scheme)))
     if "steps" in takes:  # the orbit flags
         def orbit():
             return cp.classical_orbit(p, args.energy, args.centre)
@@ -198,6 +203,28 @@ def _check_reach(p: PhysicalParams, tp: cl.TrajectoryParams, x0):
     big = max(pa, qb * reach, reach)
     _require((12.0 + 4.0 * qb) * big * big < math.inf,
              f"the charges overflow on an orbit reaching {reach:.3e} from x0")
+
+
+def _check_positions(p: PhysicalParams, nmax: int, x0):
+    """Refuse an x0 whose products in the commutator suite overflow.  x0
+    enters the suite only as x0_i times the identity in x1, x2, xc1 and
+    xc2; their polynomials hold it as a constant, which every Poisson
+    bracket drops.  Each [A, C] is A @ C - C @ A minus an x0-free bracket,
+    and an entry of A @ C adds to the x0 = 0 terms either x0_1 x0_2 (in
+    [xc1, xc2]), which A @ C and C @ A hold with the same bits so that it
+    cancels exactly, or at most two terms x0_i y, with y an entry of H, T_j,
+    p_j or xc_j - x0_j: |y| <= e = max(hbar w (nmax + 1/2), c sqrt(nmax),
+    c sqrt(nmax) / |qB|), with c the ladder scale.  Four such terms in a
+    part of a gap entry, and hypot's sqrt(2), stay below 6 max|x0_i| e.
+    A non-finite x0 is left to the gauge's own check, and x0 = 0 adds no
+    term."""
+    if not all(map(math.isfinite, x0)) or not any(x0):
+        return
+    r = max(map(abs, x0))
+    c = p.ladder_scale * math.sqrt(nmax)
+    e = max(p.hbar * p.omega_c * (nmax + 0.5), c, c / abs(p.qB))
+    _require(abs(x0[0] * x0[1]) < math.inf and 6.0 * r * e < math.inf,
+             "the suite's products of x0 overflow")
 
 
 # what makes csv.writer quote a field under its default dialect: the
@@ -248,13 +275,14 @@ def _write_csv(path: str, header: list[str], rows):
 
 
 def _dump_grid_rows(psi: wv.WaveForm, extent: float, n: int = 41):
-    xs = np.linspace(psi.origin[0] - extent, psi.origin[0] + extent, n)
-    ys = np.linspace(psi.origin[1] - extent, psi.origin[1] + extent, n)
+    """``psi`` sampled on an n x n square of shifted coordinates u, as rows
+    ``x0 + u, re, im``."""
+    u = np.linspace(-extent, extent, n)
     rows = np.empty((n, n, 4))
-    rows[:, :, 0] = xs[:, None]
-    rows[:, :, 1] = ys[None, :]
-    for k, x in enumerate(xs):
-        vals = psi.value(x, ys)
+    rows[:, :, 0] = (psi.origin[0] + u)[:, None]
+    rows[:, :, 1] = (psi.origin[1] + u)[None, :]
+    for k, u1 in enumerate(u):
+        vals = psi.jet(u1, u, 0).f
         rows[k, :, 2] = vals.real
         rows[k, :, 3] = vals.imag
     return rows.reshape(n * n, 4)

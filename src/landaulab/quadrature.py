@@ -2,12 +2,12 @@
 integrands; the brute-force oracle for every overlap and matrix element in
 the verification suites.
 
-Every integral is a row of integrand values on the nodes of a rule
-(:class:`Grid2` on the plane, :class:`Grid1` on the line), and every row
-goes through :func:`integrate_rows`, which reduces a stream of them in
-blocks.  Every reduction is correctly rounded: the real and imaginary
-parts of a weighted sum equal ``math.fsum`` of the products bit for bit,
-whatever the batch or block they are reduced in.
+Every integral is a row of integrand values on the nodes of a rule about 0
+(:class:`Grid2` on the states' shifted coordinates u, :class:`Grid1` on the
+line), and every row goes through :func:`integrate_rows`, which reduces a
+stream of them in blocks.  Every reduction is correctly rounded: the real
+and imaginary parts of a weighted sum equal ``math.fsum`` of the products
+bit for bit, whatever the batch or block they are reduced in.
 The one-row calls :func:`inner_product`, :func:`matrix_element` and
 :func:`line_integral` are the tests' per-call references for the batches.
 
@@ -30,6 +30,8 @@ from typing import Callable, Iterable
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
+
+from .params import OriginMismatchError
 
 __all__ = [
     "SupportOverflowError",
@@ -70,19 +72,19 @@ def _check_axis_size(n: int):
         raise ValueError(f"{n} exceeds the largest rule size {MAX_AXIS_SIZE}")
 
 
-def _axis_gauss_hermite(k: int, centre: float, scale: float):
+def _axis_gauss_hermite(k: int, scale: float):
     if k < 3:
         raise ValueError("need at least 3 nodes per axis")
     _check_axis_size(k)
     t, wt = _hermite_rule(k)
-    return centre + scale * t, wt * scale
+    return scale * t, wt * scale
 
 
-def _axis_simpson(n: int, centre: float, extent: float):
+def _axis_simpson(n: int, extent: float):
     if n < 2 or n % 2:
         raise ValueError("Simpson rule needs an even interval count >= 2")
     _check_axis_size(n)
-    x = np.linspace(centre - extent, centre + extent, n + 1)
+    x = np.linspace(-extent, extent, n + 1)
     h = 2.0 * extent / n
     w = np.full(n + 1, 2.0)
     w[1::2] = 4.0
@@ -98,40 +100,36 @@ class Grid1:
     exact = False
 
     def __init__(self, k: int, scale: float = 1.0):
-        self.nodes, self.weights = _axis_gauss_hermite(k, 0.0, scale)
+        self.nodes, self.weights = _axis_gauss_hermite(k, scale)
         self.boundary_mask = np.isin(np.arange(k), (0, k - 1))
 
 
 @dataclass(frozen=True)
 class Grid2:
-    """Tensor-product quadrature grid with positive weights.  An ``exact``
-    grid skips the boundary-decay check: its caller has certified that the
-    rule integrates each of its integrands exactly."""
+    """Tensor product of one axis rule about 0 with itself, on the shifted
+    coordinates u, with positive weights.  An ``exact`` grid skips the
+    boundary-decay check: its caller has certified that the rule integrates
+    each of its integrands exactly."""
 
-    x1: np.ndarray
-    w1: np.ndarray
-    x2: np.ndarray
-    w2: np.ndarray
+    axis: np.ndarray
+    axis_weights: np.ndarray
     exact: bool = False
 
     @classmethod
-    def gauss_hermite(cls, k: int, centre=(0.0, 0.0), scale: float = 1.0,
+    def gauss_hermite(cls, k: int, scale: float = 1.0,
                       exact: bool = False) -> "Grid2":
-        return cls(*_axis_gauss_hermite(k, centre[0], scale),
-                   *_axis_gauss_hermite(k, centre[1], scale), exact)
+        return cls(*_axis_gauss_hermite(k, scale), exact)
 
     @classmethod
-    def simpson(cls, n: int, centre=(0.0, 0.0),
-                extent: float = 1.0) -> "Grid2":
-        return cls(*_axis_simpson(n, centre[0], extent),
-                   *_axis_simpson(n, centre[1], extent))
+    def simpson(cls, n: int, extent: float = 1.0) -> "Grid2":
+        return cls(*_axis_simpson(n, extent))
 
     @cached_property
     def points(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Flattened row-major meshes (X1, X2, W)."""
-        X1, X2 = np.meshgrid(self.x1, self.x2, indexing="ij")
-        W = np.outer(self.w1, self.w2)
-        return X1.ravel(), X2.ravel(), W.ravel()
+        """Flattened row-major meshes (U1, U2, W)."""
+        U1, U2 = np.meshgrid(self.axis, self.axis, indexing="ij")
+        W = np.outer(self.axis_weights, self.axis_weights)
+        return U1.ravel(), U2.ravel(), W.ravel()
 
     @property
     def weights(self) -> np.ndarray:
@@ -139,7 +137,7 @@ class Grid2:
 
     @cached_property
     def boundary_mask(self) -> np.ndarray:
-        mask = np.ones((len(self.x1), len(self.x2)), dtype=bool)
+        mask = np.ones((self.axis.size, self.axis.size), dtype=bool)
         mask[1:-1, 1:-1] = False
         return mask.ravel()
 
@@ -316,18 +314,25 @@ def integrate_rows(rows: Iterable, rule: Grid1 | Grid2) -> list[complex]:
         _scratch.depth = depth
 
 
+def _shifted_nodes(psi1, psi2, grid: Grid2):
+    """The grid's nodes, read as the shifted coordinates u of both states."""
+    if psi1.origin != psi2.origin:
+        raise OriginMismatchError("the states have different origins")
+    return grid.points[:2]
+
+
 def inner_product(psi1, psi2, grid: Grid2) -> complex:
     """<psi1|psi2> over the plane."""
-    x1, x2, _ = grid.points
-    row = np.conj(psi1.value(x1, x2)) * psi2.value(x1, x2)
+    u = _shifted_nodes(psi1, psi2, grid)
+    row = np.conj(psi1.jet(*u, 0).f) * psi2.jet(*u, 0).f
     return integrate_rows([row], grid)[0]
 
 
 def matrix_element(psi1, op, psi2, grid: Grid2) -> complex:
     """<psi1|op|psi2> with the operator applied through the analytic
     derivatives of psi2."""
-    x1, x2, _ = grid.points
-    row = np.conj(psi1.value(x1, x2)) * op.apply(psi2, x1, x2)
+    u = _shifted_nodes(psi1, psi2, grid)
+    row = np.conj(psi1.jet(*u, 0).f) * op.apply_jet(psi2.jet(*u, op.order), u)
     return integrate_rows([row], grid)[0]
 
 

@@ -13,7 +13,7 @@ shifted coordinates u = x - x0, and S an optional Hermite or Laguerre factor
 in a polynomial argument.  Values and first and second derivatives follow
 from the product rule together with the derivative recurrences
 H'_n = 2n H_{n-1} and d/dx L^m_n = -L^{m+1}_{n-1}, so no finite differences
-enter any production path.
+enter any production path; every jet is taken at u.
 """
 
 from __future__ import annotations
@@ -199,17 +199,13 @@ class WaveForm:
         return max(self.exponent.degree - 1, 0)
 
     def value(self, x1, x2):
-        """The value: ``jet(x1, x2, 0).f``."""
-        return self.jet(x1, x2, 0).f
+        """The value at plane points: ``jet(*shifted(x1, x2), 0).f``."""
+        return self.jet(*self.shifted(x1, x2), 0).f
 
-    __call__ = value
-
-    def jet(self, x1, x2, order: int = 2) -> WaveJet:
-        """Analytic value and derivatives up to ``order`` (0, 1 or 2) with
-        respect to the plane coordinates; the slots above ``order`` are
-        None, and each slot has the same bits at every order that holds
-        it."""
-        u1, u2 = self.shifted(x1, x2)
+    def jet(self, u1, u2, order: int = 2) -> WaveJet:
+        """Analytic value and derivatives up to ``order`` (0, 1 or 2) at the
+        shifted coordinates (u1, u2); the slots above ``order`` are None,
+        and each slot has the same bits at every order that holds it."""
         A = self.poly(u1, u2)
         E = np.exp(self.exponent(u1, u2))
         f = self.coeff * A * E
@@ -376,9 +372,9 @@ class DiffOpSpec:
                 if not slot or not poly.is_zero()]
 
     def apply(self, psi: WaveForm, x1, x2):
-        """The operator applied to ``psi``, jetted to the operator's order."""
-        return self.apply_jet(psi.jet(x1, x2, self.order),
-                              psi.shifted(x1, x2))
+        """The operator applied to ``psi`` at plane points."""
+        u = psi.shifted(x1, x2)
+        return self.apply_jet(psi.jet(*u, self.order), u)
 
     def apply_jet(self, jet: WaveJet, shifted_coords, terms=None):
         """c f plus each nonzero other term, in slot order, from the

@@ -338,6 +338,69 @@ def test_centre_at_the_edge_of_the_reach_bound(capsys, tmp_path):
     assert "--centre: the charges overflow" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("edge, beyond", [
+    ("1.34e154,1.34e154", "1.474e154,1.34e154"),
+    ("1.8e306,0", "0,-1.98e306"),
+], ids=["product", "linear"])
+def test_x0_at_the_edge_of_the_position_bound(monkeypatch, capsys, tmp_path,
+                                              edge, beyond):
+    # at unit parameters and nmax 16 _check_positions admits |x0_1 x0_2|
+    # below the largest double and |x0_i| below 1.82e306: at the edge the
+    # suite ends with a report, 10 % beyond it x0 is refused before any
+    # operator is built
+    rep = tmp_path / "rep.json"
+    code = main(["verify-algebra", f"--x0={edge}", "--quiet",
+                 "--no-timestamp", "--json-out", str(rep)])
+    assert code == 0 and json.loads(rep.read_text())["pass"]
+    built = []
+    monkeypatch.setattr(landaulab.fockspace, "build_observable",
+                        lambda *args: built.append(args))
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-algebra", f"--x0={beyond}", "--quiet",
+              "--no-timestamp"])
+    assert exc.value.code == 2 and not built
+    assert "--x0: the suite's products of x0 overflow" \
+        in capsys.readouterr().err
+
+
+_ORIGIN_RUNS = [
+    ["gauge-scan", "--grid", "30", "--scan-levels", "1", "--nmax", "6",
+     "--dump-grid"],
+    ["gauge-scan", "--scheme", "simpson", "--grid", "64", "--scan-levels",
+     "1", "--nmax", "6", "--dump-grid"],
+    ["reproduce-tables", "--grid", "56", "--nmax", "12"],
+    ["basis-change", "--grid", "56", "--dump-grid"],
+]
+
+
+def _origin_free_outputs(tmp_path, argv):
+    """The exit code, the checks with their deviations' bits, and the CSV
+    without its plane-coordinate columns."""
+    rep, out = tmp_path / "rep.json", tmp_path / "out.csv"
+    code = main(argv + ["--quiet", "--no-timestamp", "--json-out", str(rep),
+                        "--csv-out", str(out)])
+    checks = [(c["id"], _bits(c["deviation"]), c["pass"])
+              for c in json.loads(rep.read_text())["checks"]]
+    header, *rows = csv.reader(out.open(newline=""))
+    keep = [i for i, name in enumerate(header) if name not in ("x1", "x2")]
+    return code, checks, [[row[i] for i in keep] for row in rows]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("argv", _ORIGIN_RUNS,
+                         ids=["gauge-scan", "simpson", "tables", "basis"])
+def test_no_output_depends_on_the_plane_origin(tmp_path, argv):
+    # the quadrature runs on the shifted coordinates u = x - x0, where every
+    # state, gauge and operator coefficient is a polynomial: each deviation
+    # and each sampled value at any finite x0 is the x0 = 0 run's, bit for
+    # bit, out to origins whose x0 + u rounds to x0
+    want = _origin_free_outputs(tmp_path, argv)
+    assert want[0] == 0 and want[2]
+    for x0 in ("0.3,-0.2", "1e8,-1e8", "1e20,3.7", "-1e300,1e300"):
+        assert _origin_free_outputs(tmp_path, argv + [f"--x0={x0}"]) == want
+
+
 def test_reproduce_tables_csv(tmp_path):
     out = tmp_path / "tables.csv"
     code = main(["reproduce-tables", "--nmax", "14", "--grid", "64", "--quiet",
@@ -407,6 +470,22 @@ def test_gauge_flags_accepted(tmp_path):
                  "--x0", "0.3,-0.2", "--grid", "64", "--quiet",
                  "--no-timestamp", "--json-out", str(tmp_path / "r.json")])
     assert code == 0
+
+
+@pytest.mark.parametrize("command, flag, dest", [
+    ("verify-algebra", "--x0", "x0"), ("classical-sim", "--centre", "centre"),
+])
+def test_negative_pairs_parse_in_the_equals_form(capsys, command, flag, dest):
+    # argparse reads a separate leading '-' as a flag; joined by '=' the
+    # pair parses, and the help says so
+    args = build_parser().parse_args([command, f"{flag}=-0.3,0.2"])
+    assert getattr(args, dest) == (-0.3, 0.2)
+    with pytest.raises(SystemExit):
+        build_parser().parse_args([command, flag, "-0.3,0.2"])
+    assert "expected one argument" in capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        build_parser().parse_args([command, "--help"])
+    assert f"{flag}=-0.3,0.2" in " ".join(capsys.readouterr().out.split())
 
 
 def test_bad_phi_rejected(capsys):

@@ -100,7 +100,7 @@ def test_classical_report_matches_pointwise_reference(p):
 def _basis_change_line_checks(p, g, grid_k, seed=7):
     """The orthonormality and reconstruction deviations as the per-node
     loops computed them: one coefficient pair and one translation state per
-    node, one point at a time."""
+    node, one point, at shifted coordinates u, at a time."""
     sig = math.sqrt(p.hbar * p.m * p.omega_c)
     ortho = 0.0
     for npl in range(11):
@@ -112,20 +112,20 @@ def _basis_change_line_checks(p, g, grid_k, seed=7):
             val = quad.line_integral(f, k=grid_k, scale=sig)
             ortho = np.maximum(ortho, abs(val - (1.0 if npl == mpl else 0.0)))
     rng = np.random.default_rng(seed)
-    pts = g.x0 + p.magnetic_length * rng.uniform(-2.5, 2.5, size=(20, 2))
+    pts = p.magnetic_length * rng.uniform(-2.5, 2.5, size=(20, 2))
     amp = math.sqrt(p.m * p.omega_c / (2.0 * math.pi * p.hbar))
     rec_dev = 0.0
     for (npl, nm) in ((0, 0), (1, 0), (2, 1), (1, 2), (3, 2)):
         target = wv.fock_state(g, p, npl, nm)
-        for (x1, x2) in pts:
+        for (u1, u2) in pts:
             def f(t):
                 return np.array([
-                    wv.t1_state(g, p, float(tt), nm).value(x1, x2)
+                    wv.t1_state(g, p, float(tt), nm).jet(u1, u2, 0).f
                     * np.conj(fk.t1_fock_overlap(npl, nm, float(tt), p))
                     for tt in t])
             rec = quad.line_integral(f, k=max(60, grid_k), scale=sig)
             rec_dev = np.maximum(rec_dev,
-                                 abs(rec - target.value(x1, x2)) / amp)
+                                 abs(rec - target.jet(u1, u2, 0).f) / amp)
     return {"orthonormality": ortho, "reconstruction": rec_dev}
 
 

@@ -1,5 +1,8 @@
 import ast
+import contextlib
 import importlib
+import io
+import math
 import pkgutil
 from pathlib import Path
 
@@ -39,3 +42,18 @@ def test_package_imports_resolve():
         source = importlib.import_module(f"landaulab.{module}")
         assert hasattr(source, name), f"{module}.{name}"
         assert getattr(landaulab, name) is getattr(source, name), name
+
+
+def test_readme_library_sketch_runs():
+    # the README's first code block under "Library sketch" runs as written
+    # and prints <l=1, n=0|T1|l=0, n=0> = i sqrt(hbar m omega_c / 2)
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text().split("## Library sketch", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        exec(code, namespace)
+    p, val = namespace["p"], namespace["val"]
+    want = 1j * math.sqrt(p.hbar * p.m * p.omega_c / 2.0)
+    assert abs(val - want) < 1e-12
+    assert out.getvalue() == f"{val}\n"

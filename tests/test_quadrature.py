@@ -21,7 +21,7 @@ from landaulab.campaigns import (_SCAN_OPS, TABLE_INDEX_TOP, _angular_states,
                                  run_gauge_scan, run_heisenberg_demo,
                                  run_reproduce_tables)
 from landaulab.fockspace import change_of_basis, t1_fock_overlap
-from landaulab.params import CANONICAL_PARTNER
+from landaulab.params import CANONICAL_PARTNER, OriginMismatchError
 from landaulab.quadrature import (Grid2, SupportOverflowError,
                                   _axis_gauss_hermite, _fsum_rows,
                                   _weighted_sums, inner_product,
@@ -39,9 +39,8 @@ def _op(name, g, p):
     return position_ops([name], g, p)[name]
 
 
-def _grid(g=SYM, k=80, p=P):
-    return Grid2.gauss_hermite(k, centre=g.x0,
-                               scale=math.sqrt(2.0) * p.magnetic_length)
+def _grid(k=80, p=P):
+    return Grid2.gauss_hermite(k, scale=math.sqrt(2.0) * p.magnetic_length)
 
 
 def test_vacuum_normalised():
@@ -57,7 +56,7 @@ def test_states_orthogonal():
 
 
 def test_orthonormality_random_gauge():
-    grid = _grid(GEN)
+    grid = _grid()
     labels = [(0, 0), (1, 0), (0, 1), (2, 2), (3, 1)]
     for a in labels:
         for b in labels:
@@ -68,21 +67,21 @@ def test_orthonormality_random_gauge():
 
 def test_energy_element_any_gauge():
     for g in (SYM, GEN, GaugeChoice(1.0)):
-        grid = _grid(g)
+        grid = _grid()
         val = matrix_element(fock_state(g, P, 0, 0), _op("H", g, P),
                              fock_state(g, P, 0, 0), grid)
         assert abs(val - 0.5) < 1e-8
 
 
 def test_rotation_element_vacuum_zero():
-    grid = _grid(GEN)
+    grid = _grid()
     val = matrix_element(fock_state(GEN, P, 0, 0), _op("M3", GEN, P),
                          fock_state(GEN, P, 0, 0), grid)
     assert abs(val) < 1e-8
 
 
 def test_translation_element_matches_closed_form():
-    grid = _grid(GEN)
+    grid = _grid()
     val = matrix_element(fock_state(GEN, P, 1, 0), _op("T1", GEN, P),
                          fock_state(GEN, P, 0, 0), grid)
     assert abs(val - 1j * math.sqrt(0.5)) < 1e-8
@@ -91,7 +90,7 @@ def test_translation_element_matches_closed_form():
 def test_guiding_centre_elements_match_operator_matrices():
     from landaulab.fockspace import FockBasis, build_observable
 
-    grid = _grid(GEN)
+    grid = _grid()
     basis = FockBasis(8)
     for name in ("xc1", "xc2"):
         op = _op(name, GEN, P)
@@ -104,7 +103,7 @@ def test_guiding_centre_elements_match_operator_matrices():
 
 def test_basis_change_overlap_vs_closed_form():
     # quadrature is the oracle for the closed-form coefficients, lowest level
-    grid = _grid(GEN)
+    grid = _grid()
     sig = 1.0
     for nplus in range(9):
         for t1 in (0.0, 0.8 * sig):
@@ -114,7 +113,7 @@ def test_basis_change_overlap_vs_closed_form():
 
 
 def test_level_phase_confirmed_by_quadrature():
-    grid = _grid(GEN)
+    grid = _grid()
     for nminus in (1, 2, 3):
         ov = inner_product(fock_state(GEN, P, 1, nminus),
                            t1_state(GEN, P, 0.5, nminus), grid)
@@ -160,26 +159,26 @@ def test_reconstruction_from_translation_basis():
 def _unchecked_overlap(psi_a, psi_b, grid):
     """<a|b> on ``grid`` without the boundary-decay check, which a
     half-resolution rule need not pass."""
-    x1, x2, w = grid.points
-    row = np.conj(psi_a.value(x1, x2)) * psi_b.value(x1, x2)
+    u1, u2, w = grid.points
+    row = np.conj(psi_a.jet(u1, u2, 0).f) * psi_b.jet(u1, u2, 0).f
     val, = _weighted_sums(row[None, :], w)
     return val
 
 
-def _gh_half_gap(psi_a, psi_b, k, centre=(0.0, 0.0), scale=math.sqrt(2.0)):
+def _gh_half_gap(psi_a, psi_b, k, scale=math.sqrt(2.0)):
     """Absolute difference of <a|b> between the k-node Gauss-Hermite rule
     and the k//2-node one."""
-    fine = Grid2.gauss_hermite(k, centre, scale)
-    half = Grid2.gauss_hermite(max(3, k // 2), centre, scale)
+    fine = Grid2.gauss_hermite(k, scale)
+    half = Grid2.gauss_hermite(max(3, k // 2), scale)
     return abs(inner_product(psi_a, psi_b, fine)
                - _unchecked_overlap(psi_a, psi_b, half))
 
 
-def _simpson_half_gap(psi_a, psi_b, n, centre, extent):
+def _simpson_half_gap(psi_a, psi_b, n, extent):
     """The same gap between the n-interval Simpson rule and the one with
     about half as many (even) intervals."""
-    fine = Grid2.simpson(n, centre, extent)
-    half = Grid2.simpson(max(2, n // 2 + (n // 2) % 2), centre, extent)
+    fine = Grid2.simpson(n, extent)
+    half = Grid2.simpson(max(2, n // 2 + (n // 2) % 2), extent)
     return abs(inner_product(psi_a, psi_b, fine)
                - _unchecked_overlap(psi_a, psi_b, half))
 
@@ -196,28 +195,26 @@ def test_refinement_convergence():
         assert e2 <= e1 / 10.0 or (e1 < 1e-13 and e2 < 1e-13)
     psi = fock_state(GEN, P, 2, 1)
     for n in (32, 64):
-        e1 = _simpson_half_gap(psi, psi, n, GEN.x0, 9.0)
-        e2 = _simpson_half_gap(psi, psi, 2 * n, GEN.x0, 9.0)
+        e1 = _simpson_half_gap(psi, psi, n, 9.0)
+        e2 = _simpson_half_gap(psi, psi, 2 * n, 9.0)
         assert e2 <= e1 / 10.0 or (e1 < 1e-13 and e2 < 1e-13)
 
 
 def test_deterministic_bit_identical():
     val1 = inner_product(fock_state(GEN, P, 2, 1), fock_state(GEN, P, 2, 1),
-                         _grid(GEN))
+                         _grid())
     val2 = inner_product(fock_state(GEN, P, 2, 1), fock_state(GEN, P, 2, 1),
-                         _grid(GEN))
+                         _grid())
     assert val1 == val2
 
 
 def test_schemes_cross_check():
     # the two rules agree within the sum of their half-resolution gaps
     psi = fock_state(GEN, P, 1, 1)
-    gh = inner_product(psi, psi, _grid(GEN))
-    simpson = inner_product(psi, psi,
-                            Grid2.simpson(192, centre=GEN.x0, extent=10.0))
-    assert abs(gh - simpson) \
-        <= _gh_half_gap(psi, psi, 80, GEN.x0, math.sqrt(2.0)) \
-        + _simpson_half_gap(psi, psi, 192, GEN.x0, 10.0) + 1e-12
+    gh = inner_product(psi, psi, _grid())
+    simpson = inner_product(psi, psi, Grid2.simpson(192, extent=10.0))
+    assert abs(gh - simpson) <= _gh_half_gap(psi, psi, 80, math.sqrt(2.0)) \
+        + _simpson_half_gap(psi, psi, 192, 10.0) + 1e-12
 
 
 def test_support_overflow_plane_wave():
@@ -227,10 +224,9 @@ def test_support_overflow_plane_wave():
 
 
 def test_support_overflow_displaced_state():
-    far = GaugeChoice(0.0, (30.0, 0.0))
+    far = _off_centre(fock_state(SYM, P, 0, 0), 30.0)
     with pytest.raises(SupportOverflowError):
-        inner_product(fock_state(far, P, 0, 0), fock_state(far, P, 0, 0),
-                      _grid(SYM, k=24))
+        inner_product(far, far, _grid(k=24))
 
 
 def test_line_integral_support_check():
@@ -281,8 +277,8 @@ def test_rules_stop_at_the_largest_size_numpy_builds():
         t, wt = quad._hermite_rule.__wrapped__(370)
         grid = Grid2.gauss_hermite(370, scale=1.3)
     assert t.size == 370
-    for w in (wt, grid.w1, grid.w2, quad.Grid1(370).weights,
-              Grid2.simpson(370).w1):
+    for w in (wt, grid.axis_weights, quad.Grid1(370).weights,
+              Grid2.simpson(370).axis_weights):
         assert np.all(np.isfinite(w)) and np.all(w > 0)
     for build in (lambda: Grid2.gauss_hermite(371), lambda: quad.Grid1(371),
                   lambda: quad.Grid1(10 ** 21), lambda: Grid2.simpson(372)):
@@ -478,10 +474,10 @@ def _rephased(psi):
     return wv.phase_shifted(psi, Poly2.monomial(1, 0, 0.3), 1.0)
 
 
-def _certified_rule(p, g, k):
-    """The exact k-node rule an engine certifies on for ``g``'s origin."""
-    return Grid2.gauss_hermite(k, centre=g.x0, scale=math.sqrt(2.0)
-                               * p.magnetic_length, exact=True)
+def _certified_rule(p, k):
+    """The exact k-node rule an engine certifies on."""
+    return Grid2.gauss_hermite(k, math.sqrt(2.0) * p.magnetic_length,
+                               exact=True)
 
 
 _CUBIC = GaugeChoice(-0.6, (0.1, 0.4),
@@ -499,7 +495,7 @@ def test_engine_elements_equal_matrix_element(scheme, k, g):
     # --grid rule, and a batch of the certified requests alone on the
     # certified rule.  Each value has the bits of matrix_element (or
     # inner_product) on the rule its batch ran on
-    grid = _default_grid(P, g, k, scheme)
+    grid = _default_grid(P, k, scheme)
     labels = [(0, 0), (1, 0), (-1, 1), (2, 1), "rephased"]
     psi = {lab: fock_state(g, P, lab[1] + lab[0], lab[1])
            for lab in labels[:-1]}
@@ -534,7 +530,7 @@ def test_engine_elements_equal_matrix_element(scheme, k, g):
     certified = eng.certified_k
     assert (certified is None) == (scheme == "simpson")
     assert [rule.exact for rule in rules] == [False, bool(certified)]
-    exact = certified and _certified_rule(P, g, certified)
+    exact = certified and _certified_rule(P, certified)
     for got, batch, on in ((values, requests, grid),
                            (alone, certifiable, exact or grid)):
         for key, (a, op, b) in batch.items():
@@ -668,7 +664,7 @@ def test_heisenberg_demo_evaluates_each_state_once(monkeypatch, p, scheme, k):
     if scheme == "simpson":
         assert rep.settings["certified_k"] is None
         assert not any(rule.exact for rule in rules)
-        ref = _demo_reference(p, _default_grid(p, SYM, k, scheme))
+        ref = _demo_reference(p, _default_grid(p, k, scheme))
     else:
         assert rep.settings["certified_k"] == 4
         assert all(rule.exact and rule.weights.size == 16 for rule in rules)
@@ -685,7 +681,7 @@ def test_heisenberg_demo_support_failure_matches_per_element_path(k):
     # plain element fails first.  (Under Simpson's rule no element fails
     # it: the rule spans 13 magnetic lengths whatever its node count.)
     with pytest.raises(SupportOverflowError) as per_element:
-        _demo_reference(P, _default_grid(P, SYM, k, "gauss_hermite"))
+        _demo_reference(P, _default_grid(P, k, "gauss_hermite"))
     with pytest.raises(SupportOverflowError) as batched:
         run_heisenberg_demo(P, grid_k=k)
     assert str(batched.value) == str(per_element.value)
@@ -697,7 +693,7 @@ def test_engine_support_failure_matches_per_element_path():
     # check, in key order: on 20 nodes per axis the vacuum element passes,
     # and the batch fails where the first of its requests, taken one
     # matrix_element call at a time, fails
-    grid = _grid(SYM, k=20)
+    grid = _grid(k=20)
     labels = [(0, 0), (1, 0), (2, 1)]
     psi = {lab: fock_state(SYM, P, *lab) for lab in labels}
     psi.update({("rephased", lab): _rephased(psi[lab]) for lab in labels})
@@ -723,12 +719,11 @@ def test_engine_support_failure_matches_per_element_path():
 # ---------------------------------------------------------------------------
 
 
-def _on_rule(forms, requests, rule, x0):
+def _on_rule(forms, requests, rule):
     """Each request ``(bra, op, ket)`` over ``forms`` integrated on ``rule``
     from jets taken on its nodes, through the operators' own ``apply_jet``."""
-    x1, x2, _ = rule.points
-    jets = {key: form.jet(x1, x2) for key, form in forms.items()}
-    u = (x1 - x0[0], x2 - x0[1])
+    u = rule.points[:2]
+    jets = {key: form.jet(*u) for key, form in forms.items()}
     return integrate_rows((
         np.conj(jets[bra].f) * (jets[ket].f if op is None
                                 else op.apply_jet(jets[ket], u))
@@ -777,9 +772,8 @@ def test_certified_values_match_the_80_node_rule(seed, gi, m, q, b, hbar,
         mp.setattr(quad, "integrate_rows", recorded)
         got = eng.elements(requests)
     assert [rule.exact for rule in rules] == [True]
-    assert rules[0].x1.size == eng.certified_k < 80
-    ref = _on_rule(states, requests, _default_grid(p, g, 80, "gauss_hermite"),
-                   g.x0)
+    assert rules[0].axis.size == eng.certified_k < 80
+    ref = _on_rule(states, requests, _default_grid(p, 80, "gauss_hermite"))
     for key, want in zip(requests, ref):
         assert abs(got[key] - want) <= 1e-13 * max(1.0, abs(want)), key
 
@@ -875,7 +869,7 @@ def test_no_certified_batch_runs_below_its_degree(monkeypatch, campaign):
             continue
         [(rule, n)] = exact
         assert n == len(certifiable)
-        k = rule.x1.size
+        k = rule.axis.size
         assert max(_integrand_degree(*r) for r in certifiable) <= 2 * k - 1
         assert k <= eng.certified_k
 
@@ -933,11 +927,11 @@ def test_reproduce_tables_values_translation_states(monkeypatch):
     assert made and orders and set(orders) == {0}
 
 
-def _off_centre(psi):
-    """``psi`` with its Gaussian centred half a length off the origin."""
+def _off_centre(psi, d=0.5):
+    """``psi`` with its Gaussian centred ``d`` lengths along u1 off u = 0."""
     c = psi.gauss.terms[(2, 0)]
-    return replace(psi, gauss=Poly2({(2, 0): c, (0, 2): c, (1, 0): -c,
-                                     (0, 0): 0.25 * c}))
+    return replace(psi, gauss=Poly2({(2, 0): c, (0, 2): c, (1, 0): -2 * d * c,
+                                     (0, 0): d * d * c}))
 
 
 @pytest.mark.parametrize("bra, op, ket, scheme", [
@@ -955,7 +949,7 @@ def _off_centre(psi):
 def test_uncertified_requests_run_on_the_grid_rule(bra, op, ket, scheme):
     # each request runs alone on the 56-node --grid rule, under the
     # boundary-decay check, with the bits of matrix_element there
-    grid = _default_grid(P, SYM, 56, scheme)
+    grid = _default_grid(P, 56, scheme)
     eng = _ElementEngine(P, SYM, 56, scheme)
     eng.load("bra", lambda: bra)
     eng.load("ket", lambda: ket)
@@ -973,6 +967,22 @@ def test_uncertified_requests_run_on_the_grid_rule(bra, op, ket, scheme):
     want = (inner_product(bra, ket, grid) if op is None
             else matrix_element(bra, op, ket, grid))
     assert _bits([got]) == _bits([want])
+
+
+def test_one_origin_per_engine_and_per_reference():
+    # the rule's nodes are the states' shifted coordinates, so every state
+    # an engine loads, and both states of a reference call, share one origin
+    off = fock_state(GEN, P, 1, 0)
+    eng = _ElementEngine(P, SYM, 56, "gauss_hermite")
+    eng.load("psi", fock_state, SYM, P, 1, 0)
+    with pytest.raises(OriginMismatchError):
+        eng.load("off", lambda: off)
+    assert list(eng._forms) == ["psi"]
+    psi = fock_state(SYM, P, 1, 0)
+    with pytest.raises(OriginMismatchError):
+        inner_product(psi, off, _grid())
+    with pytest.raises(OriginMismatchError):
+        matrix_element(off, _op("H", SYM, P), psi, _grid())
 
 
 def test_grid_bounds_the_certified_rule():
@@ -1033,7 +1043,7 @@ def test_reductions_reuse_no_state_across_shapes():
         assert _bits(_weighted_sums(vals, w)) == _bits(expected)
         assert vals.tobytes() == kept.tobytes()
 
-        t, wt = _axis_gauss_hermite(k, 0.0, 1.3)
+        t, wt = _axis_gauss_hermite(k, 1.3)
         line = _decaying_rows(rng, 1, t)[0]
         kept = line.copy()
         assert _bits([line_integral(lambda _: line, k=k, scale=1.3)]) \
@@ -1154,7 +1164,7 @@ def test_basis_change_is_three_row_streams(monkeypatch, p, g, k):
     # 28 distinct states jetted once on the grid, at order 0; 54 overlaps,
     # 66 orthonormality and 100 reconstruction integrals in three streams,
     # each value with the bits of its own inner_product or line_integral
-    grid = _default_grid(p, g, k, "gauss_hermite")
+    grid = _default_grid(p, k, "gauss_hermite")
     on_grid = []
     jet = wv.WaveForm.jet
 

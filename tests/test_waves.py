@@ -211,7 +211,7 @@ def test_gradient_matches_finite_differences(make):
     h = 1e-4 * P.magnetic_length
     rng = np.random.default_rng(17)
     pts = rng.uniform(-2, 2, size=(100, 2))
-    jet = psi.jet(pts[:, 0], pts[:, 1])
+    jet = psi.jet(*psi.shifted(pts[:, 0], pts[:, 1]))
     fd1, fd2 = _fd_jet(psi, pts[:, 0], pts[:, 1], h)
     scale = np.max(np.abs(jet.f1)) + np.max(np.abs(jet.f2)) + 1e-30
     assert np.max(np.abs(jet.f1 - fd1)) < 1e-6 * scale
@@ -223,7 +223,7 @@ def test_second_derivatives_match_finite_differences():
     h = 2e-4
     x1 = np.linspace(-1.2, 1.4, 11)
     x2 = np.linspace(-0.9, 1.1, 11)
-    jet = psi.jet(x1, x2)
+    jet = psi.jet(*psi.shifted(x1, x2))
     f11 = (psi.value(x1 + h, x2) - 2 * psi.value(x1, x2)
            + psi.value(x1 - h, x2)) / h ** 2
     f22 = (psi.value(x1, x2 + h) - 2 * psi.value(x1, x2)
@@ -286,7 +286,7 @@ def test_compose_matches_manual_application():
     combo = x1op.compose(p1op)
     psi = fock_state(GEN, P, 1, 1)
     X1, X2 = _grid_points()
-    jet = psi.jet(X1, X2)
+    jet = psi.jet(*psi.shifted(X1, X2))
     manual = (X1 - GEN.x0[0]) * (-1j * P.hbar * jet.f1)
     assert np.allclose(combo.apply(psi, X1, X2), manual, rtol=0, atol=1e-13)
 
@@ -303,7 +303,7 @@ def test_compose_mixed_second_derivative():
     assert op.a12 == Poly2.const(complex(-P.hbar ** 2, 0.0))
     psi = fock_state(GEN, P, 2, 1)
     X1, X2 = _grid_points()
-    jet = psi.jet(X1, X2)
+    jet = psi.jet(*psi.shifted(X1, X2))
     assert np.allclose(op.apply(psi, X1, X2), -P.hbar ** 2 * jet.f12,
                        rtol=0, atol=1e-13)
 
@@ -472,10 +472,11 @@ def test_value_is_the_jets_value(family, n, m, t1, g, sign, seed):
     rng = np.random.default_rng(seed)
     x1, x2 = rng.uniform(-4, 4, (2, 500)) * p.magnetic_length
     x1, x2 = x1 + g.x0[0], x2 + g.x0[1]
+    u = psi.shifted(x1, x2)
     value = psi.value(x1, x2)
-    assert value.tobytes() == psi.jet(x1, x2).f.tobytes()
+    assert value.tobytes() == psi.jet(*u).f.tobytes()
     dressed = phase_shifted(psi, parse_poly("0.2*u1*u2 - 0.3*u2"), p.hbar)
-    assert dressed.value(x1, x2).tobytes() == dressed.jet(x1, x2).f.tobytes()
+    assert dressed.value(x1, x2).tobytes() == dressed.jet(*u).f.tobytes()
 
 
 def test_zero_phase_takes_the_real_exponential():
@@ -515,7 +516,8 @@ def test_jet_slots_agree_across_orders(psi):
         assert [a.tobytes() for a in jet[:size]] == \
             [a.tobytes() for a in full[:size]]
         assert all(slot is None for slot in jet[size:])
-    assert psi.value(x1, x2).tobytes() == psi.jet(x1, x2, 0).f.tobytes()
+    assert psi.value(x1, x2).tobytes() \
+        == psi.jet(*psi.shifted(x1, x2), 0).f.tobytes()
 
 
 @pytest.mark.parametrize("name, order", [("x1", 0), ("T1", 1), ("H", 2)])
@@ -526,7 +528,8 @@ def test_apply_jets_to_the_operator_order(monkeypatch, name, order):
     assert op.order == order
     psi = fock_state(GEN, NEG, 2, 1)
     x1, x2 = np.random.default_rng(5).uniform(-3, 3, (2, 400))
-    want = op.apply_jet(psi.jet(x1, x2), psi.shifted(x1, x2))
+    u = psi.shifted(x1, x2)
+    want = op.apply_jet(psi.jet(*u), u)
     orders, jet = [], WaveForm.jet
 
     def recorded(self, x1, x2, order=2):
@@ -541,7 +544,7 @@ def test_apply_jet_below_the_operator_order_raises():
     psi = fock_state(GEN, P, 2, 1)
     x1, x2 = np.random.default_rng(6).uniform(-3, 3, (2, 50))
     u = psi.shifted(x1, x2)
-    jets = [psi.jet(x1, x2, order) for order in (0, 1)]
+    jets = [psi.jet(*u, order) for order in (0, 1)]
     for name, jet in (("T1", jets[0]), ("H", jets[0]), ("H", jets[1])):
         with pytest.raises(TypeError):
             _op(name, GEN, P).apply_jet(jet, u)
