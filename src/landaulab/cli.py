@@ -241,14 +241,22 @@ def _check_field(field, ncols: int):
         raise ValueError(f"CSV field {field!r} would need quoting")
 
 
+# values formatted per chunk of a streamed CSV
+_CSV_CHUNK = 8192
+
+
 def _write_csv(path: str, header: list[str], rows):
     """Write ``header`` and ``rows`` as the bytes ``csv.writer`` writes with
-    its default dialect, formatting the whole table in one pass.
+    its default dialect, streamed in chunks of about ``_CSV_CHUNK`` values.
 
-    ``rows`` is a 2-D float64 array or an iterable of rows of Python floats,
-    each written as its repr, and strings.  A field ``csv.writer`` would
-    quote raises ValueError, as does a row whose length differs from the
-    header's."""
+    ``rows`` is a 2-D float64 array or an iterable of rows of Python floats
+    and strings; every float is written as its repr, by the one formatter
+    :func:`landaulab._floattext.join_reprs`, and every string as it is.  A
+    field ``csv.writer`` would quote raises ValueError, as does a row whose
+    length differs from the header's, before the file is opened."""
+    # imported here, so that only the calls that write a CSV compile it
+    from ._floattext import join_reprs
+
     ncols = len(header)
     for name in header:
         _check_field(name, ncols)
@@ -257,21 +265,34 @@ def _write_csv(path: str, header: list[str], rows):
                 or rows.shape[1] != ncols:
             raise ValueError(f"expected a float64 array of {ncols} columns, "
                              f"got {rows.dtype} of shape {rows.shape}")
-        nrows, fields = len(rows), rows.ravel().tolist()
     else:
-        nrows, fields = 0, []
+        rows = list(rows)
         for row in rows:
             if len(row) != ncols:
                 raise ValueError(f"row of {len(row)} fields under a header "
                                  f"of {ncols}")
-            nrows += 1
-            fields += row
-        for field in fields:
-            _check_field(field, ncols)
+            for field in row:
+                if type(field) is not float:
+                    _check_field(field, ncols)
     line = ",".join(["%s"] * ncols) + "\r\n"
+    step = max(1, _CSV_CHUNK // max(ncols, 1))
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        fh.write(line * nrows % tuple(fields))
+        for start in range(0, len(rows), step):
+            chunk = rows[start:start + step]
+            # (an array's rows of no fields are written as the empty rows
+            # of a row table)
+            if isinstance(chunk, np.ndarray) and ncols:
+                fh.write(join_reprs(chunk.ravel(), ncols).decode("ascii"))
+                continue
+            # the float fields of the chunk formatted at once, one a line
+            fields = [field for row in chunk for field in row]
+            floats = [field for field in fields if type(field) is float]
+            texts = iter(join_reprs(np.array(floats, np.float64), 1)
+                         .decode("ascii").split("\r\n"))
+            fields = [next(texts) if type(field) is float else field
+                      for field in fields]
+            fh.write(line * len(chunk) % tuple(fields))
 
 
 def _dump_grid_rows(psi: wv.WaveForm, extent: float, n: int = 41):

@@ -197,16 +197,16 @@ def test_classical_sim_csv_and_summary(tmp_path):
 
 
 # floats whose repr changes form: zeros, subnormals, the switch to
-# exponent notation below 1e-4 and at 1e16, the largest finite values
+# exponent notation below 1e-4 and at 1e16, the largest finite values,
+# infinities and nan
 _EDGE_FLOATS = [0.0, -0.0, 5e-324, -2.225073858507201e-308, 1e-05,
                 9.999999999999999e-05, 0.0001, math.nextafter(1e16, 0.0), 1e16,
                 math.nextafter(1e16, math.inf), 1.7976931348623157e308,
-                -1.7976931348623157e308]
+                -1.7976931348623157e308, math.inf, -math.inf, math.nan]
 _FLOATS = st.one_of(
     st.sampled_from(_EDGE_FLOATS),
     st.integers(0, 2 ** 64 - 1).map(
-        lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0]
-    ).filter(math.isfinite))
+        lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0]))
 _IDENTS = st.text(string.ascii_letters + string.digits + "_*/-.+ ",
                   min_size=1, max_size=10)
 
