@@ -175,9 +175,7 @@ def _check_numerics(args, parser, p: PhysicalParams):
             ("--steps", lambda: _require(
                 args.steps is None or 1 <= args.steps <= cl.MAX_STEPS,
                 f"need between 1 and {cl.MAX_STEPS} steps")),
-            ("--dt", lambda: _require(args.dt is None
-                                      or 0.0 < args.dt < math.inf,
-                                      "dt must be positive and finite")),
+            ("--dt", lambda: cp._orbit_clock(p, args.dt, args.steps)),
             ("--centre", lambda: args.centre is None
              or cl.TrajectoryParams(0.0, args.centre)),
             ("--energy", lambda: _require(

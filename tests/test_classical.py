@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from landaulab import (GaugeChoice, PhysicalParams, Poly2, classical,
                        gauge_delta, parse_poly)
-from landaulab.classical import (MAX_STEPS, PhaseSpacePoint, PolyObservable,
+from landaulab.classical import (MAX_STEPS, NonFiniteOrbitError,
+                                 PhaseSpacePoint, PolyObservable,
                                  TrajectoryParams, analytic_trajectory,
                                  centre_observable, energy_observable,
                                  integrate, noether_charges, observables,
@@ -203,32 +204,70 @@ def test_integrate_matches_reference_stepper_bitwise(method, m, q, bfield,
     assert np.signbit(path).tolist() == np.signbit(np.array(ref)).tolist()
 
 
+def _reference_path(p, s0, dt, n, method):
+    s, ref = s0, [[*s0.x, *s0.p]]
+    for _ in range(n):
+        s = _REF_STEP[method](p, s, dt)
+        ref.append([*s.x, *s.p])
+    return ref
+
+
 def test_integrate_zero_rotation_angle_branch():
     # qB dt / m underflows to zero: the drift is a straight line.  The
     # cyclotron frequency is the smallest subnormals, not zero, which
-    # PhysicalParams refuses
+    # PhysicalParams refuses.  The long orbit runs past numpy's 8,192-element
+    # buffer from a start whose negative zeros the sums keep
     p = PhysicalParams(1e10, 1e-160, 1e-153, hbar=1e-20)
     assert p.omega_c != 0.0 and (p.qB / p.m) * 0.1 == 0.0
-    s0 = PhaseSpacePoint((0.5, -0.25), (0.3, -0.7))
-    for method in ("boris", "rk4"):
-        s, ref = s0, [[*s0.x, *s0.p]]
-        for _ in range(5):
-            s = _REF_STEP[method](p, s, 0.1)
-            ref.append([*s.x, *s.p])
-        assert integrate(p, s0, 0.1, 5, method).tolist() == ref
+    for s0, n in ((PhaseSpacePoint((0.5, -0.25), (0.3, -0.7)), 5),
+                  (PhaseSpacePoint((-0.0, 0.5), (-0.0, -0.7)), 9000)):
+        for method in ("boris", "rk4"):
+            ref = _reference_path(p, s0, 0.1, n, method)
+            path = integrate(p, s0, 0.1, n, method)
+            assert path.tolist() == ref
+            assert (np.signbit(path).tolist()
+                    == np.signbit(np.array(ref)).tolist())
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("method", ["boris", "rk4"])
 def test_integrate_overflow_raises_finiteness_error(method):
     # a weak field: the orbit radius exceeds the float range, so the
-    # position overflows to inf on the first step
+    # position overflows to inf on the first step; the orbit is refused
+    # with NonFiniteOrbitError alone, no numpy warning
     p = PhysicalParams(1.0, 1e-150, 1e-150)
     s0 = PhaseSpacePoint((1e307, 0.0), (1e307, 1e307))
     message = "phase-space components must be finite"
     with pytest.raises(ValueError, match=message):
         _REF_STEP[method](p, s0, 100.0)
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(NonFiniteOrbitError, match=message):
         integrate(p, s0, 100.0, 20, method=method)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_integrate_unstable_rk4_raises_finiteness_error():
+    # at |qB| dt / m = 10 the RK4 step amplifies |p| about 400-fold: the
+    # momentum overflows mid-orbit, then inf - inf gives nan, in the loop
+    # and in the position increments alike
+    s0 = PhaseSpacePoint((0.5, -0.25), (1.0, 0.0))
+    with pytest.raises(NonFiniteOrbitError):
+        integrate(P, s0, 10.0, 300, method="rk4")
+
+
+@pytest.mark.parametrize("method", sorted(_REF_STEP))
+@pytest.mark.parametrize("q", [-1.3, 0.8])
+def test_long_orbit_matches_reference_stepper_bitwise(method, q):
+    # 20,000 steps: the running position sums run far past numpy's
+    # 8,192-element ufunc buffer, and every bit, sign included, is the
+    # step-by-step sum's
+    p = PhysicalParams(1.7, q, 0.6, hbar=0.7)
+    s0 = PhaseSpacePoint((0.4, -1.1), (0.9, -0.35))
+    n = 20000
+    ref = _reference_path(p, s0, 0.0123, n, method)
+    path = integrate(p, s0, 0.0123, n, method)
+    assert path.shape == (n + 1, 4)
+    assert path.tolist() == ref
+    assert np.signbit(path).tolist() == np.signbit(np.array(ref)).tolist()
 
 
 def test_integrate_rejects_non_finite_step():

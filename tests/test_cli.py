@@ -565,6 +565,12 @@ def test_bad_phi_rejected(capsys):
     # the rk4 comparison orbit overflows mid-run
     (["classical-sim", "--dt", "1e300", "--steps", "3"],
      "--dt: phase-space components must be finite"),
+    # the default dt and the closure check's, a thousandth of the period
+    (["classical-sim", "--mass", "1e10", "--charge", "1e-160", "--bfield",
+      "1e-153", "--hbar", "1e-20"], "--dt: the cyclotron period overflows"),
+    (["classical-sim", "--mass", "1e10", "--charge", "1e-160", "--bfield",
+      "1e-153", "--hbar", "1e-20", "--dt", "0.1"],
+     "--dt: the cyclotron period overflows"),
     (["heisenberg-demo", "--tol", "nan"],
      "--tol: tolerance must be finite and nonnegative"),
     (["verify-algebra", "--tol", "-1"],
@@ -610,7 +616,8 @@ def test_bad_phi_rejected(capsys):
         "scan-nmax-levels-5",
         "scan-levels", "scan-levels-20", "scan-levels-high",
         "scan-levels-1e9", "seed", "scan-grid", "basis-grid",
-        "demo-grid", "tables-grid", "dt-orbit-overflow", "tol-nan",
+        "demo-grid", "tables-grid", "dt-orbit-overflow", "period-overflow",
+        "period-overflow-given-dt", "tol-nan",
         "tol-negative", "tol-inf", "qb-underflow", "qb-overflow",
         "omega-overflow", "energy-momentum-overflow", "default-energy-overflow",
         "radius-overflow", "centre-far", "x0-far", "centre-inf", "centre-nan",
@@ -795,3 +802,25 @@ def test_cli_import_loads_only_numpy_and_the_standard_library():
     loaded = set(proc.stdout.split())
     assert {"landaulab", "numpy"} <= loaded
     assert loaded - {"landaulab", "numpy"} <= set(sys.stdlib_module_names)
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--dt", "1e308", "--steps", "50"], "--dt: the time 50 * dt overflows"),
+    (["--dt", "1e305"], "--dt: the time 10000 * dt overflows"),
+    (["--dt", "1e300", "--steps", "3"],
+     "--dt: phase-space components must be finite"),
+])
+def test_overflowing_orbit_exits_2_without_a_warning(args, message):
+    # a time column (its last time steps * dt) or an orbit that overflows
+    # is refused with its one-line message alone: RuntimeWarning is an
+    # error in this interpreter
+    src = str(Path(landaulab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "landaulab.cli",
+         "classical-sim", *args, "--quiet", "--no-timestamp"], env=env,
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines()[-1] == f"landaulab: error: {message}"
