@@ -101,6 +101,10 @@ def run_verify_algebra(p: PhysicalParams, nmax: int = 16,
     polynomials f, of degree at most 2 (Groenewold 1946): each observable
     must be Q(f), and each [A, C] must be i hbar Q({f_A, f_C})."""
     rep = _report("verify-algebra", p, [], nmax=nmax)
+    f = cl.observables(p, GaugeChoice(0.0, x0))
+    brackets = {pair: cl.poisson_bracket(f[pair[0]], f[pair[1]], p)
+                for pair in _COMMUTATORS}
+    fk.check_units(p, nmax, brackets)
     b = fk.FockBasis(nmax)
     ops = {name: fk.build_observable(name, p, x0, b)
            for name in fk.OBSERVABLE_NAMES}
@@ -114,9 +118,6 @@ def run_verify_algebra(p: PhysicalParams, nmax: int = 16,
             np.abs(hdiag - p.hbar * p.omega_c * (nminus + 0.5)), EXACT)
     rep.add("spectrum:degeneracy", np.abs(hdiag - hdiag[0][None, :]), EXACT)
 
-    f = cl.observables(p, GaugeChoice(0.0, x0))
-    brackets = {pair: cl.poisson_bracket(f[pair[0]], f[pair[1]], p)
-                for pair in _COMMUTATORS}
     table = fk.position_monomials(p, b, [
         key for g in (*f.values(), *brackets.values()) for key in g.terms])
     ops.update(u1=table[(1, 0, 0, 0)], u2=table[(0, 1, 0, 0)])
@@ -736,9 +737,13 @@ def run_classical_sim(p: PhysicalParams, tp: cl.TrajectoryParams | None = None,
                 / max(abs(c0), floor, 1.0e-300), tol)
 
     # T ** 2 stays a scalar float power (libm pow, which numpy's square need
-    # not match bit for bit); the rest is elementwise, so exact in numpy
+    # not match bit for bit), taken over blocks of Python floats; the rest
+    # is elementwise, so exact in numpy
     e, t1, t2, m3 = charges
-    tsq = np.array([a ** 2 + b ** 2 for a, b in zip(t1.tolist(), t2.tolist())])
+    tsq = np.fromiter((a ** 2 + b ** 2 for i in range(0, t1.size, 2 ** 16)
+                       for a, b in zip(t1[i:i + 2 ** 16].tolist(),
+                                       t2[i:i + 2 ** 16].tolist())),
+                      float, t1.size)
     two_m = 2.0 * p.m
     resid = tsq - two_m * e - 2.0 * p.qB * m3
     scale = np.maximum(np.maximum(np.maximum(tsq, two_m * np.abs(e)),

@@ -42,7 +42,7 @@ __all__ = [
 ]
 
 
-# a classical-sim run peaks near 300 B per step, with or without its CSV
+# a classical-sim run peaks near 260 B per step, with or without its CSV
 MAX_STEPS = 2 ** 20
 
 
@@ -114,7 +114,8 @@ def integrate(p: PhysicalParams, s0: PhaseSpacePoint, dt: float, n: int,
     the n+1 states including the initial one as an ``(n+1, 4)`` float64
     array with columns x1, x2, p1, p2; n is at most :data:`MAX_STEPS`.
     The flow depends on the momentum alone, so only it is stepped in a
-    loop; the positions are running sums of the increments
+    loop; the position increments are formed from it in blocks of
+    ``_BLOCK`` rows, and the positions are their running sums
     (``np.add.accumulate``, left to right, so rounded as ``x += dx``).
     """
     if not 0.0 < dt < math.inf:
@@ -128,22 +129,30 @@ def integrate(p: PhysicalParams, s0: PhaseSpacePoint, dt: float, n: int,
     from array import array
     path = np.empty((n + 1, 4))
     path[0, :2] = s0.x
+    m1, m2 = array("d", s0.p[:1]), array("d", s0.p[1:])
     # an orbit leaving the double range is refused below, unwarned
     with np.errstate(over="ignore", invalid="ignore"):
-        dx, mom = orbit(p, s0, dt, n, array("d", s0.p[:1]),
-                        array("d", s0.p[1:]))
-        path[1:, :2], path[:, 2:] = dx.T, mom.T
+        step = orbit(p, s0, dt, n, m1, m2)
+        path[:, 2], path[:, 3] = m1, m2
+        del m1, m2
+        for lo in range(0, n, _BLOCK):
+            hi = min(lo + _BLOCK, n)
+            path[lo + 1:hi + 1, :2] = step(path[lo:hi, 2:])
         np.add.accumulate(path[:, :2], out=path[:, :2])
     if not np.isfinite(path).all():
         raise NonFiniteOrbitError("phase-space components must be finite")
     return path
 
 
+# rows of position increments formed at once
+_BLOCK = 2 ** 16
+
+
 def _rotation_orbit(p: PhysicalParams, s0: PhaseSpacePoint, dt: float,
-                    n: int, m1, m2) -> tuple[np.ndarray, np.ndarray]:
+                    n: int, m1, m2):
     """Rotation-split integrator for a uniform field: appends p1, p2 of the
-    n steps to the buffers m1, m2 holding s0's, and returns the rows
-    (dx1, dx2) of the steps and (p1, p2) of the n+1 states.
+    n steps to the buffers m1, m2 holding s0's, and returns the map from
+    the rows (p1, p2) of states to the rows (dx1, dx2) of their steps.
 
     The momentum is rotated with the half-angle tangent construction, which
     is an exact rotation by (qB/m) dt and conserves |p| to round-off; the
@@ -159,18 +168,17 @@ def _rotation_orbit(p: PhysicalParams, s0: PhaseSpacePoint, dt: float,
         p1, p2 = p1 + f * (p2 - tau * p1), p2 - f * (p1 + tau * p2)
         m1.append(p1)
         m2.append(p2)
-    mom = np.array([m1, m2])
-    u, h = mom[:, :-1], dt / p.m
+    h = dt / p.m
     if a == 0.0:
-        return h * u, mom
+        return lambda u: h * u
     # drift through the exactly rotating momentum: complex z' = exp(-i a) z;
-    # the row c1 u2 + (-c0) u1 adds its two terms in either order alike
+    # the column c1 u2 + (-c0) u1 adds its two terms in either order alike
     c0, c1 = (1.0 - math.cos(a)) / a, math.sin(a) / a
-    return h * (c1 * u + [[c0], [-c0]] * u[::-1]), mom
+    return lambda u: h * (c1 * u + [c0, -c0] * u[:, ::-1])
 
 
 def _rk4_orbit(p: PhysicalParams, s0: PhaseSpacePoint, dt: float,
-               n: int, m1, m2) -> tuple[np.ndarray, np.ndarray]:
+               n: int, m1, m2):
     """Classical Runge-Kutta step for the Lorentz-force flow ``x' = p/m``,
     ``p' = (qB/m) eps p``, filling and returning as :func:`_rotation_orbit`
     does; the stage momenta a, b, c are formed again for dx."""
@@ -189,13 +197,15 @@ def _rk4_orbit(p: PhysicalParams, s0: PhaseSpacePoint, dt: float,
         p2 += sixth * (g1 + 2.0 * g2 + 2.0 * g3 + nk * c1)
         m1.append(p1)
         m2.append(p2)
-    mom = np.array([m1, m2])
-    # the force (k p2, -k p1) of a row pair is rate * (p2, p1)
-    u, rate = mom[:, :-1], np.array([[k], [nk]])
-    a = u + half * (rate * u[::-1])
-    b = u + half * (rate * a[::-1])
-    c = u + dt * (rate * b[::-1])
-    return sixth * (u / m + 2.0 * (a / m) + 2.0 * (b / m) + c / m), mom
+    # the force (k p2, -k p1) of a row is rate * (p2, p1)
+    rate = np.array([k, nk])
+
+    def step(u):
+        a = u + half * (rate * u[:, ::-1])
+        b = u + half * (rate * a[:, ::-1])
+        c = u + dt * (rate * b[:, ::-1])
+        return sixth * (u / m + 2.0 * (a / m) + 2.0 * (b / m) + c / m)
+    return step
 
 
 def noether_charges(p: PhysicalParams, x0: tuple[float, float],

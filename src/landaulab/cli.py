@@ -366,6 +366,8 @@ def main(argv=None) -> int:
         parser.error(f"--grid: {exc}")
     except cp.ScanLevelsError as exc:
         parser.error(f"--scan-levels: {exc}")
+    except fk.UnitsError as exc:
+        parser.error(f"--mass/--charge/--bfield/--hbar: {exc}")
     except fk.TruncationError as exc:
         parser.error(f"--nmax: {exc}")
     except cl.NonFiniteOrbitError as exc:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -26,6 +26,8 @@ __all__ = [
     "FockBasis",
     "FockOperator",
     "TruncationError",
+    "UnitsError",
+    "check_units",
     "identity",
     "ladder_ops",
     "build_observable",
@@ -45,6 +47,10 @@ OBSERVABLE_NAMES = ("H", "T1", "T2", "M3", "p1", "p2", "L3",
 class TruncationError(ValueError):
     """Raised for a truncation or degree out of range, also for the exact
     entries a campaign reads."""
+
+
+class UnitsError(ValueError):
+    """Raised for units at which the commutator suite overflows."""
 
 
 @dataclass(frozen=True)
@@ -75,56 +81,128 @@ class FockBasis:
         return [(i // k, i % k) for i in range(k * k)]
 
 
+def _cmul(ar, ai, br, bi, out):
+    """``out = (ar br - ai bi, ar bi + ai br)``, each operation rounded on
+    its own, so no fused multiply-add can enter."""
+    np.subtract(ar * br, ai * bi, out=out[0])
+    np.add(ar * bi, ai * br, out=out[1])
+
+
+def _flat(k, *d):
+    """Flat indices, row-major, of the kets n with every n + d in the
+    basis."""
+    lo, hi = ([max(0, *(s * di[i] for di in d)) for i in (0, 1)]
+              for s in (-1, 1))
+    return (np.arange(lo[0], k - hi[0])[:, None] * k
+            + np.arange(lo[1], k - hi[1])).ravel().astype(np.int32)
+
+
+def _cat(parts):
+    return np.concatenate([np.zeros(0, np.int32), *parts])
+
+
 @lru_cache(maxsize=None)
-def _windows(d, k: int, e=(0, 0)):
-    """Indices into a coefficient array over 0..k-1 per sector of the kets n
-    with n + d and ``max(n, n + d) + e`` in 0..k-1, and of their targets."""
-    lo = [max(0, -di) for di in d]
-    hi = [max(a, k - ei - max(0, di)) for a, di, ei in zip(lo, d, e)]
-    return ((slice(None), *map(slice, lo, hi)), (slice(None), *(
-        slice(a + di, z + di) for a, z, di in zip(lo, hi, d))))
+def _product_plan(ka, ea, kb, eb, k):
+    """A product's keys and reaches, and per term, in (dA, dB) order, the
+    flat indices of other's entry at n, self's at n + dB and the target's
+    at n in the real planes (the imaginary ones are k * k further on)."""
+    step = 2 * k * k
+    keys = sorted({(a[0] + b[0], a[1] + b[1]) for a in ka for b in kb})
+    reach = dict.fromkeys(keys, (0, 0))
+    b, a, t = [], [], []
+    for ia, (da, xa) in enumerate(zip(ka, ea)):
+        for ib, (db, xb) in enumerate(zip(kb, eb)):
+            d = (da[0] + db[0], da[1] + db[1])
+            reach[d] = tuple(max(reach[d][i], max(0, db[i]) + xb[i],
+                                 max(db[i], d[i]) + xa[i]) for i in (0, 1))
+            n = _flat(k, db, d)
+            b.append(ib * step + n)
+            a.append(ia * step + n + db[0] * k + db[1])
+            t.append(keys.index(d) * step + n)
+    return tuple(keys), tuple(tuple(r - max(0, i) for r, i in zip(
+        reach[d], d)) for d in keys), *map(_cat, (b, a, t))
 
 
-def _cmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Complex product ``(ar br - ai bi, ar bi + ai br)`` of real pairs, each
-    operation rounded on its own, so no fused multiply-add can enter."""
-    p, q = a * b, a * b[::-1]
-    np.subtract(p[0], p[1], out=p[0])
-    np.add(q[0], q[1], out=p[1])
-    return p
+@lru_cache(maxsize=None)
+def _union_plan(ka, ea, kb, eb):
+    """Keys and reaches of a sum, and each operand's slots among them."""
+    reach: dict = {}
+    for d, e in (*zip(ka, ea), *zip(kb, eb)):
+        reach[d] = tuple(map(max, reach.get(d, (0, 0)), e))
+    keys = tuple(sorted(reach))
+    return keys, tuple(map(reach.get, keys)), *(
+        [keys.index(d) for d in side] for side in (ka, kb))
 
 
-@dataclass(frozen=True, eq=False)
+@lru_cache(maxsize=None)
+def _dagger_plan(keys, k):
+    """Real-plane flat indices of an adjoint's sources and targets: the
+    entry of shift d at ket m moves to shift -d at ket m + d."""
+    m, step = [_flat(k, d) for d in keys], 2 * k * k
+    return _cat(i * step + n for i, n in enumerate(m)), _cat(
+        (len(keys) - 1 - i) * step + n + d[0] * k + d[1]
+        for i, (n, d) in enumerate(zip(m, keys)))
+
+
+@lru_cache(maxsize=None)
+def _exact_plan(keys, reaches, k):
+    """Real-plane flat indices of the entries the reach marks exact: the
+    kets n with n + d, n + e and n + d + e in the basis."""
+    return _cat(i * 2 * k * k + _flat(k, d, e, (d[0] + e[0], d[1] + e[1]))
+                for i, (d, e) in enumerate(zip(keys, reaches)))
+
+
+def _op(basis, keys, stack, reaches, op=None) -> "FockOperator":
+    """``op``, or a new operator, holding this storage, made read-only."""
+    op = op or object.__new__(FockOperator)
+    stack.flags.writeable = False
+    op.basis, op.keys, op.stack, op.reaches = basis, keys, stack, reaches
+    return op
+
+
 class FockOperator:
-    """Operator stored by shift: ``shifts`` maps (dn+, dn-) to a float64 array
-    of shape ``(2, nmax+1, nmax+1)`` whose ``[:, n+, n-]`` holds the real and
-    imaginary part of ``<n+ + dn+, n- + dn-| O |n+, n->``, zero where the
-    target leaves the basis.  ``reach`` maps each shift d to a pair e[d]:
-    the entry at ket n equals the untruncated operator's, bit for bit, when
+    """Operator stored by shift: sorted ``keys`` d = (dn+, dn-), their
+    ``reaches`` e[d] and a read-only float64 ``stack`` of shape ``(S, 2,
+    nmax+1, nmax+1)`` whose ``[s, :, n+, n-]`` holds the real and imaginary
+    part of ``<n+ + dn+, n- + dn-| O |n+, n->`` for key s, zero where the
+    target leaves the basis; ``shifts`` and ``reach`` map d to both.  The
+    entry at ket n equals the untruncated operator's, bit for bit, when
     ``max(n, n + d) + e[d] <= nmax`` in each sector.  An operator given
-    entrywise has reach 0; each operation below derives its result's."""
+    entrywise has reach 0.  Each operation is one gather/scatter plan,
+    cached per key signature; none writes into an operand."""
 
-    basis: FockBasis
-    shifts: dict
-    reach: dict
-
-    def __post_init__(self):
-        shape = (2, self.basis.nmax + 1, self.basis.nmax + 1)
-        if any(np.shape(c) != shape for c in self.shifts.values()):
+    def __init__(self, basis: FockBasis, shifts: dict, reach: dict):
+        k = basis.nmax + 1
+        if any(np.shape(c) != (2, k, k) for c in shifts.values()):
             raise ValueError("coefficient arrays do not match the basis")
-        if self.reach.keys() != self.shifts.keys():
+        if reach.keys() != shifts.keys():
             raise ValueError("reach and coefficient shifts differ")
+        keys = tuple(sorted(shifts))
+        _op(basis, keys, np.array([shifts[d] for d in keys], float).reshape(
+            -1, 2, k, k), tuple(tuple(reach[d]) for d in keys), self)
+
+    @cached_property
+    def shifts(self) -> dict:
+        return dict(zip(self.keys, self.stack))
+
+    @cached_property
+    def reach(self) -> dict:
+        return dict(zip(self.keys, self.reaches))
 
     def _combine(self, other: "FockOperator", op) -> "FockOperator":
         # a shift missing from one operand reads an exact zero there
         self._check(other)
-        zero = np.zeros((2, self.basis.nmax + 1, self.basis.nmax + 1))
-        keys = sorted(self.shifts.keys() | other.shifts.keys())
-        return FockOperator(self.basis, {
-            d: op(self.shifts.get(d, zero), other.shifts.get(d, zero))
-            for d in keys}, {d: tuple(map(max, self.reach.get(d, (0, 0)),
-                                          other.reach.get(d, (0, 0))))
-                             for d in keys})
+        keys, reaches, *slots = _union_plan(self.keys, self.reaches,
+                                            other.keys, other.reaches)
+
+        def embed(stack, pos):
+            if len(pos) == len(keys):
+                return stack
+            out = np.zeros((len(keys),) + stack.shape[1:])
+            out[pos] = stack
+            return out
+        return _op(self.basis, keys, op(*map(
+            embed, (self.stack, other.stack), slots)), reaches)
 
     def __add__(self, other: "FockOperator") -> "FockOperator":
         return self._combine(other, np.add)
@@ -133,10 +211,10 @@ class FockOperator:
         return self._combine(other, np.subtract)
 
     def __mul__(self, scalar) -> "FockOperator":
-        z = complex(scalar)
-        pair = np.array([[[z.real]], [[z.imag]]])
-        return FockOperator(self.basis, {d: _cmul(pair, c) for d, c in
-                                         self.shifts.items()}, self.reach)
+        z, c = complex(scalar), self.stack
+        out = np.empty_like(c)
+        _cmul(z.real, z.imag, c[:, 0], c[:, 1], (out[:, 0], out[:, 1]))
+        return _op(self.basis, self.keys, out, self.reaches)
 
     __rmul__ = __mul__
 
@@ -145,45 +223,38 @@ class FockOperator:
         dB of ``other`` the term at ket n is other's coefficient at n times
         self's at n + dB, and it lands on shift dA + dB.  The terms of one
         shift are added in increasing (dA, dB) order, from zero.  A term whose
-        intermediate state n + dB leaves the basis is left out, as from the
-        truncated matrix product; below 0 it is an exact zero, so shift d
-        has the reach max over its terms of max(max(0, dB) + e_B, max(dB, d)
-        + e_A) - max(0, d), per sector."""
+        intermediate state n + dB or target leaves the basis is left out, as
+        from the truncated matrix product; below 0 it is an exact zero, so
+        shift d has the reach max over its terms of max(max(0, dB) + e_B,
+        max(dB, d) + e_A) - max(0, d), per sector."""
         self._check(other)
-        out: dict = {}
-        reach: dict = {}
-        for da, a in sorted(self.shifts.items()):
-            ea = self.reach[da]
-            for db, b in sorted(other.shifts.items()):
-                kets, mids = _windows(db, self.basis.nmax + 1)
-                d = (da[0] + db[0], da[1] + db[1])
-                if d not in out:
-                    out[d] = np.zeros_like(a)
-                out[d][kets] += _cmul(b[kets], a[mids])
-                r, eb = reach.get(d, (0, 0)), other.reach[db]
-                reach[d] = tuple(max(r[i], max(0, db[i]) + eb[i],
-                                     max(db[i], d[i]) + ea[i]) for i in (0, 1))
-        return FockOperator(self.basis, out, {
-            d: tuple(r - max(0, i) for r, i in zip(reach[d], d))
-            for d in out})
+        k = self.basis.nmax + 1
+        keys, reaches, b, a, t = _product_plan(self.keys, self.reaches,
+                                               other.keys, other.reaches, k)
+        x, y, kk = self.stack.reshape(-1), other.stack.reshape(-1), k * k
+        terms = np.empty((2, len(b)))
+        _cmul(y.take(b), y[kk:].take(b), x.take(a), x[kk:].take(a), terms)
+        out = np.zeros(len(keys) * 2 * kk)
+        np.add.at(out, t, terms[0])
+        np.add.at(out[kk:], t, terms[1])
+        return _op(self.basis, keys, out.reshape(-1, 2, k, k), reaches)
 
     def dagger(self) -> "FockOperator":
         # <n|O^dag|n - d> is the conjugate of <n - d|O|n>
-        out = {}
-        for (d0, d1), c in self.shifts.items():
-            kets, sources = _windows((-d0, -d1), self.basis.nmax + 1)
-            out[(-d0, -d1)] = np.zeros_like(c)
-            out[(-d0, -d1)][kets] = c[sources] * [[[1.0]], [[-1.0]]]
-        return FockOperator(self.basis, out, {
-            (-d0, -d1): e for (d0, d1), e in self.reach.items()})
+        k = self.basis.nmax + 1
+        src, dst = _dagger_plan(self.keys, k)
+        x, out = self.stack.reshape(-1), np.zeros(self.stack.size)
+        out[dst] = x.take(src)
+        out[k * k:][dst] = x[k * k:].take(src) * -1.0
+        return _op(self.basis, tuple((-d0, -d1) for d0, d1 in self.keys[::-1]),
+                   out.reshape(self.stack.shape), self.reaches[::-1])
 
     def magnitudes(self) -> np.ndarray:
-        """Moduli (``hypot`` of the real pair) of the exact entries, shift
-        by shift."""
+        """Moduli (``hypot`` of the real pair) of the exact entries, in
+        sorted shift order and row-major within a shift."""
         k = self.basis.nmax + 1
-        parts = [np.hypot(*c[_windows(d, k, self.reach[d])[0]]).ravel()
-                 for d, c in sorted(self.shifts.items())]
-        return np.concatenate(parts) if parts else np.zeros(0)
+        i, x = _exact_plan(self.keys, self.reaches, k), self.stack.reshape(-1)
+        return np.hypot(x.take(i), x[k * k:].take(i))
 
     def entries(self, bra, ket) -> np.ndarray:
         """``<bra|O|ket>`` for labels ``bra = (n+, n-)`` and ``ket``: integers
@@ -193,7 +264,7 @@ class FockOperator:
             raise IndexError("state outside truncation")
         bp, bm, kp, km = labels
         out = np.zeros(bp.shape, dtype=complex)
-        for (d0, d1), c in self.shifts.items():
+        for (d0, d1), c in zip(self.keys, self.stack):
             hit = (bp - kp == d0) & (bm - km == d1)
             out.real[hit] = c[0][kp[hit], km[hit]]
             out.imag[hit] = c[1][kp[hit], km[hit]]
@@ -228,16 +299,21 @@ def exact_nmax(ops, bra, ket) -> int:
     return max(need)
 
 
+@lru_cache(maxsize=None)
 def sector_numbers(b: FockBasis):
-    """Grids ``(n+, n-)`` over the ket states, as a coefficient array's."""
+    """Read-only grids ``(n+, n-)`` over the ket states, as a coefficient
+    array's."""
     n = np.arange(b.nmax + 1, dtype=float)
-    return tuple(np.meshgrid(n, n, indexing="ij"))
+    grids = np.meshgrid(n, n, indexing="ij")
+    for g in grids:
+        g.flags.writeable = False
+    return tuple(grids)
 
 
 def _real_operator(b: FockBasis, d, values) -> FockOperator:
     """Operator with the single shift ``d`` and real coefficients."""
-    return FockOperator(b, {d: np.stack((values, np.zeros_like(values)))},
-                        {d: (0, 0)})
+    return _op(b, (d,), np.stack((values, np.zeros_like(values)))[None],
+               ((0, 0),))
 
 
 def identity(b: FockBasis) -> FockOperator:
@@ -245,6 +321,7 @@ def identity(b: FockBasis) -> FockOperator:
     return _real_operator(b, (0, 0), np.ones((b.nmax + 1, b.nmax + 1)))
 
 
+@lru_cache(maxsize=None)
 def ladder_ops(b: FockBasis):
     """(a+, a+^dag, a-, a-^dag): a lowers its sector with coefficient
     sqrt(n), a^dag raises it with sqrt(n + 1), zero at n = nmax."""
@@ -351,6 +428,36 @@ def poly_operator(f, monomials: dict, b: FockBasis) -> FockOperator:
     for key in sorted(f.terms):
         op = op + f.terms[key] * monomials[key]
     return op
+
+
+def check_units(p: PhysicalParams, nmax: int, brackets):
+    """Raise :class:`UnitsError` where the commutator suite of
+    ``brackets`` ((A, C) -> {f_A, f_C}) would form a non-finite number at
+    x0 = 0.  There each operator it forms is Weyl's Q of a polynomial g in
+    (u1, u2, p1, p2) of degree at most 2, or a product of two, and an entry
+    of Q(g) is at most B(g) = sum |g_k| B(k): 1 for a constant, the largest
+    entry of a coordinate (l_B sqrt(nmax / 2) for u_i, c sqrt(nmax) for
+    p_i) and 4 times theirs for a product of two (four shifts per factor).
+    So an entry of A @ C - C @ A - i hbar Q({f_A, f_C}) stays below 8
+    B(f_A) B(f_C) + hbar B({f_A, f_C})."""
+    f = observables(p, GaugeChoice(0.0))
+    top = [p.magnetic_length * math.sqrt(nmax / 2.0)] * 2 \
+        + [p.ladder_scale * math.sqrt(nmax)] * 2
+
+    def bound(g):
+        return sum(abs(v) * max(1, 4 * sum(k) - 4) * math.prod(
+            t for t, e in zip(top, k) for _ in range(e))
+            for k, v in g.terms.items())
+    # with the charge relation's 2 m H + 2 qB M3
+    gaps = [2.0 * p.m * bound(f["H"]) + 2.0 * abs(p.qB) * bound(f["M3"])]
+    for (a, c), g in brackets.items():
+        if not all(map(math.isfinite, g.terms.values())):
+            raise UnitsError(f"the bracket {{{a}, {c}}} is not finite at "
+                             "these units")
+        gaps.append(8.0 * bound(f[a]) * bound(f[c]) + p.hbar * bound(g))
+    if not all(gap < math.inf for gap in gaps):
+        raise UnitsError("the suite's operator products overflow at these "
+                         "units")
 
 
 # ---------------------------------------------------------------------------

@@ -270,6 +270,21 @@ def test_long_orbit_matches_reference_stepper_bitwise(method, q):
     assert np.signbit(path).tolist() == np.signbit(np.array(ref)).tolist()
 
 
+@pytest.mark.parametrize("method", sorted(_REF_STEP))
+def test_position_increments_do_not_depend_on_the_block_size(monkeypatch,
+                                                             method):
+    # the increments are formed in blocks of rows: in blocks of 7 rows, the
+    # last of them partial, every bit is still the step-by-step
+    # reference's
+    p = PhysicalParams(1.7, -1.3, 0.6, hbar=0.7)
+    s0 = PhaseSpacePoint((0.4, -1.1), (0.9, -0.35))
+    monkeypatch.setattr(classical, "_BLOCK", 7)
+    path = integrate(p, s0, 0.0123, 1000, method)
+    assert path.tolist() == _reference_path(p, s0, 0.0123, 1000, method)
+    assert np.signbit(path).tolist() == np.signbit(
+        _reference_path(p, s0, 0.0123, 1000, method)).tolist()
+
+
 def test_integrate_rejects_non_finite_step():
     s0 = PhaseSpacePoint((0, 0), (1, 0))
     for dt in (math.nan, math.inf, 0.0):

@@ -364,6 +364,40 @@ def test_x0_at_the_edge_of_the_position_bound(monkeypatch, capsys, tmp_path,
         in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("edge, beyond, message", [
+    (["--charge=8.2e-155"], ["--charge=6.8e-155"],
+     "the bracket {xc1, xc2} is not finite at these units"),
+    (["--hbar=5.5e151"], ["--hbar=6.65e151"],
+     "the suite's operator products overflow at these units"),
+    (["--charge=2.26e203"], ["--charge=2.74e203"],
+     "the suite's operator products overflow at these units"),
+    (["--mass=1.5e-304"], ["--mass=1.2e-304"],
+     "the suite's operator products overflow at these units"),
+], ids=["bracket", "hbar", "charge", "mass"])
+def test_units_at_the_edge_of_the_suite_bound(monkeypatch, capsys, tmp_path,
+                                              edge, beyond, message):
+    # at nmax 16 _check_units admits units up to where a bracket
+    # coefficient or the bound on an operator-product entry overflows: at
+    # the edge the suite ends with a report of finite deviations (some fail
+    # on rounding far above 1e-12, which is a matter of units), 10 % beyond
+    # it the units are refused before any operator is built
+    rep = tmp_path / "rep.json"
+    code = main(["verify-algebra", *edge, "--quiet", "--no-timestamp",
+                 "--json-out", str(rep)])
+    checks = json.loads(rep.read_text())["checks"]
+    assert code in (0, 1) and all(math.isfinite(c["deviation"])
+                                  for c in checks)
+    built = []
+    monkeypatch.setattr(landaulab.fockspace, "build_observable",
+                        lambda *args: built.append(args))
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-algebra", *beyond, "--quiet", "--no-timestamp"])
+    assert exc.value.code == 2 and not built
+    assert f"--mass/--charge/--bfield/--hbar: {message}" \
+        in capsys.readouterr().err
+
+
 _ORIGIN_RUNS = [
     ["gauge-scan", "--grid", "30", "--scan-levels", "1", "--nmax", "6",
      "--dump-grid"],

@@ -43,17 +43,22 @@ def _poly_op(f, p, b):
     return poly_operator(f, position_monomials(p, b, f.terms), b)
 
 
-def _random_operator(b, rng, shifts, reach=None):
+def _random_operator(b, rng, shifts, reach=None, zeros=0.0):
     """Operator with the given shifts and normal random coefficients, zero
-    where the target leaves the basis, and the given reach (default 0)."""
+    where the target leaves the basis, the given share of the other
+    entries 0.0 or -0.0, and the given reach (default 0)."""
     n = np.arange(b.nmax + 1)
 
     def inside(d):
         return (n + d >= 0) & (n + d <= b.nmax)
-    return FockOperator(b, {
-        d: np.where(inside(d[0])[:, None] & inside(d[1])[None, :],
-                    rng.normal(size=(2, b.nmax + 1, b.nmax + 1)), 0.0)
-        for d in shifts}, reach or dict.fromkeys(shifts, (0, 0)))
+
+    def coefficients(d):
+        c = rng.normal(size=(2, b.nmax + 1, b.nmax + 1))
+        hit = rng.random(c.shape) < zeros
+        c[hit] = np.copysign(0.0, c[hit])
+        return np.where(inside(d[0])[:, None] & inside(d[1])[None, :], c, 0.0)
+    return FockOperator(b, {d: coefficients(d) for d in shifts},
+                        reach or dict.fromkeys(shifts, (0, 0)))
 
 
 def _marked(nmax, d, e):
@@ -145,19 +150,34 @@ def test_truncated_product_drops_states_beyond_the_cutoff():
     assert np.allclose((amd @ am).matrix, np.diag(nminus), rtol=EPS, atol=0)
 
 
-_SHIFT = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
+_SHIFT = st.tuples(st.integers(-4, 4), st.integers(-4, 4))
 
 
 @st.composite
 def _operator_pairs(draw):
-    """Two random operators on a basis with nmax 3..8, with up to four
-    random shifts each."""
-    b = FockBasis(draw(st.integers(3, 8)))
+    """Two random operators on a basis with nmax 1..8, each with up to nine
+    random shifts of |dn+-| <= 4 (or none), random reaches up to 3, and
+    some coefficients 0.0 or -0.0: the shapes the campaigns build and
+    more."""
+    b = FockBasis(draw(st.integers(1, 8)))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    reach = st.tuples(st.integers(0, 3), st.integers(0, 3))
     return tuple(
-        _random_operator(b, rng, draw(st.lists(_SHIFT, min_size=1,
-                                               max_size=4, unique=True)))
-        for _ in range(2))
+        _random_operator(b, rng, shifts, {d: draw(reach) for d in shifts},
+                         draw(st.sampled_from([0.0, 0.3])))
+        for shifts in (draw(st.lists(_SHIFT, max_size=9, unique=True))
+                       for _ in range(2)))
+
+
+def _python_entries(op):
+    """Every stored entry of op as Python floats: (d, i, j) -> (re, im)."""
+    k = op.basis.nmax + 1
+    return {(d, i, j): tuple(c[:, i, j].tolist())
+            for d, c in op.shifts.items() for i in range(k) for j in range(k)}
+
+
+def _packed(entries):
+    return {key: struct.pack("<dd", *v) for key, v in entries.items()}
 
 
 def _reference_product(a, b):
@@ -186,13 +206,28 @@ def _reference_product(a, b):
     return out
 
 
-@settings(max_examples=40, deadline=None)
+def _reference_reach(a, b):
+    """The documented reach of each shift of ``a @ b``, pair by pair."""
+    reach = {}
+    for da, ea in a.reach.items():
+        for db, eb in b.reach.items():
+            d = (da[0] + db[0], da[1] + db[1])
+            r = reach.get(d, (0, 0))
+            reach[d] = tuple(max(r[i], max(0, db[i]) + eb[i],
+                                 max(db[i], d[i]) + ea[i]) for i in (0, 1))
+    return {d: tuple(r - max(0, i) for r, i in zip(e, d))
+            for d, e in reach.items()}
+
+
+@settings(max_examples=60, deadline=None)
 @given(_operator_pairs())
 def test_map_product_follows_the_fixed_order_reference(ops):
     a, b = ops
     prod = a @ b
     ref = _reference_product(a, b)
     k = a.basis.nmax + 1
+    assert prod.reach == _reference_reach(a, b)
+    assert list(prod.shifts) == sorted(prod.reach)
     assert {d for d, _, _ in ref} <= set(prod.shifts)
     for d, c in prod.shifts.items():
         for i in range(k):
@@ -208,7 +243,7 @@ def test_map_product_follows_the_fixed_order_reference(ops):
 @given(_operator_pairs())
 def test_map_product_matches_dense_truncated_product(ops):
     # within rounding of the dense product, entry by entry: each side sums
-    # at most 16 complex products, each off by a few ulp of |a||b|; where
+    # at most 9 complex products, each off by a few ulp of |a||b|; where
     # no term survives the truncation, both are exactly zero
     a, b = ops
     da, db = a.matrix, b.matrix
@@ -216,6 +251,102 @@ def test_map_product_matches_dense_truncated_product(ops):
     got = (a @ b).matrix
     bound = 40 * EPS * np.matmul(np.abs(da), np.abs(db))
     assert np.all(np.abs(got - dense) <= bound)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_operator_pairs(), st.complex_numbers(max_magnitude=1e3,
+                                             allow_nan=False))
+def test_sums_scalars_adjoints_and_moduli_follow_python_references(ops, z):
+    # every entry, signed zeros included, has the bits of the documented
+    # arithmetic in Python floats: a sum or difference op(a, b) per entry
+    # over the union of shifts, a shift missing from one side reading 0.0;
+    # a scalar multiple (zr cr - zi ci, zr ci + zi cr); the adjoint's
+    # conjugate moved to shift -d and ket n + d, 0.0 elsewhere; and the
+    # moduli of the exact entries in sorted shift order, row-major
+    a, b = ops
+    k = a.basis.nmax + 1
+    ea, eb = _python_entries(a), _python_entries(b)
+    for op, got in ((operator.add, a + b), (operator.sub, a - b)):
+        assert list(got.shifts) == sorted(a.shifts.keys() | b.shifts.keys())
+        assert got.reach == {d: tuple(map(max, a.reach.get(d, (0, 0)),
+                                          b.reach.get(d, (0, 0))))
+                             for d in got.shifts}
+        want = {key: tuple(op(x, y) for x, y in zip(
+            ea.get(key, (0.0, 0.0)), eb.get(key, (0.0, 0.0))))
+            for key in _python_entries(got)}
+        assert _packed(_python_entries(got)) == _packed(want)
+    zr, zi = z.real, z.imag
+    scaled = a * z
+    assert scaled.reach == a.reach
+    assert _packed(_python_entries(scaled)) == _packed({
+        key: (zr * cr - zi * ci, zr * ci + zi * cr)
+        for key, (cr, ci) in ea.items()})
+    adj = a.dagger()
+    want = {((-d[0], -d[1]), i, j): (0.0, 0.0) for d, i, j in ea}
+    for (d, i, j), (cr, ci) in ea.items():
+        if 0 <= i + d[0] < k and 0 <= j + d[1] < k:
+            want[((-d[0], -d[1]), i + d[0], j + d[1])] = (cr * 1.0, ci * -1.0)
+    assert list(adj.shifts) == sorted((-d0, -d1) for d0, d1 in a.shifts)
+    assert adj.reach == {(-d[0], -d[1]): e for d, e in a.reach.items()}
+    assert _packed(_python_entries(adj)) == _packed(want)
+    moduli = [float(np.hypot(*ea[(d, i, j)])) for d in sorted(a.shifts)
+              for i, j in zip(*np.nonzero(_marked(k - 1, d, a.reach[d])))]
+    assert a.magnitudes().tobytes() == np.array(moduli, float).tobytes()
+
+
+def test_product_adds_the_terms_of_a_shift_in_pair_order():
+    # three terms land on shift (0, 0) at the kets with 1 <= n+ <= 3: 1e16,
+    # -1e16 and 1, in increasing (dA, dB) order; summed in that order from
+    # zero they give 1.0, in any order that adds 1 before either big term
+    # they give 0.0
+    b = FockBasis(4)
+    n = np.arange(5)
+
+    def const(d, value):
+        inside = [(n + di >= 0) & (n + di <= 4) for di in d]
+        return np.stack((np.where(inside[0][:, None] & inside[1], value, 0.0),
+                         np.zeros((5, 5))))
+    steps = [(-1, 0), (0, 0), (1, 0)]
+    a = FockOperator(b, {d: const(d, v) for d, v in
+                         zip(steps, (1e16, -1e16, 1.0))},
+                     dict.fromkeys(steps, (0, 0)))
+    ones = FockOperator(b, {d: const(d, 1.0) for d in steps},
+                        dict.fromkeys(steps, (0, 0)))
+    assert (1e16 + 1.0) - 1e16 == (1.0 - 1e16) + 1e16 == 0.0
+    diag = (a @ ones).shifts[(0, 0)]
+    assert np.all(diag[0, 1:4] == 1.0) and not np.any(diag[1])
+
+
+def _plan_caches():
+    return (fk._product_plan, fk._union_plan, fk._dagger_plan, fk._exact_plan)
+
+
+@settings(max_examples=20, deadline=None)
+@given(_operator_pairs())
+def test_operations_keep_their_bits_from_a_cold_plan_cache_and_their_operands(
+        ops):
+    # every operation gives the same bits whether its plan is cached or
+    # built afresh, and none writes into an operand: the stacks are
+    # read-only and keep their bytes
+    a, b = ops
+    before = [op.stack.tobytes() for op in ops]
+
+    def run():
+        return [a @ b, b @ a, a + b, a - b, 1.5j * a, a.dagger()], \
+            [a.magnitudes(), (a @ b).magnitudes()]
+    warm_ops, warm_mods = run()
+    for cache in _plan_caches():
+        cache.cache_clear()
+    cold_ops, cold_mods = run()
+    for warm, cold in zip(warm_ops, cold_ops):
+        assert warm.keys == cold.keys and warm.reaches == cold.reaches
+        assert warm.stack.tobytes() == cold.stack.tobytes()
+    for warm, cold in zip(warm_mods, cold_mods):
+        assert warm.tobytes() == cold.tobytes()
+    assert [op.stack.tobytes() for op in ops] == before
+    for op in (*ops, *warm_ops):
+        assert not op.stack.flags.writeable
+        assert not any(c.flags.writeable for c in op.shifts.values())
 
 
 def _kron_observables(p, x0, b):
