@@ -13,6 +13,7 @@ has the bits of the largest deviation divided once.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -176,10 +177,12 @@ class _ElementEngine:
     batches of matrix elements and overlaps, each batch as one stream of
     integrand rows through ``quad.integrate_rows`` on one rule, from wave
     functions loaded under keys, all about the gauge origin, at the rule's
-    nodes u.  A batch jets each key it reads once, on its rule, to the
+    nodes u.  A batch makes each factor of its rows once, at its first use,
+    and drops it after its last: one jet per key (``wv.JetBatch``) to the
     highest order of the operators applied to it (order 0 for a bra or an
-    overlap's ket), and holds those jets and the rule only while it runs:
-    between batches the engine keeps its wave functions and ``certified_k``.
+    overlap's ket), one conjugate per bra and one application per operator
+    and ket.  Between batches the engine keeps its wave functions and
+    ``certified_k``.
 
     A request ``<bra|op|ket>`` is *certified* when its integrand is a
     polynomial times the weight of the Gauss-Hermite rule about u = 0 at
@@ -230,24 +233,21 @@ class _ElementEngine:
         unless every request is certified and k is below ``grid_k``."""
         if self.scheme != "gauss_hermite" or not requests:
             return None
-        weighted = set()  # (bra, ket) whose Gaussians certify
-        reach: dict = {}  # (op, slope) -> D - deg(bra) - deg(ket)
-        top = 0
-        for bra, op, ket in requests.values():
-            a, b = self._forms[bra], self._forms[ket]
-            if a.phase != b.phase:
+        forms = self._forms
+        for bra, ket in {(bra, ket) for bra, _, ket in requests.values()}:
+            a, b = forms[bra], forms[ket]
+            if a.phase != b.phase or not self._weight_pair(a.gauss, b.gauss):
                 return None
-            if (bra, ket) not in weighted:
-                if not self._weight_pair(a.gauss, b.gauss):
-                    return None
-                weighted.add((bra, ket))
-            if (id(op), b.slope) not in reach:
-                # the overlap is the identity; a zero operator's integrand
-                # is zero, of any degree
-                reach[id(op), b.slope] = 0 if op is None else max(
-                    (poly.degree + order * b.slope
-                     for _, order, poly in op.nonzero()), default=0)
-            top = max(top, a.degree + b.degree + reach[id(op), b.slope])
+        reach: dict = {}  # (op, slope) -> D - deg(bra) - deg(ket)
+        rest = {}  # (op, ket) -> D - deg(bra)
+        for (i, ket), op in {(id(op), ket): op
+                             for _, op, ket in requests.values()}.items():
+            b = forms[ket]
+            if (i, b.slope) not in reach:  # an overlap adds nothing
+                reach[i, b.slope] = 0 if op is None else op.reach(b.slope)
+            rest[i, ket] = b.degree + reach[i, b.slope]
+        top = max(forms[bra].degree + rest[id(op), ket]
+                  for bra, op, ket in requests.values())
         k = max(3, (top + 2) // 2)
         return k if k < self.grid_k else None
 
@@ -268,23 +268,30 @@ class _ElementEngine:
             self._rows(requests, rule.points[:2]), rule)))
 
     def _rows(self, requests: dict, u):
-        """The integrand rows of ``requests`` at the rule's nodes ``u``, in
-        key order, from one jet per key and one set of coefficient arrays
-        per operator."""
-        ops = {id(op): op for _, op, _ in requests.values() if op is not None}
-        terms = {i: op.terms(u) for i, op in ops.items()}
-        orders = {i: op.order for i, op in ops.items()}
-        order = dict.fromkeys((key for bra, _, ket in requests.values()
-                               for key in (bra, ket)), 0)
-        for _, op, ket in requests.values():
-            if op is not None:
-                order[ket] = max(order[ket], orders[id(op)])
-        jets = {key: self._forms[key].jet(*u, n)
-                for key, n in order.items()}
-        for bra, op, ket in requests.values():
-            applied = (jets[ket].f if op is None else
-                       op.apply_jet(jets[ket], u, terms[id(op)]))
-            yield np.conj(jets[bra].f) * applied
+        """The integrand rows conj(bra) * op(ket) of ``requests`` at the
+        rule's nodes ``u``, in key order."""
+        ops = {id(op): op for _, op, _ in requests.values()}
+        terms = {i: op.terms(u) for i, op in ops.items() if op is not None}
+        orders = {i: 0 if op is None else op.order for i, op in ops.items()}
+        # factors (0, bra) and (id(op), ket); no id is 0
+        pairs = [((0, bra), (id(op), ket))
+                 for bra, op, ket in requests.values()]
+        left = Counter(k for pair in pairs for k in pair)
+        jets = wv.JetBatch(((key, self._forms[key], orders.get(i, 0))
+                            for i, key in left), *u)
+        made = {}
+        for kb, kk in pairs:
+            if kb not in made:
+                made[kb] = np.conj(jets.take(kb[1]).f)
+            if kk not in made:
+                op, jet = ops[kk[0]], jets.take(kk[1])
+                made[kk] = jet.f if op is None else \
+                    op.apply_jet(jet, u, terms[kk[0]])
+            yield made[kb] * made[kk]
+            for k in kb, kk:
+                left[k] -= 1
+                if not left[k]:
+                    del made[k]
 
 
 def _largest(ks):
@@ -749,6 +756,7 @@ def run_classical_sim(p: PhysicalParams, tp: cl.TrajectoryParams | None = None,
     scale = np.maximum(np.maximum(np.maximum(tsq, two_m * np.abs(e)),
                                   2.0 * np.abs(p.qB * m3)), 1.0)
     rep.add("relation-residual", np.abs(resid) / scale, 1e-10)
+    del path, charges, c, e, t1, t2, m3, tsq, resid, scale  # not kept below
 
     # analytic solution satisfies the equation of motion: five-point stencils
     # at two step sizes with Richardson extrapolation as the independent

@@ -38,6 +38,7 @@ __all__ = [
     "SpecialFactor",
     "WaveForm",
     "WaveJet",
+    "JetBatch",
     "t1_state",
     "fock_state",
     "plane_wave",
@@ -138,15 +139,50 @@ class SpecialFactor:
         return [fs[d]() if n >= d else 0.0 * gval for d in range(order + 1)]
 
 
-def _partials(poly: Poly2, u1, u2, order: int) -> tuple:
-    """``(d1, d2)`` of ``poly`` at shifted coordinates, then, at order 2,
-    ``(d11, d12, d22)``."""
-    p1, p2 = poly.diff(1), poly.diff(2)
-    first = (p1(u1, u2), p2(u1, u2))
-    if order < 2:
-        return first
-    return first + (p1.diff(1)(u1, u2), p1.diff(2)(u1, u2),
-                    p2.diff(2)(u1, u2))
+# what a jet reads of a factor polynomial: its values, the exp of its values,
+# and its first and second partials, in the order d1, d2, then d11, d12, d22
+_READS = {
+    "value": lambda poly, u: poly(*u),
+    "exp": lambda poly, u: np.exp(poly(*u)),
+    "d1": lambda poly, u: (poly.diff(1)(*u), poly.diff(2)(*u)),
+    "d2": lambda poly, u: (poly.diff(1).diff(1)(*u), poly.diff(1).diff(2)(*u),
+                           poly.diff(2).diff(2)(*u)),
+}
+
+
+def _exact(poly: Poly2) -> tuple:
+    """A key two polynomials share only if every coefficient is the same
+    number of the same type, bit for bit: ``repr`` tells 1 from 1.0 and
+    1+0j, and 0.0 from -0.0, where ``==`` does not."""
+    return tuple(sorted((key, type(c), repr(c))
+                        for key, c in poly.terms.items()))
+
+
+class _FactorReads:
+    """The reads of factor polynomials at shifted coordinates u, each
+    evaluated once by ``_READS``: a read is kept only while ``need`` counts
+    a form still to be jetted that takes it, so one form alone keeps none."""
+
+    def __init__(self, u, need=()):
+        self.u, self.kept, self.need = u, {}, {}
+        for slot in need:
+            self.need[slot] = self.need.get(slot, 0) + 1
+
+    def read(self, what: str, poly: Poly2, key: tuple):
+        slot = what, key
+        if slot in self.kept:
+            return self.kept[slot]
+        value = _READS[what](poly, self.u)
+        if self.need.get(slot, 0) > 1:
+            self.kept[slot] = value
+        return value
+
+    def done(self, slots):
+        """Count off the reads of one jetted form."""
+        for slot in slots:
+            self.need[slot] -= 1
+            if not self.need[slot]:
+                self.kept.pop(slot, None)
 
 
 class WaveJet(NamedTuple):
@@ -198,29 +234,50 @@ class WaveForm:
         of R' for the exponent R."""
         return max(self.exponent.degree - 1, 0)
 
+    @cached_property
+    def _factors(self) -> tuple:
+        """``(polynomial, exact key)`` of the polynomial factor, of the
+        exponent R and of the special factor's argument (None without one)."""
+        arg = self.special and self.special.arg
+        return tuple(None if poly is None else (poly, _exact(poly))
+                     for poly in (self.poly, self.exponent, arg))
+
+    def _reads(self, order: int) -> set:
+        """The ``(what, key)`` reads of a jet to ``order``: the values of
+        the polynomial factor and of the argument, the exp of the exponent,
+        and the partials of each up to ``order``."""
+        heads = ("value", "exp", "value")
+        return {(what, factor[1])
+                for head, factor in zip(heads, self._factors)
+                if factor is not None
+                for what in (head, "d1", "d2")[:order + 1]}
+
     def value(self, x1, x2):
         """The value at plane points: ``jet(*shifted(x1, x2), 0).f``."""
         return self.jet(*self.shifted(x1, x2), 0).f
 
-    def jet(self, u1, u2, order: int = 2) -> WaveJet:
+    def jet(self, u1, u2, order: int = 2, shared=None) -> WaveJet:
         """Analytic value and derivatives up to ``order`` (0, 1 or 2) at the
         shifted coordinates (u1, u2); the slots above ``order`` are None,
-        and each slot has the same bits at every order that holds it."""
-        A = self.poly(u1, u2)
-        E = np.exp(self.exponent(u1, u2))
+        and each slot has the same bits at every order that holds it.
+        ``shared``, from a :class:`JetBatch` at the same (u1, u2), lends the
+        factor values the forms of a batch share."""
+        read = (_FactorReads((u1, u2)) if shared is None else shared).read
+        poly, expo, arg = self._factors  # each (polynomial, exact key)
+        A = read("value", *poly)
+        E = read("exp", *expo)
         f = self.coeff * A * E
-        if self.special is not None:
-            S, *chain = self.special.chain_values(self.special.arg(u1, u2),
-                                                  order)
+        if arg is not None:
+            S, *chain = self.special.chain_values(read("value", *arg), order)
             f = f * S
         if not order:
             return WaveJet(f)
         # polynomial factor and exponent R = -Q + i Phi: derivatives
-        A1, A2, *A_2 = _partials(self.poly, u1, u2, order)
-        R1, R2, *R_2 = _partials(self.exponent, u1, u2, order)
+        A1, A2 = read("d1", *poly)
+        R1, R2 = read("d1", *expo)
         # special factor via chain rule
-        if self.special is not None:
-            g1, g2, *g_2 = _partials(self.special.arg, u1, u2, order)
+        if arg is not None:
+            g1, g2 = read("d1", *arg)
             fp = chain[0]
             S1, S2 = fp * g1, fp * g2
         else:
@@ -231,9 +288,10 @@ class WaveForm:
         f2 = C * E * (A2 * S + A * R2 * S + A * S2)
         if order == 1:
             return WaveJet(f, f1, f2)
-        (A11, A12, A22), (R11, R12, R22) = A_2, R_2
-        if self.special is not None:
-            (g11, g12, g22), fpp = g_2, chain[1]
+        A11, A12, A22 = read("d2", *poly)
+        R11, R12, R22 = read("d2", *expo)
+        if arg is not None:
+            (g11, g12, g22), fpp = read("d2", *arg), chain[1]
             S11 = fpp * g1 * g1 + fp * g11
             S12 = fpp * g1 * g2 + fp * g12
             S22 = fpp * g2 * g2 + fp * g22
@@ -247,6 +305,37 @@ class WaveForm:
                        + A * (R12 + R1 * R2) * S + A * R1 * S2
                        + A2 * S1 + A * R2 * S1 + A * S12)
         return WaveJet(f, f1, f2, f11, f12, f22)
+
+
+class JetBatch:
+    """The jets of the forms of one batch at one set of shifted coordinates
+    (u1, u2), from ``uses``, one ``(key, form, order)`` per use of a key's
+    jet: each is taken once, at its first use, to the highest order of its
+    uses, with the bits of ``form.jet(u1, u2, order)``, and dropped after
+    its last.  Forms share each read of a factor polynomial (its
+    values, the exp of the exponent, their partials) whose coefficients are
+    the same numbers of the same types, bit for bit; a shared read is kept
+    only while a form that takes it is still to be jetted."""
+
+    def __init__(self, uses, u1, u2):
+        self._todo, self._left, self._jets = {}, {}, {}
+        for key, form, order in uses:
+            top = self._todo[key][1] if key in self._todo else 0
+            self._todo[key] = form, max(order, top)
+            self._left[key] = self._left.get(key, 0) + 1
+        self._shared = _FactorReads((u1, u2), [
+            slot for form, order in self._todo.values()
+            for slot in form._reads(order)])
+
+    def take(self, key) -> WaveJet:
+        """The jet of ``key``, for one of its uses."""
+        if key in self._todo:
+            form, order = self._todo.pop(key)
+            self._jets[key] = form.jet(*self._shared.u, order,
+                                       shared=self._shared)
+            self._shared.done(form._reads(order))
+        self._left[key] -= 1
+        return self._jets[key] if self._left[key] else self._jets.pop(key)
 
 
 # ---------------------------------------------------------------------------
@@ -363,6 +452,14 @@ class DiffOpSpec:
     @property
     def order(self) -> int:
         return max((order for _, order, _ in self.nonzero()), default=0)
+
+    def reach(self, slope: int) -> int:
+        """The degree the operator adds to the polynomial part of a wave
+        function whose derivatives each add ``slope`` (``WaveForm.slope``):
+        the largest deg(coefficient) + order * slope of a nonzero slot; 0
+        for the zero operator, whose integrand is zero, of any degree."""
+        return max((poly.degree + order * slope
+                    for _, order, poly in self.nonzero()), default=0)
 
     def terms(self, u) -> list[tuple[int, np.ndarray]]:
         """``(slot, array)`` of c and of each nonzero other coefficient at

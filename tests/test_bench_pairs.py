@@ -2,6 +2,8 @@
 runs here."""
 
 import importlib.util
+import json
+import math
 from pathlib import Path
 
 import pytest
@@ -62,3 +64,36 @@ def test_report_lists_every_metric():
     s = bench_pairs.summarise(_pairs([2.0, 3.0], [1.0, 1.5]), BETTER)
     text = bench_pairs.report(s)
     assert "round_ref" in text and "2/2" in text and "yes" not in text
+
+
+def test_a_metric_worse_than_its_bound_is_flagged():
+    # the relative change of the medians, (change - parent) / |parent|, is
+    # held to the metric's bound in its worse direction
+    bound = {"round_ref": 0.24, "tol_headroom_dec": 0.24}
+    cases = [("round_ref", 10.0, 12.5, 0.25, True),
+             ("round_ref", 10.0, 12.0, 0.20, False),
+             ("round_ref", 10.0, 5.0, -0.5, False),
+             ("tol_headroom_dec", 0.5, 0.25, -0.5, True),
+             ("tol_headroom_dec", 0.5, 0.75, 0.5, False)]
+    for name, parent, change, rel, worse in cases:
+        s = bench_pairs.summarise(_pairs([parent] * 10, [change] * 10, name),
+                                  BETTER, bound)[name]
+        assert s["rel_change"] == pytest.approx(rel), name
+        assert s["worse"] is worse and s["bound"] == 0.24, (name, change)
+    # a metric without a bound is never flagged; a change from 0 is infinite
+    s = bench_pairs.summarise(_pairs([0.0] * 4, [1.0] * 4, "calls"), {},
+                              bound)["calls"]
+    assert s["bound"] is None and not s["worse"]
+    assert s["rel_change"] == math.inf
+    text = bench_pairs.report(bench_pairs.summarise(
+        _pairs([10.0] * 10, [12.5] * 10), BETTER, bound))
+    assert "+25.0%" in text and "24%" in text and "WORSE" in text
+
+
+def test_bounds_are_read_from_the_benchmark_spec():
+    # the end-to-end metrics carry the bounds; per-layer ones have none
+    root = _PATH.parents[1]
+    spec = json.loads((root / "BENCHMARK.json").read_text())
+    assert bench_pairs.bounds(root) == {m["name"]: m["bound"]
+                                        for m in spec["end_to_end"]}
+    assert bench_pairs.bounds(root / "no-such-checkout") == {}

@@ -1,7 +1,9 @@
+import gc
 import math
 import struct
 import tracemalloc
 import warnings
+import weakref
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -640,9 +642,9 @@ def test_heisenberg_demo_evaluates_each_state_once(monkeypatch, p, scheme, k):
     orders, valued = [], []
     jet, value = wv.WaveForm.jet, wv.WaveForm.value
 
-    def jetted(self, x1, x2, order=2):
+    def jetted(self, x1, x2, order=2, **shared):
         orders.append(order)
-        return jet(self, x1, x2, order)
+        return jet(self, x1, x2, order, **shared)
 
     def counted(self, *args):
         valued.append(self)
@@ -916,9 +918,9 @@ def test_reproduce_tables_values_translation_states(monkeypatch):
         made.append(t1_form(*args))
         return made[-1]
 
-    def recorded(self, x1, x2, order=2):
+    def recorded(self, x1, x2, order=2, **shared):
         jetted.append((self, order))  # kept, so no two forms share an id
-        return jet(self, x1, x2, order)
+        return jet(self, x1, x2, order, **shared)
     monkeypatch.setattr(wv, "t1_state", made_t1)
     monkeypatch.setattr(wv.WaveForm, "jet", recorded)
     run_reproduce_tables(P, nmax=8, grid_k=56, gauge=_CUBIC, idx_top=3)
@@ -1168,10 +1170,10 @@ def test_basis_change_is_three_row_streams(monkeypatch, p, g, k):
     on_grid = []
     jet = wv.WaveForm.jet
 
-    def counted(self, x1, x2, order=2):
+    def counted(self, x1, x2, order=2, **shared):
         if np.size(x1) == grid.weights.size:
             on_grid.append(order)
-        return jet(self, x1, x2, order)
+        return jet(self, x1, x2, order, **shared)
     calls = []
 
     def recorded(rows, rule):
@@ -1200,3 +1202,108 @@ def test_basis_change_is_three_row_streams(monkeypatch, p, g, k):
         assert _bits(got) == _bits([
             line_integral(lambda _, row=row: row, k=rule.nodes.size,
                           scale=sig) for row in rows])
+
+
+# ---------------------------------------------------------------------------
+# One factor per batch: shared conjugates, applications and jets
+# ---------------------------------------------------------------------------
+
+
+_SHARED_LABELS = [(0, 0), (1, 0), (-1, 1), (2, 1), (0, 2)]
+
+
+def _shared_batch(names, ops):
+    """Requests whose bras, kets and operators recur far apart in key
+    order, overlaps (op None) among them, and one (p1, ket) read by every
+    bra in turn."""
+    rng = np.random.default_rng(3)
+    hub = (ops[1], names[3])
+    requests = {}
+    for i in range(48):
+        a, b = rng.integers(len(names), size=2)
+        requests["r", i] = (names[a], ops[rng.integers(len(ops))], names[b])
+        if i % 6 == 0:
+            requests["hub", i] = (names[(i // 6) % len(names)], *hub)
+    return requests
+
+
+def _shared_setup(k):
+    g = _CUBIC
+    psi = {lab: fock_state(g, P, lab[1] + lab[0], lab[1])
+           for lab in _SHARED_LABELS}
+    # a translation state is never certified: a batch reading it runs on
+    # the --grid rule
+    psi["t1"] = t1_state(g, P, 0.4, 1)
+    ops = [_op(name, g, P) for name in ("H", "p1", "T2", "L3")] + [None]
+    eng = _ElementEngine(P, g, k, "gauss_hermite")
+    for lab in psi:
+        eng.load(lab, psi.get, lab)
+    return eng, psi, ops
+
+
+def _per_request(psi, requests, rule):
+    return [inner_product(psi[a], psi[b], rule) if op is None
+            else matrix_element(psi[a], op, psi[b], rule)
+            for a, op, b in requests.values()]
+
+
+def _same_parts(got, want):
+    for part in ("real", "imag"):
+        x = np.array([getattr(z, part) for z in got])
+        y = np.array([getattr(z, part) for z in want])
+        assert x.tolist() == y.tolist(), part
+        assert np.signbit(x).tolist() == np.signbit(y).tolist(), part
+
+
+@pytest.mark.parametrize("names", [_SHARED_LABELS, _SHARED_LABELS + ["t1"]],
+                         ids=["certified", "grid"])
+def test_shared_factors_keep_each_request_bit_for_bit(names):
+    # every value equals its own matrix_element / inner_product call on the
+    # rule its batch ran on, real and imaginary parts, signs of zero
+    # included, however far apart its bra, operator and ket recur
+    eng, psi, ops = _shared_setup(56)
+    requests = _shared_batch(names, ops)
+    got = eng.elements(requests)
+    assert list(got) == list(requests)
+    certified = "t1" not in names
+    assert (eng.certified_k is not None) == certified
+    rule = (_certified_rule(P, eng.certified_k) if certified
+            else _default_grid(P, 56, "gauss_hermite"))
+    _same_parts(list(got.values()), _per_request(psi, requests, rule))
+
+
+def test_shared_factors_fail_at_the_first_failing_key():
+    # on 30 nodes 20 of the 56 rows fail the boundary-decay check, the
+    # first at the fourth key: the batch raises that row's error
+    eng, psi, ops = _shared_setup(30)
+    requests = _shared_batch(_SHARED_LABELS + ["t1"], ops)
+    rule = _default_grid(P, 30, "gauss_hermite")
+    failing = []
+    for key, request in requests.items():
+        try:
+            _per_request(psi, {key: request}, rule)
+        except SupportOverflowError as err:
+            failing.append((key, str(err)))
+    assert 0 < len(failing) < len(requests)
+    assert failing[0][0] == list(requests)[3]
+    with pytest.raises(SupportOverflowError) as batched:
+        eng.elements(requests)
+    assert str(batched.value) == failing[0][1]
+
+
+def test_no_array_of_a_batch_outlives_elements(monkeypatch):
+    # the rule's nodes, and every jet, factor read and row made on them,
+    # are dropped when elements returns: nothing is cached across batches
+    nodes = []
+    make = Grid2.gauss_hermite.__func__
+
+    def recorded(cls, *args, **kwargs):
+        rule = make(cls, *args, **kwargs)
+        nodes.extend(weakref.ref(u) for u in rule.points[:2])
+        return rule
+    monkeypatch.setattr(Grid2, "gauss_hermite", classmethod(recorded))
+    for names in (_SHARED_LABELS, _SHARED_LABELS + ["t1"]):
+        eng, _, ops = _shared_setup(56)
+        assert eng.elements(_shared_batch(names, ops))
+    gc.collect()
+    assert len(nodes) == 4 and all(ref() is None for ref in nodes)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from numpy.polynomial.hermite import hermgauss
 from landaulab import GaugeChoice, PhysicalParams, Poly2, gauge_delta, parse_poly
 from landaulab.classical import PolyObservable, observables, poisson_bracket
 from landaulab.fockspace import change_of_basis, t1_fock_overlap
+from landaulab import waves as wv
 from landaulab.params import DegreeOverflowError
 from landaulab.waves import (MAX_QUANTUM_NUMBER, DiffOpSpec,
                              QuantumNumberError, SpecialFactor, WaveForm,
@@ -532,9 +534,9 @@ def test_apply_jets_to_the_operator_order(monkeypatch, name, order):
     want = op.apply_jet(psi.jet(*u), u)
     orders, jet = [], WaveForm.jet
 
-    def recorded(self, x1, x2, order=2):
+    def recorded(self, x1, x2, order=2, **shared):
         orders.append(order)
-        return jet(self, x1, x2, order)
+        return jet(self, x1, x2, order, **shared)
     monkeypatch.setattr(WaveForm, "jet", recorded)
     assert op.apply(psi, x1, x2).tobytes() == want.tobytes()
     assert orders == [order]
@@ -720,3 +722,81 @@ def test_quantum_numbers_beyond_the_bound_refused():
     # the bound itself is accepted
     fock_state(SYM, P, MAX_QUANTUM_NUMBER, MAX_QUANTUM_NUMBER)
     t1_state(SYM, P, 0.3, MAX_QUANTUM_NUMBER)
+
+
+# -- jets of one batch ---------------------------------------------------------
+
+
+def _same_jet(a, b) -> bool:
+    """Slot by slot the same dtype and bits, or both None."""
+    return all((x is None) == (y is None) and (x is None or (
+        np.asarray(x).dtype == np.asarray(y).dtype
+        and np.asarray(x).tobytes() == np.asarray(y).tobytes()))
+        for x, y in zip(a, b))
+
+
+def _twins():
+    """Forms whose factor polynomials are == but not the same numbers: a
+    complex exponent with zero imaginary parts against the real one (numpy's
+    complex exp of (x, 0) differs from its real exp in the last bit for
+    about 5 % of arguments), 1 against 1.0, and 0.0 against -0.0."""
+    real = fock_state(SYM, P, 2, 1)
+    gauss = Poly2({k: complex(c, 0.0) for k, c in real.gauss.terms.items()})
+    return {"real": real, "complex": replace(real, gauss=gauss),
+            "int": replace(real, poly=Poly2({(1, 0): 1, (0, 1): 2})),
+            "float": replace(real, poly=Poly2({(1, 0): 1.0, (0, 1): 2.0})),
+            "+0": replace(real, poly=Poly2({(1, 1): complex(0.0, 0.7)})),
+            "-0": replace(real, poly=Poly2({(1, 1): complex(-0.0, 0.7)}))}
+
+
+def test_jets_of_a_batch_equal_fresh_jets_bit_for_bit(monkeypatch):
+    # the angular states of one gauge share their exponent, its exp and
+    # partials and the Laguerre argument; the twins share nothing with
+    # each other.  Every jet keeps the bits of its own fresh jet, at every
+    # order and in either order of taking
+    u1, u2 = np.random.default_rng(8).uniform(-4, 4, (2, 900))
+    twins = _twins()
+    for a, b in (("real", "complex"), ("int", "float"), ("+0", "-0")):
+        fa, fb = twins[a], twins[b]
+        assert fa.exponent == fb.exponent and fa.poly == fb.poly
+        assert fa._factors != fb._factors, (a, b)
+    assert twins["real"].jet(u1, u2, 0).f.tobytes() \
+        != twins["complex"].jet(u1, u2, 0).f.tobytes()
+    forms = {**{(n, m): fock_state(GEN, NEG, n, m)
+                for n in range(3) for m in range(3)}, **twins}
+    fresh = {(key, order): form.jet(u1, u2, order)
+             for key, form in forms.items() for order in (0, 1, 2)}
+    exps = []
+    monkeypatch.setitem(wv._READS, "exp", lambda poly, u: exps.append(poly)
+                        or np.exp(poly(*u)))
+    for shift in range(3):
+        keys = list(forms)[::1 if shift % 2 else -1]
+        orders = {key: (i + shift) % 3 for i, key in enumerate(keys)}
+        jets = wv.JetBatch([(key, forms[key], orders[key]) for key in keys],
+                           u1, u2)
+        for key in keys:
+            assert _same_jet(jets.take(key), fresh[key, orders[key]]), key
+        assert not jets._shared.kept and not jets._jets
+    # one exp per distinct exponent: the nine angular states', the real
+    # twins' and the complex twin's
+    assert len(exps) == 3 * 3
+
+
+def test_a_shared_read_is_kept_only_while_a_form_still_needs_it():
+    u1, u2 = np.random.default_rng(9).uniform(-3, 3, (2, 50))
+    a, b, c = (fock_state(GEN, P, *nm) for nm in ((2, 1), (0, 0), (1, 3)))
+    jets = wv.JetBatch([("a", a, 2), ("b", b, 0), ("c", c, 1), ("c", c, 0)],
+                       u1, u2)
+    key = a._factors[1][1]  # the exponent all three share
+    jets.take("a")
+    # b and c still read the exp; only c the first partials, so a's
+    # partials were not kept, and no form reads the second ones again
+    assert set(jets._shared.kept) >= {("exp", key), ("d1", key)}
+    assert ("d2", key) not in jets._shared.kept
+    jets.take("c")
+    assert ("d1", key) not in jets._shared.kept
+    assert "a" not in jets._jets and "c" in jets._jets  # c has a second read
+    jets.take("b")
+    assert not jets._shared.kept
+    jets.take("c")
+    assert not jets._jets

@@ -18,11 +18,15 @@ cached bytecode.
 
 For every metric the script prints the median and quartiles
 (``statistics.quantiles``, n=4) of each side, the pairs the change wins
-(strictly better in the direction ``BENCHMARK.json`` gives the metric) and
-the verdict of a gain claim: at least 9 wins in 10 pairs, and the medians
+(strictly better in the direction ``BENCHMARK.json`` gives the metric),
+the verdict of a gain claim (at least 9 wins in 10 pairs, and the medians
 apart by more than the parent's interquartile range, in the better
-direction.  ``--json`` merges the pairs and that summary into a JSON file
-under ``workloads["W@seedS"]`` (``traced`` for ``--trace 1``).
+direction), the relative change of the medians, (change - parent) /
+|parent|, and the metric's ``bound`` from ``BENCHMARK.json``.  A metric
+whose median is worse than the parent's by more than its bound, as a share
+of the parent's median, is flagged ``WORSE``: the no-regression half of a
+claim.  ``--json`` merges the pairs and that summary into a JSON file under
+``workloads["W@seedS"]`` (``traced`` for ``--trace 1``).
 """
 
 from __future__ import annotations
@@ -49,15 +53,24 @@ def tree_digest(root: Path) -> dict:
             if p.is_file() and "__pycache__" not in p.parts}
 
 
-def directions(root: Path) -> dict:
-    """Metric name -> "lower" or "higher", from the checkout's
-    BENCHMARK.json; a metric it does not list is lower-is-better."""
+def metrics(root: Path) -> list[dict]:
+    """The metric entries of the checkout's BENCHMARK.json, or none."""
     try:
         spec = json.loads((root / "BENCHMARK.json").read_text())
     except (OSError, ValueError):
-        return {}
-    return {m["name"]: m["better"]
-            for m in spec.get("end_to_end", []) + spec.get("per_layer", [])}
+        return []
+    return spec.get("end_to_end", []) + spec.get("per_layer", [])
+
+
+def directions(root: Path) -> dict:
+    """Metric name -> "lower" or "higher", from the checkout's
+    BENCHMARK.json; a metric it does not list is lower-is-better."""
+    return {m["name"]: m["better"] for m in metrics(root)}
+
+
+def bounds(root: Path) -> dict:
+    """Metric name -> the relative worsening BENCHMARK.json allows it."""
+    return {m["name"]: m["bound"] for m in metrics(root) if "bound" in m}
 
 
 def run_once(root: Path, workload: str, seed: int, trace: int) -> dict:
@@ -88,10 +101,23 @@ def quartiles(values) -> dict:
     return {"q1": q1, "median": median, "q3": q3}
 
 
-def summarise(pairs: list[dict], better: dict) -> dict:
-    """Per metric both sides' quartiles, the change's wins and the verdict
-    of a gain claim, from pairs of the form {"parent": run, "change": run}
-    (a run maps metric names to numbers)."""
+def relative(parent: float, change: float) -> float:
+    """(change - parent) / |parent|; a change from 0 reads +-inf."""
+    if change == parent:
+        return 0.0
+    if parent == 0:
+        return math.copysign(math.inf, change)
+    return (change - parent) / abs(parent)
+
+
+def summarise(pairs: list[dict], better: dict, bound: dict | None = None
+              ) -> dict:
+    """Per metric both sides' quartiles, the change's wins, the verdict of
+    a gain claim, the relative change of the medians and, for a metric
+    with a ``bound``, whether it is worse than the parent by more than
+    that bound, from pairs of the form {"parent": run, "change": run} (a
+    run maps metric names to numbers)."""
+    bound = bound or {}
     out = {}
     for name in pairs[0]["parent"]:
         values = {side: [p[side][name] for p in pairs] for side in SIDES}
@@ -105,22 +131,28 @@ def summarise(pairs: list[dict], better: dict) -> dict:
         iqr = q["parent"]["q3"] - q["parent"]["q1"]
         wins = sum(sign * (p["parent"][name] - p["change"][name]) > 0
                    for p in pairs)
+        rel = relative(q["parent"]["median"], q["change"]["median"])
         out[name] = {**q, "wins": wins, "pairs": len(pairs),
                      "median_diff": diff, "parent_iqr": iqr,
                      "gain": wins >= math.ceil(0.9 * len(pairs))
-                     and diff > iqr}
+                     and diff > iqr,
+                     "rel_change": rel, "bound": bound.get(name),
+                     "worse": name in bound and sign * rel > bound[name]}
     return out
 
 
 def report(summary: dict) -> str:
     lines = [f"{'metric':<40} {'parent median [q1, q3]':>34} "
-             f"{'change median [q1, q3]':>34}  wins  gain"]
+             f"{'change median [q1, q3]':>34}  wins  gain  change  bound"]
     for name, s in summary.items():
         sides = [f"{s[side]['median']:.6g} [{s[side]['q1']:.6g}, "
                  f"{s[side]['q3']:.6g}]" for side in SIDES]
+        bound = "-" if s["bound"] is None else f"{s['bound']:.0%}"
         lines.append(f"{name:<40} {sides[0]:>34} {sides[1]:>34}  "
                      f"{s['wins']:>2}/{s['pairs']:<2} "
-                     f"{'yes' if s['gain'] else 'no'}")
+                     f"{'yes' if s['gain'] else 'no':<4} "
+                     f"{s['rel_change']:>+7.1%} {bound:>6}"
+                     f"{'  WORSE' if s['worse'] else ''}")
     return "\n".join(lines)
 
 
@@ -151,7 +183,8 @@ def main(argv=None) -> int:
         print(f"pair {i}: " + "  ".join(
             f"{side} round_ref={pair[side].get('round_ref', math.nan):.4g}"
             for side in SIDES), flush=True)
-    summary = summarise(pairs, directions(roots["change"]))
+    summary = summarise(pairs, directions(roots["change"]),
+                        bounds(roots["change"]))
     print(report(summary))
     if args.json:
         data = json.loads(args.json.read_text()) if args.json.exists() else {}
