@@ -13,7 +13,6 @@ has the bits of the largest deviation divided once.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -178,11 +177,11 @@ class _ElementEngine:
     integrand rows through ``quad.integrate_rows`` on one rule, from wave
     functions loaded under keys, all about the gauge origin, at the rule's
     nodes u.  A batch makes each factor of its rows once, at its first use,
-    and drops it after its last: one jet per key (``wv.JetBatch``) to the
+    and drops it after its last (``wv.Uses``): one jet per key to the
     highest order of the operators applied to it (order 0 for a bra or an
-    overlap's ket), one conjugate per bra and one application per operator
-    and ket.  Between batches the engine keeps its wave functions and
-    ``certified_k``.
+    overlap's ket) and its factor reads, one conjugate per bra and one
+    application per operator and ket.  Between batches the engine keeps its
+    wave functions and ``certified_k``.
 
     A request ``<bra|op|ket>`` is *certified* when its integrand is a
     polynomial times the weight of the Gauss-Hermite rule about u = 0 at
@@ -276,17 +275,23 @@ class _ElementEngine:
         # factors (0, bra) and (id(op), ket); no id is 0
         pairs = [((0, bra), (id(op), ket))
                  for bra, op, ket in requests.values()]
-        left = Counter(k for pair in pairs for k in pair)
-        jets = wv.JetBatch(((key, self._forms[key], orders.get(i, 0))
-                            for i, key in left), *u)
-        made = {}
+        store = wv.Uses(k for pair in pairs for k in pair)
+        left, made, top = store.left, store.kept, {}  # top: each jet's order
+        for i, key in list(left):
+            top[key] = max(orders.get(i, 0), top.get(key, 0))
+            left["jet", key] += 1
+        left.update(r for k in top for r in self._forms[k]._reads(top[k]))
+
+        def jet(key):
+            return store.take(("jet", key), lambda: self._forms[key].jet(
+                *u, top[key], shared=store))
         for kb, kk in pairs:
             if kb not in made:
-                made[kb] = np.conj(jets.take(kb[1]).f)
+                made[kb] = np.conj(jet(kb[1]).f)
             if kk not in made:
-                op, jet = ops[kk[0]], jets.take(kk[1])
-                made[kk] = jet.f if op is None else \
-                    op.apply_jet(jet, u, terms[kk[0]])
+                op, ket = ops[kk[0]], jet(kk[1])
+                made[kk] = ket.f if op is None else \
+                    op.apply_jet(ket, u, terms[kk[0]])
             yield made[kb] * made[kk]
             for k in kb, kk:
                 left[k] -= 1
@@ -357,16 +362,18 @@ def run_gauge_scan(p: PhysicalParams, gauges=None, nmax: int = 16,
     rep = _report("gauge-scan", p, gauges, nmax=nmax, grid=grid_k,
                   scheme=scheme, seed=seed)
 
-    # the Fock route reads the canonical operators at the checked pairs, over
-    # one monomial table for all gauges
+    # the Fock route reads the canonical operators (gauge_variant_matrix) at
+    # the checked pairs, over one monomial table for all gauges
     tables = [cl.observables(p, g) for g in gauges]
-    extras = [{name: f[name] - f[partner]
+    extras = [{("extra", name): f[name] - f[partner]
                for name, partner in CANONICAL_PARTNER.items()} for f in tables]
     basis = fk.FockBasis(nmax)
     monomials = fk.position_monomials(p, basis, [
         key for extra in extras for f in extra.values() for key in f.terms])
-    canonical = [{name: fk.gauge_variant_matrix(name, g, p, basis, monomials)
-                  for name in CANONICAL_PARTNER} for g in gauges]
+    partners = {name: fk.build_observable(partner, p, x0, basis)
+                for name, partner in CANONICAL_PARTNER.items()}
+    canonical = [{k: op + fk.poly_operator(e["extra", k], monomials, basis)
+                  for k, op in partners.items()} for e in extras]
     flat = [op for ops in canonical for op in ops.values()]
     top = wv.MAX_QUANTUM_NUMBER
     lv = min(levels, top // 2 + 1)  # beyond, labels n+ = 2 lv leave any basis
@@ -382,7 +389,7 @@ def run_gauge_scan(p: PhysicalParams, gauges=None, nmax: int = 16,
                                  f"reads are exact only from nmax {need}")
     fock = [{name: op.entries(bra, ket).tolist() for name, op in ops.items()}
             for ops in canonical]
-    del monomials, canonical, flat  # not held through the quadrature
+    del monomials, partners, canonical, flat  # not held through the quadrature
     sample = states[:6]
 
     # gauge dependence: elements shift by the change of the canonical
@@ -390,8 +397,8 @@ def run_gauge_scan(p: PhysicalParams, gauges=None, nmax: int = 16,
     # gauge's batch
     ref = min(range(len(gauges)),
               key=lambda i: (gauges[i].alpha != 0.0, not gauges[i].phi.is_zero(), i))
-    conn = wv.gauge_connection(gauges[ref], p)
-    shifts = {}
+    conns = [wv.gauge_connection(g, p) for g in gauges]
+    shifts, conn = {}, conns[ref]
     for gi, f in enumerate(tables):
         if gi == ref:
             continue
@@ -403,13 +410,13 @@ def run_gauge_scan(p: PhysicalParams, gauges=None, nmax: int = 16,
 
     found: dict = {}  # each request's values, in gauge order
     certified = []
-    for gi, (g, extra) in enumerate(zip(gauges, extras)):
+    for gi, (g, conn) in enumerate(zip(gauges, conns)):
         eng = _ElementEngine(p, g, grid_k, scheme)
         for (l, n) in states:
             eng.load((l, n), wv.fock_state, g, p, n + l, n)
-        ops = wv.position_ops(_SCAN_OPS + tuple(CANONICAL_PARTNER), g, p)
-        ops.update({("extra", k): wv.schrodinger_op(
-            e, wv.gauge_connection(g, p), p.hbar) for k, e in extra.items()})
+        f = tables[gi] | extras[gi]
+        ops = {name: wv.schrodinger_op(f[name], conn, p.hbar)
+               for name in (*_SCAN_OPS, *CANONICAL_PARTNER, *extras[gi])}
         requests = {(name, pair): (pair[0], op, pair[1]) for pair in pairs
                     for name, op in ops.items()
                     if name in _SCAN_OPS or pair in checked}

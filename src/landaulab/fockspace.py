@@ -569,13 +569,12 @@ def t1_fock_overlap(nplus: int, nminus: int, t1, p: PhysicalParams):
 
 
 def gauge_variant_matrix(which: str, g: GaugeChoice, p: PhysicalParams,
-                         b: FockBasis, monomials=None) -> FockOperator:
+                         b: FockBasis) -> FockOperator:
     """Gauge-variant canonical operator (pi1, pi2 or L3c): its gauge-invariant
     partner observable plus the :func:`poly_operator` of their difference in
-    ``classical.observables``, a polynomial in u alone, over the
-    :func:`position_monomials` table ``monomials`` (default: its own)."""
+    ``classical.observables``, a polynomial in u alone, over its own
+    :func:`position_monomials` table."""
     partner, f = CANONICAL_PARTNER[which], observables(p, g)
     extra = f[which] - f[partner]
-    monomials = monomials or position_monomials(p, b, extra.terms)
     return build_observable(partner, p, g.x0, b) \
-        + poly_operator(extra, monomials, b)
+        + poly_operator(extra, position_monomials(p, b, extra.terms), b)

@@ -19,6 +19,7 @@ enter any production path; every jet is taken at u.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import NamedTuple
@@ -38,7 +39,7 @@ __all__ = [
     "SpecialFactor",
     "WaveForm",
     "WaveJet",
-    "JetBatch",
+    "Uses",
     "t1_state",
     "fock_state",
     "plane_wave",
@@ -150,39 +151,30 @@ _READS = {
 }
 
 
-def _exact(poly: Poly2) -> tuple:
+def _exact(poly: Poly2) -> str:
     """A key two polynomials share only if every coefficient is the same
     number of the same type, bit for bit: ``repr`` tells 1 from 1.0 and
-    1+0j, and 0.0 from -0.0, where ``==`` does not."""
-    return tuple(sorted((key, type(c), repr(c))
-                        for key, c in poly.terms.items()))
+    1+0j, and 0.0 from -0.0, where ``==`` does not.  A string, whose hash
+    is computed once."""
+    return repr(sorted((key, type(c), repr(c))
+                       for key, c in poly.terms.items()))
 
 
-class _FactorReads:
-    """The reads of factor polynomials at shifted coordinates u, each
-    evaluated once by ``_READS``: a read is kept only while ``need`` counts
-    a form still to be jetted that takes it, so one form alone keeps none."""
+class Uses:
+    """Values made at their first take, kept while takes remain and dropped
+    after the last: ``left`` counts the takes still to come of each key,
+    ``kept`` holds the live values."""
 
-    def __init__(self, u, need=()):
-        self.u, self.kept, self.need = u, {}, {}
-        for slot in need:
-            self.need[slot] = self.need.get(slot, 0) + 1
+    def __init__(self, keys=()):
+        self.left, self.kept = Counter(keys), {}
 
-    def read(self, what: str, poly: Poly2, key: tuple):
-        slot = what, key
-        if slot in self.kept:
-            return self.kept[slot]
-        value = _READS[what](poly, self.u)
-        if self.need.get(slot, 0) > 1:
-            self.kept[slot] = value
+    def take(self, key, make, *args):
+        """The value under ``key``, ``make(*args)`` at its first take."""
+        left = self.left[key] = self.left[key] - 1
+        value = self.kept.pop(key) if key in self.kept else make(*args)
+        if left > 0:
+            self.kept[key] = value
         return value
-
-    def done(self, slots):
-        """Count off the reads of one jetted form."""
-        for slot in slots:
-            self.need[slot] -= 1
-            if not self.need[slot]:
-                self.kept.pop(slot, None)
 
 
 class WaveJet(NamedTuple):
@@ -242,15 +234,15 @@ class WaveForm:
         return tuple(None if poly is None else (poly, _exact(poly))
                      for poly in (self.poly, self.exponent, arg))
 
-    def _reads(self, order: int) -> set:
-        """The ``(what, key)`` reads of a jet to ``order``: the values of
-        the polynomial factor and of the argument, the exp of the exponent,
-        and the partials of each up to ``order``."""
+    def _reads(self, order: int) -> list:
+        """The ``(what, key)`` reads a jet to ``order`` makes, one per read:
+        the values of the polynomial factor and of the argument, the exp of
+        the exponent, and the partials of each up to ``order``."""
         heads = ("value", "exp", "value")
-        return {(what, factor[1])
+        return [(what, factor[1])
                 for head, factor in zip(heads, self._factors)
                 if factor is not None
-                for what in (head, "d1", "d2")[:order + 1]}
+                for what in (head, "d1", "d2")[:order + 1]]
 
     def value(self, x1, x2):
         """The value at plane points: ``jet(*shifted(x1, x2), 0).f``."""
@@ -260,9 +252,15 @@ class WaveForm:
         """Analytic value and derivatives up to ``order`` (0, 1 or 2) at the
         shifted coordinates (u1, u2); the slots above ``order`` are None,
         and each slot has the same bits at every order that holds it.
-        ``shared``, from a :class:`JetBatch` at the same (u1, u2), lends the
-        factor values the forms of a batch share."""
-        read = (_FactorReads((u1, u2)) if shared is None else shared).read
+        Each read of a factor polynomial is a take of ``shared``, a
+        :class:`Uses` at the same (u1, u2) that counts it among the reads of
+        the forms of a batch (:meth:`_reads`), under a key that forms share
+        only if their polynomials are the same numbers (:func:`_exact`);
+        without one, each read is made afresh."""
+        def read(what, poly, key):
+            if shared is None:
+                return _READS[what](poly, (u1, u2))
+            return shared.take((what, key), _READS[what], poly, (u1, u2))
         poly, expo, arg = self._factors  # each (polynomial, exact key)
         A = read("value", *poly)
         E = read("exp", *expo)
@@ -305,37 +303,6 @@ class WaveForm:
                        + A * (R12 + R1 * R2) * S + A * R1 * S2
                        + A2 * S1 + A * R2 * S1 + A * S12)
         return WaveJet(f, f1, f2, f11, f12, f22)
-
-
-class JetBatch:
-    """The jets of the forms of one batch at one set of shifted coordinates
-    (u1, u2), from ``uses``, one ``(key, form, order)`` per use of a key's
-    jet: each is taken once, at its first use, to the highest order of its
-    uses, with the bits of ``form.jet(u1, u2, order)``, and dropped after
-    its last.  Forms share each read of a factor polynomial (its
-    values, the exp of the exponent, their partials) whose coefficients are
-    the same numbers of the same types, bit for bit; a shared read is kept
-    only while a form that takes it is still to be jetted."""
-
-    def __init__(self, uses, u1, u2):
-        self._todo, self._left, self._jets = {}, {}, {}
-        for key, form, order in uses:
-            top = self._todo[key][1] if key in self._todo else 0
-            self._todo[key] = form, max(order, top)
-            self._left[key] = self._left.get(key, 0) + 1
-        self._shared = _FactorReads((u1, u2), [
-            slot for form, order in self._todo.values()
-            for slot in form._reads(order)])
-
-    def take(self, key) -> WaveJet:
-        """The jet of ``key``, for one of its uses."""
-        if key in self._todo:
-            form, order = self._todo.pop(key)
-            self._jets[key] = form.jet(*self._shared.u, order,
-                                       shared=self._shared)
-            self._shared.done(form._reads(order))
-        self._left[key] -= 1
-        return self._jets[key] if self._left[key] else self._jets.pop(key)
 
 
 # ---------------------------------------------------------------------------

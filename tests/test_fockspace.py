@@ -1202,3 +1202,20 @@ def test_scan_route_entries_equal_full_matrix_entries(setup):
             reference = partner.matrix + reference_sum(extra)
             bound = 64 * EPS * max(1.0, np.max(np.abs(reference)))
             assert np.max(np.abs(dense - reference)) <= bound
+
+
+def test_a_scan_builds_each_gauges_observable_table_once(monkeypatch):
+    # both routes of a gauge read one classical.observables table: 7 builds
+    # for the 7 default gauges, wherever the table is read
+    from landaulab import waves
+    built = []
+    build = classical.observables
+
+    def counted(p, g):
+        built.append(g)
+        return build(p, g)
+    for module in (classical, fk, waves):
+        monkeypatch.setattr(module, "observables", counted)
+    gauges = default_gauges(7)
+    assert run_gauge_scan(P, gauges, nmax=8, grid_k=40, levels=2).passed
+    assert built == gauges

@@ -749,6 +749,29 @@ def _twins():
             "-0": replace(real, poly=Poly2({(1, 1): complex(-0.0, 0.7)}))}
 
 
+def _batch(uses, u1, u2):
+    """One store for the jets of ``uses``, one ``(key, form, order)`` per use
+    of a key's jet, counted as ``_ElementEngine`` counts a batch: one take
+    of the key's jet per use, to the highest order of its uses, and one per
+    read of that jet; returns the store and the take of a key's jet."""
+    top = {}
+    for key, form, order in uses:
+        top[key] = form, max(order, top[key][1] if key in top else 0)
+    store = wv.Uses([("jet", key) for key, _, _ in uses] + [
+        read for form, order in top.values() for read in form._reads(order)])
+
+    def take(key):
+        form, order = top[key]
+        return store.take(("jet", key), lambda: form.jet(
+            u1, u2, order, shared=store))
+    return store, take
+
+
+def _spent(store) -> bool:
+    """Every take counted in ``store`` made, and nothing kept."""
+    return not store.kept and set(store.left.values()) == {0}
+
+
 def test_jets_of_a_batch_equal_fresh_jets_bit_for_bit(monkeypatch):
     # the angular states of one gauge share their exponent, its exp and
     # partials and the Laguerre argument; the twins share nothing with
@@ -772,11 +795,11 @@ def test_jets_of_a_batch_equal_fresh_jets_bit_for_bit(monkeypatch):
     for shift in range(3):
         keys = list(forms)[::1 if shift % 2 else -1]
         orders = {key: (i + shift) % 3 for i, key in enumerate(keys)}
-        jets = wv.JetBatch([(key, forms[key], orders[key]) for key in keys],
-                           u1, u2)
+        store, take = _batch([(key, forms[key], orders[key]) for key in keys],
+                             u1, u2)
         for key in keys:
-            assert _same_jet(jets.take(key), fresh[key, orders[key]]), key
-        assert not jets._shared.kept and not jets._jets
+            assert _same_jet(take(key), fresh[key, orders[key]]), key
+        assert _spent(store)
     # one exp per distinct exponent: the nine angular states', the real
     # twins' and the complex twin's
     assert len(exps) == 3 * 3
@@ -785,18 +808,47 @@ def test_jets_of_a_batch_equal_fresh_jets_bit_for_bit(monkeypatch):
 def test_a_shared_read_is_kept_only_while_a_form_still_needs_it():
     u1, u2 = np.random.default_rng(9).uniform(-3, 3, (2, 50))
     a, b, c = (fock_state(GEN, P, *nm) for nm in ((2, 1), (0, 0), (1, 3)))
-    jets = wv.JetBatch([("a", a, 2), ("b", b, 0), ("c", c, 1), ("c", c, 0)],
-                       u1, u2)
+    store, take = _batch([("a", a, 2), ("b", b, 0), ("c", c, 1), ("c", c, 0)],
+                         u1, u2)
     key = a._factors[1][1]  # the exponent all three share
-    jets.take("a")
+    take("a")
     # b and c still read the exp; only c the first partials, so a's
     # partials were not kept, and no form reads the second ones again
-    assert set(jets._shared.kept) >= {("exp", key), ("d1", key)}
-    assert ("d2", key) not in jets._shared.kept
-    jets.take("c")
-    assert ("d1", key) not in jets._shared.kept
-    assert "a" not in jets._jets and "c" in jets._jets  # c has a second read
-    jets.take("b")
-    assert not jets._shared.kept
-    jets.take("c")
-    assert not jets._jets
+    assert set(store.kept) >= {("exp", key), ("d1", key)}
+    assert ("d2", key) not in store.kept
+    take("c")
+    assert ("d1", key) not in store.kept
+    # a's jet is dropped, c's kept for its second use
+    assert ("jet", "a") not in store.kept and ("jet", "c") in store.kept
+    take("b")
+    assert set(store.kept) == {("jet", "c")}
+    take("c")
+    assert _spent(store)
+
+
+def _poly_is_arg():
+    """A translation state whose polynomial factor is its special factor's
+    argument, the same numbers: a jet reads that polynomial twice."""
+    psi = t1_state(GEN, P, 0.3, 2)
+    return replace(psi, poly=psi.special.arg)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+@pytest.mark.parametrize("form", [
+    fock_state(GEN, NEG, 2, 1), t1_state(GEN, P, 0.3, 2),
+    t1_basis_function(3, P), plane_wave((0.4, -0.2), 0.6), _poly_is_arg()],
+    ids=["angular", "translation", "t1-basis", "plane-wave", "poly-is-arg"])
+def test_a_jet_takes_exactly_the_reads_it_lists(monkeypatch, form, order):
+    # a store counted from _reads(order) ends spent after one jet: each
+    # listed read is taken once, and each distinct one made once, with the
+    # bits of a jet that shares nothing
+    u1, u2 = np.random.default_rng(10).uniform(-3, 3, (2, 40))
+    fresh = form.jet(u1, u2, order)
+    made = []
+    for what, read in list(wv._READS.items()):
+        monkeypatch.setitem(wv._READS, what, lambda poly, u, what=what,
+                            read=read: made.append(what) or read(poly, u))
+    store = wv.Uses(form._reads(order))
+    assert _same_jet(form.jet(u1, u2, order, shared=store), fresh)
+    assert _spent(store)
+    assert len(made) == len(set(form._reads(order)))
