@@ -750,14 +750,10 @@ def run_classical_sim(p: PhysicalParams, tp: cl.TrajectoryParams | None = None,
         rep.add(f"drift:{name}", np.abs(c - c0)
                 / max(abs(c0), floor, 1.0e-300), tol)
 
-    # T ** 2 stays a scalar float power (libm pow, which numpy's square need
-    # not match bit for bit), taken over blocks of Python floats; the rest
-    # is elementwise, so exact in numpy
+    # T ** 2 is libm pow(T, 2.0), as float_power takes it (numpy's power
+    # and square need not match it bit for bit); the rest is elementwise
     e, t1, t2, m3 = charges
-    tsq = np.fromiter((a ** 2 + b ** 2 for i in range(0, t1.size, 2 ** 16)
-                       for a, b in zip(t1[i:i + 2 ** 16].tolist(),
-                                       t2[i:i + 2 ** 16].tolist())),
-                      float, t1.size)
+    tsq = np.float_power(t1, 2.0) + np.float_power(t2, 2.0)
     two_m = 2.0 * p.m
     resid = tsq - two_m * e - 2.0 * p.qB * m3
     scale = np.maximum(np.maximum(np.maximum(tsq, two_m * np.abs(e)),

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from functools import cache
 
 import numpy as np
 
@@ -94,9 +95,9 @@ def build_parser() -> argparse.ArgumentParser:
         "heisenberg-demo": ("flat-connection representation conjugation "
                             "demo", "--grid --scheme"),
     }
-    # each action is made once, in a group (whose add_argument, unlike a
-    # parser's, builds no help formatter), and shared by every subcommand
-    # that takes its flag, as parents= shares a parent's actions
+    # one action a flag, made in a group (whose add_argument, unlike a
+    # parser's, builds no help formatter) and shared by each subcommand
+    # that takes it
     group = argparse.ArgumentParser(add_help=False).add_argument_group()
     actions = {flag: group.add_argument(flag, **keywords)
                for flag, keywords in specs.items()}
@@ -113,6 +114,10 @@ def build_parser() -> argparse.ArgumentParser:
             if flag in takes:
                 sp._add_action(action)
     return parser
+
+
+# built once: parsing leaves a parser as it was
+_parser = cache(build_parser)
 
 
 def _physical(args, parser) -> PhysicalParams:
@@ -351,7 +356,7 @@ def _campaign(args, p, g, tol: dict):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if getattr(args, "scheme", None) == "gh":  # the library's name for it
         args.scheme = "gauss_hermite"

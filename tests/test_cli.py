@@ -15,6 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import landaulab
+from landaulab import cli
 from landaulab.cli import _write_csv, build_parser, main
 from landaulab.report import VerificationReport
 
@@ -756,6 +757,33 @@ def test_campaigns_carry_no_state_between_calls(tmp_path):
                               for f in files])
     for first, second in outputs.values():
         assert first[0] is not None and first == second
+
+
+def test_successive_calls_share_no_flag_values(monkeypatch):
+    # main parses with one parser a process; each call's namespace holds
+    # its own flags and the defaults of the others
+    namespaces = []
+    campaign = cli._campaign
+
+    def recording(args, *rest):
+        namespaces.append(vars(args).copy())
+        return campaign(args, *rest)
+
+    monkeypatch.setattr(cli, "_campaign", recording)
+    quiet = ["--quiet", "--no-timestamp"]
+    main(["verify-algebra", "--nmax", "6", "--mass", "2", "--tol", "1e-3",
+          "--x0=-0.5,0.5", *quiet])
+    main(["classical-sim", "--steps", "10", "--charge", "-1", *quiet])
+    main(["verify-algebra", *quiet])
+    first, orbit, last = namespaces
+    assert (first["nmax"], first["mass"], first["tol"], first["x0"]) \
+        == (6, 2.0, 1e-3, (-0.5, 0.5))
+    assert last == {**first, "nmax": 16, "mass": 1.0, "tol": None,
+                    "x0": (0.0, 0.0)}
+    assert (orbit["steps"], orbit["charge"], orbit["mass"]) == (10, -1.0, 1.0)
+    assert "nmax" not in orbit and "steps" not in last
+    assert cli._parser() is cli._parser()
+    assert build_parser() is not build_parser()
 
 
 def _openblas_dynamic_arch() -> bool:
